@@ -31,9 +31,9 @@ from .mt_engine import (
 from .shearer import (
     CapExceeded,
     boundary_scale,
-    expected_resample_bound,
     in_shearer_bound,
     l1_gap,
+    resample_bound,
 )
 from .wdag import weight_sums
 
@@ -68,6 +68,15 @@ def _pvec(args):
     return jsonio.load_probability_vector(args.p)
 
 
+def _seed(text: str) -> int | str:
+    """Seeds as the API takes them: a decimal integer parses as int, any
+    other string stays a string."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _emit(args, payload, fmt=None):
     text = emit_report(payload, args.out, fmt or args.format)
     if not args.out:
@@ -79,9 +88,7 @@ def cmd_shearer_check(args) -> int:
     report = in_shearer_bound(g, _pvec(args))
     payload = jsonio.shearer_report_to_dict(report)
     if report.in_bound:
-        payload["expected_resample_bound"] = fraction_str(
-            expected_resample_bound(g, _pvec(args))
-        )
+        payload["expected_resample_bound"] = fraction_str(resample_bound(report))
     _emit(args, payload)
     return EXIT_OK if report.in_bound else EXIT_REJECT
 
@@ -280,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mt-run", help="one seeded resampling run")
     common(p, system=True)
     p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--step-cap", type=int, default=1_000_000)
     p.set_defaults(fn=cmd_mt_run)
 
     p = sub.add_parser("mt-estimate", help="mean resample count over seeded runs")
     common(p, system=True)
     p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--step-cap", type=int, default=1_000_000)
     p.set_defaults(fn=cmd_mt_estimate)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .graphs import DependencyGraph, InputError
@@ -79,7 +78,6 @@ class BoundaryScale:
     clamped: bool
 
 
-@lru_cache(maxsize=None)
 def _closed_neighborhood_masks(g: DependencyGraph) -> tuple[int, ...]:
     masks = []
     for v in g.vertices:
@@ -123,10 +121,16 @@ def independent_sets(
 
 
 def _q_empty_masked(
-    g: DependencyGraph, values: Sequence[Fraction], mask: int, memo: dict[int, Fraction]
+    values: Sequence[Fraction],
+    nbr: Sequence[int],
+    mask: int,
+    memo: dict[int, Fraction],
 ) -> Fraction:
     """Independence polynomial of the induced subgraph `mask` at negated
     weights: sum over independent J within mask of (-1)^|J| prod values.
+
+    Splits on the lowest vertex of `mask`, so evaluating a mask leaves every
+    suffix mask, mask & (mask-1) and so on, in `memo`.
     """
     if mask == 0:
         return Fraction(1)
@@ -135,12 +139,31 @@ def _q_empty_masked(
         return cached
     v_bit = mask & -mask
     v = v_bit.bit_length() - 1
-    nbr = _closed_neighborhood_masks(g)
-    without_v = _q_empty_masked(g, values, mask & ~v_bit, memo)
-    without_nv = _q_empty_masked(g, values, mask & ~nbr[v], memo)
+    without_v = _q_empty_masked(values, nbr, mask & ~v_bit, memo)
+    without_nv = _q_empty_masked(values, nbr, mask & ~nbr[v], memo)
     out = without_v - values[v] * without_nv
     memo[mask] = out
     return out
+
+
+def _in_region(
+    values: Sequence[Fraction],
+    nbr: Sequence[int],
+    support: int,
+    memo: dict[int, Fraction],
+) -> bool:
+    """Strict membership of a nonnegative vector whose positive entries are
+    exactly `support`: q_0 > 0 on each of the nested suffixes of the support
+    (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one maximal
+    chain of induced subgraphs is equivalent to q_I > 0 for every
+    independent I). The first evaluation fills `memo` with all the others.
+    """
+    mask = support
+    while mask:
+        if _q_empty_masked(values, nbr, mask, memo) <= 0:
+            return False
+        mask &= mask - 1
+    return True
 
 
 def q_polynomial(
@@ -166,7 +189,7 @@ def q_polynomial(
     for u in iset:
         mask &= ~nbr[u - 1]
         coeff *= p[u]
-    return coeff * _q_empty_masked(g, p.values, mask, {})
+    return coeff * _q_empty_masked(p.values, nbr, mask, {})
 
 
 def q_empty(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
@@ -187,28 +210,18 @@ def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     for k, v in enumerate(vals):
         if v > 0:
             support_mask |= 1 << k
-    nbr = _closed_neighborhood_masks(g)
-    memo: dict[int, Fraction] = {}
-    # q_I > 0 for every independent I inside the support
-    for iset in independent_sets(g):
-        if any(not support_mask >> (u - 1) & 1 for u in iset):
-            continue
-        mask = support_mask
-        coeff = Fraction(1)
-        for u in iset:
-            mask &= ~nbr[u - 1]
-            coeff *= vals[u - 1]
-        if coeff * _q_empty_masked(g, vals, mask, memo) <= 0:
-            return False
-    return True
+    _check_size(g, None)
+    return _in_region(vals, _closed_neighborhood_masks(g), support_mask, {})
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
-    """Check q_I > 0 for every independent set I; exact, with first failing
-    set (size order, then lexicographic) as witness.
+    """Strict membership with q_0 and the singleton q-values; on rejection
+    the witness is the first failing independent set (size order, then
+    lexicographic).
     """
     if len(p) != g.m:
         raise InputError("probability vector length mismatch")
+    _check_size(g, None)
     nbr = _closed_neighborhood_masks(g)
     memo: dict[int, Fraction] = {}
     full = (1 << g.m) - 1
@@ -219,17 +232,15 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
         for u in iset:
             mask &= ~nbr[u - 1]
             coeff *= p[u]
-        return coeff * _q_empty_masked(g, p.values, mask, memo)
+        return coeff * _q_empty_masked(p.values, nbr, mask, memo)
 
     q_values = {(): q_of(())}
     for v in g.vertices:
         q_values[(v,)] = q_of((v,))
-    witness = None
-    for iset in independent_sets(g):
-        if q_of(iset) <= 0:
-            witness = iset
-            break
-    return ShearerReport(witness is None, q_values, witness)
+    if _in_region(p.values, nbr, full, memo):
+        return ShearerReport(True, q_values, None)
+    witness = next(iset for iset in independent_sets(g) if q_of(iset) <= 0)
+    return ShearerReport(False, q_values, witness)
 
 
 def boundary_scale(
@@ -384,12 +395,18 @@ def descent_gap_lower(
     return _norm1(p.values) - _norm1(tuple(r))
 
 
+def resample_bound(report: ShearerReport) -> Fraction:
+    """Exact value of sum_i q_{i}/q_0 from an in-bound report: the
+    resampling-count bound valid whenever p lies in the Shearer region.
+    """
+    if not report.in_bound:
+        raise InputError(f"vector out of bound, witness {report.witness}")
+    singles = (q for iset, q in report.q_values.items() if len(iset) == 1)
+    return sum(singles, Fraction(0)) / report.q_values[()]
+
+
 def expected_resample_bound(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
     """Exact value of sum_i q_{i}/q_0, the resampling-count bound valid
     whenever p lies in the Shearer region.
     """
-    report = in_shearer_bound(g, p)
-    if not report.in_bound:
-        raise InputError(f"vector out of bound, witness {report.witness}")
-    q0 = report.q_values[()]
-    return sum(report.q_values[(i,)] for i in g.vertices) / q0
+    return resample_bound(in_shearer_bound(g, p))

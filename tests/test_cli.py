@@ -96,6 +96,37 @@ def test_mt_run_and_estimate_csv(files, capsys):
     assert len(lines) == 51
 
 
+def test_mt_seed_accepts_strings_like_the_api(files, capsys):
+    from lll_workbench.cli import build_parser
+    from lll_workbench.jsonio import load_event_system, run_stats_to_dict
+    from lll_workbench.mt_engine import run_mt
+
+    def parsed(seed):
+        return build_parser().parse_args(["mt-run", "--system", "s", "--seed", seed]).seed
+
+    assert parsed("7") == 7 and isinstance(parsed("7"), int)
+    assert parsed("c5/lowest-index") == "c5/lowest-index"
+
+    with open(files["system"], encoding="utf-8") as handle:
+        system = load_event_system(json.load(handle))
+    for seed, api_seed in (("c5/lowest-index", "c5/lowest-index"), ("7", 7)):
+        code = dispatch(["mt-run", "--system", files["system"], "--seed", seed])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        want = run_stats_to_dict(run_mt(system, "lowest-index", api_seed, 1_000_000))
+        assert out == json.loads(json.dumps(want))
+
+    code = dispatch(
+        [
+            "mt-estimate", "--system", files["system"], "--trials", "3",
+            "--seed", "c5/lowest-index", "--format", "csv",
+        ]
+    )
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == [f"c5/lowest-index/{k}" for k in range(3)]
+
+
 def test_mt_estimate_mean_near_one(files, capsys):
     code = dispatch(
         ["mt-estimate", "--system", files["system"], "--trials", "4000", "--seed", "7"]

@@ -17,6 +17,7 @@ from lll_workbench.shearer import (
     l1_gap,
     q_empty,
     q_polynomial,
+    resample_bound,
     shearer_membership,
 )
 
@@ -251,3 +252,228 @@ def test_down_closedness_property(scale, shrink):
     p = boundary * scale
     assert shearer_membership(K3, [p] * 3)
     assert shearer_membership(K3, [p * shrink] * 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: membership as q_I > 0 for every independent set I inside
+# the support, walked in `independent_sets` order, which the nested-suffix
+# oracle must agree with. They share no code with shearer.py beyond
+# `independent_sets`.
+
+
+def _closed_nbr(g):
+    return [
+        (1 << (v - 1)) | sum(1 << (w - 1) for w in g.neighbors(v)) for v in g.vertices
+    ]
+
+
+def _ref_q_empty(nbr, vals, mask, memo):
+    """q_0 of the subgraph induced by `mask`, split on its highest vertex."""
+    if mask == 0:
+        return Fraction(1)
+    if mask not in memo:
+        v = mask.bit_length() - 1
+        without_v = _ref_q_empty(nbr, vals, mask & ~(1 << v), memo)
+        without_nv = _ref_q_empty(nbr, vals, mask & ~nbr[v], memo)
+        memo[mask] = without_v - vals[v] * without_nv
+    return memo[mask]
+
+
+def _ref_q(nbr, vals, support, iset, memo):
+    mask = support
+    coeff = Fraction(1)
+    for u in iset:
+        mask &= ~nbr[u - 1]
+        coeff *= vals[u - 1]
+    return coeff * _ref_q_empty(nbr, vals, mask, memo)
+
+
+def reference_membership(g, values):
+    vals = [Fraction(v) for v in values]
+    support = sum(1 << k for k, v in enumerate(vals) if v > 0)
+    nbr, memo = _closed_nbr(g), {}
+    for iset in independent_sets(g):
+        if any(not support >> (u - 1) & 1 for u in iset):
+            continue
+        if _ref_q(nbr, vals, support, iset, memo) <= 0:
+            return False
+    return True
+
+
+def reference_report(g, p):
+    nbr, memo, full = _closed_nbr(g), {}, (1 << g.m) - 1
+    q_values = {(): _ref_q(nbr, p.values, full, (), memo)}
+    for v in g.vertices:
+        q_values[(v,)] = _ref_q(nbr, p.values, full, (v,), memo)
+    witness = next(
+        (iset for iset in independent_sets(g) if _ref_q(nbr, p.values, full, iset, memo) <= 0),
+        None,
+    )
+    return witness is None, witness, q_values
+
+
+@st.composite
+def small_graphs(draw, max_m=9):
+    m = draw(st.integers(1, max_m))
+    pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    if draw(st.booleans()):  # sparser graphs: about a quarter of the pairs
+        bits &= draw(st.integers(0, (1 << len(pairs)) - 1))
+    edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+    return DependencyGraph.from_edges(m, edges)
+
+
+@st.composite
+def near_boundary(draw):
+    """A graph, a positive direction and scales on both sides of its
+    boundary bracket, moved by a small rational."""
+    g = draw(small_graphs())
+    d = tuple(Fraction(draw(st.integers(1, 8)), 8) for _ in range(g.m))
+    res = boundary_scale(g, ProbabilityVector(d), Fraction(1, 64))
+    eps = Fraction(1, 1 << draw(st.integers(4, 24)))
+    scales = [res.lo, res.hi, res.lo - eps, res.lo + eps, res.hi - eps, res.hi + eps]
+    return g, d, [t for t in scales if t > 0]
+
+
+def _clip(t, d):
+    return [min(Fraction(1), t * x) for x in d]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=near_boundary(), zeros=st.integers(0, (1 << 9) - 1))
+def test_membership_matches_reference_walk(case, zeros):
+    g, d, scales = case
+    for t in scales:
+        v = [Fraction(0) if zeros >> k & 1 else x for k, x in enumerate(_clip(t, d))]
+        assert shearer_membership(g, v) == reference_membership(g, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=near_boundary())
+def test_report_matches_reference_walk(case):
+    g, d, scales = case
+    for t in scales:
+        p = ProbabilityVector(tuple(_clip(t, d)))
+        report = in_shearer_bound(g, p)
+        assert (report.in_bound, report.witness, report.q_values) == reference_report(g, p)
+        assert report.in_bound == shearer_membership(g, p.values)
+
+
+class TestResampleBoundFromReport:
+    def test_matches_expected_resample_bound(self):
+        p = ProbabilityVector.uniform(5, Fraction(1, 5))
+        report = in_shearer_bound(cycle(5), p)
+        assert resample_bound(report) == expected_resample_bound(cycle(5), p)
+
+    def test_out_of_bound_report_rejected(self):
+        report = in_shearer_bound(K3, ProbabilityVector.uniform(3, Fraction(1, 2)))
+        with pytest.raises(InputError):
+            resample_bound(report)
+
+
+# ---------------------------------------------------------------------------
+# Sturm-count oracle for boundary_scale. Along a ray t*d the region ends at
+# the first positive root of Z_G(-t d) = sum over independent I of
+# (-t)^|I| prod_{i in I} d_i. Polynomials are coefficient lists, constant
+# term first, over Fractions.
+
+
+def _ray_polynomial(g, d):
+    coeffs = [Fraction(0)] * (g.m + 1)
+    for size in range(g.m + 1):
+        for sub in combinations(g.vertices, size):
+            if any(g.has_edge(a, b) for a, b in combinations(sub, 2)):
+                continue
+            term = Fraction((-1) ** size)
+            for v in sub:
+                term *= d[v - 1]
+            coeffs[size] += term
+    return _trim(coeffs)
+
+
+def _trim(poly):
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _divmod(a, b):
+    a, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    while len(a) >= len(b):
+        f, shift = a[-1] / b[-1], len(a) - len(b)
+        quot[shift] = f
+        for k, c in enumerate(b):
+            a[shift + k] -= f * c
+        a = _trim(a[:-1])
+    return quot, a
+
+
+def _sturm_sequence(poly):
+    deriv = [k * c for k, c in enumerate(poly)][1:]
+    gcd_a, gcd_b = poly, deriv
+    while gcd_b:
+        gcd_a, gcd_b = gcd_b, _divmod(gcd_a, gcd_b)[1]
+    square_free, _ = _divmod(poly, gcd_a)
+    seq = [square_free, [k * c for k, c in enumerate(square_free)][1:]]
+    while seq[-1]:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+    return seq[:-1]
+
+
+def _sign_changes(seq, x):
+    signs = [v > 0 for v in (sum(c * x**k for k, c in enumerate(p)) for p in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def roots_in(seq, a, b):
+    """Distinct real roots in the half-open interval (a, b]."""
+    return _sign_changes(seq, a) - _sign_changes(seq, b)
+
+
+def _assert_bracket_holds_first_root(g, d, res):
+    seq = _sturm_sequence(_ray_polynomial(g, d))
+    assert roots_in(seq, Fraction(0), res.lo) == 0
+    assert roots_in(seq, res.lo, res.hi) >= 1
+    if res.clamped:
+        assert res.hi == min(1 / x for x in d)
+
+
+class TestBoundaryScaleSturm:
+    def test_sturm_counts_c4_roots(self):
+        # 1 - 4t + 2t^2 has roots (2 -+ sqrt 2)/2, about 0.29 and 1.71
+        seq = _sturm_sequence(_ray_polynomial(C4, (Fraction(1),) * 4))
+        assert roots_in(seq, Fraction(0), Fraction(1, 4)) == 0
+        assert roots_in(seq, Fraction(0), Fraction(1, 3)) == 1
+        assert roots_in(seq, Fraction(0), Fraction(2)) == 2
+
+    def test_sturm_counts_a_double_root(self):
+        # the edgeless pair on the diagonal: (1 - t)^2, one distinct root at 1
+        edgeless = DependencyGraph(2, frozenset())
+        seq = _sturm_sequence(_ray_polynomial(edgeless, (Fraction(1),) * 2))
+        assert roots_in(seq, Fraction(0), Fraction(1)) == 1
+        assert roots_in(seq, Fraction(0), Fraction(99, 100)) == 0
+
+    def test_clamped_bracket_can_hold_a_root_below_the_clamp_scale(self):
+        # the edge with d = (1, 1/1000): the root 1000/1001 lies within one
+        # resolution step of t_max = 1, so bisection never finds a failing
+        # midpoint and reports the clamp bracket
+        g = DependencyGraph.from_edges(2, [(1, 2)])
+        d = (Fraction(1), Fraction(1, 1000))
+        res = boundary_scale(g, ProbabilityVector(d), Fraction(1, 64))
+        assert res.clamped and res.hi == 1
+        assert res.lo < Fraction(1000, 1001) < res.hi
+        _assert_bracket_holds_first_root(g, d, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=small_graphs(max_m=8),
+    data=st.data(),
+    resolution=st.sampled_from([Fraction(1, 16), Fraction(1, 64), Fraction(1, 256)]),
+)
+def test_boundary_bracket_holds_first_root(g, data, resolution):
+    d = tuple(Fraction(data.draw(st.integers(1, 8)), 8) for _ in range(g.m))
+    res = boundary_scale(g, ProbabilityVector(d), resolution)
+    assert res.hi - res.lo <= resolution
+    _assert_bracket_holds_first_root(g, d, res)
