@@ -60,6 +60,7 @@ from .wdag import (
     map_h,
     matched_nodes,
     partitions_psi,
+    prefix,
     repair_to_consistent,
     single_sink_prefix_count,
     split_labels,
@@ -214,8 +215,16 @@ def check_4_prefix_count_identity() -> CheckResult:
                 "4", started, False,
                 f"seed {seed - 1}: T={stats.t} prefixes mismatch",
             )
+        # Moser-Tardos: the T one-node prefixes are pairwise distinct wdags
+        if len({canonical_key(prefix(dag, (v,))) for v in dag.nodes}) != stats.t:
+            return _result(
+                "4", started, False,
+                f"seed {seed - 1}: T={stats.t} one-node prefixes repeat",
+            )
         checked += 1
-    return _result("4", started, True, f"identity exact on {checked} runs")
+    return _result(
+        "4", started, True, f"identity exact and one-node prefixes distinct on {checked} runs"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -79,12 +79,10 @@ class BoundaryScale:
 
 
 def _closed_neighborhood_masks(g: DependencyGraph) -> tuple[int, ...]:
-    masks = []
-    for v in g.vertices:
-        mask = 1 << (v - 1)
-        for w in g.neighbors(v):
-            mask |= 1 << (w - 1)
-        masks.append(mask)
+    masks = [1 << (v - 1) for v in g.vertices]
+    for u, v in g.edges:
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
     return tuple(masks)
 
 
@@ -250,16 +248,16 @@ def boundary_scale(
 ) -> BoundaryScale:
     """Bisection bracket [lo, hi] with hi-lo <= resolution such that
     lo*direction is in the bound (lo=0 counts trivially) and hi*direction is
-    not. clamped flags a boundary sitting at the clamp scale, the largest
-    scale keeping every entry <= 1 (a vector with a unit entry is never
-    strictly inside, so the clamp point itself always fails membership).
+    not. Bisection starts from the clamp scale t_max, the largest scale
+    keeping every entry <= 1; a vector with a unit entry is never strictly
+    inside, so t_max itself always fails membership. clamped means only that
+    bisection found no failing point below t_max (hi == t_max): the boundary
+    may still lie inside (lo, t_max).
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
     t_max = min(Fraction(1) / d for d in direction.values)
-    if shearer_membership(g, [t_max * d for d in direction.values]):
-        return BoundaryScale(t_max, t_max, clamped=True)
     lo, hi = Fraction(0), t_max
     while hi - lo > resolution:
         mid = (lo + hi) / 2

@@ -1,10 +1,17 @@
 """Witness-DAG calculus.
 
-Labeled DAGs recording resampling histories: validity, prefixes, exhaustive
-enumeration of single-sink wdags up to structural equivalence, reversible
-arcs, consistency with resampling/auxiliary tables, the repair procedure that
-realigns a wdag with an auxiliary table, label splitting into the matched
-double-cover graph, and exact weight sums.
+Labeled DAGs recording resampling histories: validity, prefixes, single-sink
+wdags (pwdags) built once per structural class from stable-set sequences,
+reversible arcs, consistency with resampling/auxiliary tables, the repair
+procedure that realigns a wdag with an auxiliary table, label splitting into
+the matched double-cover graph, and exact weight sums by dynamic programming
+over the same sequences.
+
+Stable-set sequences (Kolipaka-Szegedy, STOC 2011): the pwdags with sink label
+i correspond one-to-one to the sequences of nonempty independent sets
+I_1 = {i}, I_{k+1} a subset of the closed neighbourhood of I_k, where layer k
+holds the nodes whose longest path to the sink has k nodes. A pwdag's weight
+is the product of p over all members of all layers.
 
 Node identity convention: a wdag on n nodes uses ids 1..n and `labels[k-1]`
 is the label of node k. Nodes sharing a label are pairwise arc-connected, so
@@ -15,14 +22,16 @@ their canonical encodings coincide.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property
+from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .graphs import DependencyGraph, InputError, Matching
-from .shearer import CapExceeded, ProbabilityVector
+from .shearer import CapExceeded, ProbabilityVector, _closed_neighborhood_masks
 
 
 @dataclass(frozen=True)
@@ -51,33 +60,49 @@ class WDag:
         with_out = {u for u, _ in self.arcs}
         return tuple(v for v in self.nodes if v not in with_out)
 
+    # Derived structure, computed on first use and kept in the instance's
+    # __dict__: it is freed with the wdag and plays no part in ==, hash or repr.
 
-@lru_cache(maxsize=None)
-def _parents(d: WDag) -> dict[int, frozenset[int]]:
-    par: dict[int, set[int]] = {v: set() for v in d.nodes}
-    for u, v in d.arcs:
-        par[v].add(u)
-    return {v: frozenset(s) for v, s in par.items()}
+    @cached_property
+    def _parents(self) -> dict[int, frozenset[int]]:
+        par: dict[int, set[int]] = {v: set() for v in self.nodes}
+        for u, v in self.arcs:
+            par[v].add(u)
+        return {v: frozenset(s) for v, s in par.items()}
 
+    @cached_property
+    def _children(self) -> dict[int, frozenset[int]]:
+        ch: dict[int, set[int]] = {v: set() for v in self.nodes}
+        for u, v in self.arcs:
+            ch[u].add(v)
+        return {v: frozenset(s) for v, s in ch.items()}
 
-@lru_cache(maxsize=None)
-def _children(d: WDag) -> dict[int, frozenset[int]]:
-    ch: dict[int, set[int]] = {v: set() for v in d.nodes}
-    for u, v in d.arcs:
-        ch[u].add(v)
-    return {v: frozenset(s) for v, s in ch.items()}
+    @cached_property
+    def _ancestors(self) -> dict[int, frozenset[int]]:
+        """Strict ancestors (nonempty directed path into the node)."""
+        anc: dict[int, set[int]] = {v: set() for v in self.nodes}
+        for v in self._topological_order:
+            for u in self._parents[v]:
+                anc[v].add(u)
+                anc[v] |= anc[u]
+        return {v: frozenset(s) for v, s in anc.items()}
 
-
-@lru_cache(maxsize=None)
-def _ancestors(d: WDag) -> dict[int, frozenset[int]]:
-    """Strict ancestors (nonempty directed path into the node)."""
-    order = topological_order(d)
-    anc: dict[int, set[int]] = {v: set() for v in d.nodes}
-    for v in order:
-        for u in _parents(d)[v]:
-            anc[v].add(u)
-            anc[v] |= anc[u]
-    return {v: frozenset(s) for v, s in anc.items()}
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
+        indeg = {v: len(self._parents[v]) for v in self.nodes}
+        ready = [v for v in self.nodes if indeg[v] == 0]
+        heapq.heapify(ready)
+        out: list[int] = []
+        while ready:
+            u = heapq.heappop(ready)
+            out.append(u)
+            for w in sorted(self._children[u]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(ready, w)
+        if len(out) != self.n:
+            raise InputError("wdag contains a cycle")
+        return tuple(out)
 
 
 def is_acyclic(labels: Sequence[int], arcs: set[tuple[int, int]]) -> bool:
@@ -99,25 +124,9 @@ def is_acyclic(labels: Sequence[int], arcs: set[tuple[int, int]]) -> bool:
     return seen == n
 
 
-@lru_cache(maxsize=None)
 def topological_order(d: WDag) -> tuple[int, ...]:
     """Lexicographic-minimal topological order (deterministic pi_D)."""
-    import heapq
-
-    indeg = {v: len(_parents(d)[v]) for v in d.nodes}
-    ready = [v for v in d.nodes if indeg[v] == 0]
-    heapq.heapify(ready)
-    out: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        out.append(u)
-        for w in sorted(_children(d)[u]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(out) != d.n:
-        raise InputError("wdag contains a cycle")
-    return tuple(out)
+    return d._topological_order
 
 
 def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
@@ -149,7 +158,7 @@ def canonical_key(d: WDag):
         by_label.setdefault(d.label(v), []).append(v)
     for lab, vs in by_label.items():
         vs_set = set(vs)
-        vs_sorted = sorted(vs, key=lambda v: len(_ancestors(d)[v] & vs_set))
+        vs_sorted = sorted(vs, key=lambda v: len(d._ancestors[v] & vs_set))
         for k, v in enumerate(vs_sorted):
             rank[v] = (lab, k + 1)
     arcs = tuple(sorted((rank[u], rank[v]) for u, v in d.arcs))
@@ -174,7 +183,7 @@ def closure(d: WDag, nodes: Sequence[int]) -> frozenset[int]:
     out: set[int] = set()
     for u in nodes:
         out.add(u)
-        out |= _ancestors(d)[u]
+        out |= d._ancestors[u]
     return frozenset(out)
 
 
@@ -210,75 +219,102 @@ def _distinct_closures(d: WDag) -> set[frozenset[int]]:
 
 
 def single_sink_prefix_count(d: WDag) -> int:
-    """Number of distinct prefixes of d having exactly one sink."""
-    count = 0
-    for keep in _distinct_closures(d):
-        if not keep:
-            continue
-        sub = prefix(d, tuple(keep))
-        if len(sub.sinks()) == 1:
-            count += 1
-    return count
+    """Number of distinct prefixes of d having exactly one sink. A prefix with
+    the single sink v is the closure of v, so these are the distinct one-node
+    closures."""
+    return len({closure(d, (v,)) for v in d.nodes})
 
 
 # ---------------------------------------------------------------------------
-# enumeration of proper wdags
+# stable-set sequences: enumeration of proper wdags
+
+def _members(mask: int) -> list[int]:
+    """0-based vertices of a bit mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(mask: int, closed: Sequence[int]) -> int:
+    """Closed neighbourhood of a vertex set."""
+    out = 0
+    for v in _members(mask):
+        out |= closed[v]
+    return out
+
+
+def _next_layers(
+    reach: int, closed: Sequence[int], max_size: int, limit: int | None = None
+) -> list[tuple[int, int, int]] | None:
+    """The layers that may follow a layer whose closed neighbourhood is
+    reach: (size, vertex mask, closed neighbourhood) of every nonempty
+    independent subset of reach with at most max_size members. None as soon
+    as more than limit of them are held."""
+    subsets = [0]
+    for v in _members(reach):
+        bit, nbrs = 1 << v, closed[v] & ~(1 << v)
+        subsets += [s | bit for s in subsets if not s & nbrs and s.bit_count() < max_size]
+        if limit is not None and len(subsets) > limit + 1:
+            return None
+    return [(s.bit_count(), s, _reach(s, closed)) for s in subsets[1:]]
+
+
+def _sequence_wdag(layers: Sequence[int], closed: Sequence[int]) -> tuple[tuple, WDag]:
+    """The pwdag of a stable-set sequence (layer 0 holds the sink), in
+    canonical form, with its sort key.
+
+    Nodes are numbered by (label, rank), and rank 1 within a label goes to the
+    deepest layer. Arcs join conflicting labels of different layers, from the
+    deeper layer to the shallower one. Arcs come out sorted, so the key
+    (n, labels, arcs) orders pwdags as their canonical keys do.
+    """
+    nodes = sorted((v, -depth) for depth, layer in enumerate(layers) for v in _members(layer))
+    arcs = []
+    for a, (u, du) in enumerate(nodes, 1):
+        conflicts = closed[u]
+        for b, (w, dw) in enumerate(nodes, 1):
+            if du < dw and conflicts >> w & 1:
+                arcs.append((a, b))
+    labels = tuple(v + 1 for v, _ in nodes)
+    return (len(labels), labels, tuple(arcs)), WDag(labels, frozenset(arcs))
+
 
 def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
     """All single-sink wdags of g with at most node_cap nodes, one
-    representative per structural class, in deterministic order.
+    representative per structural class, in canonical form, ordered by node
+    count, then sorted label tuple, then canonical arc key.
 
-    Nodes of equal label are emitted already in chain order, so every
-    orientation of the cross-label conflict pairs yields a distinct class.
+    Walks the stable-set sequences depth first and builds each pwdag once
+    from its sequence.
     """
     if node_cap < 1:
         raise InputError("node_cap must be positive")
     if node_cap > 8:
         raise CapExceeded("pwdag enumeration capped at 8 nodes")
-    for n in range(1, node_cap + 1):
-        for labels in combinations_with_replacement(range(1, g.m + 1), n):
-            yield from _pwdags_for_multiset(g, labels)
+    closed = _closed_neighborhood_masks(g)
+    nexts: dict[int, list[tuple[int, int, int]]] = {}
+    found = []
 
+    def walk(layers: list[int], reach: int, left: int) -> None:
+        found.append(_sequence_wdag(layers, closed))
+        if not left:
+            return
+        if reach not in nexts:
+            nexts[reach] = _next_layers(reach, closed, node_cap - 1)
+        for size, layer, below in nexts[reach]:
+            if size <= left:
+                layers.append(layer)
+                walk(layers, below, left - size)
+                layers.pop()
 
-def _pwdags_for_multiset(g: DependencyGraph, labels: tuple[int, ...]) -> Iterator[WDag]:
-    n = len(labels)
-    fixed: list[tuple[int, int]] = []   # same-label chain arcs, position order
-    free: list[tuple[int, int]] = []    # cross-label conflict pairs
-    conflict_adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for a, b in combinations(range(1, n + 1), 2):
-        la, lb = labels[a - 1], labels[b - 1]
-        if la == lb:
-            fixed.append((a, b))
-        elif g.has_edge(la, lb):
-            free.append((a, b))
-        else:
-            continue
-        conflict_adj[a].add(b)
-        conflict_adj[b].add(a)
-    # single sink needs a connected conflict graph
-    seen = {1}
-    stack = [1]
-    while stack:
-        u = stack.pop()
-        for w in conflict_adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        return
-    results = []
-    for bits in range(1 << len(free)):
-        arcs = set(fixed)
-        for k, (a, b) in enumerate(free):
-            arcs.add((a, b) if not bits >> k & 1 else (b, a))
-        if not is_acyclic(labels, arcs):
-            continue
-        d = WDag(labels, frozenset(arcs))
-        if len(d.sinks()) != 1:
-            continue
-        results.append(canonical_form(d))
-    results.sort(key=canonical_key)
-    yield from results
+    for v in range(g.m):
+        walk([1 << v], closed[v], node_cap - 1)
+    found.sort(key=lambda item: item[0])
+    for _, d in found:
+        yield d
 
 
 def group_pwdags(
@@ -299,13 +335,13 @@ def group_pwdags(
 
 def _path_exists_avoiding_arc(d: WDag, u: int, v: int) -> bool:
     """Directed path u -> v that does not use the arc (u, v) itself."""
-    stack = [w for w in _children(d)[u] if w != v]
+    stack = [w for w in d._children[u] if w != v]
     seen = set(stack)
     while stack:
         x = stack.pop()
         if x == v:
             return True
-        for w in _children(d)[x]:
+        for w in d._children[x]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -345,7 +381,7 @@ def node_list_for_pair(d: WDag, i: int, j: int) -> list[int]:
     """All nodes labelled i or j in topological order (unique: such nodes are
     pairwise arc-connected)."""
     member_set = {v for v in d.nodes if d.label(v) in (i, j)}
-    return sorted(member_set, key=lambda v: len(_ancestors(d)[v] & member_set))
+    return sorted(member_set, key=lambda v: len(d._ancestors[v] & member_set))
 
 
 def lambda_order(d: WDag, v: int, pair: tuple[int, int]) -> int:
@@ -398,7 +434,7 @@ def sample_indices(d: WDag, v: int, vbl: Mapping[int, Sequence[int]]) -> dict[in
     one plus the number of ancestors whose event also touches the variable.
     """
     out: dict[int, int] = {}
-    anc = _ancestors(d)[v]
+    anc = d._ancestors[v]
     for j in vbl[d.label(v)]:
         out[j] = 1 + sum(1 for u in anc if j in vbl[d.label(u)])
     return out
@@ -633,11 +669,64 @@ def wdag_weight(d: WDag, p: ProbabilityVector) -> Fraction:
     return out
 
 
+#: pwdag node counts above this are refused by weight_sums: the exact size-n
+#: sum has a numerator and denominator of about n times the bits of the
+#: common denominator of p, and the DP table holds node_cap such values per
+#: state
+MAX_SUM_NODES = 64
+
+#: independent subsets plus table entries the weight-sum DP may hold
+MAX_DP_STATES = 100_000
+
+
 def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> WeightSums:
-    """Exact per-size partial sums of pwdag weights."""
-    by_size: dict[int, Fraction] = {k: Fraction(0) for k in range(1, node_cap + 1)}
-    for d in enumerate_pwdags(g, node_cap):
-        by_size[d.n] += wdag_weight(d, p)
+    """Exact per-size partial sums of pwdag weights, by dynamic programming
+    over stable-set sequences instead of enumeration.
+
+    A layer's successors depend on it only through its closed neighbourhood
+    R. T(R, b), the weight of the continuations below such a layer with
+    exactly b more nodes, is 1 for b = 0 and otherwise the sum of
+    w(S) * T(reach(S), b - |S|) over nonempty independent S in R. The size-n
+    sum is the sum of p_i * T(reach(i), n - 1). Weights are scaled to
+    integers over a common denominator, so the table holds integers. Raises
+    CapExceeded before holding more than MAX_DP_STATES subsets and entries.
+    """
+    if node_cap < 1:
+        raise InputError("node_cap must be positive")
+    if len(p) != g.m:
+        raise InputError("probability vector length mismatch")
+    if node_cap > MAX_SUM_NODES:
+        raise CapExceeded(f"weight sums capped at {MAX_SUM_NODES} nodes")
+    den = lcm(*(x.denominator for x in p.values))
+    num = [(x * den).numerator for x in p.values]
+    closed = _closed_neighborhood_masks(g)
+
+    # successors of every reachable R: (|S|, scaled weight of S, reach(S))
+    succ: dict[int, list[tuple[int, int, int]]] = {}
+    held = 0
+    todo = list(closed)
+    while todo:
+        reach = todo.pop()
+        if reach in succ:
+            continue
+        held += node_cap
+        layers = _next_layers(reach, closed, node_cap - 1, MAX_DP_STATES - held)
+        if layers is None or held > MAX_DP_STATES:
+            raise CapExceeded(f"weight-sum DP capped at {MAX_DP_STATES} states")
+        held += len(layers)
+        succ[reach] = [
+            (size, prod(num[v] for v in _members(layer)), below) for size, layer, below in layers
+        ]
+        todo.extend(below for _, _, below in layers)
+
+    table = {reach: [1] + [0] * (node_cap - 1) for reach in succ}
+    for b in range(1, node_cap):
+        for reach, out in succ.items():
+            table[reach][b] = sum(w * table[r][b - k] for k, w, r in out if k <= b)
+    by_size = {
+        n: Fraction(sum(num[v] * table[closed[v]][n - 1] for v in range(g.m)), den**n)
+        for n in range(1, node_cap + 1)
+    }
     return WeightSums(by_size, sum(by_size.values(), Fraction(0)), node_cap)
 
 

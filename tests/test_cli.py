@@ -1,5 +1,7 @@
 import json
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -52,10 +54,66 @@ def test_malformed_json_exits_two(files, capsys):
 
 
 def test_cap_exceeded_exits_three(files, capsys):
+    # far beyond the weight-sum node cap: refused before any table is built
+    started = time.monotonic()
     code = dispatch(
-        ["wdag-sum", "--graph", files["k3"], "--p", "1/4,1/4,1/4", "--node-cap", "20"]
+        ["wdag-sum", "--graph", files["k3"], "--p", "1/4,1/4,1/4", "--node-cap", "1000000000"]
     )
     assert code == 3
+    assert "cap exceeded" in capsys.readouterr().err
+    assert time.monotonic() - started < 5
+
+
+def test_wdag_sum_state_cap_exits_three_promptly(files, capsys):
+    # the centre of a 20-vertex star sees 2^19 independent sets of leaves
+    star = files["dir"] / "star.json"
+    star.write_text(json.dumps({"m": 20, "edges": [[1, k] for k in range(2, 21)]}))
+    started = time.monotonic()
+    code = dispatch(
+        ["wdag-sum", "--graph", str(star), "--p", ",".join(["1/100"] * 20), "--node-cap", "20"]
+    )
+    assert code == 3
+    assert "states" in capsys.readouterr().err
+    assert time.monotonic() - started < 5
+
+
+def _stable_set_sequence_counts(m, edges, cap):
+    """Sequences of nonempty independent sets I_1 = {i}, I_{k+1} inside the
+    closed neighbourhood of I_k, counted by their total size."""
+    closed = {v: {v} for v in range(1, m + 1)}
+    for a, b in edges:
+        closed[a].add(b)
+        closed[b].add(a)
+
+    def independent(vs):
+        return all(b not in closed[a] for a, b in combinations(vs, 2))
+
+    counts = {n: 0 for n in range(1, cap + 1)}
+
+    def extend(layer, used):
+        counts[used] += 1
+        reach = sorted(set().union(*(closed[v] for v in layer)))
+        for size in range(1, cap - used + 1):
+            for nxt in combinations(reach, size):
+                if independent(nxt):
+                    extend(nxt, used + size)
+
+    for v in range(1, m + 1):
+        extend((v,), 1)
+    return counts
+
+
+def test_wdag_sum_beyond_eight_nodes(files, capsys):
+    code = dispatch(
+        ["wdag-sum", "--graph", files["c4"], "--p", "1/4,1/4,1/4,1/4", "--node-cap", "10"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    counts = _stable_set_sequence_counts(4, [(1, 2), (2, 3), (3, 4), (4, 1)], 10)
+    want = {str(n): Fraction(c, 4**n) for n, c in counts.items()}
+    assert {k: Fraction(v) for k, v in out["by_size"].items()} == want
+    assert Fraction(out["cumulative"]) == sum(want.values())
+    assert out["node_cap"] == 10
 
 
 def test_boundary_and_gap(files, capsys):

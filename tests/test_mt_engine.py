@@ -21,7 +21,9 @@ from lll_workbench.mt_engine import (
 from lll_workbench.shearer import ProbabilityVector, q_empty
 from lll_workbench.tables import ResamplingTable
 from lll_workbench.wdag import (
+    canonical_key,
     consistent_with_table,
+    prefix,
     single_sink_prefix_count,
     validate_wdag,
 )
@@ -242,6 +244,22 @@ class TestWitnessDags:
             assert single_sink_prefix_count(dag) == stats.t
             checked += 1
         assert checked >= 30
+
+    def test_one_node_prefixes_pairwise_distinct(self):
+        # Moser-Tardos: the T prefixes at the run's T resamplings are
+        # distinct wdags; per-node closures keep long runs cheap to check
+        longest = 0
+        for length in (4, 6):
+            system = extremal_cycle_instance(length)
+            for seed in range(40):
+                stats = run_mt(system, "lowest-index", f"pfx-distinct/{length}/{seed}")
+                if stats.truncated:
+                    continue
+                dag = witness_dag_of_run(system, stats)
+                keys = {canonical_key(prefix(dag, (v,))) for v in dag.nodes}
+                assert len(keys) == stats.t == single_sink_prefix_count(dag)
+                longest = max(longest, stats.t)
+        assert longest > 8
 
 
 class TestValueSets:

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lll_workbench.graphs import DependencyGraph, InputError, Matching
 from lll_workbench.mt_engine import (
@@ -11,18 +12,21 @@ from lll_workbench.mt_engine import (
     FiniteVariable,
     ValueSet,
 )
-from lll_workbench.shearer import ProbabilityVector, expected_resample_bound
+from lll_workbench.shearer import CapExceeded, ProbabilityVector, expected_resample_bound
 from lll_workbench.tables import FixedAuxiliaryTable, FixedResamplingTable
 from lll_workbench.wdag import (
+    MAX_SUM_NODES,
     WDag,
     canonical_form,
     canonical_key,
+    closure,
     consistent_with_table,
     consistent_with_tables,
     disjoint_reversible_pairs,
     enumerate_pwdags,
     group_pwdags,
     homomorphic_graph,
+    is_acyclic,
     is_prefix,
     is_reversible,
     m_reversible_nodes,
@@ -34,6 +38,7 @@ from lll_workbench.wdag import (
     repair_to_consistent,
     reverse_arc,
     sample_indices,
+    single_sink_prefix_count,
     split_labels,
     tighter_weight,
     topological_order,
@@ -53,6 +58,68 @@ def chain(labels):
     n = len(labels)
     arcs = frozenset((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
     return WDag(tuple(labels), arcs)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: pwdags by orientation brute force
+
+def reference_pwdags(g, node_cap):
+    """Every label multiset in order; for each, every orientation of the
+    cross-label conflict pairs (same-label nodes chained in position order),
+    kept when acyclic with a single sink, in canonical form and sorted by
+    canonical key."""
+    for n in range(1, node_cap + 1):
+        for labels in combinations_with_replacement(range(1, g.m + 1), n):
+            yield from _reference_pwdags_for_multiset(g, labels)
+
+
+def _reference_pwdags_for_multiset(g, labels):
+    n = len(labels)
+    fixed, free = [], []
+    conflict_adj = {v: set() for v in range(1, n + 1)}
+    for a, b in combinations(range(1, n + 1), 2):
+        la, lb = labels[a - 1], labels[b - 1]
+        if la == lb:
+            fixed.append((a, b))
+        elif g.has_edge(la, lb):
+            free.append((a, b))
+        else:
+            continue
+        conflict_adj[a].add(b)
+        conflict_adj[b].add(a)
+    seen, stack = {1}, [1]
+    while stack:
+        u = stack.pop()
+        for w in conflict_adj[u] - seen:
+            seen.add(w)
+            stack.append(w)
+    if len(seen) != n:
+        return []
+    results = []
+    for bits in range(1 << len(free)):
+        arcs = set(fixed)
+        for k, (a, b) in enumerate(free):
+            arcs.add((a, b) if not bits >> k & 1 else (b, a))
+        if not is_acyclic(labels, arcs):
+            continue
+        d = WDag(labels, frozenset(arcs))
+        if len(d.sinks()) == 1:
+            results.append(canonical_form(d))
+    return sorted(results, key=canonical_key)
+
+
+def reference_single_sink_prefix_count(d):
+    """Distinct closures of all 2^n node subsets with exactly one sink."""
+    closures = {closure(d, combo) for r in range(1, d.n + 1) for combo in combinations(d.nodes, r)}
+    return sum(1 for keep in closures if len(prefix(d, tuple(keep)).sinks()) == 1)
+
+
+@st.composite
+def small_graphs(draw, max_m=5):
+    m = draw(st.integers(1, max_m))
+    pairs = list(combinations(range(1, m + 1), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return DependencyGraph.from_edges(m, [e for k, e in enumerate(pairs) if bits >> k & 1])
 
 
 class TestValidation:
@@ -512,3 +579,94 @@ class TestCanonicalForm:
     def test_node_list_for_pair_orders_topologically(self):
         d = WDag((1, 1, 2), frozenset({(1, 2), (3, 1), (3, 2)}))
         assert node_list_for_pair(d, 1, 2) == [3, 1, 2]
+
+
+class TestStableSetSequences:
+    """The sequence construction against the orientation brute force."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), cap=st.integers(1, 5))
+    @example(g=DependencyGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), cap=5)
+    @example(g=DependencyGraph.from_edges(4, list(combinations(range(1, 5), 2))), cap=5)
+    def test_enumeration_equals_reference_in_order(self, g, cap):
+        assert list(enumerate_pwdags(g, cap)) == list(reference_pwdags(g, cap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), cap=st.integers(1, 5), data=st.data())
+    def test_weight_sums_equal_reference_weights(self, g, cap, data):
+        p = ProbabilityVector(
+            tuple(Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(12, 40))) for _ in range(g.m))
+        )
+        want = {n: Fraction(0) for n in range(1, cap + 1)}
+        for d in reference_pwdags(g, cap):
+            want[d.n] += wdag_weight(d, p)
+        got = weight_sums(g, p, cap)
+        assert got.by_size == want
+        assert got.cumulative == sum(want.values())
+
+    @settings(max_examples=15, deadline=None)
+    @given(g=small_graphs(), data=st.data())
+    def test_large_cap_sums_approach_resample_bound_from_below(self, g, data):
+        # e p (max degree + 1) <= 1 keeps p inside Shearer's region
+        scale = Fraction(1, 3 * (g.max_degree() + 1))
+        p = ProbabilityVector(tuple(scale * Fraction(data.draw(st.integers(1, 4)), 4) for _ in range(g.m)))
+        bound = expected_resample_bound(g, p)
+        sums = weight_sums(g, p, 40)
+        running = Fraction(0)
+        for n in range(1, 41):
+            running += sums.by_size[n]
+            assert running <= bound
+        assert bound - running < bound * Fraction(1, 10**6)
+
+    def test_each_class_once_and_proper(self):
+        ds = list(enumerate_pwdags(C4, 6))
+        assert len({canonical_key(d) for d in ds}) == len(ds)
+        assert all(validate_wdag(d, C4) and len(d.sinks()) == 1 for d in ds)
+        assert all(canonical_form(d) == d for d in ds)
+
+    def test_weight_sums_beyond_enumeration_cap(self):
+        # C4 has 2240 pwdags up to 6 nodes; the DP needs no enumeration, so
+        # it also answers at sizes enumerate_pwdags refuses
+        p = ProbabilityVector.uniform(4, Fraction(1, 4))
+        ones = weight_sums(C4, ProbabilityVector.uniform(4, Fraction(1)), 6).by_size
+        assert sum(ones.values()) == 2240
+        big = weight_sums(C4, p, 20)
+        assert big.by_size[20] > 0
+        with pytest.raises(CapExceeded):
+            list(enumerate_pwdags(C4, 9))
+
+    def test_node_cap_limit(self):
+        p = ProbabilityVector.uniform(3, Fraction(1, 4))
+        k3 = DependencyGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+        assert weight_sums(k3, p, MAX_SUM_NODES).node_cap == MAX_SUM_NODES
+        with pytest.raises(CapExceeded):
+            weight_sums(k3, p, MAX_SUM_NODES + 1)
+
+    def test_bad_inputs(self):
+        with pytest.raises(InputError):
+            weight_sums(C4, ProbabilityVector.uniform(3, Fraction(1, 4)), 3)
+        with pytest.raises(InputError):
+            weight_sums(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), 0)
+
+
+class TestDerivedStructure:
+    def test_cached_per_instance_without_changing_identity(self):
+        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        twin = WDag(d.labels, d.arcs)
+        assert topological_order(d) == (1, 2, 3, 4)
+        assert closure(d, (4,)) == frozenset({1, 2, 3, 4})
+        assert {"_parents", "_children", "_ancestors", "_topological_order"} <= set(vars(d))
+        assert not set(vars(twin)) - {"labels", "arcs"}
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+
+    def test_cycle_still_rejected(self):
+        with pytest.raises(InputError):
+            topological_order(WDag((1, 2), frozenset({(1, 2), (2, 1)})))
+
+
+class TestSingleSinkPrefixes:
+    def test_count_matches_subset_scan(self):
+        for d in enumerate_pwdags(P3, 5):
+            assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d)
+        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d) == 4
