@@ -210,6 +210,11 @@ def check_4_prefix_count_identity() -> CheckResult:
         if stats.truncated or stats.t > 8:
             continue
         dag = witness_dag_of_run(system, stats)
+        if not validate_wdag(dag, system.dependency_graph()):
+            return _result(
+                "4", started, False,
+                f"seed {seed - 1}: T={stats.t} run wdag invalid",
+            )
         if single_sink_prefix_count(dag) != stats.t:
             return _result(
                 "4", started, False,
@@ -223,7 +228,8 @@ def check_4_prefix_count_identity() -> CheckResult:
             )
         checked += 1
     return _result(
-        "4", started, True, f"identity exact and one-node prefixes distinct on {checked} runs"
+        "4", started, True,
+        f"wdags valid, identity exact and one-node prefixes distinct on {checked} runs",
     )
 
 
@@ -273,10 +279,12 @@ def _check_injection_on(graph, matching, p, delta, cap) -> tuple[bool, str]:
     rv = reduced_vectors(IntersectionSetting(graph, p, matching, delta))
     hom = homomorphic_graph(graph, matching, p, rv.p_minus, rv.p_prime)
     pwdags = list(enumerate_pwdags(graph, cap))
-    # injectivity of the partition map across all (wdag, partition) pairs
+    # one image per (wdag, partition) pair: valid single-sink, injective
+    # across all pairs, and its weights dominate the tighter weight of d
     seen: dict = {}
     pairs = 0
     for d in pwdags:
+        total = Fraction(0)
         for s in partitions_psi(d, matching):
             img = map_h(d, s, matching, hom)
             if not validate_wdag(img, hom.graph) or len(img.sinks()) != 1:
@@ -285,7 +293,10 @@ def _check_injection_on(graph, matching, p, delta, cap) -> tuple[bool, str]:
             if key in seen:
                 return False, f"collision between {seen[key]} and {(d, s)}"
             seen[key] = (d, s)
+            total += wdag_weight(img, hom.p_m)
             pairs += 1
+        if tighter_weight(d, p, rv.p_prime, matching) > total:
+            return False, f"tighter weight not dominated for {d}"
     # label splitting is a bijection per node count
     split_seen = set()
     for d in pwdags:
@@ -303,13 +314,6 @@ def _check_injection_on(graph, matching, p, delta, cap) -> tuple[bool, str]:
     rhs = weight_sums(graph, rv.p_minus, cap).by_size
     if lhs != rhs:
         return False, f"per-size weights differ: {lhs} vs {rhs}"
-    # domination of the tighter weight by the image weights
-    for d in pwdags:
-        total = Fraction(0)
-        for s in partitions_psi(d, matching):
-            total += wdag_weight(map_h(d, s, matching, hom), hom.p_m)
-        if tighter_weight(d, p, rv.p_prime, matching) > total:
-            return False, f"tighter weight not dominated for {d}"
     return True, f"{len(pwdags)} pwdags, {pairs} partition pairs"
 
 

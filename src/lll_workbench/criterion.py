@@ -22,7 +22,6 @@ from mpmath import iv
 
 from .graphs import (
     BipartiteEventVariableGraph,
-    ChordlessCycleSet,
     DependencyGraph,
     InputError,
     Matching,
@@ -36,7 +35,6 @@ from .graphs import (
     simplify,
 )
 from .shearer import (
-    GapEstimate,
     ProbabilityVector,
     descent_gap_lower,
     in_shearer_bound,
@@ -334,8 +332,6 @@ def beyond_shearer_verdict(
     g: DependencyGraph,
     p: ProbabilityVector,
     eps: Fraction,
-    cycles: ChordlessCycleSet | None = None,
-    gap: GapEstimate | None = None,
     gap_resolution: Fraction | None = None,
 ) -> Verdict:
     """Accept iff the gap of the scaled vector stays below the disjoint
@@ -346,8 +342,7 @@ def beyond_shearer_verdict(
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    if cycles is None:
-        cycles = find_disjoint_chordless_cycles(g)
+    cycles = find_disjoint_chordless_cycles(g)
     scaled_vals = [(1 + eps) * x for x in p.values]
     details: dict = {"eps": eps, "cycles": cycles.cycles, "rounding": "slack terms rounded down"}
     if any(x > 1 for x in scaled_vals):
@@ -367,15 +362,14 @@ def beyond_shearer_verdict(
         return Verdict(True, Fraction(g.m) / eps, "scaled-vector-in-region", details)
     if thr545 == 0:
         return Verdict(False, None, "out-of-region-with-zero-slack", details)
-    if gap is None:
-        # a descent witness settles rejection without the expensive certified
-        # search, which is only tractable when the vector is near the boundary
-        quick = descent_gap_lower(g, scaled)
-        details["gap_lower_witness"] = quick
-        if quick >= thr545:
-            return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
-        resolution = gap_resolution or min(thr545 / 8, (thr545 - quick) / 2)
-        gap = l1_gap(g, scaled, resolution)
+    # a descent witness settles rejection without the expensive certified
+    # search, which is only tractable when the vector is near the boundary
+    quick = descent_gap_lower(g, scaled)
+    details["gap_lower_witness"] = quick
+    if quick >= thr545:
+        return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
+    resolution = gap_resolution or min(thr545 / 8, (thr545 - quick) / 2)
+    gap = l1_gap(g, scaled, resolution)
     details["gap"] = (gap.lower, gap.upper)
     details["gap_below_544"] = gap.upper < thr544
     if gap.upper < thr545:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
@@ -57,13 +57,33 @@ class DependencyGraph:
         return _normalize_edge(u, v) in self.edges if u != v else False
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return _adjacency(self)[v]
+        return self._neighbor_sets[v]
 
     def degree(self, v: int) -> int:
-        return len(_adjacency(self)[v])
+        return len(self._neighbor_sets[v])
 
     def max_degree(self) -> int:
-        return max(len(_adjacency(self)[v]) for v in self.vertices)
+        return max(len(s) for s in self._neighbor_sets.values())
+
+    # Derived structure, computed on first use and kept in the instance's
+    # __dict__: it is freed with the graph and plays no part in ==, hash or repr.
+
+    @cached_property
+    def _neighbor_sets(self) -> dict[int, frozenset[int]]:
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return {v: frozenset(s) for v, s in adj.items()}
+
+    @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """Index v-1 holds the bit mask of v and its neighbours (bit u-1 for u)."""
+        masks = [1 << (v - 1) for v in self.vertices]
+        for u, v in self.edges:
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+        return tuple(masks)
 
     def induced(self, keep: Iterable[int]) -> "DependencyGraph":
         """Induced subgraph, vertices renumbered 1..k in sorted keep-order."""
@@ -73,15 +93,6 @@ class DependencyGraph:
             (new_id[u], new_id[v]) for u, v in self.edges if u in new_id and v in new_id
         )
         return DependencyGraph(len(order), edges)
-
-
-@lru_cache(maxsize=None)
-def _adjacency(g: DependencyGraph) -> dict[int, frozenset[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: frozenset(s) for v, s in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -116,29 +127,29 @@ class BipartiteEventVariableGraph:
         return range(1, self.variable_count + 1)
 
     def event_vars(self, i: int) -> frozenset[int]:
-        return _event_vars(self)[i]
+        return self._event_vars[i]
 
     def var_events(self, j: int) -> frozenset[int]:
-        return _var_events(self)[j]
+        return self._var_events[j]
 
     def max_event_degree(self) -> int:
         return max(len(self.event_vars(i)) for i in self.events)
 
+    # Derived maps, cached per instance like DependencyGraph's adjacency.
 
-@lru_cache(maxsize=None)
-def _event_vars(b: BipartiteEventVariableGraph) -> dict[int, frozenset[int]]:
-    out: dict[int, set[int]] = {i: set() for i in b.events}
-    for i, j in b.edges:
-        out[i].add(j)
-    return {i: frozenset(s) for i, s in out.items()}
+    @cached_property
+    def _event_vars(self) -> dict[int, frozenset[int]]:
+        out: dict[int, set[int]] = {i: set() for i in self.events}
+        for i, j in self.edges:
+            out[i].add(j)
+        return {i: frozenset(s) for i, s in out.items()}
 
-
-@lru_cache(maxsize=None)
-def _var_events(b: BipartiteEventVariableGraph) -> dict[int, frozenset[int]]:
-    out: dict[int, set[int]] = {j: set() for j in b.variables}
-    for i, j in b.edges:
-        out[j].add(i)
-    return {j: frozenset(s) for j, s in out.items()}
+    @cached_property
+    def _var_events(self) -> dict[int, frozenset[int]]:
+        out: dict[int, set[int]] = {j: set() for j in self.variables}
+        for i, j in self.edges:
+            out[j].add(i)
+        return {j: frozenset(s) for j, s in out.items()}
 
 
 @dataclass(frozen=True)
@@ -178,7 +189,6 @@ class ChordlessCycleSet:
     """Vertex sequences of induced cycles (length >= 4), pairwise disjoint."""
 
     cycles: tuple[tuple[int, ...], ...]
-    disjoint: bool = True
 
 
 # ---------------------------------------------------------------------------

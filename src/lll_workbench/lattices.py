@@ -33,10 +33,9 @@ class LatticeSpec:
     shift_vectors: tuple[tuple[int, ...], ...]
     default_repetitions: tuple[int, ...]
 
-    def expanded(self, repetitions: tuple[int, ...] | None = None):
-        reps = repetitions or self.default_repetitions
+    def expanded(self):
         return expand_translational_unit(
-            self.unit, self.embedding, self.shift_vectors, reps
+            self.unit, self.embedding, self.shift_vectors, self.default_repetitions
         )
 
 

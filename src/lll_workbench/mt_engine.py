@@ -165,6 +165,10 @@ class Event:
         return self.predicate(assignment)
 
 
+#: outcome tuples an exhaustive joint probability may sum over
+MAX_OUTCOMES = 1_000_000
+
+
 @dataclass(frozen=True)
 class EventSystem:
     variables: tuple[object, ...]
@@ -202,7 +206,7 @@ class EventSystem:
             return out
         return self._exhaustive_probability((i,))
 
-    def _exhaustive_probability(self, which: tuple[int, ...], cap: int = 1_000_000) -> Fraction:
+    def _exhaustive_probability(self, which: tuple[int, ...]) -> Fraction:
         """Joint probability of the given events by summing over all finite
         outcome tuples; every involved variable must be finite."""
         vbls = sorted({j for i in which for j in self.events[i - 1].vbl})
@@ -214,8 +218,8 @@ class EventSystem:
                 raise InputError("exhaustive probability needs finite variables")
             domains.append(range(len(var.masses)))
             size *= len(var.masses)
-            if size > cap:
-                raise CapExceeded(f"outcome space beyond {cap}")
+            if size > MAX_OUTCOMES:
+                raise CapExceeded(f"outcome space beyond {MAX_OUTCOMES}")
         total = Fraction(0)
         from itertools import product as iproduct
 

@@ -23,6 +23,14 @@ class CapExceeded(RuntimeError):
 #: graphs larger than this are refused by full independent-set enumeration
 DEFAULT_ENUMERATION_CAP = 30
 
+#: l1_gap refuses to split more boxes than this
+MAX_GAP_BOXES = 500_000
+
+#: descent_gap_lower bisects each coordinate to this width, in at most
+#: DESCENT_PASSES passes over the coordinates
+DESCENT_TOLERANCE = Fraction(1, 1 << 40)
+DESCENT_PASSES = 8
+
 
 @dataclass(frozen=True)
 class ProbabilityVector:
@@ -78,30 +86,19 @@ class BoundaryScale:
     clamped: bool
 
 
-def _closed_neighborhood_masks(g: DependencyGraph) -> tuple[int, ...]:
-    masks = [1 << (v - 1) for v in g.vertices]
-    for u, v in g.edges:
-        masks[u - 1] |= 1 << (v - 1)
-        masks[v - 1] |= 1 << (u - 1)
-    return tuple(masks)
-
-
-def _check_size(g: DependencyGraph, cap: int | None) -> None:
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if g.m > limit:
+def _check_size(g: DependencyGraph) -> None:
+    if g.m > DEFAULT_ENUMERATION_CAP:
         raise CapExceeded(
-            f"graph has {g.m} vertices; enumeration capped at {limit}"
+            f"graph has {g.m} vertices; enumeration capped at {DEFAULT_ENUMERATION_CAP}"
         )
 
 
-def independent_sets(
-    g: DependencyGraph, max_vertices: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
     """All independent sets including (), in nondecreasing size order,
     lexicographic within each size.
     """
-    _check_size(g, max_vertices)
-    nbr = _closed_neighborhood_masks(g)
+    _check_size(g)
+    nbr = g.closed_masks
     current: list[tuple[tuple[int, ...], int]] = [((), 0)]
     yield ()
     while current:
@@ -164,6 +161,21 @@ def _in_region(
     return True
 
 
+def _q_of_set(
+    p: ProbabilityVector,
+    nbr: Sequence[int],
+    iset: Sequence[int],
+    memo: dict[int, Fraction],
+) -> Fraction:
+    """q_I = (prod_{i in I} p_i) * q_0 on the graph minus N[I]."""
+    mask = (1 << len(p)) - 1
+    coeff = Fraction(1)
+    for u in iset:
+        mask &= ~nbr[u - 1]
+        coeff *= p[u]
+    return coeff * _q_empty_masked(p.values, nbr, mask, memo)
+
+
 def q_polynomial(
     g: DependencyGraph, p: ProbabilityVector, independent: Sequence[int]
 ) -> Fraction:
@@ -181,13 +193,7 @@ def q_polynomial(
         for b in iset:
             if a < b and g.has_edge(a, b):
                 raise InputError(f"set not independent: edge ({a},{b})")
-    nbr = _closed_neighborhood_masks(g)
-    mask = (1 << g.m) - 1
-    coeff = Fraction(1)
-    for u in iset:
-        mask &= ~nbr[u - 1]
-        coeff *= p[u]
-    return coeff * _q_empty_masked(p.values, nbr, mask, {})
+    return _q_of_set(p, g.closed_masks, iset, {})
 
 
 def q_empty(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
@@ -208,8 +214,8 @@ def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     for k, v in enumerate(vals):
         if v > 0:
             support_mask |= 1 << k
-    _check_size(g, None)
-    return _in_region(vals, _closed_neighborhood_masks(g), support_mask, {})
+    _check_size(g)
+    return _in_region(vals, g.closed_masks, support_mask, {})
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
@@ -219,25 +225,17 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     """
     if len(p) != g.m:
         raise InputError("probability vector length mismatch")
-    _check_size(g, None)
-    nbr = _closed_neighborhood_masks(g)
+    _check_size(g)
+    nbr = g.closed_masks
     memo: dict[int, Fraction] = {}
-    full = (1 << g.m) - 1
-
-    def q_of(iset: tuple[int, ...]) -> Fraction:
-        mask = full
-        coeff = Fraction(1)
-        for u in iset:
-            mask &= ~nbr[u - 1]
-            coeff *= p[u]
-        return coeff * _q_empty_masked(p.values, nbr, mask, memo)
-
-    q_values = {(): q_of(())}
+    q_values = {(): _q_of_set(p, nbr, (), memo)}
     for v in g.vertices:
-        q_values[(v,)] = q_of((v,))
-    if _in_region(p.values, nbr, full, memo):
+        q_values[(v,)] = _q_of_set(p, nbr, (v,), memo)
+    if _in_region(p.values, nbr, (1 << g.m) - 1, memo):
         return ShearerReport(True, q_values, None)
-    witness = next(iset for iset in independent_sets(g) if q_of(iset) <= 0)
+    witness = next(
+        iset for iset in independent_sets(g) if _q_of_set(p, nbr, iset, memo) <= 0
+    )
     return ShearerReport(False, q_values, witness)
 
 
@@ -272,12 +270,7 @@ def _norm1(vec: tuple[Fraction, ...]) -> Fraction:
     return sum(vec, Fraction(0))
 
 
-def l1_gap(
-    g: DependencyGraph,
-    p: ProbabilityVector,
-    resolution: Fraction,
-    max_boxes: int = 500_000,
-) -> GapEstimate:
+def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
     """Certified bounds on d(p, G) = sup ||q||_1 over 0 <= q <= p with p-q
     outside the region. Returns the -1 marker when p is in the bound.
 
@@ -297,14 +290,6 @@ def l1_gap(
 
     total = _norm1(p.values)
     zero = tuple(Fraction(0) for _ in p.values)
-    member_cache: dict[tuple[Fraction, ...], bool] = {}
-
-    def member(vec: tuple[Fraction, ...]) -> bool:
-        got = member_cache.get(vec)
-        if got is None:
-            got = shearer_membership(g, vec)
-            member_cache[vec] = got
-        return got
 
     # every box on the heap straddles the boundary: lower corner in bound,
     # upper corner out of bound; its min-norm lower bound is ||a||_1
@@ -317,13 +302,13 @@ def l1_gap(
         lb = _norm1(a)
         if lb >= upper_best:
             return
-        if not a_known_in and not member(a):
+        if not a_known_in and not shearer_membership(g, a):
             upper_best = min(upper_best, lb)  # a itself is an out point
             return
         counter += 1
         heapq.heappush(heap, (lb, counter, a, b))
 
-    if member(zero):
+    if shearer_membership(g, zero):
         offer(zero, p.values, True)
     else:
         upper_best = Fraction(0)
@@ -336,13 +321,13 @@ def l1_gap(
         if lb >= upper_best:
             continue
         boxes_seen += 1
-        if boxes_seen > max_boxes:
-            raise CapExceeded(f"l1_gap exceeded {max_boxes} boxes")
+        if boxes_seen > MAX_GAP_BOXES:
+            raise CapExceeded(f"l1_gap exceeded {MAX_GAP_BOXES} boxes")
         axis = max(range(len(a)), key=lambda k: (b[k] - a[k], -k))
         mid = (a[axis] + b[axis]) / 2
         b_low = tuple(mid if k == axis else b[k] for k in range(len(b)))
         a_high = tuple(mid if k == axis else a[k] for k in range(len(a)))
-        if not member(b_low):
+        if not shearer_membership(g, b_low):
             offer(a, b_low, True)  # still straddling
         offer(a_high, b, False)
     lower_min = min((item[0] for item in heap), default=upper_best)
@@ -350,12 +335,7 @@ def l1_gap(
     return GapEstimate(total - upper_best, total - lower_min, resolution)
 
 
-def descent_gap_lower(
-    g: DependencyGraph,
-    p: ProbabilityVector,
-    tolerance: Fraction = Fraction(1, 1 << 40),
-    max_passes: int = 8,
-) -> Fraction:
+def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
     """Cheap certified lower bound on d(p, G) for an out-of-bound p.
 
     Coordinate descent from r = p: per coordinate, bisect the smallest value
@@ -366,7 +346,7 @@ def descent_gap_lower(
     if shearer_membership(g, p.values):
         return Fraction(-1)
     r = list(p.values)
-    for _ in range(max_passes):
+    for _ in range(DESCENT_PASSES):
         improved = False
         for k in range(len(r)):
             if r[k] == 0:
@@ -378,7 +358,7 @@ def descent_gap_lower(
                 r[k] = Fraction(0)
                 improved = True
                 continue
-            while hi - lo > tolerance:
+            while hi - lo > DESCENT_TOLERANCE:
                 mid = (lo + hi) / 2
                 probe[k] = mid
                 if shearer_membership(g, probe):

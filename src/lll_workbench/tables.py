@@ -32,17 +32,11 @@ class ResamplingTable:
     def __init__(self, variables, seed: int | str):
         self.variables = tuple(variables)
         self.seed = seed
-        self._cache: dict[tuple[int, int], object] = {}
 
     def entry(self, j: int, k: int):
         if not (1 <= j <= len(self.variables) and k >= 1):
             raise InputError(f"table position ({j},{k}) out of range")
-        got = self._cache.get((j, k))
-        if got is None:
-            u = unit_fraction(self.seed, "x", j, k)
-            got = self.variables[j - 1].value_from_unit(u)
-            self._cache[(j, k)] = got
-        return got
+        return self.variables[j - 1].value_from_unit(unit_fraction(self.seed, "x", j, k))
 
 
 class FixedResamplingTable:

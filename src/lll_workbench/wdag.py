@@ -31,7 +31,7 @@ from math import lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .graphs import DependencyGraph, InputError, Matching
-from .shearer import CapExceeded, ProbabilityVector, _closed_neighborhood_masks
+from .shearer import CapExceeded, ProbabilityVector
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
         raise InputError("node_cap must be positive")
     if node_cap > 8:
         raise CapExceeded("pwdag enumeration capped at 8 nodes")
-    closed = _closed_neighborhood_masks(g)
+    closed = g.closed_masks
     nexts: dict[int, list[tuple[int, int, int]]] = {}
     found = []
 
@@ -468,9 +468,7 @@ def consistent_with_tables(d: WDag, system, x_table, y_table, m: Matching) -> bo
     return True
 
 
-def repair_to_consistent(
-    d0: WDag, system, x_table, y_table, m: Matching, check_no_revisit: bool = True
-) -> WDag:
+def repair_to_consistent(d0: WDag, system, x_table, y_table, m: Matching) -> WDag:
     """Repeatedly reverse an auxiliary-table-inconsistent matched reversible
     arc whose reversal stays consistent with the resampling table. Terminates
     (no wdag ever repeats) and returns a wdag consistent with both tables,
@@ -494,11 +492,10 @@ def repair_to_consistent(
         if successor is None:
             return d
         d = successor
-        if check_no_revisit:
-            key = canonical_key(d)
-            if key in visited:
-                raise AssertionError("repair revisited a wdag")
-            visited.add(key)
+        key = canonical_key(d)
+        if key in visited:
+            raise AssertionError("repair revisited a wdag")
+        visited.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +696,7 @@ def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> Weig
         raise CapExceeded(f"weight sums capped at {MAX_SUM_NODES} nodes")
     den = lcm(*(x.denominator for x in p.values))
     num = [(x * den).numerator for x in p.values]
-    closed = _closed_neighborhood_masks(g)
+    closed = g.closed_masks
 
     # successors of every reachable R: (|S|, scaled weight of S, reach(S))
     succ: dict[int, list[tuple[int, int, int]]] = {}

@@ -13,9 +13,14 @@ The exact computations behind the discrepancy are covered by green tests
 in test_criterion.py.
 """
 
+from itertools import combinations
+
 import pytest
 
+from lll_workbench import acceptance
 from lll_workbench.acceptance import CHECKS, run_check
+from lll_workbench.mt_engine import witness_dag_of_run
+from lll_workbench.wdag import WDag
 
 
 @pytest.mark.parametrize(
@@ -26,3 +31,22 @@ def test_acceptance_criterion(cid, title):
     line = f"criterion {cid} ({title}): {result.detail}"
     print(("PASS " if result.passed else "FAIL ") + line)
     assert result.passed, line
+
+
+def _without_same_label_arcs(dag):
+    return WDag(dag.labels, frozenset((u, v) for u, v in dag.arcs if dag.label(u) != dag.label(v)))
+
+
+def _totally_ordered(dag):
+    return WDag(dag.labels, frozenset(combinations(dag.nodes, 2)))
+
+
+@pytest.mark.parametrize("mutate", [_without_same_label_arcs, _totally_ordered])
+def test_criterion_4_rejects_wrong_run_wdags(monkeypatch, mutate):
+    # An arc between every earlier and later node keeps the prefix count and
+    # the distinct one-node prefixes right; only the validity check sees the
+    # arcs between independent labels.
+    monkeypatch.setattr(
+        acceptance, "witness_dag_of_run", lambda system, stats: mutate(witness_dag_of_run(system, stats))
+    )
+    assert not acceptance.check_4_prefix_count_identity().passed

@@ -1,8 +1,10 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lll_workbench.graphs import (
     BipartiteEventVariableGraph,
@@ -354,3 +356,83 @@ class TestValidation:
 
     def test_distance(self):
         assert graph_distance(C4, 1, 3) == 2
+
+
+@st.composite
+def edge_lists(draw, max_m=12):
+    """A vertex count and an edge list in random orientation and order."""
+    m = draw(st.integers(1, max_m))
+    pairs = list(combinations(range(1, m + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return m, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
+@st.composite
+def incidence_lists(draw, max_events=12, max_vars=6):
+    events = draw(st.integers(1, max_events))
+    variables = draw(st.integers(1, max_vars))
+    var_sets = st.sets(st.integers(1, variables), min_size=1)
+    return events, variables, [(i, j) for i in range(1, events + 1) for j in draw(var_sets)]
+
+
+def assert_same_value(a, twin, text):
+    """Equal and equally hashed to its twin and to its pickled copy, and
+    still printed as `text`."""
+    back = pickle.loads(pickle.dumps(a))
+    assert a == twin == back
+    assert hash(a) == hash(twin) == hash(back)
+    assert repr(a) == text
+
+
+class TestDerivedAdjacency:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=edge_lists())
+    def test_matches_reference_built_from_edges(self, spec):
+        m, edges = spec
+        g = DependencyGraph.from_edges(m, edges)
+        ref = {v: set() for v in range(1, m + 1)}
+        for u, v in edges:
+            ref[u].add(v)
+            ref[v].add(u)
+        assert g.closed_masks == tuple(
+            sum(1 << (u - 1) for u in ref[v] | {v}) for v in range(1, m + 1)
+        )
+        for v in range(1, m + 1):
+            assert g.neighbors(v) == ref[v]
+            assert g.degree(v) == len(ref[v])
+            for u in range(1, m + 1):
+                assert g.has_edge(u, v) == (u in ref[v])
+        assert g.max_degree() == max(len(s) for s in ref.values())
+        for outside in (0, m + 1):
+            with pytest.raises(KeyError):
+                g.neighbors(outside)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=edge_lists())
+    def test_cache_stays_out_of_value_semantics(self, spec):
+        m, edges = spec
+        g = DependencyGraph.from_edges(m, edges)
+        twin = DependencyGraph.from_edges(m, [(v, u) for u, v in reversed(edges)])
+        text = repr(g)
+        assert_same_value(g, twin, text)
+        masks, degree = g.closed_masks, g.max_degree()
+        assert_same_value(g, twin, text)
+        back = pickle.loads(pickle.dumps(g))
+        assert back.closed_masks == masks and back.max_degree() == degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=incidence_lists())
+    def test_bipartite_maps_match_reference(self, spec):
+        events, variables, incidences = spec
+        b = BipartiteEventVariableGraph(events, variables, frozenset(incidences))
+        twin = BipartiteEventVariableGraph(events, variables, frozenset(reversed(incidences)))
+        text = repr(b)
+        assert_same_value(b, twin, text)
+        for i in range(1, events + 1):
+            assert b.event_vars(i) == {j for k, j in incidences if k == i}
+        for j in range(1, variables + 1):
+            assert b.var_events(j) == {i for i, k in incidences if k == j}
+        assert_same_value(b, twin, text)
+        back = pickle.loads(pickle.dumps(b))
+        assert all(back.var_events(j) == b.var_events(j) for j in range(1, variables + 1))

@@ -1,0 +1,29 @@
+"""No module keeps a process-lifetime cache that grows with every graph,
+wdag or table it has seen: derived structure belongs to the value it is
+derived from and is freed with it."""
+
+import importlib
+import pkgutil
+
+import lll_workbench
+
+
+def _callables(module):
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        yield f"{module.__name__}.{name}", obj
+        if isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_unbounded_functools_caches():
+    unbounded = []
+    for info in pkgutil.iter_modules(lll_workbench.__path__):
+        module = importlib.import_module(f"lll_workbench.{info.name}")
+        for name, obj in _callables(module):
+            cache_info = getattr(obj, "cache_info", None)
+            if callable(cache_info) and cache_info().maxsize is None:
+                unbounded.append(name)
+    assert not unbounded, f"unbounded caches: {unbounded}"
