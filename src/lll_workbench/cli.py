@@ -47,7 +47,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno}") from exc
@@ -77,8 +77,8 @@ def _seed(text: str) -> int | str:
         return text
 
 
-def _emit(args, payload, fmt=None):
-    text = emit_report(payload, args.out, fmt or args.format)
+def _emit(args, payload, fmt="json"):
+    text = emit_report(payload, args.out, fmt)
     if not args.out:
         sys.stdout.write(text)
 
@@ -258,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, graph=False, pvec=False, system=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
         if graph:
             p.add_argument("--graph", default=None, help="dependency graph JSON path")
             p.add_argument(
@@ -293,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mt-estimate", help="mean resample count over seeded runs")
     common(p, system=True)
+    p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
@@ -301,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wdag-sum", help="exact pwdag weight sums by size")
     common(p, graph=True, pvec=True)
+    p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--node-cap", type=int, default=6)
     p.set_defaults(fn=cmd_wdag_sum)
 

@@ -71,12 +71,10 @@ def _key_str(key) -> str:
 def load_graph(data: Mapping) -> DependencyGraph:
     try:
         return DependencyGraph.from_edges(int(data["m"]), data.get("edges", []))
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph object: {exc}") from exc
-
-
-def graph_to_dict(g: DependencyGraph) -> dict:
-    return {"m": g.m, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def load_bipartite(data: Mapping) -> BipartiteEventVariableGraph:
@@ -109,10 +107,11 @@ def load_matching(text: str) -> Matching:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise InputError(f"bad matching pair {chunk!r}")
-        pairs.add((int(parts[0]), int(parts[1])))
+        try:
+            u, v = (int(part) for part in chunk.split("-"))
+        except ValueError:
+            raise InputError(f"bad matching pair {chunk!r}") from None
+        pairs.add((u, v))
     return Matching(frozenset(pairs))
 
 
@@ -149,7 +148,10 @@ def load_event_system(data: Mapping) -> EventSystem:
             raise InputError("wire-format events must be elementary")
         allowed = []
         for var_key, aspec in allowed_spec.items():
-            j = int(var_key)
+            try:
+                j = int(var_key)
+            except ValueError:
+                raise InputError(f"bad variable key {var_key!r}") from None
             if not 1 <= j <= len(variables):
                 raise InputError(f"event references unknown variable {j}")
             allowed.append((j, _load_allowed(variables[j - 1], aspec)))

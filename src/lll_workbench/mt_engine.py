@@ -35,9 +35,6 @@ class Uniform01:
     def value_from_unit(self, u: Fraction) -> Fraction:
         return u
 
-    def total_measure(self) -> Fraction:
-        return Fraction(1)
-
 
 @dataclass(frozen=True)
 class FiniteVariable:

@@ -52,19 +52,6 @@ class FixedResamplingTable:
             raise InputError(f"fixed table has no entry ({j},{k})") from None
 
 
-class AuxiliaryTable:
-    """Fair coins per matched pair: entry((i, i'), k) is i or i', each with
-    probability one half, independent across positions."""
-
-    def __init__(self, seed: int | str):
-        self.seed = seed
-
-    def entry(self, pair: tuple[int, int], k: int) -> int:
-        i, j = min(pair), max(pair)
-        u = unit_fraction(self.seed, "y", i, j, k)
-        return i if u < Fraction(1, 2) else j
-
-
 class FixedAuxiliaryTable:
     """Explicit finite auxiliary table for exhaustive enumeration."""
 

@@ -14,10 +14,13 @@ holds the nodes whose longest path to the sink has k nodes. A pwdag's weight
 is the product of p over all members of all layers.
 
 Node identity convention: a wdag on n nodes uses ids 1..n and `labels[k-1]`
-is the label of node k. Nodes sharing a label are pairwise arc-connected, so
-they are totally ordered; the canonical form renames node v to its pair
-(label, rank-within-label) and sorts. Two wdags are structurally equal iff
-their canonical encodings coincide.
+is the label of node k. In a valid wdag any two nodes with equal or adjacent
+labels are joined by an arc, so a set of such pairwise-conflicting nodes is
+totally ordered, and a node's position in it is 1 plus the number of its
+parents in the set. The canonical form renames node v to its pair (label,
+rank-within-label), the rank being 1 plus v's same-label parents, and sorts.
+Two valid wdags are structurally equal iff their canonical encodings
+coincide.
 """
 
 from __future__ import annotations
@@ -76,16 +79,6 @@ class WDag:
         for u, v in self.arcs:
             ch[u].add(v)
         return {v: frozenset(s) for v, s in ch.items()}
-
-    @cached_property
-    def _ancestors(self) -> dict[int, frozenset[int]]:
-        """Strict ancestors (nonempty directed path into the node)."""
-        anc: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for v in self._topological_order:
-            for u in self._parents[v]:
-                anc[v].add(u)
-                anc[v] |= anc[u]
-        return {v: frozenset(s) for v, s in anc.items()}
 
     @cached_property
     def _topological_order(self) -> tuple[int, ...]:
@@ -150,19 +143,19 @@ def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
 
 def canonical_key(d: WDag):
     """Structure-invariant encoding: rename nodes to (label, within-label
-    rank) and sort. Same-label nodes are totally ordered in a valid wdag.
+    rank) and sort, where the rank is 1 plus the node's same-label parents.
+
+    Assumes a valid wdag, in which same-label nodes are pairwise joined by
+    arcs; on other labelled DAGs two nodes may share a rank.
     """
-    rank: dict[int, tuple[int, int]] = {}
-    by_label: dict[int, list[int]] = {}
-    for v in d.nodes:
-        by_label.setdefault(d.label(v), []).append(v)
-    for lab, vs in by_label.items():
-        vs_set = set(vs)
-        vs_sorted = sorted(vs, key=lambda v: len(d._ancestors[v] & vs_set))
-        for k, v in enumerate(vs_sorted):
-            rank[v] = (lab, k + 1)
-    arcs = tuple(sorted((rank[u], rank[v]) for u, v in d.arcs))
-    return (tuple(sorted(rank.values())), arcs)
+    labels = d.labels
+    rank = [1] * (d.n + 1)
+    for u, v in d.arcs:
+        if labels[u - 1] == labels[v - 1]:
+            rank[v] += 1
+    pair = {v: (labels[v - 1], rank[v]) for v in d.nodes}
+    arcs = tuple(sorted((pair[u], pair[v]) for u, v in d.arcs))
+    return (tuple(sorted(pair.values())), arcs)
 
 
 def canonical_form(d: WDag) -> WDag:
@@ -180,10 +173,13 @@ def canonical_form(d: WDag) -> WDag:
 def closure(d: WDag, nodes: Sequence[int]) -> frozenset[int]:
     """All nodes with a directed path to some u in nodes (each node reaches
     itself)."""
-    out: set[int] = set()
-    for u in nodes:
-        out.add(u)
-        out |= d._ancestors[u]
+    out = set(nodes)
+    stack = list(out)
+    while stack:
+        for u in d._parents[stack.pop()]:
+            if u not in out:
+                out.add(u)
+                stack.append(u)
     return frozenset(out)
 
 
@@ -378,16 +374,19 @@ def m_reversible_nodes(
 
 
 def node_list_for_pair(d: WDag, i: int, j: int) -> list[int]:
-    """All nodes labelled i or j in topological order (unique: such nodes are
-    pairwise arc-connected)."""
-    member_set = {v for v in d.nodes if d.label(v) in (i, j)}
-    return sorted(member_set, key=lambda v: len(d._ancestors[v] & member_set))
+    """All nodes labelled i or j in topological order, each at its
+    lambda_order. Assumes a valid wdag with i and j equal or adjacent, so
+    these nodes are pairwise arc-connected and the order is unique."""
+    pair = (i, j)
+    members = [v for v in d.nodes if d.label(v) in pair]
+    return sorted(members, key=lambda v: lambda_order(d, v, pair))
 
 
 def lambda_order(d: WDag, v: int, pair: tuple[int, int]) -> int:
-    """1-based position of v in the pair's topological node list."""
-    lst = node_list_for_pair(d, *pair)
-    return lst.index(v) + 1
+    """1-based position of v, labelled in pair, in the pair's topological
+    node list: 1 plus v's parents labelled in pair. Assumes a valid wdag,
+    as node_list_for_pair does."""
+    return 1 + sum(1 for u in d._parents[v] if d.label(u) in pair)
 
 
 def disjoint_reversible_pairs(d: WDag, m: Matching) -> frozenset[tuple[int, int]]:
@@ -431,13 +430,15 @@ def reverse_arc(d: WDag, u: int, v: int) -> WDag:
 
 def sample_indices(d: WDag, v: int, vbl: Mapping[int, Sequence[int]]) -> dict[int, int]:
     """For node v, the resampling-table column per variable of its event:
-    one plus the number of ancestors whose event also touches the variable.
+    one plus the number of v's parents whose event also touches the variable.
+
+    Assumes d is valid for a graph in which events sharing a variable are
+    adjacent, such as the system's dependency graph: the nodes reading a
+    variable are then pairwise arc-connected, and v's parents among them are
+    all those resampled before it.
     """
-    out: dict[int, int] = {}
-    anc = d._ancestors[v]
-    for j in vbl[d.label(v)]:
-        out[j] = 1 + sum(1 for u in anc if j in vbl[d.label(u)])
-    return out
+    parents = d._parents[v]
+    return {j: 1 + sum(1 for u in parents if j in vbl[d.label(u)]) for j in vbl[d.label(v)]}
 
 
 def consistent_with_table(d: WDag, system, table) -> bool:
@@ -456,16 +457,25 @@ def consistent_with_table(d: WDag, system, table) -> bool:
 def consistent_with_tables(d: WDag, system, x_table, y_table, m: Matching) -> bool:
     """Consistent with the resampling table, and every matched reversible arc
     that disagrees with the auxiliary table has an inconsistent reversal."""
-    if not consistent_with_table(d, system, x_table):
-        return False
+    return (
+        consistent_with_table(d, system, x_table)
+        and _consistent_flip(d, system, x_table, y_table, m) is None
+    )
+
+
+def _consistent_flip(d: WDag, system, x_table, y_table, m: Matching) -> WDag | None:
+    """reverse_arc of the first matched reversible arc (u, v) whose auxiliary
+    entry at u's lambda_order names v's label and whose reversal is
+    consistent with the resampling table; None if there is no such arc."""
     for u, v in _m_reversible_arcs(d, m):
         lu, lv = d.label(u), d.label(v)
         pair = (min(lu, lv), max(lu, lv))
-        lam = lambda_order(d, u, pair)
-        if y_table.entry(pair, lam) == lv:
-            if consistent_with_table(reverse_arc(d, u, v), system, x_table):
-                return False
-    return True
+        if y_table.entry(pair, lambda_order(d, u, pair)) != lv:
+            continue
+        candidate = reverse_arc(d, u, v)
+        if consistent_with_table(candidate, system, x_table):
+            return candidate
+    return None
 
 
 def repair_to_consistent(d0: WDag, system, x_table, y_table, m: Matching) -> WDag:
@@ -479,16 +489,7 @@ def repair_to_consistent(d0: WDag, system, x_table, y_table, m: Matching) -> WDa
     d = d0
     visited = {canonical_key(d)}
     while True:
-        successor = None
-        for u, v in _m_reversible_arcs(d, m):
-            lu, lv = d.label(u), d.label(v)
-            pair = (min(lu, lv), max(lu, lv))
-            if y_table.entry(pair, lambda_order(d, u, pair)) != lv:
-                continue
-            candidate = reverse_arc(d, u, v)
-            if consistent_with_table(candidate, system, x_table):
-                successor = candidate
-                break
+        successor = _consistent_flip(d, system, x_table, y_table, m)
         if successor is None:
             return d
         d = successor

@@ -1,11 +1,13 @@
 import json
+import shlex
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from lll_workbench.cli import dispatch
+from lll_workbench.cli import build_parser, dispatch
 
 
 @pytest.fixture
@@ -45,12 +47,39 @@ def test_shearer_check_accepts_interior(files, capsys):
     assert out["expected_resample_bound"] == "3"
 
 
-def test_malformed_json_exits_two(files, capsys):
+@pytest.mark.parametrize(
+    "command,content,message",
+    [
+        ("shearer-check --graph {bad} --p 1/3", "{nope", "malformed JSON"),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching a-b --delta 1/8 --eps 1/8",
+            None,
+            "bad matching pair",
+        ),
+        ("shearer-check --graph {bad} --p 1/3", '{"m": "x", "edges": []}', "bad graph object"),
+        (
+            "shearer-check --graph {bad} --p 1/3,1/3,1/3",
+            '{"m": 3, "edges": [[1, 2, 3]]}',
+            "bad graph object",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"z": {"values": [0]}}}]}',
+            "bad variable key",
+        ),
+        ("shearer-check --graph {dir} --p 1/3", None, "cannot read"),
+    ],
+    ids=["json", "matching", "vertex-count", "edge", "variable-key", "directory"],
+)
+def test_malformed_json_exits_two(files, capsys, command, content, message):
     bad = files["dir"] / "bad.json"
-    bad.write_text("{nope")
-    code = dispatch(["shearer-check", "--graph", str(bad), "--p", "1/3"])
+    if content is not None:
+        bad.write_text(content)
+    argv = command.format(bad=bad, c4=files["c4"], dir=files["dir"]).split()
+    code = dispatch(argv)
+    err = capsys.readouterr().err
     assert code == 2
-    assert "malformed JSON" in capsys.readouterr().err
+    assert "input error" in err and message in err
 
 
 def test_cap_exceeded_exits_three(files, capsys):
@@ -150,12 +179,11 @@ def test_mt_run_and_estimate_csv(files, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     lines = captured.strip().splitlines()
-    assert lines[0] == "seed,T,truncated"
+    assert lines[:4] == ["seed,T,truncated", "7/0,0,false", "7/1,2,false", "7/2,2,false"]
     assert len(lines) == 51
 
 
 def test_mt_seed_accepts_strings_like_the_api(files, capsys):
-    from lll_workbench.cli import build_parser
     from lll_workbench.jsonio import load_event_system, run_stats_to_dict
     from lll_workbench.mt_engine import run_mt
 
@@ -203,7 +231,40 @@ def test_wdag_sum_csv(files, capsys):
     )
     captured = capsys.readouterr().out
     assert code == 0
-    assert captured.splitlines()[0] == "size,sum,cumulative"
+    assert captured == "size,sum,cumulative\n1,1,1\n2,3/4,7/4\n3,5/8,19/8\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "shearer-check --graph {k3} --p 1/4,1/4,1/4",
+        "boundary --graph {k3} --p 1,1,1",
+        "gap --graph {k3} --p 1/2,1/3,1/3",
+        "mt-run --system {system}",
+        "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --delta 1/8 --eps 1/10",
+        "beyond --graph {c4} --p 1/4,1/4,1/4,1/4 --eps 1/100",
+        "lattice-gap --lattice square --pa 0.1193",
+    ],
+    ids=lambda command: command.split()[0],
+)
+def test_format_only_where_rows_exist(files, capsys, command):
+    # only mt-estimate and wdag-sum produce rows; elsewhere argparse rejects
+    # the flag before anything runs
+    with pytest.raises(SystemExit) as exc:
+        dispatch(command.format(**files).split() + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("## Command line")
+    block = lines[lines.index("```sh", start) + 1 : lines.index("```", start)]
+    commands = [shlex.split(line)[1:] for line in block if line.startswith("lll-workbench ")]
+    assert len(commands) == len(block) > 0
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).fn.__name__ == "cmd_" + argv[0].replace("-", "_")
 
 
 def test_criterion_verdict_roundtrip(files, capsys):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +29,7 @@ from lll_workbench.wdag import (
     is_acyclic,
     is_prefix,
     is_reversible,
+    lambda_order,
     m_reversible_nodes,
     map_h,
     matched_nodes,
@@ -114,12 +115,136 @@ def reference_single_sink_prefix_count(d):
     return sum(1 for keep in closures if len(prefix(d, tuple(keep)).sinks()) == 1)
 
 
+# ---------------------------------------------------------------------------
+# reference oracles: node order from strict-ancestor sets
+
+def reference_ancestors(d):
+    """Strict ancestors of every node, accumulated along a topological order."""
+    anc = {v: set() for v in d.nodes}
+    for v in topological_order(d):
+        for u, w in d.arcs:
+            if w == v:
+                anc[v] |= {u} | anc[u]
+    return anc
+
+
+def reference_canonical_key(d):
+    """Rank each node within its label by its same-label ancestors."""
+    anc = reference_ancestors(d)
+    rank = {}
+    by_label = {}
+    for v in d.nodes:
+        by_label.setdefault(d.label(v), []).append(v)
+    for lab, vs in by_label.items():
+        vs_sorted = sorted(vs, key=lambda v: len(anc[v] & set(vs)))
+        for k, v in enumerate(vs_sorted):
+            rank[v] = (lab, k + 1)
+    arcs = tuple(sorted((rank[u], rank[v]) for u, v in d.arcs))
+    return (tuple(sorted(rank.values())), arcs)
+
+
+def reference_node_list_for_pair(d, i, j):
+    anc = reference_ancestors(d)
+    members = {v for v in d.nodes if d.label(v) in (i, j)}
+    return sorted(members, key=lambda v: len(anc[v] & members))
+
+
+def reference_sample_indices(d, v, vbl):
+    anc = reference_ancestors(d)[v]
+    return {j: 1 + sum(1 for u in anc if j in vbl[d.label(u)]) for j in vbl[d.label(v)]}
+
+
+def reference_closure(d, nodes):
+    anc = reference_ancestors(d)
+    return frozenset(nodes).union(*(anc[u] for u in nodes))
+
+
 @st.composite
 def small_graphs(draw, max_m=5):
     m = draw(st.integers(1, max_m))
     pairs = list(combinations(range(1, m + 1), 2))
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
     return DependencyGraph.from_edges(m, [e for k, e in enumerate(pairs) if bits >> k & 1])
+
+
+def edge_variables(g):
+    """vbl of a system with one variable per vertex and one per edge, each
+    event reading its own and its edges' variables: events sharing a
+    variable are exactly the adjacent ones."""
+    edges = sorted(g.edges)
+    return {
+        i: (i, *(g.m + k for k, e in enumerate(edges, 1) if i in e)) for i in g.vertices
+    }
+
+
+def shuffled(d, data):
+    """d with its node ids permuted, so ids need not be a topological order."""
+    perm = data.draw(st.permutations(range(1, d.n + 1)))
+    labels = [0] * d.n
+    for v in d.nodes:
+        labels[perm[v - 1] - 1] = d.label(v)
+    return WDag(tuple(labels), frozenset((perm[u - 1], perm[v - 1]) for u, v in d.arcs))
+
+
+@st.composite
+def sequence_wdags(draw):
+    """The wdag of a random label sequence over a random event system's base
+    graph: arcs run forward between equal or adjacent labels."""
+    k = draw(st.integers(1, 4))
+    vbls = draw(
+        st.lists(st.sets(st.integers(1, k), min_size=1).map(sorted), min_size=1, max_size=6)
+    )
+    fair = FiniteVariable((Fraction(1, 2), Fraction(1, 2)))
+    zero = ValueSet(frozenset({0}))
+    system = EventSystem(
+        (fair,) * k, tuple(Event(vbl=tuple(b), allowed=tuple((j, zero) for j in b)) for b in vbls)
+    )
+    g = system.dependency_graph()
+    seq = draw(st.lists(st.integers(1, g.m), min_size=1, max_size=9))
+    arcs = frozenset(
+        (a, b)
+        for a, b in combinations(range(1, len(seq) + 1), 2)
+        if seq[a - 1] == seq[b - 1] or g.has_edge(seq[a - 1], seq[b - 1])
+    )
+    vbl = {i: ev.vbl for i, ev in enumerate(system.events, 1)}
+    return WDag(tuple(seq), arcs), g, vbl
+
+
+@st.composite
+def pwdags(draw):
+    g = draw(small_graphs(max_m=4))
+    d = draw(st.sampled_from(list(enumerate_pwdags(g, draw(st.integers(1, 5))))))
+    return d, g, edge_variables(g)
+
+
+@st.composite
+def reversed_pwdags(draw):
+    """reverse_arc outputs; a pwdag without reversible arcs stands as it is."""
+    d, g, vbl = draw(pwdags())
+    arcs = sorted(a for a in d.arcs if is_reversible(d, *a))
+    if arcs:
+        d = reverse_arc(d, *draw(st.sampled_from(arcs)))
+    return d, g, vbl
+
+
+@st.composite
+def map_h_images(draw):
+    g = draw(small_graphs(max_m=4).filter(lambda g: g.edges))
+    pairs = []
+    for e in draw(st.permutations(sorted(g.edges))):
+        if not any(set(e) & set(f) for f in pairs):
+            pairs.append(e)
+    m = Matching(frozenset(pairs))
+    p = ProbabilityVector.uniform(g.m, Fraction(1, 4))
+    hom = homomorphic_graph(g, m, p, p, ProbabilityVector.uniform(g.m, Fraction(1, 5)))
+    d = draw(st.sampled_from(list(enumerate_pwdags(g, draw(st.integers(1, 4))))))
+    free = matched_nodes(d, m) - m_reversible_nodes(d, m)[0]
+    k = draw(st.integers(0, 4 ** len(free) - 1))
+    img = map_h(d, next(islice(partitions_psi(d, m), k, None)), m, hom)
+    return img, hom.graph, edge_variables(hom.graph)
+
+
+valid_wdags = st.one_of(sequence_wdags(), pwdags(), reversed_pwdags(), map_h_images())
 
 
 class TestValidation:
@@ -655,7 +780,7 @@ class TestDerivedStructure:
         twin = WDag(d.labels, d.arcs)
         assert topological_order(d) == (1, 2, 3, 4)
         assert closure(d, (4,)) == frozenset({1, 2, 3, 4})
-        assert {"_parents", "_children", "_ancestors", "_topological_order"} <= set(vars(d))
+        assert {"_parents", "_children", "_topological_order"} <= set(vars(d))
         assert not set(vars(twin)) - {"labels", "arcs"}
         assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
 
@@ -670,3 +795,28 @@ class TestSingleSinkPrefixes:
             assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d)
         d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
         assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d) == 4
+
+
+class TestParentCountRanks:
+    """Positions as parent counts against the ancestor-set references, on
+    valid wdags whose node ids are shuffled."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=valid_wdags, data=st.data())
+    def test_agrees_with_ancestor_references(self, case, data):
+        d0, g, vbl = case
+        d = shuffled(d0, data)
+        assert validate_wdag(d, g)
+        assert canonical_key(d) == reference_canonical_key(d) == canonical_key(d0)
+        nodes = data.draw(st.lists(st.sampled_from(list(d.nodes)), max_size=3))
+        assert closure(d, nodes) == reference_closure(d, nodes)
+        present = sorted(set(d.labels))
+        for i, j in combinations_with_replacement(present, 2):
+            if i != j and not g.has_edge(i, j):
+                continue
+            got = node_list_for_pair(d, i, j)
+            assert got == reference_node_list_for_pair(d, i, j)
+            assert [lambda_order(d, v, (i, j)) for v in got] == list(range(1, len(got) + 1))
+        for v in d.nodes:
+            assert closure(d, (v,)) == reference_closure(d, (v,))
+            assert sample_indices(d, v, vbl) == reference_sample_indices(d, v, vbl)
