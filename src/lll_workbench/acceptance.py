@@ -26,6 +26,7 @@ from .graphs import (
     DependencyGraph,
     Matching,
     base_graph,
+    shortest_path,
 )
 from .lattices import builtin_lattice
 from .mt_engine import (
@@ -530,7 +531,7 @@ def check_10_transfer(cases: int = 50) -> CheckResult:
         last = rng.randint(1, g.m)
         if first == last:
             continue
-        path = _shortest_path(g, first, last)
+        path = shortest_path(g, first, last)
         factor = (1 - p[first]) / p[last]
         for mid in path[1:-1]:
             factor *= (1 - p[mid]) / p[mid]
@@ -546,25 +547,6 @@ def check_10_transfer(cases: int = 50) -> CheckResult:
             )
         done += 1
     return _result("10", started, True, f"{cases} transfers stayed out of the region")
-
-
-def _shortest_path(g: DependencyGraph, first: int, last: int) -> tuple[int, ...]:
-    from collections import deque
-
-    parent = {first: None}
-    dq = deque([first])
-    while dq:
-        u = dq.popleft()
-        if u == last:
-            break
-        for w in sorted(g.neighbors(u)):
-            if w not in parent:
-                parent[w] = u
-                dq.append(w)
-    path = [last]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return tuple(reversed(path))
 
 
 # --------------------------------------------------------------------------

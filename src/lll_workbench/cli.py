@@ -51,6 +51,8 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text") from exc
 
 
 def _graph(args):
@@ -177,6 +179,9 @@ def cmd_criterion(args) -> int:
     elif args.system:
         system = jsonio.load_event_system(_read_json(args.system))
         inter = measure_pair_intersections(system)
+        if not matching.pairs <= inter.keys():
+            u, v = min(matching.pairs - inter.keys())
+            raise InputError(f"matched pair {u}-{v} is not a dependent pair of the system")
         delta = {pair: inter[pair] for pair in matching.pairs}
         source = "measured"
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -246,8 +246,8 @@ def _shortest_chordless_cycle(g: DependencyGraph, alive: set[int]) -> tuple[int,
     For a center v with neighbors u, w that are themselves non-adjacent, any
     shortest u-w path avoiding N[v]\\{u,w} closes an induced cycle through v:
     shortest paths are induced, and no internal vertex can see v.
-    Deterministic: scans (v, u, w) in sorted order and BFS breaks ties by
-    vertex number, then the cycle is canonicalized by rotation/reflection.
+    Deterministic: scans (v, u, w) in sorted order, shortest_path breaks ties
+    by vertex number, then the cycle is canonicalized by rotation/reflection.
     """
     best: tuple[int, ...] | None = None
     for v in sorted(alive):
@@ -255,24 +255,11 @@ def _shortest_chordless_cycle(g: DependencyGraph, alive: set[int]) -> tuple[int,
         for u, w in combinations(nbrs, 2):
             if g.has_edge(u, w):
                 continue
-            blocked = {x for x in g.neighbors(v) if x not in (u, w)} | {v}
-            # BFS from w to u avoiding blocked vertices
-            parent: dict[int, int | None] = {w: None}
-            dq = deque([w])
-            while dq:
-                x = dq.popleft()
-                if x == u:
-                    break
-                for y in sorted(g.neighbors(x)):
-                    if y in alive and y not in blocked and y not in parent:
-                        parent[y] = x
-                        dq.append(y)
-            if u not in parent:
+            # w to u outside the closed neighbourhood of v
+            path = shortest_path(g, w, u, (alive - g.neighbors(v) - {v}) | {u})
+            if path is None:
                 continue
-            path = [u]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            cycle = tuple([v] + path)  # v,u,...,w
+            cycle = (v, *reversed(path))  # v,u,...,w
             if best is None or len(cycle) < len(best) or (
                 len(cycle) == len(best) and _canon_cycle(cycle) < _canon_cycle(best)
             ):
@@ -433,6 +420,28 @@ def bfs_distances(g: DependencyGraph, source: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 dq.append(v)
     return dist
+
+
+def shortest_path(
+    g: DependencyGraph, source: int, target: int, allowed: Collection[int] | None = None
+) -> tuple[int, ...] | None:
+    """A shortest source-target vertex sequence, None if there is none. BFS
+    visits neighbours in increasing order, so ties go to smaller vertices;
+    with allowed given, it enters no vertex outside allowed."""
+    parent: dict[int, int | None] = {source: None}
+    dq = deque([source])
+    while dq:
+        x = dq.popleft()
+        if x == target:
+            path = [x]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for y in sorted(g.neighbors(x)):
+            if y not in parent and (allowed is None or y in allowed):
+                parent[y] = x
+                dq.append(y)
+    return None
 
 
 def is_connected(g: DependencyGraph) -> bool:

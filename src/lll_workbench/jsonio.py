@@ -70,10 +70,13 @@ def _key_str(key) -> str:
 
 def load_graph(data: Mapping) -> DependencyGraph:
     try:
-        return DependencyGraph.from_edges(int(data["m"]), data.get("edges", []))
+        edges = [tuple(e) for e in data.get("edges", [])]
+        if not all(isinstance(x, int) for e in edges for x in e):
+            raise InputError("bad graph object: edge endpoints must be integers")
+        return DependencyGraph.from_edges(int(data["m"]), edges)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph object: {exc}") from exc
 
 
@@ -84,7 +87,9 @@ def load_bipartite(data: Mapping) -> BipartiteEventVariableGraph:
             int(data["vars"]),
             frozenset((int(i), int(j)) for i, j in data.get("edges", [])),
         )
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad bipartite graph object: {exc}") from exc
 
 
@@ -130,36 +135,41 @@ def _load_allowed(var, spec: Mapping):
 
 
 def load_event_system(data: Mapping) -> EventSystem:
-    variables = []
-    for spec in data.get("variables", []):
-        kind = spec.get("kind")
-        if kind == "uniform01":
-            variables.append(Uniform01())
-        elif kind == "finite":
-            variables.append(
-                FiniteVariable(tuple(parse_fraction(x) for x in spec["masses"]))
-            )
-        else:
-            raise InputError(f"unknown variable kind {kind!r}")
-    events = []
-    for spec in data.get("events", []):
-        allowed_spec = spec.get("allowed")
-        if allowed_spec is None:
-            raise InputError("wire-format events must be elementary")
-        allowed = []
-        for var_key, aspec in allowed_spec.items():
-            try:
-                j = int(var_key)
-            except ValueError:
-                raise InputError(f"bad variable key {var_key!r}") from None
-            if not 1 <= j <= len(variables):
-                raise InputError(f"event references unknown variable {j}")
-            allowed.append((j, _load_allowed(variables[j - 1], aspec)))
-        vbl = tuple(j for j, _ in allowed)
-        events.append(Event(vbl=vbl, allowed=tuple(allowed)))
-    if not events:
-        raise InputError("event system needs at least one event")
-    return EventSystem(tuple(variables), tuple(events))
+    try:
+        variables = []
+        for spec in data.get("variables", []):
+            kind = spec.get("kind")
+            if kind == "uniform01":
+                variables.append(Uniform01())
+            elif kind == "finite":
+                variables.append(
+                    FiniteVariable(tuple(parse_fraction(x) for x in spec["masses"]))
+                )
+            else:
+                raise InputError(f"unknown variable kind {kind!r}")
+        events = []
+        for spec in data.get("events", []):
+            allowed_spec = spec.get("allowed")
+            if allowed_spec is None:
+                raise InputError("wire-format events must be elementary")
+            allowed = []
+            for var_key, aspec in allowed_spec.items():
+                try:
+                    j = int(var_key)
+                except ValueError:
+                    raise InputError(f"bad variable key {var_key!r}") from None
+                if not 1 <= j <= len(variables):
+                    raise InputError(f"event references unknown variable {j}")
+                allowed.append((j, _load_allowed(variables[j - 1], aspec)))
+            vbl = tuple(j for j, _ in allowed)
+            events.append(Event(vbl=vbl, allowed=tuple(allowed)))
+        if not events:
+            raise InputError("event system needs at least one event")
+        return EventSystem(tuple(variables), tuple(events))
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad event system object: {exc}") from exc
 
 
 def load_wdag(data: Mapping) -> WDag:

@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
 from .shearer import CapExceeded
 from .tables import ResamplingTable, unit_fraction
-from .wdag import WDag
+from .wdag import WDag, ordered_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +353,10 @@ def run_mt(
 
 
 def witness_dag_of_run(system: EventSystem, stats: RunStats) -> WDag:
-    """The wdag of a resample sequence: nodes in time order, arcs forward in
-    time between equal or dependency-adjacent labels."""
-    g = system.dependency_graph()
-    seq = stats.sequence
-    arcs = set()
-    for k in range(len(seq)):
-        for l in range(k + 1, len(seq)):
-            if seq[k] == seq[l] or g.has_edge(seq[k], seq[l]):
-                arcs.add((k + 1, l + 1))
-    return WDag(tuple(seq), frozenset(arcs))
+    """The wdag of a resample sequence: node k is the k-th resampling, and
+    the arc rule (`ordered_arcs`) runs in time order."""
+    seq, closed = stats.sequence, system.dependency_graph().closed_masks
+    return WDag(tuple(seq), frozenset(ordered_arcs(seq, range(len(seq)), closed)))
 
 
 def extremal_cycle_instance(length: int, threshold: Fraction = Fraction(1, 2)) -> EventSystem:

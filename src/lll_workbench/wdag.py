@@ -14,13 +14,13 @@ holds the nodes whose longest path to the sink has k nodes. A pwdag's weight
 is the product of p over all members of all layers.
 
 Node identity convention: a wdag on n nodes uses ids 1..n and `labels[k-1]`
-is the label of node k. In a valid wdag any two nodes with equal or adjacent
-labels are joined by an arc, so a set of such pairwise-conflicting nodes is
-totally ordered, and a node's position in it is 1 plus the number of its
-parents in the set. The canonical form renames node v to its pair (label,
-rank-within-label), the rank being 1 plus v's same-label parents, and sorts.
-Two valid wdags are structurally equal iff their canonical encodings
-coincide.
+is the label of node k. Arc rule (`ordered_arcs`): exactly the nodes with
+equal or adjacent labels are joined, from the earlier to the later node, so
+a set of such pairwise-conflicting nodes is totally ordered, and a node's
+position in it is 1 plus the number of its parents in the set. The canonical
+form renames node v to its pair (label, rank-within-label), the rank being 1
+plus v's same-label parents, and sorts. Two valid wdags are structurally
+equal iff their canonical encodings coincide.
 """
 
 from __future__ import annotations
@@ -122,18 +122,37 @@ def topological_order(d: WDag) -> tuple[int, ...]:
     return d._topological_order
 
 
+def ordered_arcs(
+    labels: Sequence[int], rank: Sequence, closed: Sequence[int]
+) -> list[tuple[int, int]]:
+    """The sorted arcs (a, b) between nodes whose labels conflict (bit
+    labels[b-1]-1 of closed[labels[a-1]-1], closed being the graph's
+    closed_masks), each from the lower rank to the higher. Precondition:
+    conflicting nodes never share a rank."""
+    nodes = tuple(enumerate(zip(labels, rank), 1))
+    arcs = []
+    for a, (la, ra) in nodes:
+        conflicts = closed[la - 1]
+        for b, (lb, rb) in nodes:
+            if ra < rb and conflicts >> (lb - 1) & 1:
+                arcs.append((a, b))
+    return arcs
+
+
 def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
     """Acyclic, and for every node pair exactly one arc exists iff their
-    labels are equal or adjacent (no arc otherwise).
+    labels are equal or adjacent (no arc otherwise); independent of
+    ordered_arcs, so it can judge its outputs.
     """
     for v in d.nodes:
         if not 1 <= d.label(v) <= g.m:
             return False
     if not is_acyclic(d.labels, set(d.arcs)):
         return False
+    closed = g.closed_masks
     for u, v in combinations(d.nodes, 2):
         lu, lv = d.label(u), d.label(v)
-        need = lu == lv or g.has_edge(lu, lv)
+        need = bool(closed[lu - 1] >> (lv - 1) & 1)
         fwd = (u, v) in d.arcs
         bwd = (v, u) in d.arcs
         if need != (fwd != bwd) or (fwd and bwd):
@@ -263,19 +282,14 @@ def _sequence_wdag(layers: Sequence[int], closed: Sequence[int]) -> tuple[tuple,
     canonical form, with its sort key.
 
     Nodes are numbered by (label, rank), and rank 1 within a label goes to the
-    deepest layer. Arcs join conflicting labels of different layers, from the
-    deeper layer to the shallower one. Arcs come out sorted, so the key
+    deepest layer. The order is -depth; a layer is independent, so no two
+    conflicting nodes share a depth. Arcs come out sorted, so the key
     (n, labels, arcs) orders pwdags as their canonical keys do.
     """
-    nodes = sorted((v, -depth) for depth, layer in enumerate(layers) for v in _members(layer))
-    arcs = []
-    for a, (u, du) in enumerate(nodes, 1):
-        conflicts = closed[u]
-        for b, (w, dw) in enumerate(nodes, 1):
-            if du < dw and conflicts >> w & 1:
-                arcs.append((a, b))
-    labels = tuple(v + 1 for v, _ in nodes)
-    return (len(labels), labels, tuple(arcs)), WDag(labels, frozenset(arcs))
+    nodes = sorted((v + 1, -depth) for depth, layer in enumerate(layers) for v in _members(layer))
+    labels, rank = zip(*nodes)
+    arcs = tuple(ordered_arcs(labels, rank, closed))
+    return (len(labels), labels, arcs), WDag(labels, frozenset(arcs))
 
 
 def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
@@ -591,43 +605,25 @@ def partitions_psi(d: WDag, m: Matching) -> Iterator[Partition4]:
 def map_h(d: WDag, s: Partition4, m: Matching, hom: HomomorphicGraph) -> WDag:
     """Image wdag over the split graph: every original node keeps a copy with
     an up/down label, and each node of the third/fourth blocks additionally
-    spawns a partner-labelled companion arced into its copy. Cross arcs follow
-    the canonical topological order of the original wdag.
-    """
-    pi = topological_order(d)
-    pos = {v: k for k, v in enumerate(pi)}
-    n = d.n
-    extra = sorted(s.s3 | s.s4)
-    star = {v: n + k + 1 for k, v in enumerate(extra)}
-
-    labels: list[int] = [0] * (n + len(extra))
+    spawns a partner-labelled companion after the copies. The order is
+    (position in topological_order(d), 0 for a companion, 1 for a copy); a
+    matched pair is an edge, so each companion is arced into its copy."""
+    pos = {v: k for k, v in enumerate(topological_order(d))}
+    labels, rank = [], []
     for v in d.nodes:
         lab = d.label(v)
         if v in s.s1:
-            labels[v - 1] = hom.up(lab)
+            labels.append(hom.up(lab))
         elif v in s.s2 or v in s.s3 or v in s.s4:
-            labels[v - 1] = hom.down(lab)
+            labels.append(hom.down(lab))
         else:
-            labels[v - 1] = hom.plain(lab)
-    for v in extra:
+            labels.append(hom.plain(lab))
+        rank.append((pos[v], 1))
+    for v in sorted(s.s3 | s.s4):
         partner = m.partner(d.label(v))
-        labels[star[v] - 1] = hom.up(partner) if v in s.s3 else hom.down(partner)
-
-    def origin(node: int) -> int:
-        return node if node <= n else extra[node - n - 1]
-
-    new_nodes = list(range(1, n + len(extra) + 1))
-    arcs: set[tuple[int, int]] = {(star[v], v) for v in extra}
-    hom_g = hom.graph
-    for a in new_nodes:
-        for b in new_nodes:
-            ga, gb = origin(a), origin(b)
-            if ga == gb:
-                continue
-            la, lb = labels[a - 1], labels[b - 1]
-            if (la == lb or hom_g.has_edge(la, lb)) and pos[ga] < pos[gb]:
-                arcs.add((a, b))
-    return WDag(tuple(labels), frozenset(arcs))
+        labels.append(hom.up(partner) if v in s.s3 else hom.down(partner))
+        rank.append((pos[v], 0))
+    return WDag(tuple(labels), frozenset(ordered_arcs(labels, rank, hom.graph.closed_masks)))
 
 
 def split_labels(d: WDag, bits: Sequence[int], m: Matching, hom: HomomorphicGraph) -> WDag:

@@ -1,11 +1,14 @@
+import io
 import json
 import shlex
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lll_workbench.cli import build_parser, dispatch
 
@@ -68,14 +71,45 @@ def test_shearer_check_accepts_interior(files, capsys):
             "bad variable key",
         ),
         ("shearer-check --graph {dir} --p 1/3", None, "cannot read"),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --system {system} --eps 1/8",
+            None,
+            "matched pair 1-2",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": "x", "vars": 1, "edges": []}',
+            "bad bipartite graph object",
+        ),
+        ("shearer-check --graph {bad} --p 1/3", b"\xff\xfe\x7b", "not UTF-8"),
+        (
+            "shearer-check --graph {bad} --p 1/3,1/3,1/3",
+            '{"m": 3, "edges": [[1, 2.0]]}',
+            "edge endpoints must be integers",
+        ),
     ],
-    ids=["json", "matching", "vertex-count", "edge", "variable-key", "directory"],
+    ids=[
+        "json",
+        "matching",
+        "vertex-count",
+        "edge",
+        "variable-key",
+        "directory",
+        "unmatched-system",
+        "bipartite-count",
+        "not-utf8",
+        "float-edge",
+    ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):
     bad = files["dir"] / "bad.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
         bad.write_text(content)
-    argv = command.format(bad=bad, c4=files["c4"], dir=files["dir"]).split()
+    argv = command.format(
+        bad=bad, c4=files["c4"], dir=files["dir"], system=files["system"]
+    ).split()
     code = dispatch(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -349,3 +383,123 @@ def test_graph_and_bipartite_conflict(files, capsys):
         ]
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON loaders through dispatch
+
+# Numbers stay small: a count is a size the bipartite graph allocates for
+# before any other check, so a count like 1e300 exhausts memory instead of
+# exiting (see CHANGES.md); the fuzz is about malformed values, not large ones.
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.floats(-2, 9)
+    | st.sampled_from(["", "x", "1/2", "0", "1", "-1/3", "2/0", "1e3", "0.25"])
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _valid_graphs(draw):
+    edges = draw(st.lists(st.sampled_from([[1, 2], [1, 3], [2, 3]]), max_size=4))
+    return {"m": 3, "edges": edges}
+
+
+@st.composite
+def _valid_bipartites(draw):
+    variables = draw(st.integers(1, 3))
+    edges = [[i, j] for i in (1, 2, 3) for j in draw(st.sets(st.integers(1, variables), min_size=1))]
+    return {"events": 3, "vars": variables, "edges": edges}
+
+
+@st.composite
+def _valid_systems(draw):
+    finite = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    upper = st.sampled_from(["1/4", "1/2", "3/4", "1"])
+    events = []
+    for _ in range(draw(st.integers(2, 3))):
+        vbl = sorted(draw(st.sets(st.integers(1, len(finite)), min_size=1)))
+        events.append(
+            {
+                "allowed": {
+                    str(j): {"values": [0]} if finite[j - 1] else {"intervals": [["0", draw(upper)]]}
+                    for j in vbl
+                }
+            }
+        )
+    variables = [{"kind": "finite", "masses": ["1/2", "1/2"]} if f else {"kind": "uniform01"} for f in finite]
+    return {"variables": variables, "events": events}
+
+
+def _near(x):
+    """Values next to x: another type, or for an integer, off the integers."""
+    near = [str(x), [x], None]
+    if isinstance(x, int):
+        near += [float(x), x + 0.5, -x, 0]
+    return st.sampled_from(near)
+
+
+def _values(x):
+    """x and every value inside it, depth first."""
+    yield x
+    for v in x.values() if isinstance(x, dict) else x if isinstance(x, list) else ():
+        yield from _values(v)
+
+
+@st.composite
+def _corrupted(draw, valid):
+    """A valid object with one of its values, or none, replaced by a value
+    near it or by a random JSON value (the first value is the whole object)."""
+    obj = draw(valid)
+    target = draw(st.integers(0, len(list(_values(obj)))))
+    seen = -1
+
+    def walk(x):
+        nonlocal seen
+        seen += 1
+        if seen == target:
+            return draw(_near(x) | _json_values)
+        if isinstance(x, dict):
+            return {k: walk(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [walk(v) for v in x]
+        return x
+
+    return walk(obj)
+
+
+_fuzz_cases = {
+    "graph": (["shearer-check", "--p", "1/4,1/4,1/4", "--graph"], _valid_graphs()),
+    "bipartite": (["shearer-check", "--p", "1/4,1/4,1/4", "--bipartite"], _valid_bipartites()),
+    "system": (["mt-run", "--step-cap", "40", "--system"], _valid_systems()),
+    "criterion": (
+        ["criterion", "--p", "1/4,1/4,1/4,1/4", "--matching", "1-2", "--eps", "1/8", "--system"],
+        _valid_systems(),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_fuzz_cases))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_with_a_code(tmp_path_factory, kind, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "input.json"
+    path.write_text(json.dumps(data.draw(_corrupted(_fuzz_cases[kind][1]))))
+    c4 = folder / "c4.json"
+    c4.write_text(json.dumps({"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}))
+    argv = _fuzz_cases[kind][0] + [str(path)]
+    if kind == "criterion":
+        argv += ["--graph", str(c4)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("input error")

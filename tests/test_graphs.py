@@ -12,6 +12,7 @@ from lll_workbench.graphs import (
     InputError,
     Matching,
     base_graph,
+    bfs_distances,
     edge_variable_graph,
     expand_translational_unit,
     find_disjoint_chordless_cycles,
@@ -20,6 +21,7 @@ from lll_workbench.graphs import (
     greedy_max_intersection_matching,
     is_chordal,
     is_linear,
+    shortest_path,
     simplify,
 )
 from lll_workbench.lattices import builtin_lattice, grid_unit, hexagon_flake_unit
@@ -151,6 +153,32 @@ class TestChordlessCycles:
                         assert not g.has_edge(c[a], c[b])
             if not cycles:
                 assert is_chordal(g)
+
+
+class TestShortestPath:
+    def test_ties_go_to_smaller_vertices(self):
+        assert shortest_path(C4, 1, 3) == (1, 2, 3)
+        assert shortest_path(C4, 3, 1) == (3, 2, 1)
+        assert shortest_path(C4, 2, 2) == (2,)
+
+    def test_allowed_restricts_the_entered_vertices(self):
+        assert shortest_path(C4, 1, 3, allowed={3, 4}) == (1, 4, 3)
+        assert shortest_path(C4, 1, 3, allowed={3}) is None
+        assert shortest_path(DependencyGraph(2, frozenset()), 1, 2) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 8), bits=st.integers(0, (1 << 28) - 1), data=st.data())
+    def test_length_is_the_bfs_distance(self, m, bits, data):
+        pairs = list(combinations(range(1, m + 1), 2))
+        g = DependencyGraph(m, frozenset(e for k, e in enumerate(pairs) if bits >> k & 1))
+        u, v = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
+        path = shortest_path(g, u, v)
+        dist = bfs_distances(g, u)
+        if v not in dist:
+            assert path is None
+        else:
+            assert path[0] == u and path[-1] == v and len(path) == dist[v] + 1
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 class TestGreedyMatching:

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, islice, product
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,13 +12,18 @@ from lll_workbench.mt_engine import (
     Event,
     EventSystem,
     FiniteVariable,
+    RunStats,
     ValueSet,
+    witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, expected_resample_bound
 from lll_workbench.tables import FixedAuxiliaryTable, FixedResamplingTable
 from lll_workbench.wdag import (
     MAX_SUM_NODES,
+    Partition4,
     WDag,
+    _next_layers,
+    _sequence_wdag,
     canonical_form,
     canonical_key,
     closure,
@@ -34,6 +41,7 @@ from lll_workbench.wdag import (
     map_h,
     matched_nodes,
     node_list_for_pair,
+    ordered_arcs,
     partitions_psi,
     prefix,
     repair_to_consistent,
@@ -159,6 +167,69 @@ def reference_closure(d, nodes):
     return frozenset(nodes).union(*(anc[u] for u in nodes))
 
 
+# ---------------------------------------------------------------------------
+# reference oracles: the arc-building loops that ordered_arcs replaced, each
+# testing conflicts its own way
+
+def reference_run_wdag(seq, g):
+    """Arcs forward in time between equal or adjacent labels (has_edge)."""
+    arcs = set()
+    for k in range(len(seq)):
+        for l in range(k + 1, len(seq)):
+            if seq[k] == seq[l] or g.has_edge(seq[k], seq[l]):
+                arcs.add((k + 1, l + 1))
+    return WDag(tuple(seq), frozenset(arcs))
+
+
+def reference_sequence_wdag(layers, closed):
+    """Nodes sorted by (0-based label, -depth); arcs from deeper to
+    shallower layers between labels whose closed-mask bit is set."""
+    nodes = sorted(
+        (v, -depth) for depth, layer in enumerate(layers) for v in range(len(closed)) if layer >> v & 1
+    )
+    arcs = []
+    for a, (u, du) in enumerate(nodes, 1):
+        for b, (w, dw) in enumerate(nodes, 1):
+            if du < dw and closed[u] >> w & 1:
+                arcs.append((a, b))
+    labels = tuple(v + 1 for v, _ in nodes)
+    return (len(labels), labels, tuple(arcs)), WDag(labels, frozenset(arcs))
+
+
+def reference_map_h(d, s, m, hom):
+    """Copies keep ids 1..n, companions follow; an arc from every companion
+    to its copy, and between nodes of different origins when their labels
+    are equal or adjacent in the split graph, following topological_order."""
+    pos = {v: k for k, v in enumerate(topological_order(d))}
+    n = d.n
+    extra = sorted(s.s3 | s.s4)
+    star = {v: n + k + 1 for k, v in enumerate(extra)}
+    labels = [0] * (n + len(extra))
+    for v in d.nodes:
+        lab = d.label(v)
+        if v in s.s1:
+            labels[v - 1] = hom.up(lab)
+        elif v in s.s2 or v in s.s3 or v in s.s4:
+            labels[v - 1] = hom.down(lab)
+        else:
+            labels[v - 1] = hom.plain(lab)
+    for v in extra:
+        partner = m.partner(d.label(v))
+        labels[star[v] - 1] = hom.up(partner) if v in s.s3 else hom.down(partner)
+
+    def origin(node):
+        return node if node <= n else extra[node - n - 1]
+
+    arcs = {(star[v], v) for v in extra}
+    for a in range(1, len(labels) + 1):
+        for b in range(1, len(labels) + 1):
+            ga, gb = origin(a), origin(b)
+            la, lb = labels[a - 1], labels[b - 1]
+            if ga != gb and (la == lb or hom.graph.has_edge(la, lb)) and pos[ga] < pos[gb]:
+                arcs.add((a, b))
+    return WDag(tuple(labels), frozenset(arcs))
+
+
 @st.composite
 def small_graphs(draw, max_m=5):
     m = draw(st.integers(1, max_m))
@@ -201,13 +272,8 @@ def sequence_wdags(draw):
     )
     g = system.dependency_graph()
     seq = draw(st.lists(st.integers(1, g.m), min_size=1, max_size=9))
-    arcs = frozenset(
-        (a, b)
-        for a, b in combinations(range(1, len(seq) + 1), 2)
-        if seq[a - 1] == seq[b - 1] or g.has_edge(seq[a - 1], seq[b - 1])
-    )
     vbl = {i: ev.vbl for i, ev in enumerate(system.events, 1)}
-    return WDag(tuple(seq), arcs), g, vbl
+    return reference_run_wdag(seq, g), g, vbl
 
 
 @st.composite
@@ -820,3 +886,76 @@ class TestParentCountRanks:
         for v in d.nodes:
             assert closure(d, (v,)) == reference_closure(d, (v,))
             assert sample_indices(d, v, vbl) == reference_sample_indices(d, v, vbl)
+
+
+def edge_variable_system(g):
+    """An event system whose dependency graph is g (see edge_variables)."""
+    vbl = edge_variables(g)
+    zero = ValueSet(frozenset({0}))
+    fair = FiniteVariable((Fraction(1, 2), Fraction(1, 2)))
+    events = tuple(Event(vbl=vbl[i], allowed=tuple((j, zero) for j in vbl[i])) for i in g.vertices)
+    return EventSystem((fair,) * (g.m + len(g.edges)), events)
+
+
+@st.composite
+def random_matchings(draw, g):
+    pairs = []
+    for e in draw(st.permutations(sorted(g.edges))):
+        if not any(set(e) & set(f) for f in pairs) and draw(st.booleans()):
+            pairs.append(e)
+    return Matching(frozenset(pairs))
+
+
+@st.composite
+def random_partitions(draw, d, m):
+    """A Partition4 with the matched reversible nodes in the first block and
+    every other matched node in a random block."""
+    reversible, _ = m_reversible_nodes(d, m)
+    blocks = {1: set(reversible), 2: set(), 3: set(), 4: set()}
+    for v in sorted(matched_nodes(d, m) - reversible):
+        blocks[draw(st.integers(1, 4))].add(v)
+    return Partition4(*(frozenset(blocks[b]) for b in (1, 2, 3, 4)))
+
+
+class TestOrderedArcs:
+    """The builders on ordered_arcs against the loops they replaced, on
+    random graphs with m <= 6."""
+
+    def test_arcs_come_out_sorted_from_lower_rank(self):
+        closed = P3.closed_masks
+        assert ordered_arcs((2, 1, 3, 2), (3, 0, 2, 1), closed) == [(2, 1), (2, 4), (3, 1), (4, 1), (4, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(max_m=6), data=st.data())
+    def test_run_wdags_equal_reference(self, g, data):
+        system = edge_variable_system(g)
+        assert system.dependency_graph() == g
+        seq = tuple(data.draw(st.lists(st.integers(1, g.m), min_size=1, max_size=12)))
+        stats = RunStats(seq, False, {}, {})
+        assert witness_dag_of_run(system, stats) == reference_run_wdag(seq, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(max_m=6), data=st.data())
+    def test_sequence_wdags_equal_reference(self, g, data):
+        closed = g.closed_masks
+        layers = [1 << data.draw(st.integers(0, g.m - 1))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            below = _next_layers(reduce(or_, (closed[v] for v in range(g.m) if layers[-1] >> v & 1)), closed, 3)
+            layers.append(data.draw(st.sampled_from(below))[1])
+        assert _sequence_wdag(layers, closed) == reference_sequence_wdag(layers, closed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(max_m=6).filter(lambda g: g.edges), data=st.data())
+    def test_map_h_images_equal_reference(self, g, data):
+        m = data.draw(random_matchings(g))
+        p = ProbabilityVector.uniform(g.m, Fraction(1, 4))
+        hom = homomorphic_graph(g, m, p, p, ProbabilityVector.uniform(g.m, Fraction(1, 5)))
+        if data.draw(st.booleans()):
+            seq = data.draw(st.lists(st.integers(1, g.m), min_size=1, max_size=8))
+            d = shuffled(reference_run_wdag(seq, g), data)
+        else:
+            d = data.draw(st.sampled_from(list(enumerate_pwdags(g, data.draw(st.integers(1, 4))))))
+        s = data.draw(random_partitions(d, m))
+        img = map_h(d, s, m, hom)
+        assert img == reference_map_h(d, s, m, hom)
+        assert validate_wdag(img, hom.graph)
