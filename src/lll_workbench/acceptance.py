@@ -211,7 +211,7 @@ def check_4_prefix_count_identity() -> CheckResult:
         if stats.truncated or stats.t > 8:
             continue
         dag = witness_dag_of_run(system, stats)
-        if not validate_wdag(dag, system.dependency_graph()):
+        if not validate_wdag(dag, system.dependency_graph):
             return _result(
                 "4", started, False,
                 f"seed {seed - 1}: T={stats.t} run wdag invalid",
@@ -249,7 +249,7 @@ def _c4_overlap_instance() -> EventSystem:
 def check_5_verdict_soundness(trials: int = 100_000) -> CheckResult:
     started = time.monotonic()
     system = _c4_overlap_instance()
-    g = system.dependency_graph()
+    g = system.dependency_graph
     p = ProbabilityVector(tuple(system.event_probability(i) for i in range(1, 5)))
     matching = Matching(frozenset({(1, 2), (3, 4)}))
     inter = measure_pair_intersections(system)
@@ -298,17 +298,23 @@ def _check_injection_on(graph, matching, p, delta, cap) -> tuple[bool, str]:
             pairs += 1
         if tighter_weight(d, p, rv.p_prime, matching) > total:
             return False, f"tighter weight not dominated for {d}"
-    # label splitting is a bijection per node count
+    # label splitting is a bijection per node count: every image is a
+    # single-sink pwdag of the split graph, no image repeats, and there are
+    # as many images of each size as the split graph has pwdags
     split_seen = set()
+    split_sizes = [0] * (cap + 1)
     for d in pwdags:
         for bits in product((0, 1), repeat=len(matched_nodes(d, matching))):
             img = split_labels(d, bits, matching, hom)
+            if not validate_wdag(img, hom.graph) or len(img.sinks()) != 1:
+                return False, f"split_labels image invalid for {d}"
             key = canonical_key(img)
             if key in split_seen:
                 return False, "split_labels image repeated"
             split_seen.add(key)
-    split_targets = {canonical_key(d) for d in enumerate_pwdags(hom.graph, cap)}
-    if split_seen != split_targets:
+            split_sizes[img.n] += 1
+    counts = weight_sums(hom.graph, ProbabilityVector.uniform(hom.graph.m, 1), cap).by_size
+    if any(split_sizes[n] != counts.get(n, 0) for n in range(1, cap + 1)):
         return False, "split_labels images do not exhaust the split graph's pwdags"
     # per-size weight equality
     lhs = weight_sums(hom.graph, hom.p_m, cap).by_size
@@ -409,7 +415,7 @@ def _single_edge_system() -> EventSystem:
 def check_8_consistency_equality() -> CheckResult:
     started = time.monotonic()
     system = _single_edge_system()
-    g = system.dependency_graph()
+    g = system.dependency_graph
     matching = Matching(frozenset({(1, 2)}))
     groups = group_pwdags(g, 3)
     x_cells = [(j, k) for j in (1, 2) for k in (1, 2, 3)]
@@ -490,7 +496,7 @@ def check_9_overlap_floor(cases: int = 100) -> CheckResult:
     for case in range(cases):
         system = _random_eight_cycle_system(rng)
         b = system.bipartite()
-        g = system.dependency_graph()
+        g = system.dependency_graph
         p = ProbabilityVector(
             tuple(system.event_probability(i) for i in range(1, 5))
         )

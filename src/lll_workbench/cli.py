@@ -85,6 +85,19 @@ def _emit(args, payload, fmt="json"):
         sys.stdout.write(text)
 
 
+def _emit_verdict(args, verdict) -> int:
+    _emit(
+        args,
+        {
+            "accepted": verdict.accepted,
+            "bound_on_expected_steps": verdict.bound_on_et,
+            "evidence": verdict.evidence,
+            "details": verdict.details,
+        },
+    )
+    return EXIT_OK if verdict.accepted else EXIT_REJECT
+
+
 def cmd_shearer_check(args) -> int:
     g = _graph(args)
     report = in_shearer_bound(g, _pvec(args))
@@ -187,17 +200,7 @@ def cmd_criterion(args) -> int:
     else:
         raise InputError("need --delta or --system to bound pair intersections")
     setting = IntersectionSetting(g, p, matching, delta)
-    verdict = intersection_lll_verdict(setting, parse_fraction(args.eps), source)
-    _emit(
-        args,
-        {
-            "accepted": verdict.accepted,
-            "bound_on_expected_steps": verdict.bound_on_et,
-            "evidence": verdict.evidence,
-            "details": verdict.details,
-        },
-    )
-    return EXIT_OK if verdict.accepted else EXIT_REJECT
+    return _emit_verdict(args, intersection_lll_verdict(setting, parse_fraction(args.eps), source))
 
 
 def cmd_beyond(args) -> int:
@@ -208,16 +211,7 @@ def cmd_beyond(args) -> int:
         parse_fraction(args.eps),
         gap_resolution=parse_fraction(args.resolution) if args.resolution else None,
     )
-    _emit(
-        args,
-        {
-            "accepted": verdict.accepted,
-            "bound_on_expected_steps": verdict.bound_on_et,
-            "evidence": verdict.evidence,
-            "details": verdict.details,
-        },
-    )
-    return EXIT_OK if verdict.accepted else EXIT_REJECT
+    return _emit_verdict(args, verdict)
 
 
 def cmd_lattice_gap(args) -> int:

@@ -113,10 +113,12 @@ class BipartiteEventVariableGraph:
         for i, j in self.edges:
             if not (1 <= i <= self.event_count and 1 <= j <= self.variable_count):
                 raise InputError(f"incidence ({i},{j}) out of range")
-        covered = {i for i, _ in self.edges}
-        missing = set(range(1, self.event_count + 1)) - covered
-        if missing:
-            raise InputError(f"events without variables: {sorted(missing)}")
+        # compared before anything is sized by event_count
+        covered = len({i for i, _ in self.edges})
+        if covered < self.event_count:
+            raise InputError(
+                f"events without variables: {self.event_count - covered} of {self.event_count}"
+            )
 
     @property
     def events(self) -> range:
@@ -130,7 +132,9 @@ class BipartiteEventVariableGraph:
         return self._event_vars[i]
 
     def var_events(self, j: int) -> frozenset[int]:
-        return self._var_events[j]
+        if not 1 <= j <= self.variable_count:
+            raise KeyError(j)
+        return self._var_events.get(j, frozenset())
 
     def max_event_degree(self) -> int:
         return max(len(self.event_vars(i)) for i in self.events)
@@ -146,10 +150,12 @@ class BipartiteEventVariableGraph:
 
     @cached_property
     def _var_events(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {j: set() for j in self.variables}
+        """Variables with at least one incidence, in increasing order; a
+        variable count far above them sizes nothing."""
+        out: dict[int, set[int]] = {}
         for i, j in self.edges:
-            out[j].add(i)
-        return {j: frozenset(s) for j, s in out.items()}
+            out.setdefault(j, set()).add(i)
+        return {j: frozenset(out[j]) for j in sorted(out)}
 
 
 @dataclass(frozen=True)
@@ -197,47 +203,14 @@ class ChordlessCycleSet:
 def base_graph(b: BipartiteEventVariableGraph) -> DependencyGraph:
     """Canonical dependency graph: events adjacent iff they share a variable."""
     edges: set[tuple[int, int]] = set()
-    for j in b.variables:
-        evs = sorted(b.var_events(j))
-        for u, v in combinations(evs, 2):
-            edges.add((u, v))
+    for evs in b._var_events.values():
+        edges.update(combinations(sorted(evs), 2))
     return DependencyGraph(b.event_count, frozenset(edges))
 
 
-def lex_bfs_order(g: DependencyGraph) -> list[int]:
-    """Lexicographic BFS order; its reverse is a PEO iff the graph is chordal."""
-    labels: dict[int, list[int]] = {v: [] for v in g.vertices}
-    order: list[int] = []
-    remaining = set(g.vertices)
-    while remaining:
-        v = max(remaining, key=lambda x: (labels[x], -x))
-        remaining.discard(v)
-        order.append(v)
-        stamp = g.m - len(order) + 1
-        for w in g.neighbors(v):
-            if w in remaining:
-                labels[w].append(stamp)
-    return order
-
-
 def is_chordal(g: DependencyGraph) -> bool:
-    """True iff the graph has no induced cycle of length >= 4.
-
-    Uses the Lex-BFS perfect-elimination-ordering test: with sigma the
-    Lex-BFS order, for each vertex v the earlier neighbors of v must all be
-    adjacent to the latest of them.
-    """
-    order = lex_bfs_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
-        if not earlier:
-            continue
-        w = max(earlier, key=lambda x: pos[x])
-        for u in earlier:
-            if u != w and not g.has_edge(u, w):
-                return False
-    return True
+    """True iff the graph has no induced cycle of length >= 4."""
+    return _shortest_chordless_cycle(g, set(g.vertices)) is None
 
 
 def _shortest_chordless_cycle(g: DependencyGraph, alive: set[int]) -> tuple[int, ...] | None:
@@ -331,8 +304,7 @@ def simplify(b: BipartiteEventVariableGraph) -> BipartiteEventVariableGraph:
     groups: dict[frozenset[int], int] = {}
     new_edges: set[tuple[int, int]] = set()
     next_var = 0
-    for j in b.variables:
-        evs = b.var_events(j)
+    for evs in b._var_events.values():
         if len(evs) <= 1:
             continue
         if evs not in groups:

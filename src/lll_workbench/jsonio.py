@@ -45,6 +45,14 @@ def parse_fraction(text) -> Fraction:
     raise InputError(f"cannot parse rational {text!r}")
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer as it is. A bool, a float or a string is an input
+    error: int() would read 3.7 as 3 and "3" as 3."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be integers, got {value!r}")
+
+
 def fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
 
@@ -69,11 +77,10 @@ def _key_str(key) -> str:
 
 
 def load_graph(data: Mapping) -> DependencyGraph:
+    what = "bad graph object: m and edge endpoints"
     try:
-        edges = [tuple(e) for e in data.get("edges", [])]
-        if not all(isinstance(x, int) for e in edges for x in e):
-            raise InputError("bad graph object: edge endpoints must be integers")
-        return DependencyGraph.from_edges(int(data["m"]), edges)
+        edges = [tuple(_integer(x, what) for x in e) for e in data.get("edges", [])]
+        return DependencyGraph.from_edges(_integer(data["m"], what), edges)
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -81,11 +88,12 @@ def load_graph(data: Mapping) -> DependencyGraph:
 
 
 def load_bipartite(data: Mapping) -> BipartiteEventVariableGraph:
+    what = "bad bipartite graph object: events, vars and incidences"
     try:
         return BipartiteEventVariableGraph(
-            int(data["events"]),
-            int(data["vars"]),
-            frozenset((int(i), int(j)) for i, j in data.get("edges", [])),
+            _integer(data["events"], what),
+            _integer(data["vars"], what),
+            frozenset((_integer(i, what), _integer(j, what)) for i, j in data.get("edges", [])),
         )
     except InputError:
         raise
@@ -130,7 +138,11 @@ def _load_allowed(var, spec: Mapping):
     if "values" in spec:
         if not isinstance(var, FiniteVariable):
             raise InputError("value sets require a finite variable")
-        return ValueSet(frozenset(int(v) for v in spec["values"]))
+        what = "bad event system object: values"
+        values = frozenset(_integer(v, what) for v in spec["values"])
+        if not all(0 <= v < len(var.masses) for v in values):
+            raise InputError(f"values {sorted(values)} outside 0..{len(var.masses) - 1}")
+        return ValueSet(values)
     raise InputError("allowed set needs 'intervals' or 'values'")
 
 
@@ -154,10 +166,10 @@ def load_event_system(data: Mapping) -> EventSystem:
                 raise InputError("wire-format events must be elementary")
             allowed = []
             for var_key, aspec in allowed_spec.items():
-                try:
-                    j = int(var_key)
-                except ValueError:
-                    raise InputError(f"bad variable key {var_key!r}") from None
+                # decimal digits only: int() would also read "1_0" and " +2 "
+                if not (var_key.isascii() and var_key.isdigit()):
+                    raise InputError(f"bad variable key {var_key!r}")
+                j = int(var_key)
                 if not 1 <= j <= len(variables):
                     raise InputError(f"event references unknown variable {j}")
                 allowed.append((j, _load_allowed(variables[j - 1], aspec)))
@@ -173,10 +185,11 @@ def load_event_system(data: Mapping) -> EventSystem:
 
 
 def load_wdag(data: Mapping) -> WDag:
+    what = "bad wdag object: labels and arcs"
     try:
         return WDag(
-            tuple(int(x) for x in data["labels"]),
-            frozenset((int(u), int(v)) for u, v in data.get("arcs", [])),
+            tuple(_integer(x, what) for x in data["labels"]),
+            frozenset((_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])),
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad wdag object: {exc}") from exc

@@ -16,7 +16,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from functools import cached_property
+from math import prod, sqrt
 from typing import Callable, Mapping
 
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
@@ -116,12 +117,6 @@ def _allowed_measure(var, allowed) -> Fraction:
     return sum((var.masses[v] for v in allowed.values), Fraction(0))
 
 
-def _full_allowed(var):
-    if isinstance(var, Uniform01):
-        return IntervalUnion(((Fraction(0), Fraction(1)),))
-    return ValueSet(frozenset(range(len(var.masses))))
-
-
 # ---------------------------------------------------------------------------
 # events and systems
 
@@ -149,12 +144,6 @@ class Event:
     @property
     def is_elementary(self) -> bool:
         return self.allowed is not None
-
-    def allowed_for(self, j: int):
-        for jj, s in self.allowed:
-            if jj == j:
-                return s
-        raise InputError(f"variable {j} not in event")
 
     def holds(self, assignment: Mapping[int, object]) -> bool:
         if self.allowed is not None:
@@ -191,17 +180,15 @@ class EventSystem:
         )
         return BipartiteEventVariableGraph(self.m, len(self.variables), edges)
 
+    @cached_property
     def dependency_graph(self) -> DependencyGraph:
+        """Events adjacent iff they share a variable. Built on first use and
+        kept in the instance's __dict__, like DependencyGraph.closed_masks: it
+        is freed with the system and plays no part in ==, hash or repr."""
         return base_graph(self.bipartite())
 
     def event_probability(self, i: int) -> Fraction:
-        ev = self.events[i - 1]
-        if ev.is_elementary:
-            out = Fraction(1)
-            for j, s in ev.allowed:
-                out *= _allowed_measure(self.variables[j - 1], s)
-            return out
-        return self._exhaustive_probability((i,))
+        return pair_intersection(self, i, i)
 
     def _exhaustive_probability(self, which: tuple[int, ...]) -> Fraction:
         """Joint probability of the given events by summing over all finite
@@ -231,24 +218,22 @@ class EventSystem:
 
 
 def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
-    """Exact Pr(A_i and A_i2); box product for elementary events, exhaustive
+    """Exact Pr(A_i and A_i2); box product for elementary events (a variable
+    of both events allows the intersection of their sets), exhaustive
     summation otherwise."""
     a, b = system.events[i - 1], system.events[i2 - 1]
     if a.is_elementary and b.is_elementary:
-        out = Fraction(1)
-        for j in sorted(set(a.vbl) | set(b.vbl)):
-            var = system.variables[j - 1]
-            sa = a.allowed_for(j) if j in a.vbl else _full_allowed(var)
-            sb = b.allowed_for(j) if j in b.vbl else _full_allowed(var)
-            out *= _allowed_measure(var, sa.intersect(sb))
-        return out
+        boxes = dict(a.allowed)
+        for j, s in b.allowed:
+            boxes[j] = boxes[j].intersect(s) if j in boxes else s
+        measures = (_allowed_measure(system.variables[j - 1], s) for j, s in boxes.items())
+        return prod(measures, start=Fraction(1))
     return system._exhaustive_probability((i, i2))
 
 
 def measure_pair_intersections(system: EventSystem) -> dict[tuple[int, int], Fraction]:
     """Exact pairwise intersection probabilities over base-graph edges."""
-    g = system.dependency_graph()
-    return {e: pair_intersection(system, *e) for e in sorted(g.edges)}
+    return {e: pair_intersection(system, *e) for e in sorted(system.dependency_graph.edges)}
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +273,7 @@ def make_rule(name: str, system: EventSystem):
     if name == "uniform-violated":
         return _rule_uniform_random
     if name == "recent-neighbor":
-        return _rule_recent_neighbor(system.dependency_graph())
+        return _rule_recent_neighbor(system.dependency_graph)
     raise InputError(f"unknown selection rule {name!r}; choose from {SELECTION_RULES}")
 
 
@@ -315,7 +300,6 @@ def run_mt(
     rule: str | Callable,
     seed: int | str,
     step_cap: int = DEFAULT_STEP_CAP,
-    table=None,
 ) -> RunStats:
     """Run the resampling algorithm from a seeded table.
 
@@ -326,8 +310,7 @@ def run_mt(
     if step_cap < 1:
         raise InputError("step_cap must be positive")
     rule_fn = make_rule(rule, system) if isinstance(rule, str) else rule
-    if table is None:
-        table = ResamplingTable(system.variables, seed)
+    table = ResamplingTable(system.variables, seed)
     rng = random.Random(int(unit_fraction(seed, "rule") * (1 << 64)))
     cursor = {j: 1 for j in range(1, len(system.variables) + 1)}
     assignment = {j: table.entry(j, 1) for j in cursor}
@@ -355,7 +338,7 @@ def run_mt(
 def witness_dag_of_run(system: EventSystem, stats: RunStats) -> WDag:
     """The wdag of a resample sequence: node k is the k-th resampling, and
     the arc rule (`ordered_arcs`) runs in time order."""
-    seq, closed = stats.sequence, system.dependency_graph().closed_masks
+    seq, closed = stats.sequence, system.dependency_graph.closed_masks
     return WDag(tuple(seq), frozenset(ordered_arcs(seq, range(len(seq)), closed)))
 
 

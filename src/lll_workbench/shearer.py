@@ -95,7 +95,9 @@ def _check_size(g: DependencyGraph) -> None:
 
 def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
     """All independent sets including (), in nondecreasing size order,
-    lexicographic within each size.
+    lexicographic within each size: extending each set of a lex-ordered
+    level by larger vertices, in increasing order, keeps the next level in
+    lex order.
     """
     _check_size(g)
     nbr = g.closed_masks
@@ -109,7 +111,6 @@ def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
                 if mask & (1 << (v - 1)):
                     continue
                 nxt.append((vs + (v,), mask | nbr[v - 1]))
-        nxt.sort(key=lambda t: t[0])
         for vs, _ in nxt:
             yield vs
         current = nxt

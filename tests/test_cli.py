@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -10,7 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lll_workbench
 from lll_workbench.cli import build_parser, dispatch
+
+# a count no structure may be sized by; written out as a JSON integer
+HUGE = 10**300
 
 
 @pytest.fixture
@@ -70,6 +77,11 @@ def test_shearer_check_accepts_interior(files, capsys):
             '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"z": {"values": [0]}}}]}',
             "bad variable key",
         ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"+1": {"values": [0]}}}]}',
+            "bad variable key",
+        ),
         ("shearer-check --graph {dir} --p 1/3", None, "cannot read"),
         (
             "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --system {system} --eps 1/8",
@@ -87,6 +99,46 @@ def test_shearer_check_accepts_interior(files, capsys):
             '{"m": 3, "edges": [[1, 2.0]]}',
             "edge endpoints must be integers",
         ),
+        ("shearer-check --graph {bad} --p 1/3,1/3,1/3", '{"m": 3.7, "edges": [[1, 2]]}', "must be integers"),
+        ("shearer-check --graph {bad} --p 1/3", '{"m": true, "edges": []}', "must be integers"),
+        ("shearer-check --graph {bad} --p 1/3", '{"m": "1", "edges": []}', "must be integers"),
+        (
+            "shearer-check --bipartite {bad} --p 1/3,1/3,1/3",
+            '{"events": 3, "vars": 2, "edges": [[1, 1], [2, 1], [3, 2], [3, 2.5]]}',
+            "must be integers",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": 1, "vars": 1, "edges": [[true, 1]]}',
+            "must be integers",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "finite", "masses": ["1/2", "1/2"]}],'
+            ' "events": [{"allowed": {"1": {"values": [0.5]}}}]}',
+            "must be integers",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "finite", "masses": ["1/2", "1/2"]}],'
+            ' "events": [{"allowed": {"1": {"values": [-1]}}}]}',
+            "outside 0..1",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": %d, "vars": 1, "edges": [[1, 1]]}' % HUGE,
+            "events without variables",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": 1e300, "vars": 1, "edges": [[1, 1]]}',
+            "must be integers",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": 1, "vars": 1e300, "edges": [[1, 1]]}',
+            "must be integers",
+        ),
     ],
     ids=[
         "json",
@@ -94,11 +146,22 @@ def test_shearer_check_accepts_interior(files, capsys):
         "vertex-count",
         "edge",
         "variable-key",
+        "signed-variable-key",
         "directory",
         "unmatched-system",
         "bipartite-count",
         "not-utf8",
         "float-edge",
+        "float-count",
+        "bool-count",
+        "string-count",
+        "float-incidence",
+        "bool-incidence",
+        "float-value",
+        "value-range",
+        "huge-events",
+        "float-huge-events",
+        "float-huge-vars",
     ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):
@@ -110,10 +173,47 @@ def test_malformed_json_exits_two(files, capsys, command, content, message):
     argv = command.format(
         bad=bad, c4=files["c4"], dir=files["dir"], system=files["system"]
     ).split()
-    code = dispatch(argv)
-    err = capsys.readouterr().err
+    started = time.monotonic()
+    if isinstance(content, str) and str(HUGE) in content:
+        code, _, err = _dispatch_with_memory_limit(argv)
+    else:
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+    assert time.monotonic() - started < 5
     assert code == 2
     assert "input error" in err and message in err
+
+
+def _dispatch_with_memory_limit(argv, limit=1 << 30):
+    """dispatch(argv) in a fresh interpreter whose address space is capped,
+    so a structure sized by a huge count fails there and not in this process.
+    Returns the exit code, stdout and stderr."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from lll_workbench.cli import dispatch\n"
+        "sys.exit(dispatch(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lll_workbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_huge_variable_count_answers_as_the_reached_count(tmp_path, capsys):
+    # variables without incidences change nothing, however many are declared
+    edges = [[1, 1], [2, 1], [2, 2], [3, 2]]
+    huge, reached = tmp_path / "huge.json", tmp_path / "reached.json"
+    huge.write_text(json.dumps({"events": 3, "vars": HUGE, "edges": edges}))
+    reached.write_text(json.dumps({"events": 3, "vars": 2, "edges": edges}))
+    argv = ["shearer-check", "--p", "1/4,1/4,1/4", "--bipartite"]
+    started = time.monotonic()
+    code, out, _ = _dispatch_with_memory_limit(argv + [str(huge)])
+    assert time.monotonic() - started < 5
+    assert code == dispatch(argv + [str(reached)]) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_cap_exceeded_exits_three(files, capsys):
@@ -350,11 +450,15 @@ def test_output_bytes_are_stable(files, tmp_path):
 
 
 def test_wdag_wire_format_roundtrip():
+    from lll_workbench.graphs import InputError
     from lll_workbench.jsonio import load_wdag, wdag_to_dict
 
     data = {"labels": [1, 3, 2, 1], "arcs": [[1, 3], [1, 4], [2, 3], [3, 4]]}
     d = load_wdag(data)
     assert wdag_to_dict(d) == data
+    for bad in ({"labels": [1, 2.0]}, {"labels": [1, 2], "arcs": [[1, True]]}):
+        with pytest.raises(InputError, match="must be integers"):
+            load_wdag(bad)
 
 
 def test_bipartite_input_derives_dependency_graph(files, tmp_path, capsys):

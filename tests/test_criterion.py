@@ -136,7 +136,7 @@ class TestIntersectionVerdict:
             nxt = i % 4 + 1
             events.append(Event(vbl=(i, nxt), allowed=((i, low), (nxt, low))))
         system = EventSystem(tuple(Uniform01() for _ in range(4)), tuple(events))
-        g = system.dependency_graph()
+        g = system.dependency_graph
         p = ProbabilityVector(tuple(system.event_probability(i) for i in range(1, 5)))
         assert not in_shearer_bound(g, p).in_bound
         matching = Matching(frozenset({(1, 2), (3, 4)}))
@@ -222,7 +222,7 @@ class TestMatchingLowerBound:
             (floor,) = matching_intersection_lower_bound(b, p, [[1, 2, 3, 4]])
             inter = measure_pair_intersections(system)
             matching = greedy_max_intersection_matching(
-                system.dependency_graph(), inter
+                system.dependency_graph, inter
             )
             achieved = sum(
                 (inter[pair] ** 2 for pair in matching.pairs), Fraction(0)

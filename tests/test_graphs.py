@@ -57,11 +57,44 @@ def brute_force_has_long_induced_cycle(g):
     return False
 
 
+def reference_is_chordal(g):
+    """The Lex-BFS perfect-elimination-ordering test: with sigma the Lex-BFS
+    order, the earlier neighbours of each vertex must all be adjacent to the
+    latest of them."""
+    labels = {v: [] for v in g.vertices}
+    order = []
+    remaining = set(g.vertices)
+    while remaining:
+        v = max(remaining, key=lambda x: (labels[x], -x))
+        remaining.discard(v)
+        order.append(v)
+        for w in g.neighbors(v) & remaining:
+            labels[w].append(g.m - len(order) + 1)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
+        if earlier:
+            last = max(earlier, key=pos.__getitem__)
+            if any(u != last and not g.has_edge(u, last) for u in earlier):
+                return False
+    return True
+
+
 def all_graphs(n):
     pairs = list(combinations(range(1, n + 1), 2))
     for bits in range(1 << len(pairs)):
         edges = frozenset(p for k, p in enumerate(pairs) if bits >> k & 1)
         yield DependencyGraph(n, edges)
+
+
+@st.composite
+def edge_lists(draw, max_m=12):
+    """A vertex count and an edge list in random orientation and order."""
+    m = draw(st.integers(1, max_m))
+    pairs = list(combinations(range(1, m + 1), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return m, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
 
 
 class TestBaseGraph:
@@ -117,6 +150,23 @@ class TestChordality:
             g = DependencyGraph(7, edges)
             assert is_chordal(g) == (not brute_force_has_long_induced_cycle(g))
 
+    def test_reference_agrees_with_brute_force(self):
+        for n in (1, 2, 3, 4, 5):
+            for g in all_graphs(n):
+                assert reference_is_chordal(g) == (not brute_force_has_long_induced_cycle(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=edge_lists(max_m=12), fill=st.booleans(), ring=st.integers(0, 12))
+    def test_agrees_with_lex_bfs_reference(self, spec, fill, ring):
+        m, edges = spec
+        edges = {tuple(sorted(e)) for e in edges}
+        if fill:  # dense graphs too: the complement of the drawn edges
+            edges = set(combinations(range(1, m + 1), 2)) - edges
+        if 4 <= ring <= m:  # long induced cycles too: a ring under sparse chords
+            edges |= {(k, k % ring + 1) for k in range(1, ring + 1)}
+        g = DependencyGraph.from_edges(m, edges)
+        assert is_chordal(g) == reference_is_chordal(g)
+
 
 class TestChordlessCycles:
     def test_triangle_has_none(self):
@@ -151,8 +201,7 @@ class TestChordlessCycles:
                         if a == 0 and b == len(c) - 1:
                             continue
                         assert not g.has_edge(c[a], c[b])
-            if not cycles:
-                assert is_chordal(g)
+            assert bool(cycles) == brute_force_has_long_induced_cycle(g)
 
 
 class TestShortestPath:
@@ -385,15 +434,17 @@ class TestValidation:
     def test_distance(self):
         assert graph_distance(C4, 1, 3) == 2
 
-
-@st.composite
-def edge_lists(draw, max_m=12):
-    """A vertex count and an edge list in random orientation and order."""
-    m = draw(st.integers(1, max_m))
-    pairs = list(combinations(range(1, m + 1), 2))
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
-    return m, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+    def test_counts_beyond_the_incidences_size_nothing(self):
+        inc = frozenset({(1, 1), (2, 1), (2, 3)})
+        huge = BipartiteEventVariableGraph(2, 10**300, inc)
+        reached = BipartiteEventVariableGraph(2, 3, inc)
+        assert base_graph(huge) == base_graph(reached)
+        assert simplify(huge) == simplify(reached)
+        assert huge.var_events(10**300) == frozenset()
+        with pytest.raises(KeyError):
+            huge.var_events(10**300 + 1)
+        with pytest.raises(InputError, match="events without variables"):
+            BipartiteEventVariableGraph(10**300, 3, inc)
 
 
 @st.composite

@@ -359,6 +359,18 @@ def test_report_matches_reference_walk(case):
         assert report.in_bound == shearer_membership(g, p.values)
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=small_graphs(max_m=10))
+def test_independent_sets_match_sorted_reference(g):
+    # reference: every vertex subset without an edge, sorted by (size, lex)
+    ref = sorted(
+        (s for k in range(g.m + 1) for s in combinations(g.vertices, k)
+         if not any(g.has_edge(a, b) for a, b in combinations(s, 2))),
+        key=lambda s: (len(s), s),
+    )
+    assert list(independent_sets(g)) == ref
+
+
 class TestResampleBoundFromReport:
     def test_matches_expected_resample_bound(self):
         p = ProbabilityVector.uniform(5, Fraction(1, 5))

@@ -270,7 +270,7 @@ def sequence_wdags(draw):
     system = EventSystem(
         (fair,) * k, tuple(Event(vbl=tuple(b), allowed=tuple((j, zero) for j in b)) for b in vbls)
     )
-    g = system.dependency_graph()
+    g = system.dependency_graph
     seq = draw(st.lists(st.integers(1, g.m), min_size=1, max_size=9))
     vbl = {i: ev.vbl for i, ev in enumerate(system.events, 1)}
     return reference_run_wdag(seq, g), g, vbl
@@ -929,7 +929,7 @@ class TestOrderedArcs:
     @given(g=small_graphs(max_m=6), data=st.data())
     def test_run_wdags_equal_reference(self, g, data):
         system = edge_variable_system(g)
-        assert system.dependency_graph() == g
+        assert system.dependency_graph == g
         seq = tuple(data.draw(st.lists(st.integers(1, g.m), min_size=1, max_size=12)))
         stats = RunStats(seq, False, {}, {})
         assert witness_dag_of_run(system, stats) == reference_run_wdag(seq, g)
