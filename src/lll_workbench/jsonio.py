@@ -191,7 +191,9 @@ def load_wdag(data: Mapping) -> WDag:
             tuple(_integer(x, what) for x in data["labels"]),
             frozenset((_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])),
         )
-    except (KeyError, TypeError) as exc:
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad wdag object: {exc}") from exc
 
 

@@ -6,23 +6,26 @@ deterministic functions of their variables. Elementary events are boxes:
 one allowed set per variable, conjunctively. The engine runs the resampling
 algorithm against a seeded lazy table, so identical (system, rule, seed)
 always reproduce the identical run, and batches can be farmed out to
-workers without changing results.
+workers without changing results. It works on the table's integer draws
+k (the sample is k / 2^64), which each system's IntegerForm tests exactly.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod, sqrt
+from itertools import accumulate
+from math import ceil, prod, sqrt
 from typing import Callable, Mapping
 
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
 from .shearer import CapExceeded
-from .tables import ResamplingTable, unit_fraction
+from .tables import SCALE, ResamplingTable, unit_bits
 from .wdag import WDag, ordered_arcs
 
 
@@ -187,6 +190,12 @@ class EventSystem:
         is freed with the system and plays no part in ==, hash or repr."""
         return base_graph(self.bipartite())
 
+    @cached_property
+    def integer_form(self) -> "IntegerForm":
+        """The system compiled for the engine. Built on first use and kept
+        like dependency_graph: out of ==, hash and repr, pickled along."""
+        return IntegerForm.compile(self)
+
     def event_probability(self, i: int) -> Fraction:
         return pair_intersection(self, i, i)
 
@@ -215,6 +224,91 @@ class EventSystem:
                     weight *= self.variables[j - 1].masses[v]
                 total += weight
         return total
+
+
+def _ceil_scaled(x: Fraction) -> int:
+    """The least k with k / 2^64 >= x."""
+    return ceil(x * SCALE)
+
+
+@dataclass(frozen=True)
+class IntegerForm:
+    """An event system on integer draws k, the sample being k / 2^64.
+
+    Since k is an integer, k / 2^64 < x iff k < ceil(x * 2^64), so every
+    rational threshold becomes an integer one and the tests below are exact.
+
+    - cuts[j-1]: for a finite variable, ceil((m_0 + ... + m_v) * 2^64) for
+      each value v, so bisect_right(cuts, k) is its value; None otherwise.
+    - tests[i-1]: for an elementary event over uniform and finite variables,
+      one (j, bounds) per variable, bounds being the ends lo, hi, lo, hi, ...
+      of the disjoint integer intervals [lo, hi) of the allowed draws, in
+      non-decreasing order. k is allowed iff an odd number of bounds are <= k,
+      that is iff bisect_right(bounds, k) is odd. None for any other event,
+      which is tested by Event.holds on the decoded values.
+    - var_events[j-1]: the events on variable j, in increasing order. A
+      resampling changes only the events on the variables it redraws.
+    """
+
+    cuts: tuple[tuple[int, ...] | None, ...]
+    tests: tuple[tuple[tuple[int, tuple[int, ...]], ...] | None, ...]
+    var_events: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def compile(system: "EventSystem") -> "IntegerForm":
+        cuts = tuple(
+            tuple(map(_ceil_scaled, accumulate(var.masses)))
+            if isinstance(var, FiniteVariable)
+            else None
+            for var in system.variables
+        )
+        tests = tuple(_event_test(system.variables, cuts, ev) for ev in system.events)
+        var_events: list[list[int]] = [[] for _ in system.variables]
+        for i, ev in enumerate(system.events, 1):
+            for j in ev.vbl:
+                var_events[j - 1].append(i)
+        return IntegerForm(cuts, tests, tuple(map(tuple, var_events)))
+
+    def tester(self, system: "EventSystem", draws: list[int], values: dict | None):
+        """holds(i) for event i on the draws (draws[j] is variable j's, read
+        at each call), or on the values for an event outside the integer form."""
+        tests, events = self.tests, system.events
+
+        def holds(i: int) -> bool:
+            test = tests[i - 1]
+            if test is None:
+                return events[i - 1].holds(values)
+            for j, bounds in test:
+                if not bisect_right(bounds, draws[j]) & 1:
+                    return False
+            return True
+
+        return holds
+
+    def value(self, system: "EventSystem", j: int, k: int):
+        """Variable j's value at draw k; equals value_from_unit(k / 2^64)."""
+        cuts = self.cuts[j - 1]
+        if cuts is not None:
+            return bisect_right(cuts, k)
+        return system.variables[j - 1].value_from_unit(Fraction(k, SCALE))
+
+
+def _event_test(variables, cuts, ev: Event):
+    if ev.allowed is None:
+        return None
+    out = []
+    for j, allowed in ev.allowed:
+        var, c = variables[j - 1], cuts[j - 1]
+        if c is not None:
+            # value v is drawn iff c[v-1] <= k < c[v] (c[-1] read as 0)
+            lows = (0, *c[:-1])
+            bounds = tuple(x for v in range(len(c)) if allowed.contains(v) for x in (lows[v], c[v]))
+        elif isinstance(var, Uniform01) and isinstance(allowed, IntervalUnion):
+            bounds = tuple(_ceil_scaled(x) for iv in allowed.intervals for x in iv)
+        else:
+            return None
+        out.append((j, bounds))
+    return tuple(out)
 
 
 def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
@@ -247,18 +341,33 @@ def _rule_uniform_random(violated, history, rng):
     return violated[rng.randrange(len(violated))]
 
 
-def _rule_recent_neighbor(system_graph: DependencyGraph):
-    """Prefer violated events adjacent to (or equal to) the most recently
-    resampled event; falls back to lowest index."""
+def _rule_recent_neighbor(closed: tuple[int, ...]):
+    """Prefer the lowest violated event adjacent (or equal) to the most
+    recently resampled event that has one; falls back to lowest index.
+
+    Only the last occurrence of each label matters, so the rule keeps the
+    labels in that order and folds in the history it has not seen yet. It
+    follows one run; a history shorter than the last one starts it afresh.
+    """
+    recent: dict[int, None] = {}
+    seen = 0
 
     def rule(violated, history, rng):
-        for past in reversed(history):
-            near = [
-                i for i in violated
-                if i == past or system_graph.has_edge(i, past)
-            ]
+        nonlocal seen
+        if len(history) < seen:
+            recent.clear()
+            seen = 0
+        for label in history[seen:]:
+            recent.pop(label, None)
+            recent[label] = None
+        seen = len(history)
+        mask = 0
+        for i in violated:
+            mask |= 1 << (i - 1)
+        for past in reversed(recent):
+            near = mask & closed[past - 1]
             if near:
-                return near[0]
+                return (near & -near).bit_length()
         return violated[0]
 
     return rule
@@ -273,7 +382,7 @@ def make_rule(name: str, system: EventSystem):
     if name == "uniform-violated":
         return _rule_uniform_random
     if name == "recent-neighbor":
-        return _rule_recent_neighbor(system.dependency_graph)
+        return _rule_recent_neighbor(system.dependency_graph.closed_masks)
     raise InputError(f"unknown selection rule {name!r}; choose from {SELECTION_RULES}")
 
 
@@ -305,34 +414,52 @@ def run_mt(
 
     The initial assignment is column 1 of the table; resampling a variable
     advances that variable's cursor one column to the right. Stops when no
-    event holds, or flags truncation at the step cap.
+    event holds, or flags truncation at the step cap. The run keeps each
+    variable's integer draw and the set of violated events, and rechecks
+    only the events on the variables it redraws; values are decoded for
+    events outside the integer form, and for final_assignment.
     """
     if step_cap < 1:
         raise InputError("step_cap must be positive")
     rule_fn = make_rule(rule, system) if isinstance(rule, str) else rule
+    form = system.integer_form
+    var_events, events = form.var_events, system.events
     table = ResamplingTable(system.variables, seed)
-    rng = random.Random(int(unit_fraction(seed, "rule") * (1 << 64)))
-    cursor = {j: 1 for j in range(1, len(system.variables) + 1)}
-    assignment = {j: table.entry(j, 1) for j in cursor}
+    rng = random.Random(unit_bits(seed, "rule"))
+    n = len(system.variables)
+    cursor = [1] * (n + 1)
+    draws = [0] + [table.draw(j, 1) for j in range(1, n + 1)]
+    values = None
+    if None in form.tests:
+        values = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
+    holds = form.tester(system, draws, values)
+    violated = {i for i in range(1, system.m + 1) if holds(i)}
     sequence: list[int] = []
     counts: dict[int, int] = {}
     truncated = False
-    while True:
-        violated = [i for i in range(1, system.m + 1) if system.holds(i, assignment)]
-        if not violated:
-            break
+    while violated:
         if len(sequence) >= step_cap:
             truncated = True
             break
-        pick = rule_fn(violated, sequence, rng)
+        pick = rule_fn(sorted(violated), sequence, rng)
         if pick not in violated:
             raise InputError("selection rule chose a non-violated event")
         sequence.append(pick)
         counts[pick] = counts.get(pick, 0) + 1
-        for j in system.events[pick - 1].vbl:
+        redrawn = events[pick - 1].vbl
+        for j in redrawn:
             cursor[j] += 1
-            assignment[j] = table.entry(j, cursor[j])
-    return RunStats(tuple(sequence), truncated, dict(assignment), counts)
+            draws[j] = table.draw(j, cursor[j])
+            if values is not None:
+                values[j] = form.value(system, j, draws[j])
+        for j in redrawn:
+            for i in var_events[j - 1]:
+                if holds(i):
+                    violated.add(i)
+                else:
+                    violated.discard(i)
+    final = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
+    return RunStats(tuple(sequence), truncated, final, counts)
 
 
 def witness_dag_of_run(system: EventSystem, stats: RunStats) -> WDag:

@@ -459,6 +459,9 @@ def test_wdag_wire_format_roundtrip():
     for bad in ({"labels": [1, 2.0]}, {"labels": [1, 2], "arcs": [[1, True]]}):
         with pytest.raises(InputError, match="must be integers"):
             load_wdag(bad)
+    for arcs in ([[1]], [[1, 2, 3]], [1], None):
+        with pytest.raises(InputError, match="bad wdag object"):
+            load_wdag({"labels": [1], "arcs": arcs})
 
 
 def test_bipartite_input_derives_dependency_graph(files, tmp_path, capsys):

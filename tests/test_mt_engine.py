@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lll_workbench.graphs import InputError
 from lll_workbench.mt_engine import (
+    DEFAULT_STEP_CAP,
+    SELECTION_RULES,
     Event,
     EventSystem,
     FiniteVariable,
@@ -13,15 +16,17 @@ from lll_workbench.mt_engine import (
     RunStats,
     Uniform01,
     ValueSet,
+    _ceil_scaled,
     estimate_expected_steps,
     extremal_cycle_instance,
+    make_rule,
     measure_pair_intersections,
     pair_intersection,
     run_mt,
     witness_dag_of_run,
 )
 from lll_workbench.shearer import ProbabilityVector, q_empty
-from lll_workbench.tables import ResamplingTable
+from lll_workbench.tables import SCALE, ResamplingTable, unit_fraction
 from lll_workbench.wdag import (
     canonical_key,
     consistent_with_table,
@@ -48,6 +53,105 @@ def reference_box_product(variables, a, b):
         both = dict(a.allowed).get(j, full).intersect(dict(b.allowed).get(j, full))
         out *= both.measure() if isinstance(var, Uniform01) else sum(var.masses[v] for v in both.values)
     return out
+
+
+def reference_rule(name, system):
+    """The selection rules as first written: recent-neighbor walks back
+    through the whole history on every call."""
+    g = system.dependency_graph
+    if name == "lowest-index":
+        return lambda violated, history, rng: violated[0]
+    if name == "uniform-violated":
+        return lambda violated, history, rng: violated[rng.randrange(len(violated))]
+    assert name == "recent-neighbor"
+
+    def rule(violated, history, rng):
+        for past in reversed(history):
+            near = [i for i in violated if i == past or g.has_edge(i, past)]
+            if near:
+                return near[0]
+        return violated[0]
+
+    return rule
+
+
+def reference_run_mt(system, rule, seed, step_cap=DEFAULT_STEP_CAP):
+    """The resampling loop on Fraction samples: every step tests all m events
+    on the decoded assignment."""
+    rule_fn = reference_rule(rule, system) if isinstance(rule, str) else rule
+    table = ResamplingTable(system.variables, seed)
+    rng = random.Random(int(unit_fraction(seed, "rule") * (1 << 64)))
+    cursor = {j: 1 for j in range(1, len(system.variables) + 1)}
+    assignment = {j: table.entry(j, 1) for j in cursor}
+    sequence: list[int] = []
+    counts: dict[int, int] = {}
+    truncated = False
+    while True:
+        violated = [i for i in range(1, system.m + 1) if system.holds(i, assignment)]
+        if not violated:
+            break
+        if len(sequence) >= step_cap:
+            truncated = True
+            break
+        pick = rule_fn(violated, sequence, rng)
+        assert pick in violated
+        sequence.append(pick)
+        counts[pick] = counts.get(pick, 0) + 1
+        for j in system.events[pick - 1].vbl:
+            cursor[j] += 1
+            assignment[j] = table.entry(j, cursor[j])
+    return RunStats(tuple(sequence), truncated, dict(assignment), counts)
+
+
+#: interval endpoints: the ends of [0,1), dyadic and non-dyadic points
+ENDPOINTS = tuple(
+    Fraction(x) for x in ("0", "1", "1/3", "2/7", "1/2", "3/8", "5/7", "1/1000", "999/1000")
+)
+
+
+@st.composite
+def random_systems(draw):
+    """Up to four uniform or finite variables (masses that may be zero or
+    non-dyadic) and up to five events: boxes of interval unions or value
+    sets, empty sets included, or predicates (an odd number of the event's
+    variables lie low)."""
+    variables = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            variables.append(Uniform01())
+        else:
+            weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+            if not any(weights):
+                weights[0] = 1
+            variables.append(FiniteVariable(tuple(Fraction(w, sum(weights)) for w in weights)))
+    n = len(variables)
+
+    def allowed_set(var):
+        if isinstance(var, Uniform01):
+            ends = st.sampled_from(ENDPOINTS)
+            pairs = st.lists(st.tuples(ends, ends).map(lambda t: tuple(sorted(t))), max_size=3)
+            return IntervalUnion(tuple(draw(pairs)))
+        return ValueSet(frozenset(draw(st.sets(st.integers(0, len(var.masses) - 1)))))
+
+    def low(var, value):
+        return value < Fraction(2, 7) if isinstance(var, Uniform01) else value == 0
+
+    def predicate(vbl):
+        return lambda a: sum(low(variables[j - 1], a[j]) for j in vbl) % 2 == 1
+
+    events = []
+    for _ in range(draw(st.integers(1, 5))):
+        vbl = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+        if draw(st.integers(0, 3)) == 0:
+            events.append(Event(vbl=vbl, predicate=predicate(vbl)))
+        else:
+            boxes = tuple((j, allowed_set(variables[j - 1])) for j in vbl)
+            events.append(Event(vbl=vbl, allowed=boxes))
+    return EventSystem(tuple(variables), tuple(events))
+
+
+def _highest_then_random(violated, history, rng):
+    return violated[-1] if len(history) % 2 else violated[rng.randrange(len(violated))]
 
 
 def single_event_system(allowed=HALF):
@@ -103,8 +207,13 @@ class TestSystems:
         assert system.dependency_graph is g and "dependency_graph" in vars(system)
         assert system == twin and hash(system) == key == hash(twin)
         assert repr(system) == text == repr(twin)
+        form = system.integer_form
+        assert system.integer_form is form and "integer_form" in vars(system)
+        assert system == twin and hash(system) == key == hash(twin)
+        assert repr(system) == text == repr(twin)
         back = pickle.loads(pickle.dumps(system))
         assert back == pickle.loads(blob) == system and back.dependency_graph == g
+        assert "integer_form" in vars(back) and back.integer_form == form
         assert run_mt(back, "recent-neighbor", 3) == run_mt(twin, "recent-neighbor", 3)
 
     @settings(max_examples=60, deadline=None)
@@ -212,6 +321,44 @@ class TestRuns:
         par = estimate_expected_steps(system, "lowest-index", 60, 11, workers=2)
         assert seq.per_trial == par.per_trial
 
+    def test_workers_receive_the_built_integer_form(self):
+        system = extremal_cycle_instance(5, Fraction(1, 3))
+        assert system.integer_form.var_events[0] == (1, 5)
+        fresh = extremal_cycle_instance(5, Fraction(1, 3))
+        seq = estimate_expected_steps(fresh, "recent-neighbor", 40, 2, workers=1)
+        par = estimate_expected_steps(system, "recent-neighbor", 40, 2, workers=2)
+        assert seq.per_trial == par.per_trial
+
+    def test_recent_neighbor_rule_restarts_with_a_new_run(self):
+        system = extremal_cycle_instance(6)
+        rule = make_rule("recent-neighbor", system)
+        for seed in range(6):
+            assert run_mt(system, rule, seed) == run_mt(system, "recent-neighbor", seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        system=random_systems(),
+        rule=st.sampled_from(SELECTION_RULES + (_highest_then_random,)),
+        seed=st.integers(0, 10**6) | st.text(max_size=6),
+        step_cap=st.sampled_from((1, 3, 40)),
+    )
+    def test_matches_fraction_reference(self, system, rule, seed, step_cap):
+        want = reference_run_mt(system, rule, seed, step_cap)
+        got = run_mt(system, rule, seed, step_cap)
+        assert got == want
+        assert repr(got.final_assignment) == repr(want.final_assignment)
+
+    def test_long_runs_match_fraction_reference(self):
+        # the differential test above compares short runs; on extremal cycles
+        # recent-neighbor often finds no violated event next to the last one
+        # resampled and must fall back on the order of older labels
+        for system in (extremal_cycle_instance(6), extremal_cycle_instance(8, Fraction(2, 7))):
+            for rule in SELECTION_RULES:
+                for seed in range(10):
+                    for cap in (5, DEFAULT_STEP_CAP):
+                        want = reference_run_mt(system, rule, seed, cap)
+                        assert run_mt(system, rule, seed, cap) == want
+
     def test_null_event_estimate_is_zero(self):
         system = single_event_system(IntervalUnion(()))
         est = estimate_expected_steps(system, "lowest-index", 200, 3)
@@ -303,6 +450,66 @@ class TestWitnessDags:
                 assert len(keys) == stats.t == single_sink_prefix_count(dag)
                 longest = max(longest, stats.t)
         assert longest > 8
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("a", [Fraction(x) for x in ("0", "1/3", "2/7", "1/2", "1")])
+    def test_threshold_is_the_least_draw_at_or_above(self, a):
+        k = _ceil_scaled(a)
+        assert Fraction(k, SCALE) >= a
+        assert not Fraction(k - 1, SCALE) >= a
+
+    def test_interval_tests_at_their_ends(self):
+        # a draw at or next to an end, which random draws almost never hit
+        ends = (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(1))
+        sets = [IntervalUnion(((a, b),)) for a in ends for b in ends if a < b]
+        sets.append(IntervalUnion(((ends[0], ends[2]), (ends[1], ends[4]))))
+        sets.append(IntervalUnion(()))
+        events = tuple(Event(vbl=(1,), allowed=((1, s),)) for s in sets)
+        system = EventSystem((Uniform01(),), events)
+        draws = [0, 0]
+        holds = system.integer_form.tester(system, draws, None)
+        for a in ends:
+            for k in (_ceil_scaled(a) - 1, _ceil_scaled(a)):
+                if 0 <= k < SCALE:
+                    draws[1] = k
+                    for i, event in enumerate(system.events, 1):
+                        assert holds(i) == event.holds({1: Fraction(k, SCALE)})
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            (Fraction(1, 3), Fraction(2, 7), Fraction(8, 21)),
+            (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2)),
+            (Fraction(1),),
+        ],
+    )
+    def test_finite_decoding_at_every_cut(self, masses):
+        var = FiniteVariable(masses)
+        system = EventSystem((var,), (Event(vbl=(1,), allowed=((1, ValueSet(frozenset({0}))),)),))
+        form = system.integer_form
+        cuts = form.cuts[0]
+        assert len(cuts) == len(masses) and cuts[-1] == SCALE
+        for c in cuts:
+            for k in (c - 1, c):
+                if 0 <= k < SCALE:
+                    assert form.value(system, 1, k) == var.value_from_unit(Fraction(k, SCALE))
+
+    def test_interval_bounds_and_variable_index(self):
+        third = IntervalUnion(((Fraction(1, 3), Fraction(1)),))
+        system = EventSystem(
+            (Uniform01(), Uniform01(), Uniform01()),
+            (
+                Event(vbl=(1,), allowed=((1, third),)),
+                Event(vbl=(1, 2), allowed=((1, HALF), (2, IntervalUnion(())))),
+                Event(vbl=(3,), predicate=lambda a: a[3] < Fraction(1, 2)),
+            ),
+        )
+        form = system.integer_form
+        assert form.tests[0] == ((1, (_ceil_scaled(Fraction(1, 3)), SCALE)),)
+        assert form.tests[1] == ((1, (0, SCALE // 2)), (2, ()))
+        assert form.tests[2] is None
+        assert form.var_events == ((1, 2), (2,), (3,))
 
 
 class TestValueSets:
