@@ -425,7 +425,9 @@ def run_mt(
     form = system.integer_form
     var_events, events = form.var_events, system.events
     table = ResamplingTable(system.variables, seed)
-    rng = random.Random(unit_bits(seed, "rule"))
+    rng = None  # seeded only for the rules that can read it
+    if rule == "uniform-violated" or not isinstance(rule, str):
+        rng = random.Random(unit_bits(seed, "rule"))
     n = len(system.variables)
     cursor = [1] * (n + 1)
     draws = [0] + [table.draw(j, 1) for j in range(1, n + 1)]

@@ -1,9 +1,12 @@
 """Exact Shearer-region computations.
 
-Everything here is exact rational arithmetic: the alternating sums over
-independent sets cancel catastrophically in floating point, so q-values,
-membership verdicts, boundary scalings and L1-gap bounds are all Fractions.
-Pure functions over immutable inputs.
+Everything here is exact: the alternating sums over independent sets cancel
+catastrophically in floating point. The oracle runs on integer numerators
+over one common denominator D: for a vertex set S, Q(S) = D^|S| * q_0(G[S])
+is an integer with the sign of q_0. The boundary, gap and descent searches
+keep their probes as integer numerators over D*2^k, so Fractions appear only
+at the API boundary: the inputs, and the q-values, brackets and bounds
+returned. Pure functions over immutable inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .graphs import DependencyGraph, InputError
@@ -55,9 +59,6 @@ class ProbabilityVector:
     @staticmethod
     def uniform(m: int, p) -> "ProbabilityVector":
         return ProbabilityVector((Fraction(p),) * m)
-
-    def scaled(self, factor) -> "ProbabilityVector":
-        return ProbabilityVector(tuple(Fraction(factor) * v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -116,65 +117,105 @@ def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
         current = nxt
 
 
-def _q_empty_masked(
-    values: Sequence[Fraction],
+def _q_int(
+    nums: Sequence[int],
+    den: int,
     nbr: Sequence[int],
     mask: int,
-    memo: dict[int, Fraction],
-) -> Fraction:
-    """Independence polynomial of the induced subgraph `mask` at negated
-    weights: sum over independent J within mask of (-1)^|J| prod values.
+    memo: dict[int, int],
+) -> int:
+    """Q(S) = den^|S| * q_0(G[S]) for the vector nums/den and S = `mask`: an
+    integer with the sign of q_0, the independence polynomial of the
+    induced subgraph at negated weights.
 
-    Splits on the lowest vertex of `mask`, so evaluating a mask leaves every
-    suffix mask, mask & (mask-1) and so on, in `memo`.
+    q_0 is multilinear, so splitting on the lowest vertex v of S gives
+    Q(S) = den*Q(S-v) - n_v * den^(|N[v] & S|-1) * Q(S - N[v]). Evaluating a
+    mask leaves every suffix mask, mask & (mask-1) and so on, in `memo`.
     """
     if mask == 0:
-        return Fraction(1)
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    v_bit = mask & -mask
-    v = v_bit.bit_length() - 1
-    without_v = _q_empty_masked(values, nbr, mask & ~v_bit, memo)
-    without_nv = _q_empty_masked(values, nbr, mask & ~nbr[v], memo)
-    out = without_v - values[v] * without_nv
-    memo[mask] = out
+        return 1
+    out = memo.get(mask)
+    if out is None:
+        v_bit = mask & -mask
+        v = v_bit.bit_length() - 1
+        near = mask & nbr[v]
+        without_v = _q_int(nums, den, nbr, mask ^ v_bit, memo)
+        without_nv = _q_int(nums, den, nbr, mask ^ near, memo)
+        out = den * without_v - nums[v] * den ** (near.bit_count() - 1) * without_nv
+        memo[mask] = out
     return out
 
 
 def _in_region(
-    values: Sequence[Fraction],
+    nums: Sequence[int],
+    den: int,
     nbr: Sequence[int],
     support: int,
-    memo: dict[int, Fraction],
+    memo: dict[int, int],
 ) -> bool:
-    """Strict membership of a nonnegative vector whose positive entries are
-    exactly `support`: q_0 > 0 on each of the nested suffixes of the support
-    (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one maximal
-    chain of induced subgraphs is equivalent to q_I > 0 for every
+    """Strict membership of a nonnegative vector nums/den whose positive
+    entries are exactly `support`: q_0 > 0 on each of the nested suffixes of
+    the support (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one
+    maximal chain of induced subgraphs is equivalent to q_I > 0 for every
     independent I). The first evaluation fills `memo` with all the others.
     """
     mask = support
     while mask:
-        if _q_empty_masked(values, nbr, mask, memo) <= 0:
+        if _q_int(nums, den, nbr, mask, memo) <= 0:
             return False
         mask &= mask - 1
     return True
 
 
-def _q_of_set(
-    p: ProbabilityVector,
-    nbr: Sequence[int],
-    iset: Sequence[int],
-    memo: dict[int, Fraction],
-) -> Fraction:
-    """q_I = (prod_{i in I} p_i) * q_0 on the graph minus N[I]."""
-    mask = (1 << len(p)) - 1
-    coeff = Fraction(1)
+def _member(nums: Sequence[int], den: int, nbr: Sequence[int]) -> bool:
+    """Membership of nums/den, restricted to its support; no input checks."""
+    support = 0
+    for k, n in enumerate(nums):
+        if n:
+            support |= 1 << k
+    return _in_region(nums, den, nbr, support, {})
+
+
+def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Numerators over the least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _checked_integers(g: DependencyGraph, values: Sequence) -> tuple[list[int], int]:
+    """The membership test's input checks, then `_integers`."""
+    vals = [Fraction(v) for v in values]
+    if len(vals) != g.m:
+        raise InputError("vector length mismatch")
+    for v in vals:
+        if not 0 <= v <= 1:
+            raise InputError(f"entry {v} outside [0,1]")
+    _check_size(g)
+    return _integers(vals)
+
+
+def _outside(nbr: Sequence[int], m: int, iset: Sequence[int]) -> int:
+    """The mask of the vertices outside N[I]."""
+    mask = (1 << m) - 1
     for u in iset:
         mask &= ~nbr[u - 1]
-        coeff *= p[u]
-    return coeff * _q_empty_masked(p.values, nbr, mask, memo)
+    return mask
+
+
+def _q_of_set(
+    nums: Sequence[int],
+    den: int,
+    nbr: Sequence[int],
+    iset: Sequence[int],
+    memo: dict[int, int],
+) -> Fraction:
+    """q_I = (prod_{i in I} p_i) * q_0 on the graph minus N[I]."""
+    mask = _outside(nbr, len(nums), iset)
+    coeff = 1
+    for u in iset:
+        coeff *= nums[u - 1]
+    q = coeff * _q_int(nums, den, nbr, mask, memo)
+    return Fraction(q, den ** (len(iset) + mask.bit_count()))
 
 
 def q_polynomial(
@@ -194,7 +235,8 @@ def q_polynomial(
         for b in iset:
             if a < b and g.has_edge(a, b):
                 raise InputError(f"set not independent: edge ({a},{b})")
-    return _q_of_set(p, g.closed_masks, iset, {})
+    nums, den = _integers(p.values)
+    return _q_of_set(nums, den, g.closed_masks, iset, {})
 
 
 def q_empty(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
@@ -205,37 +247,30 @@ def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     """Strict membership test, extended to vectors with zero entries by
     restricting to the support (an event of probability zero never fires).
     """
-    vals = [Fraction(v) for v in values]
-    if len(vals) != g.m:
-        raise InputError("vector length mismatch")
-    for v in vals:
-        if not 0 <= v <= 1:
-            raise InputError(f"entry {v} outside [0,1]")
-    support_mask = 0
-    for k, v in enumerate(vals):
-        if v > 0:
-            support_mask |= 1 << k
-    _check_size(g)
-    return _in_region(vals, g.closed_masks, support_mask, {})
+    nums, den = _checked_integers(g, values)
+    return _member(nums, den, g.closed_masks)
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     """Strict membership with q_0 and the singleton q-values; on rejection
     the witness is the first failing independent set (size order, then
-    lexicographic).
+    lexicographic). Every q_I has the sign of Q on the graph minus N[I].
     """
     if len(p) != g.m:
         raise InputError("probability vector length mismatch")
     _check_size(g)
+    nums, den = _integers(p.values)
     nbr = g.closed_masks
-    memo: dict[int, Fraction] = {}
-    q_values = {(): _q_of_set(p, nbr, (), memo)}
+    memo: dict[int, int] = {}
+    q_values = {(): _q_of_set(nums, den, nbr, (), memo)}
     for v in g.vertices:
-        q_values[(v,)] = _q_of_set(p, nbr, (v,), memo)
-    if _in_region(p.values, nbr, (1 << g.m) - 1, memo):
+        q_values[(v,)] = _q_of_set(nums, den, nbr, (v,), memo)
+    if _in_region(nums, den, nbr, (1 << g.m) - 1, memo):
         return ShearerReport(True, q_values, None)
     witness = next(
-        iset for iset in independent_sets(g) if _q_of_set(p, nbr, iset, memo) <= 0
+        iset
+        for iset in independent_sets(g)
+        if _q_int(nums, den, nbr, _outside(nbr, g.m, iset), memo) <= 0
     )
     return ShearerReport(False, q_values, witness)
 
@@ -257,18 +292,27 @@ def boundary_scale(
     if resolution <= 0:
         raise InputError("resolution must be positive")
     t_max = min(Fraction(1) / d for d in direction.values)
-    lo, hi = Fraction(0), t_max
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if shearer_membership(g, [mid * d for d in direction.values]):
-            lo = mid
-        else:
-            hi = mid
-    return BoundaryScale(lo, hi, clamped=hi == t_max)
+    if t_max <= resolution:  # no probe is needed
+        return BoundaryScale(Fraction(0), t_max, clamped=True)
+    nums, den = _checked_integers(g, [t_max * d for d in direction.values])
+    nbr = g.closed_masks
+    # after k halvings lo = a*t_max/2^k and hi = lo + t_max/2^k; the probe
+    # (a+1)*t_max/2^k * direction is nums*(a+1) over den*2^k
+    width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
+    a = k = 0
+    while width > res << k:
+        k += 1
+        a <<= 1
+        if _member([n * (a + 1) for n in nums], den << k, nbr):
+            a += 1
+    lo = t_max * Fraction(a, 1 << k)
+    hi = t_max * Fraction(a + 1, 1 << k)
+    return BoundaryScale(lo, hi, clamped=a + 1 == 1 << k)
 
 
-def _norm1(vec: tuple[Fraction, ...]) -> Fraction:
-    return sum(vec, Fraction(0))
+#: l1_gap's heap keys are box norms over den*2^shift; shift grows by this
+#: many bits whenever a box gets finer than 2^-shift
+_KEY_BITS = 64
 
 
 def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
@@ -280,60 +324,75 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
     d = ||p||_1 - min. Branch-and-bound over boxes [a, b] in [0, p]:
     a box with in-bound upper corner contains no out point; a box with
     out-of-bound lower corner achieves exactly ||a||_1.
+
+    A box's corners are integer numerators over den*2^k, k the box's own
+    level, which grows by one when a split point is odd. Heap keys and the
+    incumbent are norms over den*2^shift, one scale for all levels <= shift.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
     if len(p) != g.m:
         raise InputError("probability vector length mismatch")
-    if shearer_membership(g, p.values):
+    nums, den = _checked_integers(g, p.values)
+    nbr = g.closed_masks
+    if _member(nums, den, nbr):
         return GapEstimate(Fraction(-1), Fraction(-1), resolution)
 
-    total = _norm1(p.values)
-    zero = tuple(Fraction(0) for _ in p.values)
-
+    shift = _KEY_BITS
+    total = sum(nums) << shift
     # every box on the heap straddles the boundary: lower corner in bound,
     # upper corner out of bound; its min-norm lower bound is ||a||_1
-    upper_best = total  # ||p||_1 itself is achievable (p is out of bound)
+    upper = total  # ||p||_1 itself is achievable (p is out of bound)
     counter = 0
-    heap: list[tuple[Fraction, int, tuple[Fraction, ...], tuple[Fraction, ...]]] = []
+    heap: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
 
-    def offer(a: tuple[Fraction, ...], b: tuple[Fraction, ...], a_known_in: bool):
-        nonlocal upper_best, counter
-        lb = _norm1(a)
-        if lb >= upper_best:
+    def offer(a: tuple[int, ...], b: tuple[int, ...], k: int, a_known_in: bool):
+        nonlocal upper, counter
+        lb = sum(a) << (shift - k)
+        if lb >= upper:
             return
-        if not a_known_in and not shearer_membership(g, a):
-            upper_best = min(upper_best, lb)  # a itself is an out point
+        if not a_known_in and not _member(a, den << k, nbr):
+            upper = lb  # a itself is an out point
             return
         counter += 1
-        heapq.heappush(heap, (lb, counter, a, b))
+        heapq.heappush(heap, (lb, counter, k, a, b))
 
-    if shearer_membership(g, zero):
-        offer(zero, p.values, True)
-    else:
-        upper_best = Fraction(0)
+    offer((0,) * len(nums), tuple(nums), 0, True)  # the zero vector is in bound
     boxes_seen = 0
     while heap:
-        lb, _, a, b = heapq.heappop(heap)
-        if upper_best - lb <= resolution:
-            heapq.heappush(heap, (lb, counter, a, b))
-            break
-        if lb >= upper_best:
-            continue
+        lb, _, k, a, b = heapq.heappop(heap)
+        if (upper - lb) * resolution.denominator <= resolution.numerator * den << shift:
+            break  # lb is the least norm still open
         boxes_seen += 1
         if boxes_seen > MAX_GAP_BOXES:
             raise CapExceeded(f"l1_gap exceeded {MAX_GAP_BOXES} boxes")
-        axis = max(range(len(a)), key=lambda k: (b[k] - a[k], -k))
-        mid = (a[axis] + b[axis]) / 2
-        b_low = tuple(mid if k == axis else b[k] for k in range(len(b)))
-        a_high = tuple(mid if k == axis else a[k] for k in range(len(a)))
-        if not shearer_membership(g, b_low):
-            offer(a, b_low, True)  # still straddling
-        offer(a_high, b, False)
-    lower_min = min((item[0] for item in heap), default=upper_best)
-    lower_min = min(lower_min, upper_best)
-    return GapEstimate(total - upper_best, total - lower_min, resolution)
+        widths = [y - x for x, y in zip(a, b)]
+        axis = widths.index(max(widths))
+        mid = a[axis] + b[axis]
+        if mid & 1:  # the split point needs one more bit
+            k += 1
+            a = tuple(x << 1 for x in a)
+            b = tuple(y << 1 for y in b)
+            if k > shift:  # rescale every key; their order stays
+                shift += _KEY_BITS
+                total <<= _KEY_BITS
+                upper <<= _KEY_BITS
+                heap[:] = [(key << _KEY_BITS, *rest) for key, *rest in heap]
+        else:
+            mid >>= 1
+        b_low = b[:axis] + (mid,) + b[axis + 1 :]
+        a_high = a[:axis] + (mid,) + a[axis + 1 :]
+        if not _member(b_low, den << k, nbr):
+            offer(a, b_low, k, True)  # still straddling
+        offer(a_high, b, k, False)
+    else:
+        lb = upper  # every box was settled
+    return GapEstimate(
+        Fraction(total - upper, den << shift),
+        Fraction(total - min(lb, upper), den << shift),
+        resolution,
+    )
 
 
 def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
@@ -342,36 +401,51 @@ def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
     Coordinate descent from r = p: per coordinate, bisect the smallest value
     keeping r out of the region; every intermediate r stays a witness, so
     ||p||_1 - ||r||_1 is always a valid lower bound. Returns -1 when p is in
-    the region.
+    the region. r is kept as integer numerators over den*2^level.
     """
-    if shearer_membership(g, p.values):
+    nums, den = _checked_integers(g, p.values)
+    nbr = g.closed_masks
+    if _member(nums, den, nbr):
         return Fraction(-1)
-    r = list(p.values)
+    tol_num, tol_den = DESCENT_TOLERANCE.numerator, DESCENT_TOLERANCE.denominator
+    r, level = list(nums), 0
     for _ in range(DESCENT_PASSES):
         improved = False
         for k in range(len(r)):
-            if r[k] == 0:
+            rk = r[k]
+            if rk == 0:
                 continue
-            lo, hi = Fraction(0), r[k]
             probe = list(r)
-            probe[k] = Fraction(0)
-            if not shearer_membership(g, probe):
-                r[k] = Fraction(0)
+            probe[k] = 0
+            if not _member(probe, den << level, nbr):
+                r[k] = 0
                 improved = True
                 continue
-            while hi - lo > DESCENT_TOLERANCE:
-                mid = (lo + hi) / 2
-                probe[k] = mid
-                if shearer_membership(g, probe):
-                    lo = mid
-                else:
-                    hi = mid
-            if hi < r[k]:
-                r[k] = hi
+            # after t halvings lo = a*r_k/2^t and hi = lo + r_k/2^t
+            a = t = 0
+            while rk * tol_den > tol_num * den << (level + t):
+                t += 1
+                a <<= 1
+                probe = [x << t for x in r]
+                probe[k] = rk * (a + 1)
+                if _member(probe, den << (level + t), nbr):
+                    a += 1
+            if a + 1 < 1 << t:  # hi < r_k
+                r = [x << t for x in r]
+                r[k] = rk * (a + 1)
+                level += t
+                # drop the factors of two all entries share; r is never
+                # zero, since it stays out of the region
+                low = 0
+                for x in r:
+                    low |= x
+                drop = min(level, (low & -low).bit_length() - 1)
+                r = [x >> drop for x in r]
+                level -= drop
                 improved = True
         if not improved:
             break
-    return _norm1(p.values) - _norm1(tuple(r))
+    return Fraction((sum(nums) << level) - sum(r), den << level)
 
 
 def resample_bound(report: ShearerReport) -> Fraction:

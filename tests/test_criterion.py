@@ -307,7 +307,8 @@ class TestBeyondVerdict:
         )
         scale = boundary_scale(C4, direction, Fraction(1, 10**10))
         eps = Fraction(1, 10**9)
-        p = direction.scaled(scale.hi * (1 + Fraction(12, 10**8)) / (1 + eps))
+        factor = scale.hi * (1 + Fraction(12, 10**8)) / (1 + eps)
+        p = ProbabilityVector(tuple(factor * v for v in direction.values))
         verdict = beyond_shearer_verdict(C4, p, eps)
         assert verdict.accepted
         assert verdict.evidence == "gap-below-cycle-slack"

@@ -1,10 +1,12 @@
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lll_workbench import mt_engine
 from lll_workbench.graphs import InputError
 from lll_workbench.mt_engine import (
     DEFAULT_STEP_CAP,
@@ -26,7 +28,7 @@ from lll_workbench.mt_engine import (
     witness_dag_of_run,
 )
 from lll_workbench.shearer import ProbabilityVector, q_empty
-from lll_workbench.tables import SCALE, ResamplingTable, unit_fraction
+from lll_workbench.tables import SCALE, ResamplingTable, unit_bits, unit_fraction
 from lll_workbench.wdag import (
     canonical_key,
     consistent_with_table,
@@ -334,6 +336,22 @@ class TestRuns:
         rule = make_rule("recent-neighbor", system)
         for seed in range(6):
             assert run_mt(system, rule, seed) == run_mt(system, "recent-neighbor", seed)
+
+    def test_rule_generator_seeded_only_for_rules_that_read_it(self, monkeypatch):
+        seeds = []
+
+        def recording(seed):
+            seeds.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(mt_engine, "random", SimpleNamespace(Random=recording))
+        system = extremal_cycle_instance(4)
+        for rule in ("lowest-index", "recent-neighbor"):
+            run_mt(system, rule, 5)
+        assert seeds == []
+        run_mt(system, "uniform-violated", 5)
+        run_mt(system, _highest_then_random, 5)
+        assert seeds == [unit_bits(5, "rule")] * 2
 
     @settings(max_examples=300, deadline=None)
     @given(

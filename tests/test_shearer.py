@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,9 +6,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lll_workbench import shearer
 from lll_workbench.graphs import DependencyGraph, InputError
 from lll_workbench.shearer import (
+    DESCENT_PASSES,
+    DESCENT_TOLERANCE,
+    BoundaryScale,
     CapExceeded,
+    GapEstimate,
     ProbabilityVector,
     boundary_scale,
     descent_gap_lower,
@@ -489,3 +495,207 @@ def test_boundary_bracket_holds_first_root(g, data, resolution):
     res = boundary_scale(g, ProbabilityVector(d), resolution)
     assert res.hi - res.lo <= resolution
     _assert_bracket_holds_first_root(g, d, res)
+
+
+# ---------------------------------------------------------------------------
+# Fraction references: the nested-suffix membership test and the gap,
+# boundary and descent searches as they ran on Fractions before the oracle
+# moved onto integer numerators over a common denominator. The integer code
+# must return equal values.
+
+
+def fraction_membership(g, values):
+    vals = [Fraction(v) for v in values]
+    nbr, memo = _closed_nbr(g), {}
+    mask = sum(1 << k for k, v in enumerate(vals) if v > 0)
+    while mask:
+        if _ref_q_empty(nbr, vals, mask, memo) <= 0:
+            return False
+        mask &= mask - 1
+    return True
+
+
+def fraction_q(g, p, iset):
+    return _ref_q(_closed_nbr(g), p.values, (1 << g.m) - 1, iset, {})
+
+
+def fraction_boundary_scale(g, direction, resolution):
+    t_max = min(Fraction(1) / d for d in direction.values)
+    lo, hi = Fraction(0), t_max
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        if fraction_membership(g, [mid * d for d in direction.values]):
+            lo = mid
+        else:
+            hi = mid
+    return BoundaryScale(lo, hi, clamped=hi == t_max)
+
+
+def fraction_l1_gap(g, p, resolution, max_boxes):
+    if fraction_membership(g, p.values):
+        return GapEstimate(Fraction(-1), Fraction(-1), resolution)
+    total = sum(p.values, Fraction(0))
+    upper_best, counter, heap = total, 0, []
+
+    def offer(a, b, a_known_in):
+        nonlocal upper_best, counter
+        lb = sum(a, Fraction(0))
+        if lb >= upper_best:
+            return
+        if not a_known_in and not fraction_membership(g, a):
+            upper_best = min(upper_best, lb)
+            return
+        counter += 1
+        heapq.heappush(heap, (lb, counter, a, b))
+
+    offer(tuple(Fraction(0) for _ in p.values), p.values, True)
+    boxes_seen = 0
+    while heap:
+        lb, _, a, b = heapq.heappop(heap)
+        if upper_best - lb <= resolution:
+            heapq.heappush(heap, (lb, counter, a, b))
+            break
+        if lb >= upper_best:
+            continue
+        boxes_seen += 1
+        if boxes_seen > max_boxes:
+            raise CapExceeded(f"l1_gap exceeded {max_boxes} boxes")
+        axis = max(range(len(a)), key=lambda k: (b[k] - a[k], -k))
+        mid = (a[axis] + b[axis]) / 2
+        b_low = tuple(mid if k == axis else b[k] for k in range(len(b)))
+        a_high = tuple(mid if k == axis else a[k] for k in range(len(a)))
+        if not fraction_membership(g, b_low):
+            offer(a, b_low, True)
+        offer(a_high, b, False)
+    lower_min = min(min((item[0] for item in heap), default=upper_best), upper_best)
+    return GapEstimate(total - upper_best, total - lower_min, resolution)
+
+
+def fraction_descent_gap_lower(g, p):
+    if fraction_membership(g, p.values):
+        return Fraction(-1)
+    r = list(p.values)
+    for _ in range(DESCENT_PASSES):
+        improved = False
+        for k in range(len(r)):
+            if r[k] == 0:
+                continue
+            lo, hi = Fraction(0), r[k]
+            probe = list(r)
+            probe[k] = Fraction(0)
+            if not fraction_membership(g, probe):
+                r[k] = Fraction(0)
+                improved = True
+                continue
+            while hi - lo > DESCENT_TOLERANCE:
+                mid = (lo + hi) / 2
+                probe[k] = mid
+                if fraction_membership(g, probe):
+                    lo = mid
+                else:
+                    hi = mid
+            if hi < r[k]:
+                r[k] = hi
+                improved = True
+        if not improved:
+            break
+    return sum(p.values, Fraction(0)) - sum(r, Fraction(0))
+
+
+@st.composite
+def mixed_vectors(draw, m, zeros=True):
+    """Entries 0 and 1 and fractions over mixed denominators, dyadic and
+    not, scaled down now and then so that some vectors lie inside."""
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(1, 8)]))
+    vals = []
+    for _ in range(m):
+        kind = draw(st.integers(0, 7))
+        if kind == 0 and zeros:
+            vals.append(Fraction(0))
+        elif kind == 1:
+            vals.append(Fraction(1))
+        else:
+            den = draw(st.sampled_from([2, 3, 7, 8, 10, 97, 1024]))
+            vals.append(scale * Fraction(draw(st.integers(1, den)), den))
+    return vals
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_integer_oracle_matches_fraction_reference(g, data):
+    v = data.draw(mixed_vectors(g.m))
+    assert shearer_membership(g, v) == fraction_membership(g, v)
+    p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    report = in_shearer_bound(g, p)
+    assert report.in_bound == fraction_membership(g, p.values)
+    assert report.q_values == {iset: fraction_q(g, p, iset) for iset in report.q_values}
+    for iset in independent_sets(g):
+        assert q_polynomial(g, p, iset) == fraction_q(g, p, iset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=small_graphs(max_m=4),
+    data=st.data(),
+    resolution=st.sampled_from([Fraction(1, 16), Fraction(1, 32), Fraction(1, 64)]),
+)
+def test_integer_searches_match_fraction_references(g, data, resolution):
+    d = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    scale = boundary_scale(g, d, resolution)
+    assert scale == fraction_boundary_scale(g, d, resolution)
+    # one vector just past the boundary, where descent bisects every
+    # coordinate, and one drawn anywhere
+    past = ProbabilityVector(tuple(scale.hi * x for x in d.values))
+    anywhere = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    for p in (past, anywhere):
+        assert descent_gap_lower(g, p) == fraction_descent_gap_lower(g, p)
+        # a unit entry can keep the box search from closing (its lower
+        # corners only approach the face x_k = 1), so both run under a cap
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
+            assert _outcome(l1_gap, g, p, resolution) == _outcome(
+                fraction_l1_gap, g, p, resolution, 1000
+            )
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+K3_EXAMPLE = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
+
+
+class TestPinnedGaps:
+    def test_k3_brackets(self):
+        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 256)) == GapEstimate(
+            Fraction(1, 6), Fraction(131, 768), Fraction(1, 256)
+        )
+        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
+            Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
+        )
+
+    def test_c4_bracket(self):
+        p = ProbabilityVector.uniform(4, Fraction(3, 10))
+        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(
+            Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
+        )
+
+    def test_key_rescaling_keeps_the_bracket(self, monkeypatch):
+        # with one bit of key scale, nearly every finer box rescales the heap
+        monkeypatch.setattr(shearer, "_KEY_BITS", 1)
+        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
+            Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
+        )
+        p = ProbabilityVector.uniform(4, Fraction(3, 10))
+        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(
+            Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
+        )
+
+    def test_coarse_resolution_needs_no_probe(self):
+        d = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        got = boundary_scale(K3, d, Fraction(2))
+        assert got == fraction_boundary_scale(K3, d, Fraction(2))
+        assert got == BoundaryScale(Fraction(0), Fraction(2), clamped=True)
