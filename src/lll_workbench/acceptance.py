@@ -259,7 +259,7 @@ def check_5_verdict_soundness(trials: int = 100_000) -> CheckResult:
     verdict = intersection_lll_verdict(setting, eps, delta_source="measured")
     if not verdict.accepted:
         return _result("5", started, False, "instance unexpectedly rejected")
-    bound = verdict.bound_on_et
+    bound = verdict.bound_on_expected_steps
     lines = [f"bound 4/eps={float(bound):.1f}"]
     ok = True
     for rule in ("lowest-index", "uniform-violated", "recent-neighbor"):

@@ -20,7 +20,7 @@ from .criterion import (
     lattice_gap_q,
 )
 from .graphs import InputError, base_graph
-from .jsonio import emit_report, fraction_str, parse_fraction
+from .jsonio import emit_report, parse_fraction
 from .lattices import builtin_lattice
 from .mt_engine import (
     SELECTION_RULES,
@@ -86,53 +86,36 @@ def _emit(args, payload, fmt="json"):
 
 
 def _emit_verdict(args, verdict) -> int:
-    _emit(
-        args,
-        {
-            "accepted": verdict.accepted,
-            "bound_on_expected_steps": verdict.bound_on_et,
-            "evidence": verdict.evidence,
-            "details": verdict.details,
-        },
-    )
+    _emit(args, verdict)
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
 def cmd_shearer_check(args) -> int:
     g = _graph(args)
     report = in_shearer_bound(g, _pvec(args))
-    payload = jsonio.shearer_report_to_dict(report)
+    payload = jsonio.jsonable(report)
     if report.in_bound:
-        payload["expected_resample_bound"] = fraction_str(resample_bound(report))
+        payload["expected_resample_bound"] = resample_bound(report)
     _emit(args, payload)
     return EXIT_OK if report.in_bound else EXIT_REJECT
 
 
 def cmd_boundary(args) -> int:
     g = _graph(args)
-    scale = boundary_scale(g, _pvec(args), parse_fraction(args.resolution))
-    _emit(
-        args,
-        {
-            "lo": fraction_str(scale.lo),
-            "hi": fraction_str(scale.hi),
-            "clamped": scale.clamped,
-        },
-    )
+    _emit(args, boundary_scale(g, _pvec(args), parse_fraction(args.resolution)))
     return EXIT_OK
 
 
 def cmd_gap(args) -> int:
     g = _graph(args)
-    gap = l1_gap(g, _pvec(args), parse_fraction(args.resolution))
-    _emit(args, jsonio.gap_to_dict(gap))
+    _emit(args, l1_gap(g, _pvec(args), parse_fraction(args.resolution)))
     return EXIT_OK
 
 
 def cmd_mt_run(args) -> int:
     system = jsonio.load_event_system(_read_json(args.system))
     stats = run_mt(system, args.rule, args.seed, args.step_cap)
-    _emit(args, jsonio.run_stats_to_dict(stats))
+    _emit(args, {**jsonio.jsonable(stats), "T": stats.t})
     return EXIT_OK
 
 
@@ -164,17 +147,10 @@ def cmd_wdag_sum(args) -> int:
         acc = Fraction(0)
         for size in sorted(sums.by_size):
             acc += sums.by_size[size]
-            rows.append([size, fraction_str(sums.by_size[size]), fraction_str(acc)])
+            rows.append([size, sums.by_size[size], acc])
         _emit(args, rows, fmt="csv")
     else:
-        _emit(
-            args,
-            {
-                "by_size": {str(k): fraction_str(v) for k, v in sums.by_size.items()},
-                "cumulative": fraction_str(sums.cumulative),
-                "node_cap": sums.node_cap,
-            },
-        )
+        _emit(args, sums)
     return EXIT_OK
 
 
@@ -222,8 +198,8 @@ def cmd_lattice_gap(args) -> int:
         args,
         {
             "lattice": args.lattice,
-            "q_lower": fraction_str(report.q.lo),
-            "q_upper": fraction_str(report.q.hi),
+            "q_lower": report.q.lo,
+            "q_upper": report.q.hi,
             "q_float": float((report.q.lo + report.q.hi) / 2),
             "unit_diameter": report.unit_diameter,
             "unit_vertices": report.unit_vertices,

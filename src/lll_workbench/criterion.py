@@ -159,7 +159,7 @@ def reduction_identity_holds(setting: IntersectionSetting) -> bool:
 @dataclass(frozen=True)
 class Verdict:
     accepted: bool
-    bound_on_et: Fraction | None
+    bound_on_expected_steps: Fraction | None
     evidence: str
     details: dict
 

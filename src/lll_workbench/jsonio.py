@@ -4,9 +4,15 @@ Graphs: {"m": int, "edges": [[u,v],...]}; bipartite graphs: {"events": m,
 "vars": n, "edges": [[i,j],...]}; probability vectors: {"p": ["1/4",...]}
 accepting fraction or decimal strings, converted exactly. Event systems list
 variables ({"kind": "uniform01"} or {"kind": "finite", "masses": [...]}) and
-elementary events with per-variable interval unions or value sets. Reports
-are emitted with sorted keys and rationals rendered "a/b", so byte-identical
-inputs give byte-identical outputs.
+elementary events with per-variable interval unions or value sets.
+
+One writer, `jsonable`, renders every result: a result object (a dataclass)
+becomes the dict of its fields, so a field name is its wire key; shearer-check
+and mt-run add one derived key each (expected_resample_bound, T). Reports are
+emitted with sorted keys and rationals rendered "a/b", so byte-identical
+inputs give byte-identical outputs. Only two commands build a dict of their
+own: mt-estimate's JSON drops the per-trial rows, which its CSV form lists,
+and lattice-gap flattens its interval bounds and adds float summaries.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -23,12 +31,11 @@ from .mt_engine import (
     EventSystem,
     FiniteVariable,
     IntervalUnion,
-    RunStats,
     StepEstimate,
     Uniform01,
     ValueSet,
 )
-from .shearer import GapEstimate, ProbabilityVector, ShearerReport
+from .shearer import ProbabilityVector
 from .wdag import WDag
 
 
@@ -53,20 +60,21 @@ def _integer(value, what: str) -> int:
     raise InputError(f"{what} must be integers, got {value!r}")
 
 
-def fraction_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def _jsonable(value) -> Any:
+def jsonable(value) -> Any:
+    """The one writer of results: a dataclass as the dict of its fields,
+    rationals as "a/b", tuples and sorted sets as lists, dict keys as
+    strings (an index set as "i,j", the empty set as "()")."""
     if isinstance(value, Fraction):
-        return fraction_str(value)
+        return str(value)
     if isinstance(value, dict):
-        return {_key_str(k): _jsonable(v) for k, v in value.items()}
+        return {_key_str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)
         if isinstance(value, (set, frozenset)):
             items = sorted(items)
-        return [_jsonable(v) for v in items]
+        return [jsonable(v) for v in items]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -76,29 +84,33 @@ def _key_str(key) -> str:
     return str(key)
 
 
-def load_graph(data: Mapping) -> DependencyGraph:
-    what = "bad graph object: m and edge endpoints"
+@contextmanager
+def _wire_object(kind: str):
+    """Report a malformed wire object as an InputError "bad <kind> object",
+    letting the loaders' own InputErrors through as they are."""
     try:
-        edges = [tuple(_integer(x, what) for x in e) for e in data.get("edges", [])]
-        return DependencyGraph.from_edges(_integer(data["m"], what), edges)
+        yield
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph object: {exc}") from exc
+        raise InputError(f"bad {kind} object: {exc}") from exc
+
+
+def load_graph(data: Mapping) -> DependencyGraph:
+    what = "bad graph object: m and edge endpoints"
+    with _wire_object("graph"):
+        edges = [tuple(_integer(x, what) for x in e) for e in data.get("edges", [])]
+        return DependencyGraph.from_edges(_integer(data["m"], what), edges)
 
 
 def load_bipartite(data: Mapping) -> BipartiteEventVariableGraph:
     what = "bad bipartite graph object: events, vars and incidences"
-    try:
+    with _wire_object("bipartite graph"):
         return BipartiteEventVariableGraph(
             _integer(data["events"], what),
             _integer(data["vars"], what),
             frozenset((_integer(i, what), _integer(j, what)) for i, j in data.get("edges", [])),
         )
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad bipartite graph object: {exc}") from exc
 
 
 def load_probability_vector(data) -> ProbabilityVector:
@@ -147,7 +159,7 @@ def _load_allowed(var, spec: Mapping):
 
 
 def load_event_system(data: Mapping) -> EventSystem:
-    try:
+    with _wire_object("event system"):
         variables = []
         for spec in data.get("variables", []):
             kind = spec.get("kind")
@@ -178,57 +190,15 @@ def load_event_system(data: Mapping) -> EventSystem:
         if not events:
             raise InputError("event system needs at least one event")
         return EventSystem(tuple(variables), tuple(events))
-    except InputError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad event system object: {exc}") from exc
 
 
 def load_wdag(data: Mapping) -> WDag:
     what = "bad wdag object: labels and arcs"
-    try:
+    with _wire_object("wdag"):
         return WDag(
             tuple(_integer(x, what) for x in data["labels"]),
             frozenset((_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])),
         )
-    except InputError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad wdag object: {exc}") from exc
-
-
-def wdag_to_dict(d: WDag) -> dict:
-    return {"labels": list(d.labels), "arcs": [list(a) for a in sorted(d.arcs)]}
-
-
-def run_stats_to_dict(stats: RunStats) -> dict:
-    return {
-        "T": stats.t,
-        "truncated": stats.truncated,
-        "sequence": list(stats.sequence),
-        "final_assignment": {
-            str(j): _jsonable(v) for j, v in sorted(stats.final_assignment.items())
-        },
-        "per_event_counts": {
-            str(i): c for i, c in sorted(stats.per_event_counts.items())
-        },
-    }
-
-
-def shearer_report_to_dict(report: ShearerReport) -> dict:
-    return {
-        "in_bound": report.in_bound,
-        "q_values": {_key_str(k): fraction_str(v) for k, v in report.q_values.items()},
-        "witness": list(report.witness) if report.witness is not None else None,
-    }
-
-
-def gap_to_dict(gap: GapEstimate) -> dict:
-    return {
-        "lower": fraction_str(gap.lower),
-        "upper": fraction_str(gap.upper),
-        "resolution": fraction_str(gap.resolution),
-    }
 
 
 def estimate_to_rows(est: StepEstimate, seed) -> list[list]:
@@ -239,14 +209,14 @@ def estimate_to_rows(est: StepEstimate, seed) -> list[list]:
 
 
 def dumps_json(payload) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
 
 
 def dumps_csv(rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        writer.writerow([_jsonable(x) for x in row])
+        writer.writerow([jsonable(x) for x in row])
     return buf.getvalue()
 
 

@@ -182,16 +182,22 @@ def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _checked_integers(g: DependencyGraph, values: Sequence) -> tuple[list[int], int]:
-    """The membership test's input checks, then `_integers`."""
-    vals = [Fraction(v) for v in values]
-    if len(vals) != g.m:
+def _check_length(g: DependencyGraph, values: Sequence) -> None:
+    if len(values) != g.m:
         raise InputError("vector length mismatch")
-    for v in vals:
-        if not 0 <= v <= 1:
-            raise InputError(f"entry {v} outside [0,1]")
+
+
+def _checked_integers(g: DependencyGraph, values: Sequence) -> tuple[list[int], int]:
+    """The input checks of membership and of the searches (length, entries
+    in [0,1], size cap) on the numerators over the common denominator."""
+    vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    _check_length(g, vals)
+    nums, den = _integers(vals)
+    for n in nums:
+        if not 0 <= n <= den:
+            raise InputError(f"entry {Fraction(n, den)} outside [0,1]")
     _check_size(g)
-    return _integers(vals)
+    return nums, den
 
 
 def _outside(nbr: Sequence[int], m: int, iset: Sequence[int]) -> int:
@@ -225,8 +231,7 @@ def q_polynomial(
 
     Factorizes as (prod_{i in I} p_i) * q_0 on the graph minus N[I].
     """
-    if len(p) != g.m:
-        raise InputError("probability vector length mismatch")
+    _check_length(g, p.values)
     iset = tuple(sorted(set(independent)))
     for u in iset:
         if not 1 <= u <= g.m:
@@ -256,10 +261,7 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     the witness is the first failing independent set (size order, then
     lexicographic). Every q_I has the sign of Q on the graph minus N[I].
     """
-    if len(p) != g.m:
-        raise InputError("probability vector length mismatch")
-    _check_size(g)
-    nums, den = _integers(p.values)
+    nums, den = _checked_integers(g, p.values)
     nbr = g.closed_masks
     memo: dict[int, int] = {}
     q_values = {(): _q_of_set(nums, den, nbr, (), memo)}
@@ -291,19 +293,19 @@ def boundary_scale(
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
-    t_max = min(Fraction(1) / d for d in direction.values)
-    if t_max <= resolution:  # no probe is needed
-        return BoundaryScale(Fraction(0), t_max, clamped=True)
-    nums, den = _checked_integers(g, [t_max * d for d in direction.values])
+    nums, den = _checked_integers(g, direction.values)
     nbr = g.closed_masks
+    top = max(nums)
+    t_max = Fraction(den, top)
     # after k halvings lo = a*t_max/2^k and hi = lo + t_max/2^k; the probe
-    # (a+1)*t_max/2^k * direction is nums*(a+1) over den*2^k
+    # (a+1)*t_max/2^k * direction is nums*(a+1) over top*2^k. When
+    # t_max <= resolution no probe is made: the bracket is [0, t_max].
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
     a = k = 0
     while width > res << k:
         k += 1
         a <<= 1
-        if _member([n * (a + 1) for n in nums], den << k, nbr):
+        if _member([n * (a + 1) for n in nums], top << k, nbr):
             a += 1
     lo = t_max * Fraction(a, 1 << k)
     hi = t_max * Fraction(a + 1, 1 << k)
@@ -332,8 +334,6 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
-    if len(p) != g.m:
-        raise InputError("probability vector length mismatch")
     nums, den = _checked_integers(g, p.values)
     nbr = g.closed_masks
     if _member(nums, den, nbr):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import lll_workbench
 from lll_workbench.cli import build_parser, dispatch
+from lll_workbench.mt_engine import RunStats
+from lll_workbench.shearer import GapEstimate, ShearerReport
+from lll_workbench.wdag import WDag
 
 # a count no structure may be sized by; written out as a JSON integer
 HUGE = 10**300
@@ -296,6 +300,15 @@ def test_boundary_and_gap(files, capsys):
     assert out["lower"] != "-1"
 
 
+def test_boundary_checks_the_direction_without_probes(files, capsys):
+    # --resolution 5 exceeds the clamp scale 1, so the search makes no probe
+    argv = ["boundary", "--graph", files["c4"], "--p", "1,1,1", "--resolution", "5"]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: vector length mismatch" in captured.err
+
+
 def test_mt_run_and_estimate_csv(files, capsys):
     code = dispatch(
         ["mt-run", "--system", files["system"], "--seed", "7", "--step-cap", "100"]
@@ -318,7 +331,7 @@ def test_mt_run_and_estimate_csv(files, capsys):
 
 
 def test_mt_seed_accepts_strings_like_the_api(files, capsys):
-    from lll_workbench.jsonio import load_event_system, run_stats_to_dict
+    from lll_workbench.jsonio import jsonable, load_event_system
     from lll_workbench.mt_engine import run_mt
 
     def parsed(seed):
@@ -333,8 +346,8 @@ def test_mt_seed_accepts_strings_like_the_api(files, capsys):
         code = dispatch(["mt-run", "--system", files["system"], "--seed", seed])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
-        want = run_stats_to_dict(run_mt(system, "lowest-index", api_seed, 1_000_000))
-        assert out == json.loads(json.dumps(want))
+        stats = run_mt(system, "lowest-index", api_seed, 1_000_000)
+        assert out == json.loads(json.dumps({**jsonable(stats), "T": stats.t}))
 
     code = dispatch(
         [
@@ -449,19 +462,226 @@ def test_output_bytes_are_stable(files, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# Exit code and sha256 of stdout per command, recorded from the hand-built
+# payloads the CLI wrote before it passed result objects to jsonable: the
+# README commands but selftest, accepted and rejected verdicts, a coarse and
+# a skewed boundary bracket, the gap's -1 marker, mixed uniform/finite runs
+# with a string seed and with truncation, and by-size keys of 10 and more,
+# whose string order differs from their numeric order.
+_GOLDEN = [
+    ("readme-shearer-check", "shearer-check --graph {k3} --p 1/3,1/3,1/3",
+     1, "1b4306ed64ae4f10e9d56f0d9786df590ca8f88740f1ddd9c5e0563589e7a2ee"),
+    ("readme-boundary", "boundary --graph {c4} --p 1,1,1,1 --resolution 1/4096",
+     0, "3bff0221286bfd7e483b178c163f261bf02ea94a419b68f4fbf02c48d49f6bb4"),
+    ("readme-gap", "gap --graph {k3} --p 1/2,1/3,1/3 --resolution 1/256",
+     0, "a49fd3ce9e9e548cb51c660df4988313a5757dbd816112141efa296e2201c9ec"),
+    ("readme-mt-run", "mt-run --system {system} --seed 7",
+     0, "9a3f2017b6d5f281595a91a341a6c2fbe723eedef8ea07c36e70dafe55b3ae59"),
+    ("readme-mt-estimate-csv", "mt-estimate --system {system} --trials 100000 --seed 7 --format csv",
+     0, "4dc5773eca51f2207eb8e8aa16211d3cb6734a6c8d5c2442365eb7af4dfd7f53"),
+    ("readme-wdag-sum", "wdag-sum --graph {c4} --p 1/4,1/4,1/4,1/4 --node-cap 5",
+     0, "398d4d389c45eb6b8bc60ffaef1b7c9b13062d2715655dc54454d8e8b8170a63"),
+    ("readme-criterion", "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2,3-4 --delta 1/8,1/8 --eps 1/8",
+     0, "91da8f11cd007b363ed50d858a0368844bfc8aa77b7c8e923e646d5181db7721"),
+    ("readme-beyond", "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000",
+     0, "d0c4d4c482c4a6026ff5e6c06e17abb45574bc29bf192ebcf1d45bc07096eded"),
+    ("readme-lattice-gap", "lattice-gap --lattice square --pa 0.1193",
+     0, "a9290c498e53b7e65fbda1488957ea7b2c336091f5e2816935cbf35dcd366712"),
+    ("shearer-check-accepted", "shearer-check --graph {c4} --p 1/4,1/4,1/5,1/6",
+     0, "6f44830ed088035fabfb3ef7d19e7f7bf493a450352b38617a92809b3eed733c"),
+    ("shearer-check-rejected-c4", "shearer-check --graph {c4} --p 1/2,1/2,1/3,1/2",
+     1, "5f88e355716f567ea99195f65921d3b6b96d2a074e7441902246e7efae7dcd86"),
+    ("boundary-coarse", "boundary --graph {c4} --p 1,1,1,1 --resolution 5",
+     0, "e8cd459995a77adee6654632c8233e78138fa8c47c8692e687d1c9907bd8d0d8"),
+    ("boundary-direction", "boundary --graph {k3} --p 1/2,1/3,1 --resolution 1/64",
+     0, "5d2fe2439a909768e3739800e6e994dc3a80ac8f9ac505756e89599153887d5f"),
+    ("gap-in-bound", "gap --graph {c4} --p 1/5,1/5,1/5,1/5 --resolution 1/64",
+     0, "df21f2461c710a0e12164cbfa4a9406bc517b1398eeb5d5d85653a5c636bdb21"),
+    ("gap-c4", "gap --graph {c4} --p 3/10,3/10,3/10,3/10 --resolution 1/64",
+     0, "3b77c69846773e0e547030538b1fa62f65c45e68291906413945619a2d736fff"),
+    ("mt-run-mixed-string-seed", "mt-run --system {mixed} --seed mixed/run --rule uniform-violated",
+     0, "abcb3c01dccb849ea1bf0408423bf793d44db9719d793cbec645dbf6e09432c5"),
+    ("mt-run-truncated", "mt-run --system {overlap} --seed 0 --step-cap 1",
+     0, "1d77082a1a025eb9771a4465f1b196284b06c7c69ee33e09166ac3e9b9a06372"),
+    ("mt-estimate-json", "mt-estimate --system {mixed} --trials 50 --seed 11",
+     0, "691cd3ad725c2f482bad793edbf864c74e5ad50a7b0db86ff8894a5222f9dc8c"),
+    ("wdag-sum-csv", "wdag-sum --graph {c4} --p 1/4,1/4,1/4,1/4 --node-cap 12 --format csv",
+     0, "83ef10c395f3258976d6dc0f52b9da3b35988ba482682e50d1e2a399ba2cf1e0"),
+    ("wdag-sum-twelve", "wdag-sum --graph {k3} --p 1/5,1/6,1/7 --node-cap 12",
+     0, "d176c81136eb8e18183895412a3d137169717d1a212fabaf8a5fd850c24e3c62"),
+    ("criterion-measured", "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2,3-4 --system {overlap} --eps 1/8",
+     0, "674fc1e5900f11194fac8c7dfb200b3ad20feae901fd5d0c77db9e84cf2d36ff"),
+    ("criterion-rejected", "criterion --graph {c4} --p 1/2,1/2,1/2,1/2 --matching 1-2,3-4 --delta 1/8,1/8 --eps 1/8",
+     1, "155daf57378b4c096e2da9b4e8d5262db52b0800cb2f32795ab25195f15de8e1"),
+    ("beyond-inside", "beyond --graph {c4} --p 1/4,1/4,1/4,1/4 --eps 1/8",
+     0, "9fbbfa82e872b04cf7cf8d69fdcd3a9e04a9428fb7aac4be8a42307d1b21552a"),
+    ("beyond-gap-resolution", "beyond --graph {c4} --p 3/10,3/10,3/10,3/10 --eps 1/1000 --resolution 1/64",
+     1, "29240556ad07df0dc8a762a53d7b176b2c6d7de317c35b5dd56542eb681b2423"),
+    ("lattice-gap-hexagonal", "lattice-gap --lattice hexagonal --pa 0.1547",
+     0, "4eea5cd4de685cd50ee9ef74264716edda807b6e23f6293089f1f843ecba360f"),
+]
+
+
+_HALF = [["0", "1/2"]]
+_GOLDEN_SYSTEMS = {
+    "mixed": {
+        "variables": [
+            {"kind": "uniform01"},
+            {"kind": "finite", "masses": ["1/3", "1/3", "1/3"]},
+            {"kind": "uniform01"},
+        ],
+        "events": [
+            {"allowed": {"1": {"intervals": _HALF}, "2": {"values": [0]}}},
+            {"allowed": {"2": {"values": [1, 2]}, "3": {"intervals": [["1/4", "3/4"]]}}},
+            {"allowed": {"3": {"intervals": [["0", "1/3"]]}}},
+        ],
+    },
+    # the 4-cycle of events on shared uniform variables
+    "overlap": {
+        "variables": [{"kind": "uniform01"}] * 4,
+        "events": [
+            {"allowed": {str(i): {"intervals": _HALF}, str(i % 4 + 1): {"intervals": _HALF}}}
+            for i in range(1, 5)
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command,code,digest", [case[1:] for case in _GOLDEN], ids=[case[0] for case in _GOLDEN]
+)
+def test_golden_output_bytes(files, capsys, command, code, digest):
+    paths = dict(files)
+    for name, system in _GOLDEN_SYSTEMS.items():
+        paths[name] = files["dir"] / f"{name}.json"
+        paths[name].write_text(json.dumps(system))
+    assert dispatch(command.format(**paths).split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_wdag_wire_format_roundtrip():
     from lll_workbench.graphs import InputError
-    from lll_workbench.jsonio import load_wdag, wdag_to_dict
+    from lll_workbench.jsonio import jsonable, load_wdag
 
     data = {"labels": [1, 3, 2, 1], "arcs": [[1, 3], [1, 4], [2, 3], [3, 4]]}
     d = load_wdag(data)
-    assert wdag_to_dict(d) == data
+    assert jsonable(d) == data
     for bad in ({"labels": [1, 2.0]}, {"labels": [1, 2], "arcs": [[1, True]]}):
         with pytest.raises(InputError, match="must be integers"):
             load_wdag(bad)
     for arcs in ([[1]], [[1, 2, 3]], [1], None):
         with pytest.raises(InputError, match="bad wdag object"):
             load_wdag({"labels": [1], "arcs": arcs})
+
+
+# ---------------------------------------------------------------------------
+# the per-type renderers jsonable replaced, kept as reference oracles
+
+def fraction_str(x: Fraction) -> str:
+    return str(Fraction(x))
+
+
+def _jsonable(value):
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, dict):
+        return {_key_str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items)
+        return [_jsonable(v) for v in items]
+    return value
+
+
+def _key_str(key) -> str:
+    if isinstance(key, (tuple, frozenset)):
+        return ",".join(str(part) for part in sorted(key)) if key else "()"
+    return str(key)
+
+
+def wdag_to_dict(d: WDag) -> dict:
+    return {"labels": list(d.labels), "arcs": [list(a) for a in sorted(d.arcs)]}
+
+
+def run_stats_to_dict(stats: RunStats) -> dict:
+    return {
+        "T": stats.t,
+        "truncated": stats.truncated,
+        "sequence": list(stats.sequence),
+        "final_assignment": {
+            str(j): _jsonable(v) for j, v in sorted(stats.final_assignment.items())
+        },
+        "per_event_counts": {
+            str(i): c for i, c in sorted(stats.per_event_counts.items())
+        },
+    }
+
+
+def shearer_report_to_dict(report: ShearerReport) -> dict:
+    return {
+        "in_bound": report.in_bound,
+        "q_values": {_key_str(k): fraction_str(v) for k, v in report.q_values.items()},
+        "witness": list(report.witness) if report.witness is not None else None,
+    }
+
+
+def gap_to_dict(gap: GapEstimate) -> dict:
+    return {
+        "lower": fraction_str(gap.lower),
+        "upper": fraction_str(gap.upper),
+        "resolution": fraction_str(gap.resolution),
+    }
+
+
+# negative and integer values included
+_fractions = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**6))
+# up to 12 keys, so "10" and "11" sort before "2"
+_indices = st.integers(1, 12)
+
+
+@st.composite
+def _shearer_reports(draw):
+    # index sets of size 0, 1 and 2 or more, as the oracle's keys are sorted
+    sets = st.lists(_indices, max_size=4, unique=True).map(lambda vs: tuple(sorted(vs)))
+    q_values = draw(st.dictionaries(sets, _fractions, max_size=8))
+    witness = draw(st.none() | sets)
+    return ShearerReport(draw(st.booleans()), q_values, witness)
+
+
+@st.composite
+def _run_stats(draw):
+    # uniform variables end on a rational, finite ones on an integer value
+    final = draw(st.dictionaries(_indices, _fractions | st.integers(0, 9), max_size=12))
+    counts = draw(st.dictionaries(_indices, st.integers(1, 50), max_size=12))
+    return RunStats(draw(st.lists(_indices).map(tuple)), draw(st.booleans()), final, counts)
+
+
+@st.composite
+def _wdags(draw):
+    n = draw(st.integers(1, 12))
+    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda a: a[0] != a[1])))
+    return WDag(tuple(draw(st.lists(_indices, min_size=n, max_size=n))), arcs)
+
+
+def _same_json(a, b) -> bool:
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    report=_shearer_reports(),
+    gap=st.builds(GapEstimate, _fractions, _fractions, _fractions),
+    stats=_run_stats(),
+    d=_wdags(),
+)
+def test_jsonable_matches_the_per_type_renderers(report, gap, stats, d):
+    from lll_workbench.jsonio import jsonable
+
+    assert _same_json(jsonable(report), shearer_report_to_dict(report))
+    assert _same_json(jsonable(gap), gap_to_dict(gap))
+    assert _same_json({**jsonable(stats), "T": stats.t}, run_stats_to_dict(stats))
+    assert _same_json(jsonable(d), wdag_to_dict(d))
 
 
 def test_bipartite_input_derives_dependency_graph(files, tmp_path, capsys):

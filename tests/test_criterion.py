@@ -113,7 +113,7 @@ class TestIntersectionVerdict:
         setting = quarter_setting(Fraction(1, 10**9))
         verdict = intersection_lll_verdict(setting, Fraction(1, 10))
         assert verdict.accepted
-        assert verdict.bound_on_et == 40
+        assert verdict.bound_on_expected_steps == 40
 
     def test_clamp_rejection(self):
         verdict = intersection_lll_verdict(quarter_setting(), Fraction(4))

@@ -699,3 +699,21 @@ class TestPinnedGaps:
         got = boundary_scale(K3, d, Fraction(2))
         assert got == fraction_boundary_scale(K3, d, Fraction(2))
         assert got == BoundaryScale(Fraction(0), Fraction(2), clamped=True)
+
+
+@pytest.mark.parametrize("resolution", [Fraction(1, 64), Fraction(2)])
+def test_input_checks_hold_with_or_without_probes(resolution):
+    # a coarse resolution makes no probe, but the direction is checked first
+    with pytest.raises(InputError, match="^vector length mismatch"):
+        boundary_scale(C4, ProbabilityVector.uniform(3, 1), resolution)
+    for search in (
+        l1_gap,
+        lambda g, p, _: in_shearer_bound(g, p),
+        lambda g, p, _: q_polynomial(g, p, ()),
+    ):
+        with pytest.raises(InputError, match="^vector length mismatch"):
+            search(C4, ProbabilityVector.uniform(3, Fraction(1, 4)), resolution)
+    # the size cap holds for boundary_scale; the q-values keep none
+    with pytest.raises(CapExceeded):
+        boundary_scale(cycle(31), ProbabilityVector.uniform(31, 1), resolution)
+    assert q_empty(cycle(31), ProbabilityVector.uniform(31, Fraction(1, 4))) > 0
