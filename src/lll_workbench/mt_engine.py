@@ -6,9 +6,14 @@ deterministic functions of their variables. Elementary events are boxes:
 one allowed set per variable, conjunctively. The engine runs the resampling
 algorithm against a seeded lazy table, so identical (system, rule, seed)
 always reproduce the identical run, and batches can be farmed out to
-workers without changing results. It works on the table's integer draws
-k (the sample is k / 2^64), which each system's IntegerForm tests exactly.
-"""
+workers without changing results.
+
+The engine works on the table's integer draws k (the sample is k / 2^64).
+Each system's IntegerForm cuts every variable's draws into cells at the
+ends of all the elementary events' allowed sets, so an elementary event
+reads a variable only through the cell of its draw: one bisect per redrawn
+variable, then one shift and AND per variable of each event on it. The
+violated events are one int mask, from which the named rules pick."""
 
 from __future__ import annotations
 
@@ -237,21 +242,26 @@ class IntegerForm:
 
     Since k is an integer, k / 2^64 < x iff k < ceil(x * 2^64), so every
     rational threshold becomes an integer one and the tests below are exact.
+    An elementary event reads a variable only through the cell its draw lies
+    in, the cells of a variable being cut by every end of every test on it.
 
     - cuts[j-1]: for a finite variable, ceil((m_0 + ... + m_v) * 2^64) for
       each value v, so bisect_right(cuts, k) is its value; None otherwise.
+    - points[j-1]: the sorted ends strictly inside (0, 2^64) of the allowed
+      draws of the events on variable j; draw k lies in cell
+      bisect_right(points, k).
     - tests[i-1]: for an elementary event over uniform and finite variables,
-      one (j, bounds) per variable, bounds being the ends lo, hi, lo, hi, ...
-      of the disjoint integer intervals [lo, hi) of the allowed draws, in
-      non-decreasing order. k is allowed iff an odd number of bounds are <= k,
-      that is iff bisect_right(bounds, k) is odd. None for any other event,
-      which is tested by Event.holds on the decoded values.
+      one (j, cells) per variable, bit c of cells being set iff the event
+      allows the draws of cell c; the event holds iff cells >> cell & 1 on
+      each of its variables. None for any other event, which is tested by
+      Event.holds on the decoded values.
     - var_events[j-1]: the events on variable j, in increasing order. A
       resampling changes only the events on the variables it redraws.
     """
 
     cuts: tuple[tuple[int, ...] | None, ...]
-    tests: tuple[tuple[tuple[int, tuple[int, ...]], ...] | None, ...]
+    points: tuple[tuple[int, ...], ...]
+    tests: tuple[tuple[tuple[int, int], ...] | None, ...]
     var_events: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -262,28 +272,20 @@ class IntegerForm:
             else None
             for var in system.variables
         )
-        tests = tuple(_event_test(system.variables, cuts, ev) for ev in system.events)
+        bounds = [_allowed_bounds(system.variables, cuts, ev) for ev in system.events]
+        ends: list[set[int]] = [set() for _ in system.variables]
         var_events: list[list[int]] = [[] for _ in system.variables]
-        for i, ev in enumerate(system.events, 1):
+        for i, (ev, test) in enumerate(zip(system.events, bounds), 1):
             for j in ev.vbl:
                 var_events[j - 1].append(i)
-        return IntegerForm(cuts, tests, tuple(map(tuple, var_events)))
-
-    def tester(self, system: "EventSystem", draws: list[int], values: dict | None):
-        """holds(i) for event i on the draws (draws[j] is variable j's, read
-        at each call), or on the values for an event outside the integer form."""
-        tests, events = self.tests, system.events
-
-        def holds(i: int) -> bool:
-            test = tests[i - 1]
-            if test is None:
-                return events[i - 1].holds(values)
-            for j, bounds in test:
-                if not bisect_right(bounds, draws[j]) & 1:
-                    return False
-            return True
-
-        return holds
+            for j, b in test or ():
+                ends[j - 1].update(b)
+        points = tuple(tuple(sorted(x for x in e if 0 < x < SCALE)) for e in ends)
+        tests = tuple(
+            None if test is None else tuple((j, _cell_mask(points[j - 1], b)) for j, b in test)
+            for test in bounds
+        )
+        return IntegerForm(cuts, points, tests, tuple(map(tuple, var_events)))
 
     def value(self, system: "EventSystem", j: int, k: int):
         """Variable j's value at draw k; equals value_from_unit(k / 2^64)."""
@@ -293,7 +295,11 @@ class IntegerForm:
         return system.variables[j - 1].value_from_unit(Fraction(k, SCALE))
 
 
-def _event_test(variables, cuts, ev: Event):
+def _allowed_bounds(variables, cuts, ev: Event):
+    """Per variable of an elementary event, the ends lo, hi, lo, hi, ... of
+    the disjoint integer intervals [lo, hi) of its allowed draws, in
+    non-decreasing order, so k is allowed iff bisect_right(bounds, k) is odd;
+    None for an event outside the integer form."""
     if ev.allowed is None:
         return None
     out = []
@@ -308,7 +314,18 @@ def _event_test(variables, cuts, ev: Event):
         else:
             return None
         out.append((j, bounds))
-    return tuple(out)
+    return out
+
+
+def _cell_mask(points: tuple[int, ...], bounds: tuple[int, ...]) -> int:
+    """The cells of the allowed draws. Every end of bounds inside (0, 2^64)
+    is a cut point, so [lo, hi) is the cells from the one lo starts up to
+    the one hi starts, 2^64 starting none: it comes after the last cell."""
+    starts = [bisect_right(points, k) if k < SCALE else len(points) + 1 for k in bounds]
+    mask = 0
+    for lo, hi in zip(starts[::2], starts[1::2]):
+        mask |= (1 << hi) - (1 << lo)
+    return mask
 
 
 def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
@@ -332,13 +349,19 @@ def measure_pair_intersections(system: EventSystem) -> dict[tuple[int, int], Fra
 
 # ---------------------------------------------------------------------------
 # selection rules
+#
+# The engine keeps the violated events as one int, bit i-1 standing for
+# event i, and its rules pick from that mask: rule(violated, history, rng).
 
 def _rule_lowest_index(violated, history, rng):
-    return violated[0]
+    return (violated & -violated).bit_length()
 
 
 def _rule_uniform_random(violated, history, rng):
-    return violated[rng.randrange(len(violated))]
+    # the r-th violated event in increasing order, r drawn as on a sorted list
+    for _ in range(rng.randrange(violated.bit_count())):
+        violated &= violated - 1
+    return (violated & -violated).bit_length()
 
 
 def _rule_recent_neighbor(closed: tuple[int, ...]):
@@ -361,14 +384,11 @@ def _rule_recent_neighbor(closed: tuple[int, ...]):
             recent.pop(label, None)
             recent[label] = None
         seen = len(history)
-        mask = 0
-        for i in violated:
-            mask |= 1 << (i - 1)
         for past in reversed(recent):
-            near = mask & closed[past - 1]
+            near = violated & closed[past - 1]
             if near:
                 return (near & -near).bit_length()
-        return violated[0]
+        return (violated & -violated).bit_length()
 
     return rule
 
@@ -376,7 +396,7 @@ def _rule_recent_neighbor(closed: tuple[int, ...]):
 SELECTION_RULES = ("lowest-index", "uniform-violated", "recent-neighbor")
 
 
-def make_rule(name: str, system: EventSystem):
+def _mask_rule(name: str, system: EventSystem):
     if name == "lowest-index":
         return _rule_lowest_index
     if name == "uniform-violated":
@@ -384,6 +404,26 @@ def make_rule(name: str, system: EventSystem):
     if name == "recent-neighbor":
         return _rule_recent_neighbor(system.dependency_graph.closed_masks)
     raise InputError(f"unknown selection rule {name!r}; choose from {SELECTION_RULES}")
+
+
+def _list_rule(rule: Callable):
+    """A caller's rule, which picks from the sorted list of violated events,
+    as a rule on the mask. A pick that is not a violated event is refused."""
+
+    def pick(violated, history, rng):
+        i = rule([e + 1 for e in range(violated.bit_length()) if violated >> e & 1], history, rng)
+        if type(i) is not int or i < 1 or not violated >> (i - 1) & 1:  # True is no index
+            raise InputError("selection rule chose a non-violated event")
+        return i
+
+    return pick
+
+
+def make_rule(name: str, system: EventSystem):
+    """The named rule as a callable on the sorted list of violated events,
+    the form in which run_mt takes a caller's rule."""
+    rule = _mask_rule(name, system)
+    return lambda violated, history, rng: rule(sum(1 << (i - 1) for i in violated), history, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +444,67 @@ class RunStats:
         return len(self.sequence)
 
 
+def _holds(test, event: Event, cells: list[int], values: dict | None) -> bool:
+    """Whether an event holds: an elementary one on the cells of its
+    variables' draws, any other on the decoded values."""
+    if test is None:
+        return event.holds(values)
+    for j, allowed in test:
+        if not allowed >> cells[j] & 1:
+            return False
+    return True
+
+
+def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_cap: int):
+    """The resampling loop of run_mt: (sequence, truncated, draws), draws[j]
+    being variable j's last integer draw."""
+    if step_cap < 1:
+        raise InputError("step_cap must be positive")
+    rng = None  # seeded only for the rules that can read it
+    if isinstance(rule, str):
+        pick = _mask_rule(rule, system)
+        if rule == "uniform-violated":
+            rng = random.Random(unit_bits(seed, "rule"))
+    else:
+        pick = _list_rule(rule)
+        rng = random.Random(unit_bits(seed, "rule"))
+    form = system.integer_form
+    points, tests, var_events, events = form.points, form.tests, form.var_events, system.events
+    draw = ResamplingTable(system.variables, seed).draw
+    n = len(system.variables)
+    cursor = [1] * (n + 1)
+    draws = [0] + [draw(j, 1) for j in range(1, n + 1)]
+    cells = [0] + [bisect_right(points[j - 1], draws[j]) for j in range(1, n + 1)]
+    values = None
+    if None in tests:
+        values = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
+    violated = 0
+    for i, (test, event) in enumerate(zip(tests, events)):
+        if _holds(test, event, cells, values):
+            violated |= 1 << i
+    sequence: list[int] = []
+    while violated:
+        if len(sequence) >= step_cap:
+            return sequence, True, draws
+        i = pick(violated, sequence, rng)
+        sequence.append(i)
+        for j in events[i - 1].vbl:
+            cursor[j] += 1
+            k = draws[j] = draw(j, cursor[j])
+            c = bisect_right(points[j - 1], k)
+            if values is not None:
+                values[j] = form.value(system, j, k)
+            elif c == cells[j]:
+                continue  # every event here reads variable j only through its cell
+            cells[j] = c
+            for e in var_events[j - 1]:
+                if _holds(tests[e - 1], events[e - 1], cells, values):
+                    violated |= 1 << (e - 1)
+                else:
+                    violated &= ~(1 << (e - 1))
+    return sequence, False, draws
+
+
 def run_mt(
     system: EventSystem,
     rule: str | Callable,
@@ -414,53 +515,24 @@ def run_mt(
 
     The initial assignment is column 1 of the table; resampling a variable
     advances that variable's cursor one column to the right. Stops when no
-    event holds, or flags truncation at the step cap. The run keeps each
-    variable's integer draw and the set of violated events, and rechecks
-    only the events on the variables it redraws; values are decoded for
-    events outside the integer form, and for final_assignment.
+    event holds, or flags truncation at the step cap.
+
+    The run keeps each variable's integer draw and the cell it lies in, and
+    the violated events as one int mask. After each step it rechecks only
+    the events on the variables it redrew, a shift and an AND per variable
+    of an elementary event; when every event is elementary, a variable
+    whose draw stays in its cell changes none. The named rules pick from
+    the mask; a callable rule(violated, history, rng) gets the sorted list
+    of violated events and must return one of them. Values are decoded for
+    events outside the integer form, and for final_assignment once the run
+    ends.
     """
-    if step_cap < 1:
-        raise InputError("step_cap must be positive")
-    rule_fn = make_rule(rule, system) if isinstance(rule, str) else rule
+    sequence, truncated, draws = _resample(system, rule, seed, step_cap)
     form = system.integer_form
-    var_events, events = form.var_events, system.events
-    table = ResamplingTable(system.variables, seed)
-    rng = None  # seeded only for the rules that can read it
-    if rule == "uniform-violated" or not isinstance(rule, str):
-        rng = random.Random(unit_bits(seed, "rule"))
-    n = len(system.variables)
-    cursor = [1] * (n + 1)
-    draws = [0] + [table.draw(j, 1) for j in range(1, n + 1)]
-    values = None
-    if None in form.tests:
-        values = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
-    holds = form.tester(system, draws, values)
-    violated = {i for i in range(1, system.m + 1) if holds(i)}
-    sequence: list[int] = []
+    final = {j: form.value(system, j, draws[j]) for j in range(1, len(draws))}
     counts: dict[int, int] = {}
-    truncated = False
-    while violated:
-        if len(sequence) >= step_cap:
-            truncated = True
-            break
-        pick = rule_fn(sorted(violated), sequence, rng)
-        if pick not in violated:
-            raise InputError("selection rule chose a non-violated event")
-        sequence.append(pick)
-        counts[pick] = counts.get(pick, 0) + 1
-        redrawn = events[pick - 1].vbl
-        for j in redrawn:
-            cursor[j] += 1
-            draws[j] = table.draw(j, cursor[j])
-            if values is not None:
-                values[j] = form.value(system, j, draws[j])
-        for j in redrawn:
-            for i in var_events[j - 1]:
-                if holds(i):
-                    violated.add(i)
-                else:
-                    violated.discard(i)
-    final = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
+    for i in sequence:
+        counts[i] = counts.get(i, 0) + 1
     return RunStats(tuple(sequence), truncated, final, counts)
 
 
@@ -510,8 +582,8 @@ def _run_chunk(args) -> list[tuple[int, int, bool]]:
     system, rule_name, seed, step_cap, indices = args
     out = []
     for t in indices:
-        stats = run_mt(system, rule_name, _trial_seed(seed, t), step_cap)
-        out.append((t, stats.t, stats.truncated))
+        sequence, truncated, _ = _resample(system, rule_name, _trial_seed(seed, t), step_cap)
+        out.append((t, len(sequence), truncated))
     return out
 
 
@@ -531,7 +603,11 @@ def estimate_expected_steps(
     if trials < 1:
         raise InputError("trials must be positive")
     if workers is None:
-        workers = int(os.environ.get("LLL_WORKBENCH_THREADS", "1"))
+        threads = os.environ.get("LLL_WORKBENCH_THREADS", "1")
+        try:
+            workers = int(threads)
+        except ValueError:
+            raise InputError(f"LLL_WORKBENCH_THREADS must be an integer, not {threads!r}") from None
     indices = list(range(trials))
     rows: list[tuple[int, int, bool]] = []
     if workers > 1 and all(ev.is_elementary for ev in system.events):

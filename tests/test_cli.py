@@ -360,6 +360,26 @@ def test_mt_seed_accepts_strings_like_the_api(files, capsys):
     assert [r.split(",")[0] for r in rows[1:]] == [f"c5/lowest-index/{k}" for k in range(3)]
 
 
+@pytest.mark.parametrize("threads", ["abc", "1.5", ""])
+def test_thread_count_must_be_an_integer(files, capsys, monkeypatch, threads):
+    monkeypatch.setenv("LLL_WORKBENCH_THREADS", threads)
+    argv = ["mt-estimate", "--system", files["system"], "--trials", "5", "--seed", "7"]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error: LLL_WORKBENCH_THREADS must be an integer" in captured.err
+
+
+def test_thread_counts_below_two_run_serially(files, capsys, monkeypatch):
+    argv = ["mt-estimate", "--system", files["system"], "--trials", "5", "--seed", "7"]
+    outputs = []
+    for threads in ("1", "0", "-3"):
+        monkeypatch.setenv("LLL_WORKBENCH_THREADS", threads)
+        assert dispatch(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_mt_estimate_mean_near_one(files, capsys):
     code = dispatch(
         ["mt-estimate", "--system", files["system"], "--trials", "4000", "--seed", "7"]

@@ -1,5 +1,6 @@
 import pickle
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -309,6 +310,30 @@ class TestRuns:
         with pytest.raises(InputError):
             run_mt(system, lambda violated, history, rng: 999, 0, step_cap=3)
 
+    @pytest.mark.parametrize("pick", [1.0, True, 0, -1])
+    def test_rule_must_return_the_index_of_a_violated_event(self, pick):
+        always = IntervalUnion(((Fraction(0), Fraction(1)),))
+        system = single_event_system(always)
+        with pytest.raises(InputError, match="selection rule chose a non-violated event"):
+            run_mt(system, lambda violated, history, rng: pick, 0, step_cap=3)
+
+    def test_uniform_violated_reaches_the_highest_violated_event(self):
+        # the rule takes the r-th set bit of the violated mask; at r = its
+        # popcount - 1 that is the highest bit
+        system = extremal_cycle_instance(6)
+        last = SimpleNamespace(randrange=lambda n: n - 1)
+        assert make_rule("uniform-violated", system)([2, 5, 6], [], last) == 6
+        highest = []
+
+        def recording(violated, history, rng):
+            pick = violated[rng.randrange(len(violated))]
+            highest.append(len(violated) > 1 and pick == violated[-1])
+            return pick
+
+        want = reference_run_mt(system, recording, 4)
+        assert any(highest)
+        assert run_mt(system, "uniform-violated", 4) == want
+
     def test_truncation_flagged(self):
         always = IntervalUnion(((Fraction(0), Fraction(1)),))
         system = single_event_system(always)
@@ -365,6 +390,22 @@ class TestRuns:
         got = run_mt(system, rule, seed, step_cap)
         assert got == want
         assert repr(got.final_assignment) == repr(want.final_assignment)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        system=random_systems(),
+        rule=st.sampled_from(SELECTION_RULES),
+        seed=st.integers(0, 10**6) | st.text(max_size=6),
+        step_cap=st.sampled_from((1, 3, 40)),
+        trials=st.integers(1, 4),
+    )
+    def test_estimates_match_fraction_reference(self, system, rule, seed, step_cap, trials):
+        est = estimate_expected_steps(system, rule, trials, seed, step_cap, workers=1)
+        want = []
+        for t in range(trials):
+            run = reference_run_mt(system, rule, f"{seed}/{t}", step_cap)
+            want.append((t, run.t, run.truncated))
+        assert est.per_trial == tuple(want)
 
     def test_long_runs_match_fraction_reference(self):
         # the differential test above compares short runs; on extremal cycles
@@ -477,22 +518,29 @@ class TestIntegerForm:
         assert Fraction(k, SCALE) >= a
         assert not Fraction(k - 1, SCALE) >= a
 
+    @staticmethod
+    def assert_cell_tests_at_cuts(system, value_of, cuts):
+        """At and one below every cut, which random draws almost never hit,
+        each event's cell test agrees with Event.holds on the decoded value."""
+        form = system.integer_form
+        for c in cuts:
+            for k in (c - 1, c):
+                if 0 <= k < SCALE:
+                    cells = [0, bisect_right(form.points[0], k)]
+                    for test, event in zip(form.tests, system.events):
+                        want = event.holds({1: value_of(Fraction(k, SCALE))})
+                        assert mt_engine._holds(test, event, cells, None) == want
+
     def test_interval_tests_at_their_ends(self):
-        # a draw at or next to an end, which random draws almost never hit
         ends = (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(1))
         sets = [IntervalUnion(((a, b),)) for a in ends for b in ends if a < b]
         sets.append(IntervalUnion(((ends[0], ends[2]), (ends[1], ends[4]))))
+        sets.append(IntervalUnion(((ends[2], ends[1]), (ends[3], ends[4]))))
         sets.append(IntervalUnion(()))
         events = tuple(Event(vbl=(1,), allowed=((1, s),)) for s in sets)
         system = EventSystem((Uniform01(),), events)
-        draws = [0, 0]
-        holds = system.integer_form.tester(system, draws, None)
-        for a in ends:
-            for k in (_ceil_scaled(a) - 1, _ceil_scaled(a)):
-                if 0 <= k < SCALE:
-                    draws[1] = k
-                    for i, event in enumerate(system.events, 1):
-                        assert holds(i) == event.holds({1: Fraction(k, SCALE)})
+        assert system.integer_form.points[0] == tuple(sorted(map(_ceil_scaled, ends[1:4])))
+        self.assert_cell_tests_at_cuts(system, lambda u: u, map(_ceil_scaled, ends))
 
     @pytest.mark.parametrize(
         "masses",
@@ -500,11 +548,15 @@ class TestIntegerForm:
             (Fraction(1, 3), Fraction(2, 7), Fraction(8, 21)),
             (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2)),
             (Fraction(1),),
+            (Fraction(1, 2), Fraction(1, 2), Fraction(0)),
         ],
     )
     def test_finite_decoding_at_every_cut(self, masses):
         var = FiniteVariable(masses)
-        system = EventSystem((var,), (Event(vbl=(1,), allowed=((1, ValueSet(frozenset({0}))),)),))
+        values = range(len(masses))
+        subsets = [frozenset(v for v in values if bits >> v & 1) for bits in range(1 << len(masses))]
+        events = tuple(Event(vbl=(1,), allowed=((1, ValueSet(s)),)) for s in subsets)
+        system = EventSystem((var,), events)
         form = system.integer_form
         cuts = form.cuts[0]
         assert len(cuts) == len(masses) and cuts[-1] == SCALE
@@ -512,6 +564,8 @@ class TestIntegerForm:
             for k in (c - 1, c):
                 if 0 <= k < SCALE:
                     assert form.value(system, 1, k) == var.value_from_unit(Fraction(k, SCALE))
+        assert set(form.points[0]) <= set(cuts)
+        self.assert_cell_tests_at_cuts(system, var.value_from_unit, cuts)
 
     def test_interval_bounds_and_variable_index(self):
         third = IntervalUnion(((Fraction(1, 3), Fraction(1)),))
@@ -524,8 +578,10 @@ class TestIntegerForm:
             ),
         )
         form = system.integer_form
-        assert form.tests[0] == ((1, (_ceil_scaled(Fraction(1, 3)), SCALE)),)
-        assert form.tests[1] == ((1, (0, SCALE // 2)), (2, ()))
+        # variable 1 has the cells [0, 1/3), [1/3, 1/2) and [1/2, 1)
+        assert form.points == ((_ceil_scaled(Fraction(1, 3)), SCALE // 2), (), ())
+        assert form.tests[0] == ((1, 0b110),)
+        assert form.tests[1] == ((1, 0b011), (2, 0))
         assert form.tests[2] is None
         assert form.var_events == ((1, 2), (2,), (3,))
 
