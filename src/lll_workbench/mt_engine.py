@@ -13,7 +13,8 @@ Each system's IntegerForm cuts every variable's draws into cells at the
 ends of all the elementary events' allowed sets, so an elementary event
 reads a variable only through the cell of its draw: one bisect per redrawn
 variable, then one shift and AND per variable of each event on it. The
-violated events are one int mask, from which the named rules pick."""
+violated events are one int mask, from which the named rules pick. A draw
+copies the table's blake2b state for its row, in the loop itself."""
 
 from __future__ import annotations
 
@@ -255,14 +256,15 @@ class IntegerForm:
       allows the draws of cell c; the event holds iff cells >> cell & 1 on
       each of its variables. None for any other event, which is tested by
       Event.holds on the decoded values.
-    - var_events[j-1]: the events on variable j, in increasing order. A
-      resampling changes only the events on the variables it redraws.
+    - var_events[j-1]: the events on variable j as a mask, bit i-1 standing
+      for event i, like the engine's violated events. A resampling changes
+      only the events on the variables it redraws.
     """
 
     cuts: tuple[tuple[int, ...] | None, ...]
     points: tuple[tuple[int, ...], ...]
     tests: tuple[tuple[tuple[int, int], ...] | None, ...]
-    var_events: tuple[tuple[int, ...], ...]
+    var_events: tuple[int, ...]
 
     @staticmethod
     def compile(system: "EventSystem") -> "IntegerForm":
@@ -274,10 +276,10 @@ class IntegerForm:
         )
         bounds = [_allowed_bounds(system.variables, cuts, ev) for ev in system.events]
         ends: list[set[int]] = [set() for _ in system.variables]
-        var_events: list[list[int]] = [[] for _ in system.variables]
-        for i, (ev, test) in enumerate(zip(system.events, bounds), 1):
+        var_events = [0] * len(system.variables)
+        for i, (ev, test) in enumerate(zip(system.events, bounds)):
             for j in ev.vbl:
-                var_events[j - 1].append(i)
+                var_events[j - 1] |= 1 << i
             for j, b in test or ():
                 ends[j - 1].update(b)
         points = tuple(tuple(sorted(x for x in e if 0 < x < SCALE)) for e in ends)
@@ -285,7 +287,7 @@ class IntegerForm:
             None if test is None else tuple((j, _cell_mask(points[j - 1], b)) for j, b in test)
             for test in bounds
         )
-        return IntegerForm(cuts, points, tests, tuple(map(tuple, var_events)))
+        return IntegerForm(cuts, points, tests, tuple(var_events))
 
     def value(self, system: "EventSystem", j: int, k: int):
         """Variable j's value at draw k; equals value_from_unit(k / 2^64)."""
@@ -444,20 +446,16 @@ class RunStats:
         return len(self.sequence)
 
 
-def _holds(test, event: Event, cells: list[int], values: dict | None) -> bool:
-    """Whether an event holds: an elementary one on the cells of its
-    variables' draws, any other on the decoded values."""
-    if test is None:
-        return event.holds(values)
-    for j, allowed in test:
-        if not allowed >> cells[j] & 1:
-            return False
-    return True
-
-
 def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_cap: int):
     """The resampling loop of run_mt: (sequence, truncated, draws), draws[j]
-    being variable j's last integer draw."""
+    being variable j's last integer draw.
+
+    Each pass redraws some variables, each draw a copy of its row's blake2b
+    state fed the column, then tests once each event on a variable whose
+    cell moved (on any redrawn variable, if some event is outside the
+    integer form). The first pass draws column 1 of every row, so it builds
+    the initial violated mask; every later one redraws the variables of the
+    event the rule picks."""
     if step_cap < 1:
         raise InputError("step_cap must be positive")
     rng = None  # seeded only for the rules that can read it
@@ -470,39 +468,55 @@ def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_c
         rng = random.Random(unit_bits(seed, "rule"))
     form = system.integer_form
     points, tests, var_events, events = form.points, form.tests, form.var_events, system.events
-    draw = ResamplingTable(system.variables, seed).draw
+    rows = ResamplingTable(system.variables, seed).rows
+    from_bytes = int.from_bytes
     n = len(system.variables)
-    cursor = [1] * (n + 1)
-    draws = [0] + [draw(j, 1) for j in range(1, n + 1)]
-    cells = [0] + [bisect_right(points[j - 1], draws[j]) for j in range(1, n + 1)]
-    values = None
-    if None in tests:
-        values = {j: form.value(system, j, draws[j]) for j in range(1, n + 1)}
+    cursor = [0] * (n + 1)
+    draws = [0] * (n + 1)
+    cells = [-1] * (n + 1)  # no draw lies in cell -1
+    values = {} if None in tests else None
     violated = 0
-    for i, (test, event) in enumerate(zip(tests, events)):
-        if _holds(test, event, cells, values):
-            violated |= 1 << i
     sequence: list[int] = []
-    while violated:
-        if len(sequence) >= step_cap:
-            return sequence, True, draws
-        i = pick(violated, sequence, rng)
-        sequence.append(i)
-        for j in events[i - 1].vbl:
-            cursor[j] += 1
-            k = draws[j] = draw(j, cursor[j])
+    redraw = range(1, n + 1)
+    while True:
+        stale = 0  # the events to test, as a mask
+        for j in redraw:
+            cursor[j] = col = cursor[j] + 1
+            h = rows[j].copy()
+            h.update(b"%d" % col)
+            k = draws[j] = from_bytes(h.digest(), "big")
             c = bisect_right(points[j - 1], k)
             if values is not None:
                 values[j] = form.value(system, j, k)
             elif c == cells[j]:
                 continue  # every event here reads variable j only through its cell
             cells[j] = c
-            for e in var_events[j - 1]:
-                if _holds(tests[e - 1], events[e - 1], cells, values):
-                    violated |= 1 << (e - 1)
+            stale |= var_events[j - 1]
+        while stale:
+            bit = stale & -stale
+            stale ^= bit
+            e = bit.bit_length() - 1
+            test = tests[e]
+            if test is None:
+                holds = events[e].holds(values)
+            else:
+                for v, allowed in test:
+                    if not allowed >> cells[v] & 1:
+                        holds = False
+                        break
                 else:
-                    violated &= ~(1 << (e - 1))
-    return sequence, False, draws
+                    holds = True
+            if holds:
+                violated |= bit
+            else:
+                violated &= ~bit
+        if not violated:
+            return sequence, False, draws
+        if len(sequence) >= step_cap:
+            return sequence, True, draws
+        i = pick(violated, sequence, rng)
+        sequence.append(i)
+        redraw = events[i - 1].vbl
 
 
 def run_mt(
@@ -519,13 +533,13 @@ def run_mt(
 
     The run keeps each variable's integer draw and the cell it lies in, and
     the violated events as one int mask. After each step it rechecks only
-    the events on the variables it redrew, a shift and an AND per variable
-    of an elementary event; when every event is elementary, a variable
-    whose draw stays in its cell changes none. The named rules pick from
-    the mask; a callable rule(violated, history, rng) gets the sorted list
-    of violated events and must return one of them. Values are decoded for
-    events outside the integer form, and for final_assignment once the run
-    ends.
+    the events on the variables it redrew, each once, a shift and an AND
+    per variable of an elementary event; when every event is elementary, a
+    variable whose draw stays in its cell changes none. The named rules
+    pick from the mask; a callable rule(violated, history, rng) gets the
+    sorted list of violated events and must return one of them. Values are
+    decoded for events outside the integer form, and for final_assignment
+    once the run ends.
     """
     sequence, truncated, draws = _resample(system, rule, seed, step_cap)
     form = system.integer_form
@@ -574,6 +588,10 @@ class StepEstimate:
     per_trial: tuple[tuple[int, int, bool], ...]
 
 
+#: trials one estimate may run; per_trial holds a row for each
+MAX_TRIALS = 1_000_000
+
+
 def _trial_seed(seed: int | str, index: int) -> str:
     return f"{seed}/{index}"
 
@@ -598,17 +616,22 @@ def estimate_expected_steps(
     """Sample mean and standard error of the resample count over independent
     seeded runs. Truncated runs are excluded from the mean and reported.
     Per-trial seeds derive from (seed, index), so results do not depend on
-    the worker count.
+    the worker count. The workers (LLL_WORKBENCH_THREADS by default) are at
+    most the CPU count and the trials; fewer than two run in this process.
+    Raises CapExceeded for more than MAX_TRIALS trials.
     """
     if trials < 1:
         raise InputError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise CapExceeded(f"estimates capped at {MAX_TRIALS} trials")
     if workers is None:
         threads = os.environ.get("LLL_WORKBENCH_THREADS", "1")
         try:
             workers = int(threads)
         except ValueError:
             raise InputError(f"LLL_WORKBENCH_THREADS must be an integer, not {threads!r}") from None
-    indices = list(range(trials))
+    workers = min(workers, os.cpu_count() or 1, trials)
+    indices = range(trials)
     rows: list[tuple[int, int, bool]] = []
     if workers > 1 and all(ev.is_elementary for ev in system.events):
         chunk = max(1, trials // (workers * 8))

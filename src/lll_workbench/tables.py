@@ -1,8 +1,11 @@
 """Seeded lazy tables of precomputed randomness.
 
 Entries are pure functions of (seed, position): a counter-based construction
-hashes the position into 64 uniform bits, so any access order, any worker
-count, and any table reconstruction yield identical values.
+hashes the key "seed:position..." with blake2b into 64 uniform bits, so any
+access order, any worker count, and any table reconstruction yield identical
+values. A resampling table keeps one blake2b state per row, already fed with
+the row's key prefix, and copies it for each column it reads; that gives the
+same bits as hashing the whole key afresh.
 """
 
 from __future__ import annotations
@@ -20,13 +23,9 @@ def _key(seed: int | str, *position) -> bytes:
     return ":".join(str(x) for x in (seed, *position)).encode()
 
 
-def _bits(key: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-
-
 def unit_bits(seed: int | str, *position) -> int:
     """The 64 uniform bits behind unit_fraction(seed, *position)."""
-    return _bits(_key(seed, *position))
+    return int.from_bytes(hashlib.blake2b(_key(seed, *position), digest_size=8).digest(), "big")
 
 
 def unit_fraction(seed: int | str, *position) -> Fraction:
@@ -38,21 +37,32 @@ class ResamplingTable:
     """Row per variable, infinitely many columns of i.i.d. samples.
 
     Column 1 seeds the initial assignment; resampling a variable advances its
-    row cursor. `draw(j, k)` is the entry's 64 bits, the key unit_fraction
-    hashes for (seed, "x", j, k); `entry(j, k)` is the value they give through
-    the variable's distribution.
+    row cursor. Entry (j, k) is unit_bits(seed, "x", j, k), the blake2b digest
+    of the key "{seed}:x:{j}:{k}". rows[j] is a blake2b state fed with row j's
+    prefix "{seed}:x:{j}:" (one copy of a state fed with "{seed}:x:"), and
+    rows[0] is None, so that rows index by variable. A column is read by
+    copying the row's state and feeding it b"%d" % k: `draw(j, k)` returns
+    those 64 bits, and the engine's loop does the same inline. `entry(j, k)`
+    is the value they give through the variable's distribution. The states
+    are the table's only storage, one per row, freed with the table.
     """
 
     def __init__(self, variables, seed: int | str):
         self.variables = tuple(variables)
         self.seed = seed
-        # the key of (seed, "x", j, k) is row j's prefix followed by k
-        base = _key(seed, "x")
-        self._rows = tuple(b"%s:%d:" % (base, j) for j in range(1, len(self.variables) + 1))
+        base = hashlib.blake2b((str(seed) + ":x:").encode(), digest_size=8)  # as _key joins it
+        rows: list = [None]
+        for j in range(1, len(self.variables) + 1):
+            row = base.copy()
+            row.update(b"%d:" % j)
+            rows.append(row)
+        self.rows = tuple(rows)
 
     def draw(self, j: int, k: int) -> int:
         """Unchecked: 1 <= j <= len(variables) and k >= 1 are the caller's."""
-        return _bits(b"%s%d" % (self._rows[j - 1], k))
+        h = self.rows[j].copy()
+        h.update(b"%d" % k)
+        return int.from_bytes(h.digest(), "big")
 
     def entry(self, j: int, k: int):
         if not (1 <= j <= len(self.variables) and k >= 1):

@@ -231,6 +231,17 @@ def test_cap_exceeded_exits_three(files, capsys):
     assert time.monotonic() - started < 5
 
 
+def test_trial_cap_exits_three_promptly(files):
+    # refused before any per-trial row exists; the address-space limit turns
+    # a list of 10^10 rows into a failure of the child, not of the machine
+    argv = ["mt-estimate", "--system", files["system"], "--trials", "10000000000", "--seed", "7"]
+    started = time.monotonic()
+    code, out, err = _dispatch_with_memory_limit(argv)
+    assert time.monotonic() - started < 5
+    assert code == 3 and out == ""
+    assert "cap exceeded: estimates capped at 1000000 trials" in err
+
+
 def test_wdag_sum_state_cap_exits_three_promptly(files, capsys):
     # the centre of a 20-vertex star sees 2^19 independent sets of leaves
     star = files["dir"] / "star.json"

@@ -1,8 +1,8 @@
 import pickle
 import random
-from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from lll_workbench.mt_engine import (
     run_mt,
     witness_dag_of_run,
 )
-from lll_workbench.shearer import ProbabilityVector, q_empty
+from lll_workbench.shearer import CapExceeded, ProbabilityVector, q_empty
 from lll_workbench.tables import SCALE, ResamplingTable, unit_bits, unit_fraction
 from lll_workbench.wdag import (
     canonical_key,
@@ -80,12 +80,16 @@ def reference_rule(name, system):
 
 def reference_run_mt(system, rule, seed, step_cap=DEFAULT_STEP_CAP):
     """The resampling loop on Fraction samples: every step tests all m events
-    on the decoded assignment."""
+    on the decoded assignment. Each sample is hashed afresh from its whole
+    key, not read through ResamplingTable."""
     rule_fn = reference_rule(rule, system) if isinstance(rule, str) else rule
-    table = ResamplingTable(system.variables, seed)
+
+    def entry(j, k):
+        return system.variables[j - 1].value_from_unit(unit_fraction(seed, "x", j, k))
+
     rng = random.Random(int(unit_fraction(seed, "rule") * (1 << 64)))
     cursor = {j: 1 for j in range(1, len(system.variables) + 1)}
-    assignment = {j: table.entry(j, 1) for j in cursor}
+    assignment = {j: entry(j, 1) for j in cursor}
     sequence: list[int] = []
     counts: dict[int, int] = {}
     truncated = False
@@ -102,7 +106,7 @@ def reference_run_mt(system, rule, seed, step_cap=DEFAULT_STEP_CAP):
         counts[pick] = counts.get(pick, 0) + 1
         for j in system.events[pick - 1].vbl:
             cursor[j] += 1
-            assignment[j] = table.entry(j, cursor[j])
+            assignment[j] = entry(j, cursor[j])
     return RunStats(tuple(sequence), truncated, dict(assignment), counts)
 
 
@@ -348,9 +352,44 @@ class TestRuns:
         par = estimate_expected_steps(system, "lowest-index", 60, 11, workers=2)
         assert seq.per_trial == par.per_trial
 
+    @pytest.mark.parametrize("cpus, trials, want", [(4, 60, [4]), (4, 3, [3]), (None, 60, [])])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus, trials, want):
+        started = []
+
+        class Recorder:
+            """Stands in for the pool: records max_workers, starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        system = extremal_cycle_instance(4)
+        serial = estimate_expected_steps(system, "lowest-index", trials, 11, workers=1)
+        monkeypatch.setattr(mt_engine, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(mt_engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("LLL_WORKBENCH_THREADS", "100000")
+        est = estimate_expected_steps(system, "lowest-index", trials, 11)
+        assert started == want
+        assert est.per_trial == serial.per_trial
+
+    def test_trial_cap(self, monkeypatch):
+        monkeypatch.setattr(mt_engine, "MAX_TRIALS", 5)
+        system = extremal_cycle_instance(4)
+        assert estimate_expected_steps(system, "lowest-index", 5, 3).trials == 5
+        with pytest.raises(CapExceeded, match="5 trials"):
+            estimate_expected_steps(system, "lowest-index", 6, 3)
+
     def test_workers_receive_the_built_integer_form(self):
         system = extremal_cycle_instance(5, Fraction(1, 3))
-        assert system.integer_form.var_events[0] == (1, 5)
+        assert system.integer_form.var_events[0] == 0b10001
         fresh = extremal_cycle_instance(5, Fraction(1, 3))
         seq = estimate_expected_steps(fresh, "recent-neighbor", 40, 2, workers=1)
         par = estimate_expected_steps(system, "recent-neighbor", 40, 2, workers=2)
@@ -511,6 +550,41 @@ class TestWitnessDags:
         assert longest > 8
 
 
+class TestResamplingTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(1 << 80), 1 << 80)
+        | st.text(st.sampled_from(":/x7-é\u2211\U0001f600"), max_size=8)
+        | st.text(max_size=8),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_draws_are_the_fresh_hash(self, seed, n, data):
+        table = ResamplingTable((Uniform01(),) * n, seed)
+        assert len(table.rows) == n + 1
+        for _ in range(4):
+            j = data.draw(st.integers(1, n))
+            k = data.draw(st.integers(1, 1 << 40))
+            assert table.draw(j, k) == unit_bits(seed, "x", j, k)
+            assert table.entry(j, k) == unit_fraction(seed, "x", j, k)
+
+
+class _FixedRow:
+    """A row state whose every column is the draw k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def copy(self):
+        return self
+
+    def update(self, column):
+        pass
+
+    def digest(self):
+        return self.k.to_bytes(8, "big")
+
+
 class TestIntegerForm:
     @pytest.mark.parametrize("a", [Fraction(x) for x in ("0", "1/3", "2/7", "1/2", "1")])
     def test_threshold_is_the_least_draw_at_or_above(self, a):
@@ -521,15 +595,23 @@ class TestIntegerForm:
     @staticmethod
     def assert_cell_tests_at_cuts(system, value_of, cuts):
         """At and one below every cut, which random draws almost never hit,
-        each event's cell test agrees with Event.holds on the decoded value."""
-        form = system.integer_form
+        the events the engine finds violated when variable 1 draws k are
+        those that Event.holds finds on the decoded value."""
         for c in cuts:
             for k in (c - 1, c):
                 if 0 <= k < SCALE:
-                    cells = [0, bisect_right(form.points[0], k)]
-                    for test, event in zip(form.tests, system.events):
-                        want = event.holds({1: value_of(Fraction(k, SCALE))})
-                        assert mt_engine._holds(test, event, cells, None) == want
+                    table = SimpleNamespace(rows=(None, _FixedRow(k)))
+                    seen = []
+
+                    def first(violated, history, rng):
+                        seen.append(violated)
+                        return violated[0]
+
+                    with mock.patch.object(mt_engine, "ResamplingTable", lambda variables, seed: table):
+                        mt_engine._resample(system, first, 0, 1)
+                    u = value_of(Fraction(k, SCALE))
+                    want = [i for i, event in enumerate(system.events, 1) if event.holds({1: u})]
+                    assert seen == ([want] if want else [])
 
     def test_interval_tests_at_their_ends(self):
         ends = (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(1))
@@ -583,7 +665,7 @@ class TestIntegerForm:
         assert form.tests[0] == ((1, 0b110),)
         assert form.tests[1] == ((1, 0b011), (2, 0))
         assert form.tests[2] is None
-        assert form.var_events == ((1, 2), (2,), (3,))
+        assert form.var_events == (0b011, 0b010, 0b100)
 
 
 class TestValueSets:
