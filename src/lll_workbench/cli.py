@@ -8,11 +8,12 @@ rejected (output still valid), 2 input error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import acceptance, jsonio
+from . import jsonio
 from .criterion import (
     IntersectionSetting,
     beyond_shearer_verdict,
@@ -51,6 +52,8 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text") from exc
 
@@ -67,7 +70,15 @@ def _graph(args):
 
 
 def _pvec(args):
-    return jsonio.load_probability_vector(args.p)
+    """--p as comma-separated rationals, or as JSON when it starts with
+    '[' or '{' (a list, or the wire format's {"p": [...]})."""
+    text = args.p
+    if text.lstrip()[:1] in ("[", "{"):
+        try:
+            text = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise InputError(f"malformed JSON in --p: {exc}") from exc
+    return jsonio.load_probability_vector(text)
 
 
 def _seed(text: str) -> int | str:
@@ -212,6 +223,9 @@ def cmd_lattice_gap(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, so that the other commands do not load the suite
+    from . import acceptance
+
     results = acceptance.run_all()
     all_ok = True
     for res in results:
@@ -307,9 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built at the first dispatch and shared by all later ones: parse_args fills
+# a fresh Namespace per call and leaves the parser as it was, and help and
+# error text are formatted (at the terminal's width) when printed.
+_dispatch_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in a process."""
+    args = _dispatch_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CapExceeded as exc:

@@ -122,6 +122,8 @@ def load_probability_vector(data) -> ProbabilityVector:
         entries = [part.strip() for part in data.split(",")]
     else:
         entries = data
+    if not isinstance(entries, (list, tuple)):
+        raise InputError(f"probabilities must be a list, got {type(entries).__name__}")
     return ProbabilityVector(tuple(parse_fraction(x) for x in entries))
 
 
@@ -231,6 +233,9 @@ def emit_report(payload, path: str | None, fmt: str = "json") -> str:
     else:
         raise InputError(f"unknown format {fmt!r}")
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     return text

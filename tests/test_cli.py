@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -16,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import lll_workbench
 from lll_workbench.cli import build_parser, dispatch
+from lll_workbench.graphs import InputError
+from lll_workbench.jsonio import load_probability_vector
 from lll_workbench.mt_engine import RunStats
 from lll_workbench.shearer import GapEstimate, ShearerReport
 from lll_workbench.wdag import WDag
@@ -588,6 +591,170 @@ def test_golden_output_bytes(files, capsys, command, code, digest):
         paths[name].write_text(json.dumps(system))
     assert dispatch(command.format(**paths).split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: dispatch builds it at its first call and reuses it
+
+def test_dispatch_adds_no_argument_after_its_first_call(files, capsys, monkeypatch):
+    dispatch(["shearer-check", "--graph", files["k3"], "--p", "1/4,1/4,1/4"])
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    for argv in (
+        ["shearer-check", "--graph", files["c4"], "--p", "1/4,1/4,1/4,1/4"],
+        ["mt-run", "--system", files["system"], "--seed", "7"],
+        ["lattice-gap", "--lattice", "square", "--pa", "0.1193"],
+        ["shearer-check", "--graph", str(files["dir"] / "missing.json"), "--p", "1/4"],
+    ):
+        dispatch(argv)
+    with pytest.raises(SystemExit):
+        dispatch(["gap"])
+    with pytest.raises(SystemExit):
+        dispatch(["boundary", "--help"])
+    # the spy works: a fresh parser calls it for every argument
+    assert not added
+    build_parser()
+    assert len(added) > 20
+
+
+def test_golden_commands_in_reverse_between_errors(files, capsys):
+    paths = dict(files)
+    for name, system in _GOLDEN_SYSTEMS.items():
+        paths[name] = files["dir"] / f"{name}.json"
+        paths[name].write_text(json.dumps(system))
+    missing = str(files["dir"] / "missing.json")
+    for _, command, code, digest in reversed(_GOLDEN):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["gap"])
+        assert exc.value.code == 2
+        assert dispatch(["shearer-check", "--graph", missing, "--p", "1/4"]) == 2
+        capsys.readouterr()
+        assert dispatch(command.format(**paths).split()) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _exit_text(parse, argv):
+    """Exit code, stdout and stderr of parse(argv), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_help_and_errors_match_a_fresh_parser(monkeypatch, columns):
+    # the width is read when the text is formatted, not when the parser is built
+    monkeypatch.setenv("COLUMNS", columns)
+    fresh = build_parser()
+    commands = sorted(next(a for a in fresh._actions if a.choices).choices)
+    assert len(commands) == 10
+    argvs = [["--help"], [], ["nope"], ["gap"], ["mt-run", "--system", "s", "--rule", "x"]]
+    argvs += [[command, "--help"] for command in commands]
+    for argv in argvs:
+        want = _exit_text(fresh.parse_args, argv)
+        assert want[0] in (0, 2) and (want[1] or want[2])
+        # twice: formatting leaves nothing behind on the shared parser
+        assert _exit_text(dispatch, argv) == _exit_text(dispatch, argv) == want
+
+
+def test_out_to_an_unwritable_path_exits_two(files, capsys):
+    argv = ["shearer-check", "--graph", files["c4"], "--p", "1/4,1/4,1/4,1/4", "--out"]
+    for target in (files["dir"] / "no-such-dir" / "x.json", files["dir"]):
+        assert dispatch(argv + [str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write {target}: ")
+    assert not (files["dir"] / "no-such-dir").exists()
+
+
+def test_p_accepts_json(files, capsys):
+    argv = ["shearer-check", "--graph", files["c4"], "--p"]
+    assert dispatch(argv + ["1/4,1/4,1/5,1/6"]) == 0
+    want = capsys.readouterr().out
+    for text in (
+        '{"p": ["1/4", "1/4", "1/5", "1/6"]}',
+        ' ["0.25", "1/4", "0.2", "1/6"]',
+        '{"note": "x", "p": ["1/4", "1/4", "1/5", "1/6"]}',
+    ):
+        assert dispatch(argv + [text]) == 0
+        assert capsys.readouterr().out == want
+    for text, message in (
+        ('{"p": ["1/4", ', "malformed JSON in --p"),
+        ("[" * 100_000, "malformed JSON in --p"),
+        ('{"p": 5}', "must be a list, got int"),
+        ('{"p": "1/4,1/4,1/5,1/6"}', "must be a list, got str"),
+        ('{"q": []}', "needs a 'p' list"),
+        ('[0.25, "1/4", "1/5", "1/6"]', "cannot parse rational"),
+    ):
+        assert dispatch(argv + [text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+        assert message in captured.err
+    with pytest.raises(InputError, match="must be a list, got int"):
+        load_probability_vector(5)
+
+
+def test_deeply_nested_json_file_exits_two(files, capsys):
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert dispatch(["shearer-check", "--graph", str(deep), "--p", "1/4"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@st.composite
+def _valid_pvecs(draw):
+    entries = draw(st.lists(st.sampled_from(["1/4", "1/8", "0.2", "0"]), min_size=4, max_size=4))
+    return draw(st.sampled_from([{"p": entries}, entries]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_json_p_exits_with_a_code(tmp_path_factory, data):
+    c4 = tmp_path_factory.mktemp("fuzz") / "c4.json"
+    c4.write_text(json.dumps({"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}))
+    p = json.dumps(data.draw(_corrupted(_valid_pvecs())))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch(["shearer-check", "--graph", str(c4), "--p", p])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("input error") and out.getvalue() == ""
+
+
+def test_import_leaves_the_acceptance_suite_unloaded():
+    script = (
+        "import sys\n"
+        "import lll_workbench.cli\n"
+        "assert 'lll_workbench.acceptance' not in sys.modules, 'acceptance loaded'\n"
+    )
+    src = os.path.dirname(os.path.dirname(lll_workbench.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_selftest_reports_the_acceptance_results(capsys, monkeypatch):
+    from lll_workbench import acceptance
+
+    results = [
+        acceptance.CheckResult("1", True, "ok", 0.5),
+        acceptance.CheckResult("2", False, "off", 1.0),
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    assert dispatch(["selftest"]) == 1
+    assert capsys.readouterr().out == (
+        "[PASS] criterion 1 (0.5s): ok\n"
+        "[FAIL] criterion 2 (1.0s): off\n"
+        "selftest: FAILURES\n"
+    )
 
 
 def test_wdag_wire_format_roundtrip():
