@@ -21,6 +21,7 @@ from .criterion import (
     intersection_lll_verdict,
     lattice_gap_q,
     reduced_vectors,
+    transfer_along_path,
 )
 from .graphs import (
     DependencyGraph,
@@ -516,8 +517,6 @@ def check_9_overlap_floor(cases: int = 100) -> CheckResult:
 # 10. transfer along shortest paths stays out of the region
 
 def check_10_transfer(cases: int = 50) -> CheckResult:
-    from .criterion import transfer_along_path
-
     started = time.monotonic()
     rng = random.Random(777)
     graphs = [_cycle(4), _cycle(5)]

@@ -337,11 +337,14 @@ def beyond_shearer_verdict(
     """Accept iff the gap of the scaled vector stays below the disjoint
     chordless cycles' summed slack over 545 (both the 544 and 545 thresholds
     are reported; the stricter one decides). Chordal graphs have zero slack,
-    so acceptance then requires the scaled vector inside the region.
+    so acceptance then requires the scaled vector inside the region. A
+    gap_resolution must be positive; None picks one from the thresholds.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
+    if gap_resolution is not None and gap_resolution <= 0:
+        raise InputError("resolution must be positive")
     cycles = find_disjoint_chordless_cycles(g)
     scaled_vals = [(1 + eps) * x for x in p.values]
     details: dict = {"eps": eps, "cycles": cycles.cycles, "rounding": "slack terms rounded down"}
@@ -368,7 +371,7 @@ def beyond_shearer_verdict(
     details["gap_lower_witness"] = quick
     if quick >= thr545:
         return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
-    resolution = gap_resolution or min(thr545 / 8, (thr545 - quick) / 2)
+    resolution = min(thr545 / 8, (thr545 - quick) / 2) if gap_resolution is None else gap_resolution
     gap = l1_gap(g, scaled, resolution)
     details["gap"] = (gap.lower, gap.upper)
     details["gap_below_544"] = gap.upper < thr544

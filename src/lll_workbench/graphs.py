@@ -85,15 +85,6 @@ class DependencyGraph:
             masks[v - 1] |= 1 << (u - 1)
         return tuple(masks)
 
-    def induced(self, keep: Iterable[int]) -> "DependencyGraph":
-        """Induced subgraph, vertices renumbered 1..k in sorted keep-order."""
-        order = sorted(set(keep))
-        new_id = {v: i + 1 for i, v in enumerate(order)}
-        edges = frozenset(
-            (new_id[u], new_id[v]) for u, v in self.edges if u in new_id and v in new_id
-        )
-        return DependencyGraph(len(order), edges)
-
 
 @dataclass(frozen=True)
 class BipartiteEventVariableGraph:

@@ -142,21 +142,15 @@ def load_matching(text: str) -> Matching:
     return Matching(frozenset(pairs))
 
 
-def _load_allowed(var, spec: Mapping):
+def _load_allowed(spec: Mapping):
+    """An allowed set; EventSystem checks it against its variable."""
     if "intervals" in spec:
-        if not isinstance(var, Uniform01):
-            raise InputError("interval sets require a uniform01 variable")
         return IntervalUnion(
             tuple((parse_fraction(a), parse_fraction(b)) for a, b in spec["intervals"])
         )
     if "values" in spec:
-        if not isinstance(var, FiniteVariable):
-            raise InputError("value sets require a finite variable")
         what = "bad event system object: values"
-        values = frozenset(_integer(v, what) for v in spec["values"])
-        if not all(0 <= v < len(var.masses) for v in values):
-            raise InputError(f"values {sorted(values)} outside 0..{len(var.masses) - 1}")
-        return ValueSet(values)
+        return ValueSet(frozenset(_integer(v, what) for v in spec["values"]))
     raise InputError("allowed set needs 'intervals' or 'values'")
 
 
@@ -186,7 +180,7 @@ def load_event_system(data: Mapping) -> EventSystem:
                 j = int(var_key)
                 if not 1 <= j <= len(variables):
                     raise InputError(f"event references unknown variable {j}")
-                allowed.append((j, _load_allowed(variables[j - 1], aspec)))
+                allowed.append((j, _load_allowed(aspec)))
             vbl = tuple(j for j, _ in allowed)
             events.append(Event(vbl=vbl, allowed=tuple(allowed)))
         if not events:

@@ -8,13 +8,14 @@ algorithm against a seeded lazy table, so identical (system, rule, seed)
 always reproduce the identical run, and batches can be farmed out to
 workers without changing results.
 
-The engine works on the table's integer draws k (the sample is k / 2^64).
-Each system's IntegerForm cuts every variable's draws into cells at the
-ends of all the elementary events' allowed sets, so an elementary event
-reads a variable only through the cell of its draw: one bisect per redrawn
-variable, then one shift and AND per variable of each event on it. The
-violated events are one int mask, from which the named rules pick. A draw
-copies the table's blake2b state for its row, in the loop itself."""
+The engine works on the table's integer draws k (the sample is k / 2^64),
+which each variable alone decodes, bounds and measures. Each system's
+IntegerForm cuts every variable's draws into cells at the ends of all the
+elementary events' allowed sets, so an elementary event reads a variable
+only through the cell of its draw: one bisect per redrawn variable, then
+one shift and AND per variable of each event on it. The violated events
+are one int mask, from which the named rules pick. A draw copies the
+table's blake2b state for its row, in the loop itself."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from math import ceil, prod, sqrt
 from typing import Callable, Mapping
 
@@ -37,13 +38,29 @@ from .wdag import WDag, ordered_arcs
 
 # ---------------------------------------------------------------------------
 # variables
+#
+# value(k) is the value at draw k; ends(allowed) the ends lo, hi, lo, hi, ...
+# of the intervals [lo, hi) of the draws an allowed set admits, in order; and
+# measure(allowed) its probability. As k / 2^64 < x iff k < ceil(x * 2^64),
+# the three agree exactly, so the engine and pair_intersection do too.
+
+def _ceil_scaled(x: Fraction) -> int:
+    """The least k with k / 2^64 >= x."""
+    return ceil(x * SCALE)
+
 
 @dataclass(frozen=True)
 class Uniform01:
     """Uniform on [0,1); samples are exact dyadic rationals k / 2^64."""
 
-    def value_from_unit(self, u: Fraction) -> Fraction:
-        return u
+    def value(self, k: int) -> Fraction:
+        return Fraction(k, SCALE)
+
+    def ends(self, allowed: "IntervalUnion") -> tuple[int, ...]:
+        return tuple(_ceil_scaled(x) for iv in allowed.intervals for x in iv)
+
+    def measure(self, allowed: "IntervalUnion") -> Fraction:
+        return allowed.measure()
 
 
 @dataclass(frozen=True)
@@ -58,13 +75,23 @@ class FiniteVariable:
         if any(x < 0 for x in ms) or sum(ms) != 1:
             raise InputError("finite masses must be nonnegative and sum to 1")
 
-    def value_from_unit(self, u: Fraction) -> int:
-        acc = Fraction(0)
-        for idx, mass in enumerate(self.masses):
-            acc += mass
-            if u < acc:
-                return idx
-        return len(self.masses) - 1
+    @cached_property
+    def cuts(self) -> tuple[int, ...]:
+        """ceil((m_0 + ... + m_v) * 2^64) for each value v, so value v is
+        drawn iff cuts[v-1] <= k < cuts[v] (cuts[-1] read as 0). Built on
+        first use and kept like EventSystem.dependency_graph: out of ==,
+        hash and repr, pickled along."""
+        return tuple(map(_ceil_scaled, accumulate(self.masses)))
+
+    def value(self, k: int) -> int:
+        return bisect_right(self.cuts, k)
+
+    def ends(self, allowed: "ValueSet") -> tuple[int, ...]:
+        cuts = self.cuts
+        return tuple(x for v in sorted(allowed.values) for x in (cuts[v - 1] if v else 0, cuts[v]))
+
+    def measure(self, allowed: "ValueSet") -> Fraction:
+        return sum((self.masses[v] for v in allowed.values), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +147,6 @@ class ValueSet:
         return ValueSet(self.values & other.values)
 
 
-def _allowed_measure(var, allowed) -> Fraction:
-    if isinstance(var, Uniform01):
-        return allowed.measure()
-    return sum((var.masses[v] for v in allowed.values), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # events and systems
 
@@ -170,11 +191,23 @@ class EventSystem:
     events: tuple[Event, ...]
 
     def __post_init__(self):
+        # the only boxes variables read: interval unions on uniform ones, value sets of 0..k-1 on finite ones
         n = len(self.variables)
         for ev in self.events:
             for j in ev.vbl:
                 if not 1 <= j <= n:
                     raise InputError(f"event variable {j} out of range")
+            for j, allowed in ev.allowed or ():
+                var = self.variables[j - 1]
+                if isinstance(allowed, IntervalUnion):
+                    if not isinstance(var, Uniform01):
+                        raise InputError("interval sets require a uniform01 variable")
+                elif not isinstance(allowed, ValueSet):
+                    raise InputError(f"unknown allowed set {type(allowed).__name__}")
+                elif not isinstance(var, FiniteVariable):
+                    raise InputError("value sets require a finite variable")
+                elif not all(0 <= v < len(var.masses) for v in allowed.values):
+                    raise InputError(f"values {sorted(allowed.values)} outside 0..{len(var.masses) - 1}")
 
     @property
     def m(self) -> int:
@@ -220,9 +253,7 @@ class EventSystem:
             if size > MAX_OUTCOMES:
                 raise CapExceeded(f"outcome space beyond {MAX_OUTCOMES}")
         total = Fraction(0)
-        from itertools import product as iproduct
-
-        for combo in iproduct(*domains):
+        for combo in product(*domains):
             assignment = dict(zip(vbls, combo))
             if all(self.holds(i, assignment) for i in which):
                 weight = Fraction(1)
@@ -232,51 +263,39 @@ class EventSystem:
         return total
 
 
-def _ceil_scaled(x: Fraction) -> int:
-    """The least k with k / 2^64 >= x."""
-    return ceil(x * SCALE)
-
-
 @dataclass(frozen=True)
 class IntegerForm:
     """An event system on integer draws k, the sample being k / 2^64.
 
-    Since k is an integer, k / 2^64 < x iff k < ceil(x * 2^64), so every
-    rational threshold becomes an integer one and the tests below are exact.
     An elementary event reads a variable only through the cell its draw lies
-    in, the cells of a variable being cut by every end of every test on it.
+    in, the cells of a variable being cut by every end (its ends()) of every
+    allowed set on it.
 
-    - cuts[j-1]: for a finite variable, ceil((m_0 + ... + m_v) * 2^64) for
-      each value v, so bisect_right(cuts, k) is its value; None otherwise.
     - points[j-1]: the sorted ends strictly inside (0, 2^64) of the allowed
       draws of the events on variable j; draw k lies in cell
       bisect_right(points, k).
-    - tests[i-1]: for an elementary event over uniform and finite variables,
-      one (j, cells) per variable, bit c of cells being set iff the event
-      allows the draws of cell c; the event holds iff cells >> cell & 1 on
-      each of its variables. None for any other event, which is tested by
-      Event.holds on the decoded values.
+    - tests[i-1]: for an elementary event, one (j, cells) per variable, bit c
+      of cells being set iff the event allows the draws of cell c; the event
+      holds iff cells >> cell & 1 on each of its variables. None for a
+      predicate event, which is tested by Event.holds on the decoded values.
     - var_events[j-1]: the events on variable j as a mask, bit i-1 standing
       for event i, like the engine's violated events. A resampling changes
       only the events on the variables it redraws.
     """
 
-    cuts: tuple[tuple[int, ...] | None, ...]
     points: tuple[tuple[int, ...], ...]
     tests: tuple[tuple[tuple[int, int], ...] | None, ...]
     var_events: tuple[int, ...]
 
     @staticmethod
     def compile(system: "EventSystem") -> "IntegerForm":
-        cuts = tuple(
-            tuple(map(_ceil_scaled, accumulate(var.masses)))
-            if isinstance(var, FiniteVariable)
-            else None
-            for var in system.variables
-        )
-        bounds = [_allowed_bounds(system.variables, cuts, ev) for ev in system.events]
-        ends: list[set[int]] = [set() for _ in system.variables]
-        var_events = [0] * len(system.variables)
+        variables = system.variables
+        bounds = [
+            None if ev.allowed is None else [(j, variables[j - 1].ends(s)) for j, s in ev.allowed]
+            for ev in system.events
+        ]
+        ends: list[set[int]] = [set() for _ in variables]
+        var_events = [0] * len(variables)
         for i, (ev, test) in enumerate(zip(system.events, bounds)):
             for j in ev.vbl:
                 var_events[j - 1] |= 1 << i
@@ -287,36 +306,7 @@ class IntegerForm:
             None if test is None else tuple((j, _cell_mask(points[j - 1], b)) for j, b in test)
             for test in bounds
         )
-        return IntegerForm(cuts, points, tests, tuple(var_events))
-
-    def value(self, system: "EventSystem", j: int, k: int):
-        """Variable j's value at draw k; equals value_from_unit(k / 2^64)."""
-        cuts = self.cuts[j - 1]
-        if cuts is not None:
-            return bisect_right(cuts, k)
-        return system.variables[j - 1].value_from_unit(Fraction(k, SCALE))
-
-
-def _allowed_bounds(variables, cuts, ev: Event):
-    """Per variable of an elementary event, the ends lo, hi, lo, hi, ... of
-    the disjoint integer intervals [lo, hi) of its allowed draws, in
-    non-decreasing order, so k is allowed iff bisect_right(bounds, k) is odd;
-    None for an event outside the integer form."""
-    if ev.allowed is None:
-        return None
-    out = []
-    for j, allowed in ev.allowed:
-        var, c = variables[j - 1], cuts[j - 1]
-        if c is not None:
-            # value v is drawn iff c[v-1] <= k < c[v] (c[-1] read as 0)
-            lows = (0, *c[:-1])
-            bounds = tuple(x for v in range(len(c)) if allowed.contains(v) for x in (lows[v], c[v]))
-        elif isinstance(var, Uniform01) and isinstance(allowed, IntervalUnion):
-            bounds = tuple(_ceil_scaled(x) for iv in allowed.intervals for x in iv)
-        else:
-            return None
-        out.append((j, bounds))
-    return out
+        return IntegerForm(points, tests, tuple(var_events))
 
 
 def _cell_mask(points: tuple[int, ...], bounds: tuple[int, ...]) -> int:
@@ -339,7 +329,7 @@ def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
         boxes = dict(a.allowed)
         for j, s in b.allowed:
             boxes[j] = boxes[j].intersect(s) if j in boxes else s
-        measures = (_allowed_measure(system.variables[j - 1], s) for j, s in boxes.items())
+        measures = (system.variables[j - 1].measure(s) for j, s in boxes.items())
         return prod(measures, start=Fraction(1))
     return system._exhaustive_probability((i, i2))
 
@@ -452,8 +442,8 @@ def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_c
 
     Each pass redraws some variables, each draw a copy of its row's blake2b
     state fed the column, then tests once each event on a variable whose
-    cell moved (on any redrawn variable, if some event is outside the
-    integer form). The first pass draws column 1 of every row, so it builds
+    cell moved (on any redrawn variable, if some event is a predicate,
+    which reads the values the variables decode). The first pass draws column 1 of every row, so it builds
     the initial violated mask; every later one redraws the variables of the
     event the rule picks."""
     if step_cap < 1:
@@ -487,7 +477,7 @@ def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_c
             k = draws[j] = from_bytes(h.digest(), "big")
             c = bisect_right(points[j - 1], k)
             if values is not None:
-                values[j] = form.value(system, j, k)
+                values[j] = system.variables[j - 1].value(k)
             elif c == cells[j]:
                 continue  # every event here reads variable j only through its cell
             cells[j] = c
@@ -538,12 +528,11 @@ def run_mt(
     variable whose draw stays in its cell changes none. The named rules
     pick from the mask; a callable rule(violated, history, rng) gets the
     sorted list of violated events and must return one of them. Values are
-    decoded for events outside the integer form, and for final_assignment
-    once the run ends.
+    decoded, each by its variable's value(k), for predicate events, and for
+    final_assignment once the run ends.
     """
     sequence, truncated, draws = _resample(system, rule, seed, step_cap)
-    form = system.integer_form
-    final = {j: form.value(system, j, draws[j]) for j in range(1, len(draws))}
+    final = {j: var.value(draws[j]) for j, var in enumerate(system.variables, 1)}
     counts: dict[int, int] = {}
     for i in sequence:
         counts[i] = counts.get(i, 0) + 1

@@ -43,7 +43,7 @@ class ResamplingTable:
     rows[0] is None, so that rows index by variable. A column is read by
     copying the row's state and feeding it b"%d" % k: `draw(j, k)` returns
     those 64 bits, and the engine's loop does the same inline. `entry(j, k)`
-    is the value they give through the variable's distribution. The states
+    is the variable's value at that draw, its value(k). The states
     are the table's only storage, one per row, freed with the table.
     """
 
@@ -67,7 +67,7 @@ class ResamplingTable:
     def entry(self, j: int, k: int):
         if not (1 <= j <= len(self.variables) and k >= 1):
             raise InputError(f"table position ({j},{k}) out of range")
-        return self.variables[j - 1].value_from_unit(Fraction(self.draw(j, k), SCALE))
+        return self.variables[j - 1].value(self.draw(j, k))
 
 
 class FixedResamplingTable:

@@ -146,6 +146,16 @@ def test_shearer_check_accepts_interior(files, capsys):
             '{"events": 1, "vars": 1e300, "edges": [[1, 1]]}',
             "must be integers",
         ),
+        (
+            "beyond --graph {c4} --p 0.2928932,0.2928932,0.2928932,0.2928932 --eps 1/10000000 --resolution 0",
+            None,
+            "resolution must be positive",
+        ),
+        (
+            "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000 --resolution=-1/8",
+            None,
+            "resolution must be positive",
+        ),
     ],
     ids=[
         "json",
@@ -169,6 +179,8 @@ def test_shearer_check_accepts_interior(files, capsys):
         "huge-events",
         "float-huge-events",
         "float-huge-vars",
+        "beyond-zero-resolution",
+        "beyond-negative-resolution",
     ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):

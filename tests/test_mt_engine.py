@@ -58,6 +58,29 @@ def reference_box_product(variables, a, b):
     return out
 
 
+def reference_value(var, u):
+    """A variable's value at the sample u, decoded on Fractions: u itself for
+    a uniform variable; for a finite one the first value whose cumulative
+    mass exceeds u."""
+    if isinstance(var, Uniform01):
+        return u
+    acc = Fraction(0)
+    for idx, mass in enumerate(var.masses):
+        acc += mass
+        if u < acc:
+            return idx
+    return len(var.masses) - 1
+
+
+def assert_values_at_cuts(var, cuts):
+    """var.value(k) is the Fraction decoder's value at and one below every
+    cut, which random draws almost never hit."""
+    for c in cuts:
+        for k in (c - 1, c):
+            if 0 <= k < SCALE:
+                assert var.value(k) == reference_value(var, Fraction(k, SCALE))
+
+
 def reference_rule(name, system):
     """The selection rules as first written: recent-neighbor walks back
     through the whole history on every call."""
@@ -85,7 +108,7 @@ def reference_run_mt(system, rule, seed, step_cap=DEFAULT_STEP_CAP):
     rule_fn = reference_rule(rule, system) if isinstance(rule, str) else rule
 
     def entry(j, k):
-        return system.variables[j - 1].value_from_unit(unit_fraction(seed, "x", j, k))
+        return reference_value(system.variables[j - 1], unit_fraction(seed, "x", j, k))
 
     rng = random.Random(int(unit_fraction(seed, "rule") * (1 << 64)))
     cursor = {j: 1 for j in range(1, len(system.variables) + 1)}
@@ -622,6 +645,7 @@ class TestIntegerForm:
         events = tuple(Event(vbl=(1,), allowed=((1, s),)) for s in sets)
         system = EventSystem((Uniform01(),), events)
         assert system.integer_form.points[0] == tuple(sorted(map(_ceil_scaled, ends[1:4])))
+        assert_values_at_cuts(Uniform01(), map(_ceil_scaled, ends))
         self.assert_cell_tests_at_cuts(system, lambda u: u, map(_ceil_scaled, ends))
 
     @pytest.mark.parametrize(
@@ -639,15 +663,11 @@ class TestIntegerForm:
         subsets = [frozenset(v for v in values if bits >> v & 1) for bits in range(1 << len(masses))]
         events = tuple(Event(vbl=(1,), allowed=((1, ValueSet(s)),)) for s in subsets)
         system = EventSystem((var,), events)
-        form = system.integer_form
-        cuts = form.cuts[0]
+        cuts = var.cuts
         assert len(cuts) == len(masses) and cuts[-1] == SCALE
-        for c in cuts:
-            for k in (c - 1, c):
-                if 0 <= k < SCALE:
-                    assert form.value(system, 1, k) == var.value_from_unit(Fraction(k, SCALE))
-        assert set(form.points[0]) <= set(cuts)
-        self.assert_cell_tests_at_cuts(system, var.value_from_unit, cuts)
+        assert_values_at_cuts(var, cuts)
+        assert set(system.integer_form.points[0]) <= set(cuts)
+        self.assert_cell_tests_at_cuts(system, lambda u: reference_value(var, u), cuts)
 
     def test_interval_bounds_and_variable_index(self):
         third = IntervalUnion(((Fraction(1, 3), Fraction(1)),))
@@ -683,6 +703,34 @@ class TestValueSets:
 
     def test_finite_variable_sampling(self):
         var = FiniteVariable((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        assert var.value_from_unit(Fraction(0)) == 0
-        assert var.value_from_unit(Fraction(1, 4)) == 1
-        assert var.value_from_unit(Fraction(99, 100)) == 2
+        assert var.value(0) == 0
+        assert var.value(SCALE // 4) == 1
+        assert var.value(SCALE - 1) == 2
+        assert_values_at_cuts(var, var.cuts)
+
+    def test_cached_cuts_stay_out_of_value_semantics(self):
+        var, twin = FiniteVariable((Fraction(1, 3), Fraction(2, 3))), FiniteVariable(("1/3", "2/3"))
+        text, key = repr(var), hash(var)
+        cuts = var.cuts
+        assert var.cuts is cuts and "cuts" in vars(var) and "cuts" not in vars(twin)
+        assert var == twin and hash(var) == key == hash(twin) and repr(var) == text == repr(twin)
+        back = pickle.loads(pickle.dumps(var))
+        assert back == var and vars(back)["cuts"] == cuts
+
+    @pytest.mark.parametrize(
+        "var,allowed,message",
+        [
+            (Uniform01(), ValueSet(frozenset({0})), "value sets require a finite variable"),
+            (FiniteVariable((Fraction(1, 2),) * 2), HALF, "interval sets require a uniform01 variable"),
+            (FiniteVariable((Fraction(1, 2),) * 2), ValueSet(frozenset({-1})), r"values \[-1\] outside 0..1"),
+            (FiniteVariable((Fraction(1, 2),) * 2), ValueSet(frozenset({0, 2})), r"values \[0, 2\] outside 0..1"),
+            (Uniform01(), frozenset({0}), "unknown allowed set frozenset"),
+        ],
+        ids=["values-on-uniform", "intervals-on-finite", "value-minus-one", "value-k", "unknown-set"],
+    )
+    def test_boxes_must_fit_their_variable(self, var, allowed, message):
+        # the wire format's checks, for library-built systems too: each of
+        # these ran in run_mt before, and the probability code misread it
+        events = (Event(vbl=(1,), allowed=((1, allowed),)),)
+        with pytest.raises(InputError, match=message):
+            EventSystem((var,), events)
