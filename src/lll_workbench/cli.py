@@ -196,7 +196,7 @@ def cmd_beyond(args) -> int:
         g,
         _pvec(args),
         parse_fraction(args.eps),
-        gap_resolution=parse_fraction(args.resolution) if args.resolution else None,
+        gap_resolution=None if args.resolution is None else parse_fraction(args.resolution),
     )
     return _emit_verdict(args, verdict)
 

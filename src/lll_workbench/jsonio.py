@@ -34,6 +34,7 @@ from .mt_engine import (
     StepEstimate,
     Uniform01,
     ValueSet,
+    trial_seed,
 )
 from .shearer import ProbabilityVector
 from .wdag import WDag
@@ -200,7 +201,7 @@ def load_wdag(data: Mapping) -> WDag:
 def estimate_to_rows(est: StepEstimate, seed) -> list[list]:
     rows = [["seed", "T", "truncated"]]
     for index, t, truncated in est.per_trial:
-        rows.append([f"{seed}/{index}", t, str(truncated).lower()])
+        rows.append([trial_seed(seed, index), t, str(truncated).lower()])
     return rows
 
 

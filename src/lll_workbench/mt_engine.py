@@ -15,7 +15,9 @@ elementary events' allowed sets, so an elementary event reads a variable
 only through the cell of its draw: one bisect per redrawn variable, then
 one shift and AND per variable of each event on it. The violated events
 are one int mask, from which the named rules pick. A draw copies the
-table's blake2b state for its row, in the loop itself."""
+table's blake2b state for its row, in the loop itself. A run and every
+trial of a batch go through that one loop, which sets up the rule and the
+compiled system once per call and a table per seed."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from math import ceil, prod, sqrt
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
 from .shearer import CapExceeded
@@ -191,6 +193,9 @@ class EventSystem:
     events: tuple[Event, ...]
 
     def __post_init__(self):
+        for var in self.variables:
+            if not isinstance(var, (Uniform01, FiniteVariable)):
+                raise InputError(f"unknown variable kind {type(var).__name__}")
         # the only boxes variables read: interval unions on uniform ones, value sets of 0..k-1 on finite ones
         n = len(self.variables)
         for ev in self.events:
@@ -362,7 +367,9 @@ def _rule_recent_neighbor(closed: tuple[int, ...]):
 
     Only the last occurrence of each label matters, so the rule keeps the
     labels in that order and folds in the history it has not seen yet. It
-    follows one run; a history shorter than the last one starts it afresh.
+    follows one run at a time, the trials of a batch in turn: a history
+    shorter than the last one, as every run starts with an empty one,
+    starts it afresh.
     """
     recent: dict[int, None] = {}
     seen = 0
@@ -411,13 +418,6 @@ def _list_rule(rule: Callable):
     return pick
 
 
-def make_rule(name: str, system: EventSystem):
-    """The named rule as a callable on the sorted list of violated events,
-    the form in which run_mt takes a caller's rule."""
-    rule = _mask_rule(name, system)
-    return lambda violated, history, rng: rule(sum(1 << (i - 1) for i in violated), history, rng)
-
-
 # ---------------------------------------------------------------------------
 # runs
 
@@ -436,77 +436,77 @@ class RunStats:
         return len(self.sequence)
 
 
-def _resample(system: EventSystem, rule: str | Callable, seed: int | str, step_cap: int):
-    """The resampling loop of run_mt: (sequence, truncated, draws), draws[j]
-    being variable j's last integer draw.
+def _runs(system: EventSystem, rule: str | Callable, seeds: Iterable[int | str], step_cap: int):
+    """The resampling loop of run_mt and of every batch: for each seed in
+    turn, (sequence, truncated, draws), draws[j] being variable j's last
+    integer draw. The rule and the compiled system are set up once per call;
+    each seed gets its own table and, for the rules that read one, its own
+    generator.
 
     Each pass redraws some variables, each draw a copy of its row's blake2b
     state fed the column, then tests once each event on a variable whose
     cell moved (on any redrawn variable, if some event is a predicate,
-    which reads the values the variables decode). The first pass draws column 1 of every row, so it builds
-    the initial violated mask; every later one redraws the variables of the
-    event the rule picks."""
+    which reads the values the variables decode). The first pass draws
+    column 1 of every row, so it builds the initial violated mask; every
+    later one redraws the variables of the event the rule picks."""
     if step_cap < 1:
         raise InputError("step_cap must be positive")
-    rng = None  # seeded only for the rules that can read it
-    if isinstance(rule, str):
-        pick = _mask_rule(rule, system)
-        if rule == "uniform-violated":
-            rng = random.Random(unit_bits(seed, "rule"))
-    else:
-        pick = _list_rule(rule)
-        rng = random.Random(unit_bits(seed, "rule"))
+    pick = _mask_rule(rule, system) if isinstance(rule, str) else _list_rule(rule)
+    seeded = rule == "uniform-violated" or not isinstance(rule, str)  # the rules that read a generator
     form = system.integer_form
-    points, tests, var_events, events = form.points, form.tests, form.var_events, system.events
-    rows = ResamplingTable(system.variables, seed).rows
+    points, tests, var_events = form.points, form.tests, form.var_events
+    variables, events = system.variables, system.events
+    predicates = None in tests
     from_bytes = int.from_bytes
-    n = len(system.variables)
-    cursor = [0] * (n + 1)
-    draws = [0] * (n + 1)
-    cells = [-1] * (n + 1)  # no draw lies in cell -1
-    values = {} if None in tests else None
-    violated = 0
-    sequence: list[int] = []
-    redraw = range(1, n + 1)
-    while True:
-        stale = 0  # the events to test, as a mask
-        for j in redraw:
-            cursor[j] = col = cursor[j] + 1
-            h = rows[j].copy()
-            h.update(b"%d" % col)
-            k = draws[j] = from_bytes(h.digest(), "big")
-            c = bisect_right(points[j - 1], k)
-            if values is not None:
-                values[j] = system.variables[j - 1].value(k)
-            elif c == cells[j]:
-                continue  # every event here reads variable j only through its cell
-            cells[j] = c
-            stale |= var_events[j - 1]
-        while stale:
-            bit = stale & -stale
-            stale ^= bit
-            e = bit.bit_length() - 1
-            test = tests[e]
-            if test is None:
-                holds = events[e].holds(values)
-            else:
-                for v, allowed in test:
-                    if not allowed >> cells[v] & 1:
-                        holds = False
-                        break
+    n = len(variables)
+    for seed in seeds:
+        rng = random.Random(unit_bits(seed, "rule")) if seeded else None
+        rows = ResamplingTable(variables, seed).rows
+        cursor = [0] * (n + 1)
+        draws = [0] * (n + 1)
+        cells = [-1] * (n + 1)  # no draw lies in cell -1
+        values = {} if predicates else None
+        violated = 0
+        sequence: list[int] = []
+        redraw = range(1, n + 1)
+        while True:
+            stale = 0  # the events to test, as a mask
+            for j in redraw:
+                cursor[j] = col = cursor[j] + 1
+                h = rows[j].copy()
+                h.update(b"%d" % col)
+                k = draws[j] = from_bytes(h.digest(), "big")
+                c = bisect_right(points[j - 1], k)
+                if values is not None:
+                    values[j] = variables[j - 1].value(k)
+                elif c == cells[j]:
+                    continue  # every event here reads variable j only through its cell
+                cells[j] = c
+                stale |= var_events[j - 1]
+            while stale:
+                bit = stale & -stale
+                stale ^= bit
+                e = bit.bit_length() - 1
+                test = tests[e]
+                if test is None:
+                    holds = events[e].holds(values)
                 else:
-                    holds = True
-            if holds:
-                violated |= bit
-            else:
-                violated &= ~bit
-        if not violated:
-            return sequence, False, draws
-        if len(sequence) >= step_cap:
-            return sequence, True, draws
-        i = pick(violated, sequence, rng)
-        sequence.append(i)
-        redraw = events[i - 1].vbl
+                    for v, allowed in test:
+                        if not allowed >> cells[v] & 1:
+                            holds = False
+                            break
+                    else:
+                        holds = True
+                if holds:
+                    violated |= bit
+                else:
+                    violated &= ~bit
+            if not violated or len(sequence) >= step_cap:
+                break
+            i = pick(violated, sequence, rng)
+            sequence.append(i)
+            redraw = events[i - 1].vbl
+        yield sequence, bool(violated), draws
 
 
 def run_mt(
@@ -531,7 +531,7 @@ def run_mt(
     decoded, each by its variable's value(k), for predicate events, and for
     final_assignment once the run ends.
     """
-    sequence, truncated, draws = _resample(system, rule, seed, step_cap)
+    [(sequence, truncated, draws)] = _runs(system, rule, (seed,), step_cap)
     final = {j: var.value(draws[j]) for j, var in enumerate(system.variables, 1)}
     counts: dict[int, int] = {}
     for i in sequence:
@@ -581,17 +581,15 @@ class StepEstimate:
 MAX_TRIALS = 1_000_000
 
 
-def _trial_seed(seed: int | str, index: int) -> str:
+def trial_seed(seed: int | str, index: int) -> str:
+    """The seed of trial `index` of a batch seeded `seed`."""
     return f"{seed}/{index}"
 
 
 def _run_chunk(args) -> list[tuple[int, int, bool]]:
     system, rule_name, seed, step_cap, indices = args
-    out = []
-    for t in indices:
-        sequence, truncated, _ = _resample(system, rule_name, _trial_seed(seed, t), step_cap)
-        out.append((t, len(sequence), truncated))
-    return out
+    runs = _runs(system, rule_name, (trial_seed(seed, t) for t in indices), step_cap)
+    return [(t, len(sequence), truncated) for t, (sequence, truncated, _) in zip(indices, runs)]
 
 
 def estimate_expected_steps(

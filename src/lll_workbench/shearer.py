@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import DependencyGraph, InputError
 
@@ -146,20 +146,18 @@ def _q_int(
     return out
 
 
-def _in_region(
-    nums: Sequence[int],
-    den: int,
-    nbr: Sequence[int],
-    support: int,
-    memo: dict[int, int],
-) -> bool:
-    """Strict membership of a nonnegative vector nums/den whose positive
-    entries are exactly `support`: q_0 > 0 on each of the nested suffixes of
-    the support (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one
+def _member(nums: Sequence[int], den: int, nbr: Sequence[int], memo: dict | None = None) -> bool:
+    """Strict membership of a nonnegative vector nums/den, restricted to its
+    support; no input checks. q_0 > 0 on each of the nested suffixes of the
+    support (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one
     maximal chain of induced subgraphs is equivalent to q_I > 0 for every
     independent I). The first evaluation fills `memo` with all the others.
     """
-    mask = support
+    mask = 0
+    for k, n in enumerate(nums):
+        if n:
+            mask |= 1 << k
+    memo = {} if memo is None else memo
     while mask:
         if _q_int(nums, den, nbr, mask, memo) <= 0:
             return False
@@ -167,13 +165,21 @@ def _in_region(
     return True
 
 
-def _member(nums: Sequence[int], den: int, nbr: Sequence[int]) -> bool:
-    """Membership of nums/den, restricted to its support; no input checks."""
-    support = 0
-    for k, n in enumerate(nums):
-        if n:
-            support |= 1 << k
-    return _in_region(nums, den, nbr, support, {})
+def _bisect(
+    x0: Sequence[int], x1: Sequence[int], den: int, nbr: Sequence[int], done: Callable[[int], bool]
+) -> tuple[int, int]:
+    """Bisection on the segment from x0, in the region, to x1, outside it,
+    both numerators over den. After t halvings the bracket runs from
+    x0 + a*(x1-x0)/2^t, in the region, to x0 + (a+1)*(x1-x0)/2^t, outside
+    it; halves until done(t) and returns (a, t)."""
+    step = [y - x for x, y in zip(x0, x1)]
+    a = t = 0
+    while not done(t):
+        t += 1
+        a <<= 1
+        if _member([(x << t) + (a + 1) * d for x, d in zip(x0, step)], den << t, nbr):
+            a += 1
+    return a, t
 
 
 def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -267,7 +273,7 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     q_values = {(): _q_of_set(nums, den, nbr, (), memo)}
     for v in g.vertices:
         q_values[(v,)] = _q_of_set(nums, den, nbr, (v,), memo)
-    if _in_region(nums, den, nbr, (1 << g.m) - 1, memo):
+    if _member(nums, den, nbr, memo):
         return ShearerReport(True, q_values, None)
     witness = next(
         iset
@@ -297,16 +303,10 @@ def boundary_scale(
     nbr = g.closed_masks
     top = max(nums)
     t_max = Fraction(den, top)
-    # after k halvings lo = a*t_max/2^k and hi = lo + t_max/2^k; the probe
-    # (a+1)*t_max/2^k * direction is nums*(a+1) over top*2^k. When
-    # t_max <= resolution no probe is made: the bracket is [0, t_max].
+    # t_max * direction is nums over top. When t_max <= resolution no probe
+    # is made: the bracket is [0, t_max].
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
-    a = k = 0
-    while width > res << k:
-        k += 1
-        a <<= 1
-        if _member([n * (a + 1) for n in nums], top << k, nbr):
-            a += 1
+    a, k = _bisect([0] * len(nums), nums, top, nbr, lambda t: width <= res << t)
     lo = t_max * Fraction(a, 1 << k)
     hi = t_max * Fraction(a + 1, 1 << k)
     return BoundaryScale(lo, hi, clamped=a + 1 == 1 << k)
@@ -421,15 +421,10 @@ def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
                 r[k] = 0
                 improved = True
                 continue
-            # after t halvings lo = a*r_k/2^t and hi = lo + r_k/2^t
-            a = t = 0
-            while rk * tol_den > tol_num * den << (level + t):
-                t += 1
-                a <<= 1
-                probe = [x << t for x in r]
-                probe[k] = rk * (a + 1)
-                if _member(probe, den << (level + t), nbr):
-                    a += 1
+            # from probe (r with r_k = 0) to r, until r_k/2^t <= the tolerance
+            a, t = _bisect(
+                probe, r, den << level, nbr, lambda t: rk * tol_den <= tol_num * den << (level + t)
+            )
             if a + 1 < 1 << t:  # hi < r_k
                 r = [x << t for x in r]
                 r[k] = rk * (a + 1)

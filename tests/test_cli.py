@@ -156,6 +156,11 @@ def test_shearer_check_accepts_interior(files, capsys):
             None,
             "resolution must be positive",
         ),
+        (
+            "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000 --resolution=",
+            None,
+            "cannot parse rational ''",
+        ),
     ],
     ids=[
         "json",
@@ -181,6 +186,7 @@ def test_shearer_check_accepts_interior(files, capsys):
         "float-huge-vars",
         "beyond-zero-resolution",
         "beyond-negative-resolution",
+        "beyond-empty-resolution",
     ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):

@@ -20,9 +20,9 @@ from lll_workbench.mt_engine import (
     Uniform01,
     ValueSet,
     _ceil_scaled,
+    _mask_rule,
     estimate_expected_steps,
     extremal_cycle_instance,
-    make_rule,
     measure_pair_intersections,
     pair_intersection,
     run_mt,
@@ -40,6 +40,7 @@ from lll_workbench.wdag import (
 
 HALF = IntervalUnion(((Fraction(0), Fraction(1, 2)),))
 QUARTER = IntervalUnion(((Fraction(0), Fraction(1, 4)),))
+LOW = IntervalUnion(((Fraction(0), Fraction(2, 5)),))
 
 
 def reference_box_product(variables, a, b):
@@ -349,7 +350,7 @@ class TestRuns:
         # popcount - 1 that is the highest bit
         system = extremal_cycle_instance(6)
         last = SimpleNamespace(randrange=lambda n: n - 1)
-        assert make_rule("uniform-violated", system)([2, 5, 6], [], last) == 6
+        assert _mask_rule("uniform-violated", system)(0b110010, [], last) == 6
         highest = []
 
         def recording(violated, history, rng):
@@ -418,11 +419,30 @@ class TestRuns:
         par = estimate_expected_steps(system, "recent-neighbor", 40, 2, workers=2)
         assert seq.per_trial == par.per_trial
 
-    def test_recent_neighbor_rule_restarts_with_a_new_run(self):
-        system = extremal_cycle_instance(6)
-        rule = make_rule("recent-neighbor", system)
-        for seed in range(6):
-            assert run_mt(system, rule, seed) == run_mt(system, "recent-neighbor", seed)
+    @pytest.mark.parametrize(
+        "system",
+        [
+            extremal_cycle_instance(6, Fraction(2, 7)),
+            extremal_cycle_instance(8, Fraction(2, 7)),
+            # adjacent events overlap, so unlike on the extremal cycles the
+            # resample count depends on the rule's picks
+            EventSystem(
+                tuple(Uniform01() for _ in range(6)),
+                tuple(Event(vbl=(i, i % 6 + 1), allowed=((i, LOW), (i % 6 + 1, LOW))) for i in range(1, 7)),
+            ),
+        ],
+        ids=["extremal-c6", "extremal-c8", "overlapping-c6"],
+    )
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_batch_trials_match_the_reference_runs(self, system, rule):
+        # a batch sets its rule up once, so recent-neighbor's closure must
+        # start afresh with each trial's history
+        est = estimate_expected_steps(system, rule, 24, 9, workers=1)
+        want = []
+        for t in range(24):
+            run = reference_run_mt(system, rule, f"9/{t}")
+            want.append((t, run.t, run.truncated))
+        assert est.per_trial == tuple(want)
 
     def test_rule_generator_seeded_only_for_rules_that_read_it(self, monkeypatch):
         seeds = []
@@ -631,7 +651,7 @@ class TestIntegerForm:
                         return violated[0]
 
                     with mock.patch.object(mt_engine, "ResamplingTable", lambda variables, seed: table):
-                        mt_engine._resample(system, first, 0, 1)
+                        run_mt(system, first, 0, 1)
                     u = value_of(Fraction(k, SCALE))
                     want = [i for i, event in enumerate(system.events, 1) if event.holds({1: u})]
                     assert seen == ([want] if want else [])
@@ -734,3 +754,10 @@ class TestValueSets:
         events = (Event(vbl=(1,), allowed=((1, allowed),)),)
         with pytest.raises(InputError, match=message):
             EventSystem((var,), events)
+
+    def test_variables_must_be_of_a_known_kind(self):
+        # a predicate event reads no allowed set, so only the kind check
+        # stops the engine from decoding an unknown variable
+        events = (Event(vbl=(1,), predicate=lambda a: True),)
+        with pytest.raises(InputError, match="unknown variable kind object"):
+            EventSystem((object(),), events)
