@@ -51,7 +51,7 @@ from .shearer import (
     q_empty,
     shearer_membership,
 )
-from .tables import FixedAuxiliaryTable, FixedResamplingTable
+from .tables import FixedAuxiliaryTable, FixedResamplingTable, ResamplingTable
 from .wdag import (
     canonical_key,
     consistent_with_table,
@@ -207,7 +207,8 @@ def check_4_prefix_count_identity() -> CheckResult:
     seed = 0
     while checked < 200:
         system = systems[seed % len(systems)]
-        stats = run_mt(system, "lowest-index", f"c4ident/{seed}", step_cap=64)
+        run_seed = f"c4ident/{seed}"
+        stats = run_mt(system, "lowest-index", run_seed, step_cap=64)
         seed += 1
         if stats.truncated or stats.t > 8:
             continue
@@ -228,10 +229,19 @@ def check_4_prefix_count_identity() -> CheckResult:
                 "4", started, False,
                 f"seed {seed - 1}: T={stats.t} one-node prefixes repeat",
             )
+        # Moser-Tardos coupling: each node's event holds on the run's table
+        # at the columns sample_indices gives it, which are the columns the
+        # node has in its one-node prefix
+        if not consistent_with_table(dag, system, ResamplingTable(system.variables, run_seed)):
+            return _result(
+                "4", started, False,
+                f"seed {seed - 1}: T={stats.t} run wdag inconsistent with its resampling table",
+            )
         checked += 1
     return _result(
         "4", started, True,
-        f"wdags valid, identity exact and one-node prefixes distinct on {checked} runs",
+        f"wdags valid and consistent with their resampling tables (Moser-Tardos coupling), "
+        f"identity exact and one-node prefixes distinct on {checked} runs",
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -82,12 +83,9 @@ def _pvec(args):
 
 
 def _seed(text: str) -> int | str:
-    """Seeds as the API takes them: a decimal integer parses as int, any
-    other string stays a string."""
-    try:
-        return int(text)
-    except ValueError:
-        return text
+    """Seeds as the API takes them: ASCII -?[0-9]+ parses as int, any other
+    string stays a string (int() would also read "1_0", "+7" and "٣")."""
+    return int(text) if re.fullmatch(r"-?[0-9]+", text) else text
 
 
 def _emit(args, payload, fmt="json"):
@@ -169,14 +167,16 @@ def cmd_criterion(args) -> int:
     g = _graph(args)
     p = _pvec(args)
     matching = jsonio.load_matching(args.matching)
-    if args.delta:
+    if args.delta is not None and args.system is not None:
+        raise InputError("give either --delta or --system, not both")
+    if args.delta is not None:
         values = [parse_fraction(x) for x in args.delta.split(",")]
         pairs = sorted(matching.pairs)
         if len(values) != len(pairs):
             raise InputError("one delta per matching pair required")
         delta = dict(zip(pairs, values))
         source = "user"
-    elif args.system:
+    elif args.system is not None:
         system = jsonio.load_event_system(_read_json(args.system))
         inter = measure_pair_intersections(system)
         if not matching.pairs <= inter.keys():

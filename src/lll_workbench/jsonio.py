@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
@@ -61,9 +62,16 @@ def _integer(value, what: str) -> int:
     raise InputError(f"{what} must be integers, got {value!r}")
 
 
+def _digits(text: str) -> bool:
+    """ASCII decimal digits only: int() would also read "1_0", " +2 " and
+    non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def jsonable(value) -> Any:
     """The one writer of results: a dataclass as the dict of its fields,
-    rationals as "a/b", tuples and sorted sets as lists, dict keys as
+    rationals as "a/b", a non-finite float as None (JSON null: NaN and
+    Infinity are not JSON), tuples and sorted sets as lists, dict keys as
     strings (an index set as "i,j", the empty set as "()")."""
     if isinstance(value, Fraction):
         return str(value)
@@ -76,6 +84,8 @@ def jsonable(value) -> Any:
         return [jsonable(v) for v in items]
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -135,11 +145,10 @@ def load_matching(text: str) -> Matching:
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            u, v = (int(part) for part in chunk.split("-"))
-        except ValueError:
-            raise InputError(f"bad matching pair {chunk!r}") from None
-        pairs.add((u, v))
+        ends = [part.strip() for part in chunk.split("-")]
+        if len(ends) != 2 or not all(_digits(end) for end in ends):
+            raise InputError(f"bad matching pair {chunk!r}")
+        pairs.add((int(ends[0]), int(ends[1])))
     return Matching(frozenset(pairs))
 
 
@@ -175,8 +184,7 @@ def load_event_system(data: Mapping) -> EventSystem:
                 raise InputError("wire-format events must be elementary")
             allowed = []
             for var_key, aspec in allowed_spec.items():
-                # decimal digits only: int() would also read "1_0" and " +2 "
-                if not (var_key.isascii() and var_key.isdigit()):
+                if not _digits(var_key):
                     raise InputError(f"bad variable key {var_key!r}")
                 j = int(var_key)
                 if not 1 <= j <= len(variables):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm, prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import DependencyGraph, InputError, Matching
 from .shearer import CapExceeded, ProbabilityVector
@@ -98,25 +98,6 @@ class WDag:
         return tuple(out)
 
 
-def is_acyclic(labels: Sequence[int], arcs: set[tuple[int, int]]) -> bool:
-    n = len(labels)
-    indeg = [0] * (n + 1)
-    ch: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in arcs:
-        indeg[v] += 1
-        ch[u].append(v)
-    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for w in ch[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return seen == n
-
-
 def topological_order(d: WDag) -> tuple[int, ...]:
     """Lexicographic-minimal topological order (deterministic pi_D)."""
     return d._topological_order
@@ -147,7 +128,9 @@ def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
     for v in d.nodes:
         if not 1 <= d.label(v) <= g.m:
             return False
-    if not is_acyclic(d.labels, set(d.arcs)):
+    try:
+        topological_order(d)
+    except InputError:  # a cycle
         return False
     closed = g.closed_masks
     for u, v in combinations(d.nodes, 2):
@@ -189,7 +172,7 @@ def canonical_form(d: WDag) -> WDag:
 # ---------------------------------------------------------------------------
 # prefixes
 
-def closure(d: WDag, nodes: Sequence[int]) -> frozenset[int]:
+def closure(d: WDag, nodes: Iterable[int]) -> frozenset[int]:
     """All nodes with a directed path to some u in nodes (each node reaches
     itself)."""
     out = set(nodes)
@@ -211,26 +194,6 @@ def prefix(d: WDag, nodes: Sequence[int]) -> WDag:
         (new_id[u], new_id[v]) for u, v in d.arcs if u in new_id and v in new_id
     )
     return WDag(labels, arcs)
-
-
-def is_prefix(h: WDag, d: WDag) -> bool:
-    """True iff h equals some prefix of d, up to canonical renaming."""
-    want = canonical_key(h)
-    for keep in _distinct_closures(d):
-        if len(keep) != h.n:
-            continue
-        if canonical_key(prefix(d, tuple(keep))) == want:
-            return True
-    return False
-
-
-def _distinct_closures(d: WDag) -> set[frozenset[int]]:
-    outs: set[frozenset[int]] = set()
-    node_list = list(d.nodes)
-    for r in range(len(node_list) + 1):
-        for combo in combinations(node_list, r):
-            outs.add(closure(d, combo))
-    return outs
 
 
 def single_sink_prefix_count(d: WDag) -> int:
@@ -343,26 +306,13 @@ def group_pwdags(
 # ---------------------------------------------------------------------------
 # reversible arcs
 
-def _path_exists_avoiding_arc(d: WDag, u: int, v: int) -> bool:
-    """Directed path u -> v that does not use the arc (u, v) itself."""
-    stack = [w for w in d._children[u] if w != v]
-    seen = set(stack)
-    while stack:
-        x = stack.pop()
-        if x == v:
-            return True
-        for w in d._children[x]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
 def is_reversible(d: WDag, u: int, v: int) -> bool:
-    """An arc is reversible iff it is the unique directed path u -> v."""
+    """An arc is reversible iff it is the unique directed path u -> v. Any
+    other u -> v path ends in an arc from another parent of v, so the arc is
+    reversible iff u is not among the ancestors of v's other parents."""
     if (u, v) not in d.arcs:
         raise InputError(f"({u},{v}) is not an arc")
-    return not _path_exists_avoiding_arc(d, u, v)
+    return u not in closure(d, d._parents[v] - {u})
 
 
 def _m_reversible_arcs(d: WDag, m: Matching) -> list[tuple[int, int]]:

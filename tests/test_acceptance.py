@@ -17,9 +17,10 @@ from itertools import combinations
 
 import pytest
 
-from lll_workbench import acceptance
+from lll_workbench import acceptance, wdag
 from lll_workbench.acceptance import CHECKS, run_check
 from lll_workbench.mt_engine import witness_dag_of_run
+from lll_workbench.tables import ResamplingTable
 from lll_workbench.wdag import WDag
 
 
@@ -50,3 +51,25 @@ def test_criterion_4_rejects_wrong_run_wdags(monkeypatch, mutate):
         acceptance, "witness_dag_of_run", lambda system, stats: mutate(witness_dag_of_run(system, stats))
     )
     assert not acceptance.check_4_prefix_count_identity().passed
+
+
+def _columns_off_by_one(monkeypatch):
+    sample_indices = wdag.sample_indices
+    monkeypatch.setattr(
+        wdag, "sample_indices", lambda d, v, vbl: {j: k + 1 for j, k in sample_indices(d, v, vbl).items()}
+    )
+
+
+def _table_of_another_seed(monkeypatch):
+    monkeypatch.setattr(
+        acceptance, "ResamplingTable", lambda variables, seed: ResamplingTable(variables, f"other/{seed}")
+    )
+
+
+@pytest.mark.parametrize("mutate", [_columns_off_by_one, _table_of_another_seed])
+def test_criterion_4_checks_the_table_coupling(monkeypatch, mutate):
+    # valid wdags with the right prefixes, read against the wrong samples
+    mutate(monkeypatch)
+    result = acceptance.check_4_prefix_count_identity()
+    assert not result.passed
+    assert "inconsistent with its resampling table" in result.detail

@@ -161,6 +161,23 @@ def test_shearer_check_accepts_interior(files, capsys):
             None,
             "cannot parse rational ''",
         ),
+        ("criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1_0-2 --delta 1/8 --eps 1/8", None, "bad matching pair"),
+        ("criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching +1-2 --delta 1/8 --eps 1/8", None, "bad matching pair"),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-\u0662 --delta 1/8 --eps 1/8",
+            None,
+            "bad matching pair",
+        ),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --delta= --eps 1/8",
+            None,
+            "cannot parse rational ''",
+        ),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --delta 1/8 --system {system} --eps 1/8",
+            None,
+            "either --delta or --system",
+        ),
     ],
     ids=[
         "json",
@@ -187,6 +204,11 @@ def test_shearer_check_accepts_interior(files, capsys):
         "beyond-zero-resolution",
         "beyond-negative-resolution",
         "beyond-empty-resolution",
+        "underscore-matching",
+        "signed-matching",
+        "non-ascii-matching",
+        "empty-delta",
+        "delta-and-system",
     ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):
@@ -370,11 +392,15 @@ def test_mt_seed_accepts_strings_like_the_api(files, capsys):
         return build_parser().parse_args(["mt-run", "--system", "s", "--seed", seed]).seed
 
     assert parsed("7") == 7 and isinstance(parsed("7"), int)
+    assert parsed("-3") == -3
     assert parsed("c5/lowest-index") == "c5/lowest-index"
+    # only ASCII -?[0-9]+ is an integer; int() would read each of these as a number
+    for text in ("1_0", "+7", "\u0663", " 7"):
+        assert parsed(text) == text
 
     with open(files["system"], encoding="utf-8") as handle:
         system = load_event_system(json.load(handle))
-    for seed, api_seed in (("c5/lowest-index", "c5/lowest-index"), ("7", 7)):
+    for seed, api_seed in (("c5/lowest-index", "c5/lowest-index"), ("7", 7), ("1_0", "1_0")):
         code = dispatch(["mt-run", "--system", files["system"], "--seed", seed])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
@@ -390,6 +416,24 @@ def test_mt_seed_accepts_strings_like_the_api(files, capsys):
     assert code == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == [f"c5/lowest-index/{k}" for k in range(3)]
+
+
+def test_mt_estimate_writes_null_for_undefined_statistics(files, capsys):
+    def strict(text):
+        raise ValueError(f"{text} is not JSON")
+
+    always = files["dir"] / "always.json"
+    always.write_text(
+        json.dumps({"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"1": {"intervals": [["0", "1"]]}}}]})
+    )
+    # one trial has no standard error; a batch of truncated runs has no mean
+    for argv, mean in (
+        (["--system", files["system"], "--trials", "1", "--seed", "7"], 0.0),
+        (["--system", str(always), "--trials", "3", "--seed", "7", "--step-cap", "2"], None),
+    ):
+        assert dispatch(["mt-estimate", *argv]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert out["mean"] == mean and out["stderr"] is None
 
 
 @pytest.mark.parametrize("threads", ["abc", "1.5", ""])

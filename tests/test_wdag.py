@@ -33,8 +33,6 @@ from lll_workbench.wdag import (
     enumerate_pwdags,
     group_pwdags,
     homomorphic_graph,
-    is_acyclic,
-    is_prefix,
     is_reversible,
     lambda_order,
     m_reversible_nodes,
@@ -109,7 +107,7 @@ def _reference_pwdags_for_multiset(g, labels):
         arcs = set(fixed)
         for k, (a, b) in enumerate(free):
             arcs.add((a, b) if not bits >> k & 1 else (b, a))
-        if not is_acyclic(labels, arcs):
+        if not reference_is_acyclic(n, arcs):
             continue
         d = WDag(labels, frozenset(arcs))
         if len(d.sinks()) == 1:
@@ -117,10 +115,41 @@ def _reference_pwdags_for_multiset(g, labels):
     return sorted(results, key=canonical_key)
 
 
+def reference_is_acyclic(n, arcs):
+    """Kahn's algorithm on nodes 1..n."""
+    indeg = [0] * (n + 1)
+    children = [[] for _ in range(n + 1)]
+    for u, v in arcs:
+        indeg[v] += 1
+        children[u].append(v)
+    stack = [v for v in range(1, n + 1) if indeg[v] == 0]
+    seen = 0
+    while stack:
+        seen += 1
+        for w in children[stack.pop()]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    return seen == n
+
+
+def reference_closures(d):
+    """Distinct closures of all 2^n node subsets."""
+    return {closure(d, combo) for r in range(d.n + 1) for combo in combinations(d.nodes, r)}
+
+
+def reference_is_prefix(h, d):
+    """True iff h equals some prefix of d, up to canonical renaming."""
+    want = canonical_key(h)
+    return any(
+        len(keep) == h.n and canonical_key(prefix(d, tuple(keep))) == want
+        for keep in reference_closures(d)
+    )
+
+
 def reference_single_sink_prefix_count(d):
     """Distinct closures of all 2^n node subsets with exactly one sink."""
-    closures = {closure(d, combo) for r in range(1, d.n + 1) for combo in combinations(d.nodes, r)}
-    return sum(1 for keep in closures if len(prefix(d, tuple(keep)).sinks()) == 1)
+    return sum(1 for keep in reference_closures(d) if len(prefix(d, tuple(keep)).sinks()) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +372,9 @@ class TestPrefix:
         d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
         sub = prefix(d, (3,))
         assert sub.labels == (1, 3, 2)
-        assert is_prefix(sub, d)
-        assert is_prefix(d, d)
-        assert not is_prefix(chain((2, 2)), d)
+        assert reference_is_prefix(sub, d)
+        assert reference_is_prefix(d, d)
+        assert not reference_is_prefix(chain((2, 2)), d)
 
 
 class TestEnumeration:
@@ -838,6 +867,57 @@ class TestStableSetSequences:
             weight_sums(C4, ProbabilityVector.uniform(3, Fraction(1, 4)), 3)
         with pytest.raises(InputError):
             weight_sums(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), 0)
+
+
+def reference_path_count(d, u, v):
+    """Directed u -> v paths in a DAG, by recursion over the arcs."""
+    if u == v:
+        return 1
+    return sum(reference_path_count(d, b, v) for a, b in d.arcs if a == u)
+
+
+@st.composite
+def labelled_digraphs(draw):
+    """A graph and a labelled digraph on up to 7 nodes, labels up to m + 1:
+    each conflicting node pair gets no arc, either arc or both, and any
+    other pair an arc now and then, so cycles and invalid pairs occur."""
+    g = draw(small_graphs())
+    n = draw(st.integers(1, 7))
+    labels = tuple(draw(st.lists(st.integers(1, g.m + 1), min_size=n, max_size=n)))
+    arcs = set()
+    for u, v in combinations(range(1, n + 1), 2):
+        lu, lv = labels[u - 1], labels[v - 1]
+        conflict = lu == lv or g.has_edge(lu, lv)
+        mode = draw(st.sampled_from((1, 2, 1, 2, 0, 3) if conflict else (0, 0, 0, 1, 2)))
+        arcs |= (set(), {(u, v)}, {(v, u)}, {(u, v), (v, u)})[mode]
+    return g, WDag(labels, frozenset(arcs))
+
+
+class TestReachability:
+    """The one cycle test (the topological order) and the one path walk
+    (closure) against Kahn's algorithm and path counting, on labelled
+    digraphs that need not be valid or acyclic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=labelled_digraphs())
+    def test_validate_wdag_equals_reference(self, case):
+        g, d = case
+        pairs_ok = all(
+            ((u, v) in d.arcs) + ((v, u) in d.arcs)
+            == (d.label(u) == d.label(v) or g.has_edge(d.label(u), d.label(v)))
+            for u, v in combinations(d.nodes, 2)
+        )
+        labels_ok = all(1 <= lab <= g.m for lab in d.labels)
+        want = labels_ok and reference_is_acyclic(d.n, d.arcs) and pairs_ok
+        assert validate_wdag(d, g) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=labelled_digraphs(), data=st.data())
+    def test_is_reversible_counts_one_path(self, case, data):
+        _, d0 = case
+        d = shuffled(WDag(d0.labels, frozenset((u, v) for u, v in d0.arcs if u < v)), data)
+        for u, v in d.arcs:
+            assert is_reversible(d, u, v) == (reference_path_count(d, u, v) == 1)
 
 
 class TestDerivedStructure:

@@ -1,5 +1,6 @@
-"""Code lines of each src/lll_workbench module, at a git revision and in the
-working tree, with the net change.
+"""Code lines of each src/lll_workbench module and each tests file, at a git
+revision and in the working tree, with the net change: one table per
+directory, so code moved from one into the other shows on both sides.
 
 A code line holds some token other than a comment; blank lines, comment
 lines and docstrings (the leading string of a module, class or function)
@@ -19,7 +20,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = "src/lll_workbench"
+DIRECTORIES = (("module", "src/lll_workbench"), ("test file", "tests"))
 NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER
 }
@@ -50,20 +51,24 @@ def git(*args: str) -> str:
     return done.stdout
 
 
-def main(argv: list[str]) -> int:
-    rev = argv[0] if argv else "HEAD"
-    old_names = {Path(p).name for p in git("ls-tree", "--name-only", f"{rev}:{PACKAGE}").split()}
-    new_names = {p.name for p in (ROOT / PACKAGE).glob("*.py")}
+def table(rev: str, header: str, directory: str) -> str:
+    old_names = {Path(p).name for p in git("ls-tree", "--name-only", f"{rev}:{directory}").split()}
+    new_names = {p.name for p in (ROOT / directory).glob("*.py")}
     rows = []
     for name in sorted(n for n in old_names | new_names if n.endswith(".py")):
-        old = code_lines(git("show", f"{rev}:{PACKAGE}/{name}")) if name in old_names else 0
-        new = code_lines((ROOT / PACKAGE / name).read_text(encoding="utf-8")) if name in new_names else 0
+        old = code_lines(git("show", f"{rev}:{directory}/{name}")) if name in old_names else 0
+        new = code_lines((ROOT / directory / name).read_text(encoding="utf-8")) if name in new_names else 0
         rows.append((name, old, new))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    width = max(len(r[0]) for r in rows)
-    print(f"{'module':<{width}}  {rev:>10}  {'worktree':>10}  {'net':>6}")
-    for name, old, new in rows:
-        print(f"{name:<{width}}  {old:>10}  {new:>10}  {new - old:>+6}")
+    width = max(len(header), *(len(r[0]) for r in rows))
+    lines = [f"{header:<{width}}  {rev:>10}  {'worktree':>10}  {'net':>6}"]
+    lines += [f"{name:<{width}}  {old:>10}  {new:>10}  {new - old:>+6}" for name, old, new in rows]
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    rev = argv[0] if argv else "HEAD"
+    print("\n\n".join(table(rev, header, directory) for header, directory in DIRECTORIES))
     return 0
 
 
