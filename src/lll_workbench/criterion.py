@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
-
-from mpmath import iv
 
 from .graphs import (
     BipartiteEventVariableGraph,
@@ -42,10 +41,21 @@ from .shearer import (
     shearer_membership,
 )
 
-iv.dps = 60
+
+@lru_cache(maxsize=1)
+def _iv():
+    """mpmath's interval context at 60 digits, imported and set up at the
+    first call: only digamma and r_cycle compute interval bounds, which of
+    the CLI commands only beyond and lattice-gap reach, and loading mpmath
+    would cost every other one-shot command tens of milliseconds."""
+    from mpmath import iv
+
+    iv.dps = 60
+    return iv
 
 
 def _to_iv(x: Fraction):
+    iv = _iv()
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
 
@@ -234,6 +244,7 @@ def digamma(
     probs = [p[i] for i in original]
     union_vars = sub.variable_count
     min_p = min(probs)
+    iv = _iv()
     acc = iv.mpf(0)
     for k, i in enumerate(sub.events):
         deg = len(sub.event_vars(i))
@@ -312,6 +323,7 @@ def r_cycle(
     _validate_induced_cycle(g, cycle)
     k = len(cycle)
     min_p = min(p[v] for v in cycle)
+    iv = _iv()
     s = iv.mpf(0)
     for v in cycle:
         s += iv.sqrt(_to_iv(p[v]))

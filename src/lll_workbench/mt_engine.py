@@ -12,19 +12,23 @@ The engine works on the table's integer draws k (the sample is k / 2^64),
 which each variable alone decodes, bounds and measures. Each system's
 IntegerForm cuts every variable's draws into cells at the ends of all the
 elementary events' allowed sets, so an elementary event reads a variable
-only through the cell of its draw: one bisect per redrawn variable, then
-one shift and AND per variable of each event on it. The violated events
-are one int mask, from which the named rules pick. A draw copies the
-table's blake2b state for its row, in the loop itself. A run and every
-trial of a batch go through that one loop, which sets up the rule and the
-compiled system once per call and a table per seed."""
+only through the cell of its draw, and compiles for each cell the mask of
+the events a draw there leaves possible and for each event its span, the
+events on its variables, the only ones whose state its resampling can
+change. Sets of events are int masks: a step redraws the picked event's
+variables, one bisect each, and ANDs the masks of the cells of the
+variables its span reads.
+The named rules pick from the violated mask. A draw copies the table's
+blake2b state for its row, in the loop itself. A run and every trial of a
+batch go through that one loop, which sets up the rule, the compiled
+system and the rows' key suffixes once per call, the row states per seed,
+and a generator only for a trial that picks."""
 
 from __future__ import annotations
 
 import os
 import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +38,7 @@ from typing import Callable, Iterable, Mapping
 
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
 from .shearer import CapExceeded
-from .tables import SCALE, ResamplingTable, unit_bits
+from .tables import SCALE, row_states, unit_bits
 from .wdag import WDag, ordered_arcs
 
 
@@ -274,55 +278,86 @@ class IntegerForm:
 
     An elementary event reads a variable only through the cell its draw lies
     in, the cells of a variable being cut by every end (its ends()) of every
-    allowed set on it.
+    allowed set on it. Sets of events are int masks, bit i-1 standing for
+    event i, like the engine's violated events.
 
     - points[j-1]: the sorted ends strictly inside (0, 2^64) of the allowed
       draws of the events on variable j; draw k lies in cell
       bisect_right(points, k).
-    - tests[i-1]: for an elementary event, one (j, cells) per variable, bit c
-      of cells being set iff the event allows the draws of cell c; the event
-      holds iff cells >> cell & 1 on each of its variables. None for a
-      predicate event, which is tested by Event.holds on the decoded values.
-    - var_events[j-1]: the events on variable j as a mask, bit i-1 standing
-      for event i, like the engine's violated events. A resampling changes
-      only the events on the variables it redraws.
+    - allow[j-1][c]: the events that a draw of variable j in cell c leaves
+      possible: those whose box on j admits the cell, plus every event not
+      on j and every predicate event. An elementary event holds iff its bit
+      is set in allow[j-1][cell] for each variable j, so the AND over all
+      variables of their cells' masks is the violated elementary events.
+    - predicates: the predicate events, which the engine tests by
+      Event.holds on the decoded values.
+    - reach[i]: what resampling event i touches, (vbl, span, touch): its
+      variables, the events on them as a mask (a resampling changes only
+      those) and the variables those events read. reach[0] is the first
+      pass, which draws every variable and spans every event.
+
+    Size: allow holds one m-bit mask per cell, len(points[j-1]) + 1 for
+    variable j, so at most n plus the number of ends of the elementary
+    events' allowed sets. reach holds one m-bit span per event, as many
+    bits as the dependency graph's closed neighbourhoods, and touch sets
+    whose lengths sum to at most w times (m plus twice the number of
+    dependency edges), w being the most variables one event reads: m times
+    n only when the dependency graph is dense.
     """
 
     points: tuple[tuple[int, ...], ...]
-    tests: tuple[tuple[tuple[int, int], ...] | None, ...]
-    var_events: tuple[int, ...]
+    allow: tuple[tuple[int, ...], ...]
+    predicates: int
+    reach: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
 
     @staticmethod
     def compile(system: "EventSystem") -> "IntegerForm":
-        variables = system.variables
-        bounds = [
-            None if ev.allowed is None else [(j, variables[j - 1].ends(s)) for j, s in ev.allowed]
-            for ev in system.events
-        ]
+        variables, events = system.variables, system.events
+        boxes = [[(j, variables[j - 1].ends(s)) for j, s in ev.allowed or ()] for ev in events]
         ends: list[set[int]] = [set() for _ in variables]
         var_events = [0] * len(variables)
-        for i, (ev, test) in enumerate(zip(system.events, bounds)):
+        predicates = 0
+        for i, (ev, box) in enumerate(zip(events, boxes)):
             for j in ev.vbl:
                 var_events[j - 1] |= 1 << i
-            for j, b in test or ():
+            if not ev.is_elementary:
+                predicates |= 1 << i
+            for j, b in box:
                 ends[j - 1].update(b)
         points = tuple(tuple(sorted(x for x in e if 0 < x < SCALE)) for e in ends)
-        tests = tuple(
-            None if test is None else tuple((j, _cell_mask(points[j - 1], b)) for j, b in test)
-            for test in bounds
-        )
-        return IntegerForm(points, tests, tuple(var_events))
-
-
-def _cell_mask(points: tuple[int, ...], bounds: tuple[int, ...]) -> int:
-    """The cells of the allowed draws. Every end of bounds inside (0, 2^64)
-    is a cut point, so [lo, hi) is the cells from the one lo starts up to
-    the one hi starts, 2^64 starting none: it comes after the last cell."""
-    starts = [bisect_right(points, k) if k < SCALE else len(points) + 1 for k in bounds]
-    mask = 0
-    for lo, hi in zip(starts[::2], starts[1::2]):
-        mask |= (1 << hi) - (1 << lo)
-    return mask
+        # a run [lo, hi) of an event's allowed draws is the cells from the one
+        # lo starts up to the one hi starts, every end inside (0, 2^64) being
+        # a cut: the event's bit flips at both, 2^64 starting no cell, and a
+        # run ending where the next one starts flips nothing
+        flips = [[0] * (len(p) + 1) for p in points]
+        for i, box in enumerate(boxes):
+            for j, b in box:
+                for k in b:
+                    if k < SCALE:
+                        flips[j - 1][bisect_right(points[j - 1], k)] ^= 1 << i
+        full = (1 << len(events)) - 1
+        allow = []
+        for evs, flip in zip(var_events, flips):
+            held = full & ~evs | predicates
+            cells = []
+            for f in flip:
+                held ^= f
+                cells.append(held)
+            allow.append(tuple(cells))
+        everything = tuple(range(1, len(variables) + 1))
+        reach = [(everything, full, everything)]
+        for ev in events:
+            span = 0
+            for j in ev.vbl:
+                span |= var_events[j - 1]
+            touch = set()
+            rest = span
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                touch.update(events[bit.bit_length() - 1].vbl)
+            reach.append((ev.vbl, span, tuple(touch)))
+        return IntegerForm(points, tuple(allow), predicates, tuple(reach))
 
 
 def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
@@ -439,73 +474,65 @@ class RunStats:
 def _runs(system: EventSystem, rule: str | Callable, seeds: Iterable[int | str], step_cap: int):
     """The resampling loop of run_mt and of every batch: for each seed in
     turn, (sequence, truncated, draws), draws[j] being variable j's last
-    integer draw. The rule and the compiled system are set up once per call;
-    each seed gets its own table and, for the rules that read one, its own
-    generator.
+    integer draw. The rule, the compiled system and the rows' key suffixes
+    are set up once per call; each seed gets its own row states and, at the
+    first pick of a rule that reads one, its own generator.
 
     Each pass redraws some variables, each draw a copy of its row's blake2b
-    state fed the column, then tests once each event on a variable whose
-    cell moved (on any redrawn variable, if some event is a predicate,
-    which reads the values the variables decode). The first pass draws
-    column 1 of every row, so it builds the initial violated mask; every
-    later one redraws the variables of the event the rule picks."""
+    state fed the column, and sets ok[j] to the allow mask of the cell the
+    draw lies in. The events that can change are the span, those on a
+    redrawn variable; each holds iff its bit survives the AND of ok[v] over
+    the variables the span reads, and a predicate event in the span is
+    tested on the decoded values instead. The first pass draws column 1 of
+    every row, so its span is every event; every later one redraws the
+    variables of the event the rule picks, its span and the variables the
+    span reads being the compiled form's reach[i]."""
     if step_cap < 1:
         raise InputError("step_cap must be positive")
     pick = _mask_rule(rule, system) if isinstance(rule, str) else _list_rule(rule)
     seeded = rule == "uniform-violated" or not isinstance(rule, str)  # the rules that read a generator
     form = system.integer_form
-    points, tests, var_events = form.points, form.tests, form.var_events
+    points, allow, predicates, reach = form.points, form.allow, form.predicates, form.reach
     variables, events = system.variables, system.events
-    predicates = None in tests
     from_bytes = int.from_bytes
     n = len(variables)
+    states = row_states(n)
     for seed in seeds:
-        rng = random.Random(unit_bits(seed, "rule")) if seeded else None
-        rows = ResamplingTable(variables, seed).rows
+        rows = states(seed)
+        rng = None
         cursor = [0] * (n + 1)
         draws = [0] * (n + 1)
-        cells = [-1] * (n + 1)  # no draw lies in cell -1
+        ok = [0] * (n + 1)  # ok[j]: allow mask of variable j's cell
         values = {} if predicates else None
         violated = 0
         sequence: list[int] = []
-        redraw = range(1, n + 1)
+        i = 0
         while True:
-            stale = 0  # the events to test, as a mask
+            redraw, span, touch = reach[i]
             for j in redraw:
                 cursor[j] = col = cursor[j] + 1
                 h = rows[j].copy()
                 h.update(b"%d" % col)
                 k = draws[j] = from_bytes(h.digest(), "big")
-                c = bisect_right(points[j - 1], k)
+                ok[j] = allow[j - 1][bisect_right(points[j - 1], k)]
                 if values is not None:
                     values[j] = variables[j - 1].value(k)
-                elif c == cells[j]:
-                    continue  # every event here reads variable j only through its cell
-                cells[j] = c
-                stale |= var_events[j - 1]
-            while stale:
-                bit = stale & -stale
-                stale ^= bit
-                e = bit.bit_length() - 1
-                test = tests[e]
-                if test is None:
-                    holds = events[e].holds(values)
-                else:
-                    for v, allowed in test:
-                        if not allowed >> cells[v] & 1:
-                            holds = False
-                            break
-                    else:
-                        holds = True
-                if holds:
-                    violated |= bit
-                else:
-                    violated &= ~bit
+            hit = span
+            for v in touch:
+                hit &= ok[v]
+            tested = hit & predicates
+            while tested:
+                bit = tested & -tested
+                tested ^= bit
+                if not events[bit.bit_length() - 1].holds(values):
+                    hit ^= bit
+            violated = violated & ~span | hit
             if not violated or len(sequence) >= step_cap:
                 break
+            if seeded and rng is None:
+                rng = random.Random(unit_bits(seed, "rule"))
             i = pick(violated, sequence, rng)
             sequence.append(i)
-            redraw = events[i - 1].vbl
         yield sequence, bool(violated), draws
 
 
@@ -521,15 +548,14 @@ def run_mt(
     advances that variable's cursor one column to the right. Stops when no
     event holds, or flags truncation at the step cap.
 
-    The run keeps each variable's integer draw and the cell it lies in, and
-    the violated events as one int mask. After each step it rechecks only
-    the events on the variables it redrew, each once, a shift and an AND
-    per variable of an elementary event; when every event is elementary, a
-    variable whose draw stays in its cell changes none. The named rules
-    pick from the mask; a callable rule(violated, history, rng) gets the
-    sorted list of violated events and must return one of them. Values are
-    decoded, each by its variable's value(k), for predicate events, and for
-    final_assignment once the run ends.
+    The run keeps each variable's integer draw and its cell's allow mask,
+    and the violated events as one int mask. After each step it recomputes
+    only the span, the events on the variables it redrew: one AND per
+    variable those events read. The named rules pick from the mask; a
+    callable rule(violated, history, rng) gets the sorted list of violated
+    events and must return one of them. Values are decoded, each by its
+    variable's value(k), for predicate events, and for final_assignment
+    once the run ends.
     """
     [(sequence, truncated, draws)] = _runs(system, rule, (seed,), step_cap)
     final = {j: var.value(draws[j]) for j, var in enumerate(system.variables, 1)}
@@ -621,6 +647,8 @@ def estimate_expected_steps(
     indices = range(trials)
     rows: list[tuple[int, int, bool]] = []
     if workers > 1 and all(ev.is_elementary for ev in system.events):
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         chunk = max(1, trials // (workers * 8))
         jobs = [
             (system, rule, seed, step_cap, indices[k : k + chunk])

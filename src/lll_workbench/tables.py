@@ -33,30 +33,45 @@ def unit_fraction(seed: int | str, *position) -> Fraction:
     return Fraction(unit_bits(seed, *position), SCALE)
 
 
+def row_states(n: int):
+    """The row states of a table over n variables, as a function of the seed.
+
+    Entry (j, k) is unit_bits(seed, "x", j, k), the blake2b digest of the key
+    "{seed}:x:{j}:{k}". The returned function gives, for a seed, the list
+    whose item j is a blake2b state fed with row j's prefix "{seed}:x:{j}:"
+    (one copy of a state fed with "{seed}:x:"), item 0 being None, so that
+    rows index by variable. A column is read by copying the row's state and
+    feeding it b"%d" % k. The rows' suffixes b"{j}:" are formatted once, here,
+    and every seed the function is called with reuses them."""
+    suffixes = [b"%d:" % j for j in range(1, n + 1)]
+
+    def states(seed: int | str) -> list:
+        base = hashlib.blake2b((str(seed) + ":x:").encode(), digest_size=8)  # as _key joins it
+        rows: list = [None]
+        for suffix in suffixes:
+            row = base.copy()
+            row.update(suffix)
+            rows.append(row)
+        return rows
+
+    return states
+
+
 class ResamplingTable:
     """Row per variable, infinitely many columns of i.i.d. samples.
 
     Column 1 seeds the initial assignment; resampling a variable advances its
-    row cursor. Entry (j, k) is unit_bits(seed, "x", j, k), the blake2b digest
-    of the key "{seed}:x:{j}:{k}". rows[j] is a blake2b state fed with row j's
-    prefix "{seed}:x:{j}:" (one copy of a state fed with "{seed}:x:"), and
-    rows[0] is None, so that rows index by variable. A column is read by
-    copying the row's state and feeding it b"%d" % k: `draw(j, k)` returns
-    those 64 bits, and the engine's loop does the same inline. `entry(j, k)`
-    is the variable's value at that draw, its value(k). The states
-    are the table's only storage, one per row, freed with the table.
+    row cursor. rows are the row states of row_states, which also lays out
+    the keys: `draw(j, k)` copies row j's state, feeds it the column and
+    returns those 64 bits, as the engine's loop does inline. `entry(j, k)` is
+    the variable's value at that draw, its value(k). The states are the
+    table's only storage, one per row, freed with the table.
     """
 
     def __init__(self, variables, seed: int | str):
         self.variables = tuple(variables)
         self.seed = seed
-        base = hashlib.blake2b((str(seed) + ":x:").encode(), digest_size=8)  # as _key joins it
-        rows: list = [None]
-        for j in range(1, len(self.variables) + 1):
-            row = base.copy()
-            row.update(b"%d:" % j)
-            rows.append(row)
-        self.rows = tuple(rows)
+        self.rows = tuple(row_states(len(self.variables))(seed))
 
     def draw(self, j: int, k: int) -> int:
         """Unchecked: 1 <= j <= len(variables) and k >= 1 are the caller's."""

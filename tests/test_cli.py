@@ -789,18 +789,27 @@ def test_fuzzed_json_p_exits_with_a_code(tmp_path_factory, data):
         assert err.getvalue().startswith("input error") and out.getvalue() == ""
 
 
-def test_import_leaves_the_acceptance_suite_unloaded():
-    script = (
-        "import sys\n"
-        "import lll_workbench.cli\n"
-        "assert 'lll_workbench.acceptance' not in sys.modules, 'acceptance loaded'\n"
-    )
+def _loaded_by_importing_cli(names):
+    """Those of the modules names that a fresh interpreter holds after
+    `import lll_workbench.cli`."""
+    script = f"import json, sys, lll_workbench.cli; print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"
     src = os.path.dirname(os.path.dirname(lll_workbench.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_leaves_the_acceptance_suite_unloaded():
+    assert _loaded_by_importing_cli(["lll_workbench.acceptance"]) == []
+
+
+def test_import_leaves_mpmath_and_the_process_pool_unloaded():
+    # only beyond and lattice-gap compute interval bounds, and only an
+    # estimate with two or more workers starts a pool
+    assert _loaded_by_importing_cli(["mpmath", "concurrent.futures.process"]) == []
 
 
 def test_selftest_reports_the_acceptance_results(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 import random
 from fractions import Fraction
@@ -26,10 +27,11 @@ from lll_workbench.mt_engine import (
     measure_pair_intersections,
     pair_intersection,
     run_mt,
+    trial_seed,
     witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, q_empty
-from lll_workbench.tables import SCALE, ResamplingTable, unit_bits, unit_fraction
+from lll_workbench.tables import SCALE, ResamplingTable, row_states, unit_bits, unit_fraction
 from lll_workbench.wdag import (
     canonical_key,
     consistent_with_table,
@@ -397,7 +399,7 @@ class TestRuns:
 
         system = extremal_cycle_instance(4)
         serial = estimate_expected_steps(system, "lowest-index", trials, 11, workers=1)
-        monkeypatch.setattr(mt_engine, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(mt_engine.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("LLL_WORKBENCH_THREADS", "100000")
         est = estimate_expected_steps(system, "lowest-index", trials, 11)
@@ -413,7 +415,7 @@ class TestRuns:
 
     def test_workers_receive_the_built_integer_form(self):
         system = extremal_cycle_instance(5, Fraction(1, 3))
-        assert system.integer_form.var_events[0] == 0b10001
+        assert system.integer_form.reach[1][1] == 0b10011
         fresh = extremal_cycle_instance(5, Fraction(1, 3))
         seq = estimate_expected_steps(fresh, "recent-neighbor", 40, 2, workers=1)
         par = estimate_expected_steps(system, "recent-neighbor", 40, 2, workers=2)
@@ -456,9 +458,19 @@ class TestRuns:
         for rule in ("lowest-index", "recent-neighbor"):
             run_mt(system, rule, 5)
         assert seeds == []
-        run_mt(system, "uniform-violated", 5)
-        run_mt(system, _highest_then_random, 5)
+        # a run that takes no step seeds nothing, whatever its rule
+        for rule in ("uniform-violated", _highest_then_random):
+            assert run_mt(single_event_system(IntervalUnion(())), rule, 5).t == 0
+        assert seeds == []
+        assert run_mt(system, "uniform-violated", 5).t > 1
+        assert run_mt(system, _highest_then_random, 5).t > 1
         assert seeds == [unit_bits(5, "rule")] * 2
+        # in a batch, each trial that takes a step seeds once, from its own seed
+        seeds.clear()
+        est = estimate_expected_steps(single_event_system(), "uniform-violated", 20, 3, workers=1)
+        stepped = [t for t, steps, _ in est.per_trial if steps]
+        assert 0 < len(stepped) < 20
+        assert seeds == [unit_bits(f"3/{t}", "rule") for t in stepped]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -611,6 +623,27 @@ class TestResamplingTable:
             assert table.draw(j, k) == unit_bits(seed, "x", j, k)
             assert table.entry(j, k) == unit_fraction(seed, "x", j, k)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(-(1 << 80), 1 << 80) | st.text(st.sampled_from(":/x7-é\u2211\U0001f600"), max_size=8),
+        n=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_kernel_row_states_are_the_tables_rows(self, seed, n, data):
+        # the kernel formats the row suffixes once and reuses them for every
+        # trial seed of a call
+        states = row_states(n)
+        for t in data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3)):
+            rows = states(trial_seed(seed, t))
+            table = ResamplingTable((Uniform01(),) * n, trial_seed(seed, t))
+            assert len(rows) == n + 1 and rows[0] is None
+            for j in range(1, n + 1):
+                k = data.draw(st.integers(1, 1 << 20))
+                h = rows[j].copy()
+                h.update(b"%d" % k)
+                bits = int.from_bytes(h.digest(), "big")
+                assert bits == table.draw(j, k) == unit_bits(trial_seed(seed, t), "x", j, k)
+
 
 class _FixedRow:
     """A row state whose every column is the draw k."""
@@ -629,6 +662,25 @@ class _FixedRow:
 
 
 class TestIntegerForm:
+    @settings(max_examples=200, deadline=None)
+    @given(system=random_systems())
+    def test_allow_masks_agree_with_holds(self, system):
+        # bit i-1 of allow[j-1][c] is set iff event i admits every draw of
+        # cell c (checked at the cell's first and last draw), event i not
+        # reading variable j or being a predicate counting as admitting it
+        form = system.integer_form
+        for j, (var, points, cells) in enumerate(zip(system.variables, form.points, form.allow), 1):
+            assert len(cells) == len(points) + 1
+            edges = (0, *points, SCALE)
+            for c, mask in enumerate(cells):
+                for k in (edges[c], edges[c + 1] - 1):
+                    value = reference_value(var, Fraction(k, SCALE))
+                    for i, event in enumerate(system.events, 1):
+                        boxes = dict(event.allowed or ())
+                        admits = j not in boxes or boxes[j].contains(value)
+                        assert bool(mask >> (i - 1) & 1) == admits
+        assert form.predicates == sum(1 << i for i, ev in enumerate(system.events) if not ev.is_elementary)
+
     @pytest.mark.parametrize("a", [Fraction(x) for x in ("0", "1/3", "2/7", "1/2", "1")])
     def test_threshold_is_the_least_draw_at_or_above(self, a):
         k = _ceil_scaled(a)
@@ -643,14 +695,14 @@ class TestIntegerForm:
         for c in cuts:
             for k in (c - 1, c):
                 if 0 <= k < SCALE:
-                    table = SimpleNamespace(rows=(None, _FixedRow(k)))
+                    rows = [None, _FixedRow(k)]
                     seen = []
 
                     def first(violated, history, rng):
                         seen.append(violated)
                         return violated[0]
 
-                    with mock.patch.object(mt_engine, "ResamplingTable", lambda variables, seed: table):
+                    with mock.patch.object(mt_engine, "row_states", lambda n: lambda seed: rows):
                         run_mt(system, first, 0, 1)
                     u = value_of(Fraction(k, SCALE))
                     want = [i for i, event in enumerate(system.events, 1) if event.holds({1: u})]
@@ -700,12 +752,22 @@ class TestIntegerForm:
             ),
         )
         form = system.integer_form
-        # variable 1 has the cells [0, 1/3), [1/3, 1/2) and [1/2, 1)
+        # variable 1 has the cells [0, 1/3), [1/3, 1/2) and [1/2, 1): event 1
+        # admits the last two, event 2 the first two, and event 3 reads it not
         assert form.points == ((_ceil_scaled(Fraction(1, 3)), SCALE // 2), (), ())
-        assert form.tests[0] == ((1, 0b110),)
-        assert form.tests[1] == ((1, 0b011), (2, 0))
-        assert form.tests[2] is None
-        assert form.var_events == (0b011, 0b010, 0b100)
+        assert form.allow[0] == (0b110, 0b111, 0b101)
+        # event 2 admits no draw of variable 2; a predicate event, every draw
+        assert form.allow[1] == (0b101,)
+        assert form.allow[2] == (0b111,)
+        # a resampling of event i redraws its variables, can change the events
+        # on them and reads every variable of those; reach[0] is the first pass
+        assert [(vbl, span, set(touch)) for vbl, span, touch in form.reach] == [
+            ((1, 2, 3), 0b111, {1, 2, 3}),
+            ((1,), 0b011, {1, 2}),
+            ((1, 2), 0b011, {1, 2}),
+            ((3,), 0b100, {3}),
+        ]
+        assert form.predicates == 0b100
 
 
 class TestValueSets:
