@@ -68,11 +68,18 @@ def _digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+#: written as they are; an exact type test, so floats and subclasses (an
+#: IntEnum, say) still take the checks below
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
 def jsonable(value) -> Any:
     """The one writer of results: a dataclass as the dict of its fields,
     rationals as "a/b", a non-finite float as None (JSON null: NaN and
     Infinity are not JSON), tuples and sorted sets as lists, dict keys as
     strings (an index set as "i,j", the empty set as "()")."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, dict):

@@ -7,6 +7,14 @@ is an integer with the sign of q_0. The boundary, gap and descent searches
 keep their probes as integer numerators over D*2^k, so Fractions appear only
 at the API boundary: the inputs, and the q-values, brackets and bounds
 returned. Pure functions over immutable inputs.
+
+One-off membership (`shearer_membership`, `in_shearer_bound`) runs the
+memoised recursion `_q_int` once. The searches probe one graph thousands of
+times with new numerators, so each compiles the recursion once per support
+it probes into a plan, the masks the recursion reaches in bottom-up order,
+and a probe replays the plan in one loop. A search keeps its plans until it
+returns, at most MAX_PLAN_STEPS steps of them; nothing is cached across
+calls.
 """
 
 from __future__ import annotations
@@ -165,8 +173,85 @@ def _member(nums: Sequence[int], den: int, nbr: Sequence[int], memo: dict | None
     return True
 
 
+#: plan steps one search may hold over all the supports it probes; a step
+#: takes about 200 bytes, so the cap bounds a search's plans to about 100 MB
+MAX_PLAN_STEPS = 500_000
+
+#: a compiled plan: the highest power of den its steps use, and its steps
+_Plan = tuple[int, tuple[tuple[int, int, int, int, bool], ...]]
+
+
+def _compile(nbr: Sequence[int], support: int, room: int) -> _Plan:
+    """`_q_int`'s recursion from the mask `support`, unrolled once: one step
+    (v, |N[v] & S|-1, index of S-v, index of S - N[v], S is a nested suffix)
+    per mask S it reaches, children first, so that step k computes the
+    value with index k+1 (index 0 is the empty mask, Q = 1). A nested
+    suffix's children come first too, so the smallest one is checked first.
+    Raises CapExceeded when the plan would have more than `room` steps.
+    """
+    index = {0: 0}
+    steps: list[tuple[int, int, int, int, bool]] = []
+
+    def visit(mask: int) -> int:
+        at = index.get(mask)
+        if at is None:
+            v_bit = mask & -mask
+            v = v_bit.bit_length() - 1
+            near = mask & nbr[v]
+            without_v = visit(mask ^ v_bit)
+            without_nv = visit(mask ^ near)
+            if len(steps) >= room:
+                raise CapExceeded(f"search plans capped at {MAX_PLAN_STEPS} steps")
+            nested = support & -v_bit == mask
+            steps.append((v, near.bit_count() - 1, without_v, without_nv, nested))
+            at = index[mask] = len(steps)
+        return at
+
+    visit(support)
+    return max((step[1] for step in steps), default=0), tuple(steps)
+
+
+def _probe(plan: _Plan, nums: Sequence[int], den: int) -> bool:
+    """`_member` of nums/den, whose support the plan was compiled for."""
+    top, steps = plan
+    power = [1]
+    for _ in range(top):
+        power.append(power[-1] * den)
+    q = [1]
+    for v, e, without_v, without_nv, nested in steps:
+        out = den * q[without_v] - nums[v] * power[e] * q[without_nv]
+        if nested and out <= 0:
+            return False
+        q.append(out)
+    return True
+
+
+def _searcher(nbr: Sequence[int]) -> Callable[[Sequence[int], int], bool]:
+    """`_member` for the probes of one search: each support is compiled at
+    its first probe and its plan is kept until the search returns."""
+    plans: dict[tuple[bool, ...], _Plan] = {}
+    held = 0
+    full = (True,) * len(nbr)  # most probes have no zero entry
+
+    def member(nums: Sequence[int], den: int) -> bool:
+        nonlocal held
+        support = tuple(map(bool, nums)) if 0 in nums else full
+        plan = plans.get(support)
+        if plan is None:
+            mask = sum(1 << k for k, nonzero in enumerate(support) if nonzero)
+            plan = plans[support] = _compile(nbr, mask, MAX_PLAN_STEPS - held)
+            held += len(plan[1])
+        return _probe(plan, nums, den)
+
+    return member
+
+
 def _bisect(
-    x0: Sequence[int], x1: Sequence[int], den: int, nbr: Sequence[int], done: Callable[[int], bool]
+    x0: Sequence[int],
+    x1: Sequence[int],
+    den: int,
+    member: Callable[[Sequence[int], int], bool],
+    done: Callable[[int], bool],
 ) -> tuple[int, int]:
     """Bisection on the segment from x0, in the region, to x1, outside it,
     both numerators over den. After t halvings the bracket runs from
@@ -177,7 +262,7 @@ def _bisect(
     while not done(t):
         t += 1
         a <<= 1
-        if _member([(x << t) + (a + 1) * d for x, d in zip(x0, step)], den << t, nbr):
+        if member([(x << t) + (a + 1) * d for x, d in zip(x0, step)], den << t):
             a += 1
     return a, t
 
@@ -300,13 +385,13 @@ def boundary_scale(
     if resolution <= 0:
         raise InputError("resolution must be positive")
     nums, den = _checked_integers(g, direction.values)
-    nbr = g.closed_masks
     top = max(nums)
     t_max = Fraction(den, top)
     # t_max * direction is nums over top. When t_max <= resolution no probe
     # is made: the bracket is [0, t_max].
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
-    a, k = _bisect([0] * len(nums), nums, top, nbr, lambda t: width <= res << t)
+    member = _searcher(g.closed_masks)
+    a, k = _bisect([0] * len(nums), nums, top, member, lambda t: width <= res << t)
     lo = t_max * Fraction(a, 1 << k)
     hi = t_max * Fraction(a + 1, 1 << k)
     return BoundaryScale(lo, hi, clamped=a + 1 == 1 << k)
@@ -335,8 +420,8 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
     if resolution <= 0:
         raise InputError("resolution must be positive")
     nums, den = _checked_integers(g, p.values)
-    nbr = g.closed_masks
-    if _member(nums, den, nbr):
+    member = _searcher(g.closed_masks)
+    if member(nums, den):
         return GapEstimate(Fraction(-1), Fraction(-1), resolution)
 
     shift = _KEY_BITS
@@ -352,7 +437,7 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
         lb = sum(a) << (shift - k)
         if lb >= upper:
             return
-        if not a_known_in and not _member(a, den << k, nbr):
+        if not a_known_in and not member(a, den << k):
             upper = lb  # a itself is an out point
             return
         counter += 1
@@ -383,7 +468,7 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
             mid >>= 1
         b_low = b[:axis] + (mid,) + b[axis + 1 :]
         a_high = a[:axis] + (mid,) + a[axis + 1 :]
-        if not _member(b_low, den << k, nbr):
+        if not member(b_low, den << k):
             offer(a, b_low, k, True)  # still straddling
         offer(a_high, b, k, False)
     else:
@@ -404,8 +489,8 @@ def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
     the region. r is kept as integer numerators over den*2^level.
     """
     nums, den = _checked_integers(g, p.values)
-    nbr = g.closed_masks
-    if _member(nums, den, nbr):
+    member = _searcher(g.closed_masks)
+    if member(nums, den):
         return Fraction(-1)
     tol_num, tol_den = DESCENT_TOLERANCE.numerator, DESCENT_TOLERANCE.denominator
     r, level = list(nums), 0
@@ -417,13 +502,17 @@ def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
                 continue
             probe = list(r)
             probe[k] = 0
-            if not _member(probe, den << level, nbr):
+            if not member(probe, den << level):
                 r[k] = 0
                 improved = True
                 continue
             # from probe (r with r_k = 0) to r, until r_k/2^t <= the tolerance
             a, t = _bisect(
-                probe, r, den << level, nbr, lambda t: rk * tol_den <= tol_num * den << (level + t)
+                probe,
+                r,
+                den << level,
+                member,
+                lambda t: rk * tol_den <= tol_num * den << (level + t),
             )
             if a + 1 < 1 << t:  # hi < r_k
                 r = [x << t for x in r]

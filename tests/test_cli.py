@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lll_workbench
+from lll_workbench import shearer
 from lll_workbench.cli import build_parser, dispatch
 from lll_workbench.graphs import InputError
 from lll_workbench.jsonio import load_probability_vector
@@ -272,6 +273,13 @@ def test_cap_exceeded_exits_three(files, capsys):
     assert code == 3
     assert "cap exceeded" in capsys.readouterr().err
     assert time.monotonic() - started < 5
+
+
+def test_search_plan_cap_exits_three(files, capsys, monkeypatch):
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 2)
+    code = dispatch(["gap", "--graph", files["k3"], "--p", "1/2,1/3,1/3", "--resolution", "1/256"])
+    assert code == 3
+    assert "cap exceeded: search plans capped at 2 steps" in capsys.readouterr().err
 
 
 def test_trial_cap_exits_three_promptly(files):

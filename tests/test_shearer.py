@@ -717,3 +717,142 @@ def test_input_checks_hold_with_or_without_probes(resolution):
     with pytest.raises(CapExceeded):
         boundary_scale(cycle(31), ProbabilityVector.uniform(31, 1), resolution)
     assert q_empty(cycle(31), ProbabilityVector.uniform(31, Fraction(1, 4))) > 0
+
+
+# ---------------------------------------------------------------------------
+# The compiled probe. The searches probe through one plan per support; the
+# per-probe recursion `_member` stays the reference for every probe they make.
+
+
+@st.composite
+def shuffled_graphs(draw, max_m=10):
+    g = draw(small_graphs(max_m))
+    label = [0] + draw(st.permutations(range(1, g.m + 1)))
+    edges = [(label[u], label[v]) for u in g.vertices for v in g.neighbors(u) if u < v]
+    return DependencyGraph.from_edges(g.m, edges)
+
+
+@st.composite
+def scaled_numerators(draw, m):
+    """Numerators over den << k with zero entries, so that the support
+    changes from probe to probe, scaled down now and then to land inside."""
+    den = draw(st.sampled_from([1, 3, 8, 10, 97])) << draw(st.integers(0, 12))
+    top = den >> draw(st.integers(0, 4)) or 1
+    return [0 if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, top)) for _ in range(m)], den
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shuffled_graphs(), data=st.data())
+def test_compiled_probe_matches_recursive_member(g, data):
+    member = shearer._searcher(g.closed_masks)
+    for _ in range(8):
+        nums, den = data.draw(scaled_numerators(g.m))
+        assert member(nums, den) == shearer._member(nums, den, g.closed_masks)
+
+
+def _probes_of(search, args, make_member):
+    """The search's outcome and every probe it made, as (nums, den, verdict),
+    with members built by make_member(nbr)."""
+    log = []
+
+    def searcher(nbr):
+        member = make_member(nbr)
+
+        def logged(nums, den):
+            out = member(nums, den)
+            log.append((tuple(nums), den, out))
+            return out
+
+        return logged
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shearer, "_searcher", searcher)
+        patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
+        return _outcome(search, *args), log
+
+
+def recursive_searcher(nbr):
+    """The searches' reference: every probe runs the memoised recursion."""
+    return lambda nums, den: shearer._member(nums, den, nbr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=shuffled_graphs(max_m=5), data=st.data())
+def test_searches_make_the_recursive_reference_probes(g, data):
+    compiled = shearer._searcher
+    p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    for search, args in (
+        (boundary_scale, (g, p, Fraction(1, 256))),
+        (l1_gap, (g, p, Fraction(1, 32))),
+        (descent_gap_lower, (g, p)),
+    ):
+        assert _probes_of(search, args, compiled) == _probes_of(search, args, recursive_searcher)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts the plans compiled (their supports) and the probes made."""
+    counts = {"compiled": [], "probes": 0}
+    compile_plan, probe = shearer._compile, shearer._probe
+
+    def counted_compile(nbr, support, room):
+        counts["compiled"].append(support)
+        return compile_plan(nbr, support, room)
+
+    def counted_probe(plan, nums, den):
+        counts["probes"] += 1
+        return probe(plan, nums, den)
+
+    monkeypatch.setattr(shearer, "_compile", counted_compile)
+    monkeypatch.setattr(shearer, "_probe", counted_probe)
+    return counts
+
+
+C4_EXAMPLE = ProbabilityVector.uniform(4, Fraction(3, 10))
+
+
+@pytest.mark.parametrize(
+    "search,args",
+    [
+        (boundary_scale, (C4, ProbabilityVector.uniform(4, 1), Fraction(1, 4096))),
+        (l1_gap, (K3, K3_EXAMPLE, Fraction(1, 256))),
+        (l1_gap, (C4, C4_EXAMPLE, Fraction(1, 64))),
+        (descent_gap_lower, (C4, C4_EXAMPLE)),
+        (descent_gap_lower, (K3, K3_EXAMPLE)),
+    ],
+)
+def test_each_search_compiles_each_support_once(work, search, args):
+    first = search(*args)
+    compiled = list(work["compiled"])
+    assert compiled and len(set(compiled)) == len(compiled)
+    # nothing outlives the call: the same search compiles the same plans again
+    assert search(*args) == first
+    assert work["compiled"] == compiled * 2
+
+
+@pytest.mark.parametrize(
+    "g,p,resolution,probes",
+    [(K3, K3_EXAMPLE, Fraction(1, 256), 39_823), (C4, C4_EXAMPLE, Fraction(1, 64), 13_848)],
+)
+def test_gap_probe_counts(work, g, p, resolution, probes):
+    l1_gap(g, p, resolution)
+    assert work["probes"] == 1 + probes  # the entry check, then the boxes
+
+
+def test_one_off_membership_compiles_nothing(work):
+    p = ProbabilityVector.uniform(4, Fraction(1, 2))
+    shearer_membership(C4, p.values)
+    in_shearer_bound(C4, p)
+    assert work == {"compiled": [], "probes": 0}
+
+
+def test_plan_cap_counts_the_steps_a_search_holds(work, monkeypatch):
+    expected = l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+    supports, nbr = list(work["compiled"]), C4.closed_masks
+    held = sum(len(shearer._compile(nbr, s, shearer.MAX_PLAN_STEPS)[1]) for s in supports)
+    assert held < shearer.MAX_PLAN_STEPS
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
+    assert l1_gap(C4, C4_EXAMPLE, Fraction(1, 64)) == expected
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
+    with pytest.raises(CapExceeded, match=f"search plans capped at {held - 1} steps"):
+        l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
