@@ -257,7 +257,11 @@ def _c4_overlap_instance() -> EventSystem:
     return EventSystem(tuple(Uniform01() for _ in range(4)), tuple(events))
 
 
-def check_5_verdict_soundness(trials: int = 100_000) -> CheckResult:
+#: resampling runs per selection rule
+_C5_TRIALS = 100_000
+
+
+def check_5_verdict_soundness() -> CheckResult:
     started = time.monotonic()
     system = _c4_overlap_instance()
     g = system.dependency_graph
@@ -274,7 +278,7 @@ def check_5_verdict_soundness(trials: int = 100_000) -> CheckResult:
     lines = [f"bound 4/eps={float(bound):.1f}"]
     ok = True
     for rule in ("lowest-index", "uniform-violated", "recent-neighbor"):
-        est = estimate_expected_steps(system, rule, trials, f"c5/{rule}")
+        est = estimate_expected_steps(system, rule, _C5_TRIALS, f"c5/{rule}")
         this_ok = est.truncated_runs == 0 and est.mean <= float(bound) + 3 * est.stderr
         ok = ok and this_ok
         lines.append(
@@ -370,10 +374,14 @@ def _random_masses(rng: random.Random, size: int) -> tuple[Fraction, ...]:
     return tuple(xs)
 
 
-def check_7_compound_event_bound(cases: int = 100) -> CheckResult:
+#: random product spaces, each checked exhaustively
+_C7_CASES = 100
+
+
+def check_7_compound_event_bound() -> CheckResult:
     started = time.monotonic()
     rng = random.Random(20240711)
-    for case in range(cases):
+    for case in range(_C7_CASES):
         nx, ny, nz = (rng.randint(1, 3) for _ in range(3))
         mx, my, mz = _random_masses(rng, nx), _random_masses(rng, ny), _random_masses(rng, nz)
         event_a = {(x, y) for x in range(nx) for y in range(ny) if rng.random() < 0.5}
@@ -405,7 +413,7 @@ def check_7_compound_event_bound(cases: int = 100) -> CheckResult:
                 "7", started, False,
                 f"case {case}: {compound} > {pr_a * pr_b - pr_ab * pr_ab}",
             )
-    return _result("7", started, True, f"{cases} exhaustive cases, exact")
+    return _result("7", started, True, f"{_C7_CASES} exhaustive cases, exact")
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +509,14 @@ def _random_eight_cycle_system(rng: random.Random) -> EventSystem:
     return EventSystem(variables, tuple(events))
 
 
-def check_9_overlap_floor(cases: int = 100) -> CheckResult:
+#: random elementary systems on the eight-cycle
+_C9_CASES = 100
+
+
+def check_9_overlap_floor() -> CheckResult:
     started = time.monotonic()
     rng = random.Random(991)
-    for case in range(cases):
+    for case in range(_C9_CASES):
         system = _random_eight_cycle_system(rng)
         b = system.bipartite()
         g = system.dependency_graph
@@ -520,18 +532,22 @@ def check_9_overlap_floor(cases: int = 100) -> CheckResult:
                 "9", started, False,
                 f"case {case}: sum {float(lhs):.6f} < floor {float(rhs_hi):.6f}",
             )
-    return _result("9", started, True, f"{cases} random elementary systems, exact sums")
+    return _result("9", started, True, f"{_C9_CASES} random elementary systems, exact sums")
 
 
 # --------------------------------------------------------------------------
 # 10. transfer along shortest paths stays out of the region
 
-def check_10_transfer(cases: int = 50) -> CheckResult:
+#: out-of-region vectors transferred, alternating C4 and C5
+_C10_CASES = 50
+
+
+def check_10_transfer() -> CheckResult:
     started = time.monotonic()
     rng = random.Random(777)
     graphs = [_cycle(4), _cycle(5)]
     done = 0
-    while done < cases:
+    while done < _C10_CASES:
         g = graphs[done % 2]
         direction = ProbabilityVector(
             tuple(Fraction(rng.randint(512, 1024), 1024) for _ in range(g.m))
@@ -561,7 +577,7 @@ def check_10_transfer(cases: int = 50) -> CheckResult:
                 f"case {done}: transferred vector re-entered the region",
             )
         done += 1
-    return _result("10", started, True, f"{cases} transfers stayed out of the region")
+    return _result("10", started, True, f"{_C10_CASES} transfers stayed out of the region")
 
 
 # --------------------------------------------------------------------------

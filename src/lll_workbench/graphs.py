@@ -259,8 +259,9 @@ def find_disjoint_chordless_cycles(g: DependencyGraph) -> ChordlessCycleSet:
 def greedy_max_intersection_matching(
     g: DependencyGraph, w: Mapping[tuple[int, int], Fraction]
 ) -> Matching:
-    """Greedy matching by weight: repeatedly take the heaviest remaining edge
-    (ties broken by lexicographic edge order) and delete incident edges.
+    """Greedy matching by weight: scan the edges heaviest first (ties broken
+    by lexicographic edge order) and take each edge whose endpoints are both
+    still unmatched.
     """
     weights: dict[tuple[int, int], Fraction] = {}
     for (u, v), wt in w.items():
@@ -271,12 +272,12 @@ def greedy_max_intersection_matching(
     missing = g.edges - weights.keys()
     if missing:
         raise InputError(f"weights missing for edges {sorted(missing)}")
-    remaining = set(g.edges)
     chosen: set[tuple[int, int]] = set()
-    while remaining:
-        e = min(remaining, key=lambda x: (-weights[x], x))
-        chosen.add(e)
-        remaining = {f for f in remaining if e[0] not in f and e[1] not in f}
+    matched: set[int] = set()
+    for e in sorted(weights, key=lambda x: (-weights[x], x)):
+        if e[0] not in matched and e[1] not in matched:
+            chosen.add(e)
+            matched.update(e)
     return Matching(frozenset(chosen))
 
 

@@ -15,6 +15,10 @@ it probes into a plan, the masks the recursion reaches in bottom-up order,
 and a probe replays the plan in one loop. A search keeps its plans until it
 returns, at most MAX_PLAN_STEPS steps of them; nothing is cached across
 calls.
+
+The gap search's boxes at one split depth share their widths, level and
+split axis, so `l1_gap` keeps those once per depth (at most one entry per
+split) and a box on its heap is only its lower corner and its depth.
 """
 
 from __future__ import annotations
@@ -408,13 +412,17 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
 
     Equivalent form used here: minimize ||r||_1 over out-of-bound r <= p
     (the out-region is up-closed since the region is down-closed), then
-    d = ||p||_1 - min. Branch-and-bound over boxes [a, b] in [0, p]:
+    d = ||p||_1 - min. Branch-and-bound over boxes [a, a+w] in [0, p]:
     a box with in-bound upper corner contains no out point; a box with
     out-of-bound lower corner achieves exactly ||a||_1.
 
-    A box's corners are integer numerators over den*2^k, k the box's own
-    level, which grows by one when a split point is odd. Heap keys and the
-    incumbent are norms over den*2^shift, one scale for all levels <= shift.
+    A split halves the widest side (the first on ties), so every box at
+    split depth d has the same widths w, split axis and level k (its
+    numerators are over den*2^k); a box is its lower corner and its depth.
+    `geometry` holds (k, w, axis) per depth, filled at the first split of a
+    box of the depth above: at most one entry per split, so at most
+    MAX_GAP_BOXES + 1. Heap keys and the incumbent are norms over
+    den*2^shift, one scale for all levels <= shift.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
@@ -425,57 +433,52 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
         return GapEstimate(Fraction(-1), Fraction(-1), resolution)
 
     shift = _KEY_BITS
-    total = sum(nums) << shift
     # every box on the heap straddles the boundary: lower corner in bound,
     # upper corner out of bound; its min-norm lower bound is ||a||_1
-    upper = total  # ||p||_1 itself is achievable (p is out of bound)
-    counter = 0
-    heap: list[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]] = []
-
-    def offer(a: tuple[int, ...], b: tuple[int, ...], k: int, a_known_in: bool):
-        nonlocal upper, counter
-        lb = sum(a) << (shift - k)
-        if lb >= upper:
-            return
-        if not a_known_in and not member(a, den << k):
-            upper = lb  # a itself is an out point
-            return
-        counter += 1
-        heapq.heappush(heap, (lb, counter, k, a, b))
-
-    offer((0,) * len(nums), tuple(nums), 0, True)  # the zero vector is in bound
+    upper = sum(nums) << shift  # ||p||_1 itself is achievable (p is out of bound)
+    geometry = [(0, tuple(nums), nums.index(max(nums)))]
+    # (||a||_1, order, depth, a), the zero vector in bound at order 0; split
+    # s pushes its halves at orders 2s and 2s+1, so ties pop in push order
+    heap: list[tuple[int, int, int, tuple[int, ...]]] = [(0, 0, 0, (0,) * len(nums))]
     boxes_seen = 0
     while heap:
-        lb, _, k, a, b = heapq.heappop(heap)
+        lb, _, depth, a = heapq.heappop(heap)
         if (upper - lb) * resolution.denominator <= resolution.numerator * den << shift:
             break  # lb is the least norm still open
         boxes_seen += 1
         if boxes_seen > MAX_GAP_BOXES:
             raise CapExceeded(f"l1_gap exceeded {MAX_GAP_BOXES} boxes")
-        widths = [y - x for x, y in zip(a, b)]
-        axis = widths.index(max(widths))
-        mid = a[axis] + b[axis]
-        if mid & 1:  # the split point needs one more bit
-            k += 1
-            a = tuple(x << 1 for x in a)
-            b = tuple(y << 1 for y in b)
-            if k > shift:  # rescale every key; their order stays
+        k, w, axis = geometry[depth]
+        depth += 1
+        if depth == len(geometry):  # the first split at this depth
+            level = k + (w[axis] & 1)  # an odd split point needs one more bit
+            half = [x << (level - k) for x in w]
+            half[axis] >>= 1
+            if level > shift:  # rescale every key; their order stays
                 shift += _KEY_BITS
-                total <<= _KEY_BITS
                 upper <<= _KEY_BITS
+                lb <<= _KEY_BITS
                 heap[:] = [(key << _KEY_BITS, *rest) for key, *rest in heap]
-        else:
-            mid >>= 1
-        b_low = b[:axis] + (mid,) + b[axis + 1 :]
-        a_high = a[:axis] + (mid,) + a[axis + 1 :]
-        if not member(b_low, den << k):
-            offer(a, b_low, k, True)  # still straddling
-        offer(a_high, b, k, False)
+            geometry.append((level, tuple(half), half.index(max(half))))
+        level, w, _ = geometry[depth]
+        if level > k:
+            a = tuple(x << 1 for x in a)
+        if not member([x + y for x, y in zip(a, w)], den << level):
+            # the lower half still straddles; its key is lb
+            heapq.heappush(heap, (lb, 2 * boxes_seen, depth, a))
+        lb += w[axis] << (shift - level)
+        if lb < upper:
+            a = a[:axis] + (a[axis] + w[axis],) + a[axis + 1 :]
+            if member(a, den << level):
+                heapq.heappush(heap, (lb, 2 * boxes_seen + 1, depth, a))
+            else:
+                upper = lb  # a itself is an out point
     else:
         lb = upper  # every box was settled
+    norm = Fraction(sum(nums), den)
     return GapEstimate(
-        Fraction(total - upper, den << shift),
-        Fraction(total - min(lb, upper), den << shift),
+        norm - Fraction(upper, den << shift),
+        norm - Fraction(min(lb, upper), den << shift),
         resolution,
     )
 

@@ -267,6 +267,30 @@ class TestGreedyMatching:
                 assert w[e] <= best
 
 
+def reference_greedy_matching(g, w):
+    """The matching as first written: take the least remaining edge in
+    (-weight, edge) order, then drop every remaining edge it touches."""
+    remaining = set(g.edges)
+    chosen = set()
+    while remaining:
+        e = min(remaining, key=lambda x: (-w[x], x))
+        chosen.add(e)
+        remaining = {f for f in remaining if e[0] not in f and e[1] not in f}
+    return frozenset(chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(2, 9))
+def test_greedy_matching_matches_reference(data, m):
+    pairs = list(combinations(range(1, m + 1), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs), min_size=1))
+    g = DependencyGraph(m, frozenset(edges))
+    # few distinct weights, so that most picks break a tie
+    top = data.draw(st.integers(1, 3))
+    w = {e: Fraction(data.draw(st.integers(0, top)), top) for e in sorted(edges)}
+    assert greedy_max_intersection_matching(g, w).pairs == reference_greedy_matching(g, w)
+
+
 class TestLinearAndSimplify:
     def test_two_shared_variables_not_linear(self):
         b = BipartiteEventVariableGraph(

@@ -650,12 +650,40 @@ def test_integer_searches_match_fraction_references(g, data, resolution):
     for p in (past, anywhere):
         assert descent_gap_lower(g, p) == fraction_descent_gap_lower(g, p)
         # a unit entry can keep the box search from closing (its lower
-        # corners only approach the face x_k = 1), so both run under a cap
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
-            assert _outcome(l1_gap, g, p, resolution) == _outcome(
-                fraction_l1_gap, g, p, resolution, 1000
-            )
+        # corners only approach the face x_k = 1), so both run under a cap;
+        # one bit of key scale takes the rescaling path at nearly every level
+        want = _gap_probes(fraction_l1_gap, (g, p, resolution, 1000))
+        for key_bits in (shearer._KEY_BITS, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(shearer, "_KEY_BITS", key_bits)
+                assert _gap_probes(l1_gap, (g, p, resolution)) == want
+
+
+def _gap_probes(search, args):
+    """The gap search's outcome under a 1,000-box cap and the points it
+    probed, in order, as Fractions: l1_gap's through `_searcher`, the
+    reference's through `fraction_membership`."""
+    probes = []
+    searcher, membership = shearer._searcher, fraction_membership
+
+    def logged_searcher(nbr):
+        member = searcher(nbr)
+
+        def logged(nums, den):
+            probes.append(tuple(Fraction(n, den) for n in nums))
+            return member(nums, den)
+
+        return logged
+
+    def logged_membership(g, values):
+        probes.append(tuple(map(Fraction, values)))
+        return membership(g, values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shearer, "_searcher", logged_searcher)
+        patch.setitem(globals(), "fraction_membership", logged_membership)
+        patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
+        return _outcome(search, *args), probes
 
 
 def _outcome(search, *args):
