@@ -89,6 +89,8 @@ def jsonable(value) -> Any:
         if isinstance(value, (set, frozenset)):
             items = sorted(items)
         return [jsonable(v) for v in items]
+    if isinstance(value, WDag):  # stored as parent masks, written as arc pairs
+        return {"labels": jsonable(value.labels), "arcs": jsonable(value.arcs)}
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, float) and not math.isfinite(value):
@@ -207,9 +209,9 @@ def load_event_system(data: Mapping) -> EventSystem:
 def load_wdag(data: Mapping) -> WDag:
     what = "bad wdag object: labels and arcs"
     with _wire_object("wdag"):
-        return WDag(
+        return WDag.from_arcs(
             tuple(_integer(x, what) for x in data["labels"]),
-            frozenset((_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])),
+            [(_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])],
         )
 
 

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
 from .shearer import CapExceeded
 from .tables import SCALE, row_states, unit_bits
-from .wdag import WDag, ordered_arcs
+from .wdag import WDag, ordered_parents
 
 
 # ---------------------------------------------------------------------------
@@ -567,9 +567,9 @@ def run_mt(
 
 def witness_dag_of_run(system: EventSystem, stats: RunStats) -> WDag:
     """The wdag of a resample sequence: node k is the k-th resampling, and
-    the arc rule (`ordered_arcs`) runs in time order."""
+    the arc rule (`ordered_parents`) runs in time order."""
     seq, closed = stats.sequence, system.dependency_graph.closed_masks
-    return WDag(tuple(seq), frozenset(ordered_arcs(seq, range(len(seq)), closed)))
+    return WDag(tuple(seq), ordered_parents(seq, range(len(seq)), closed))
 
 
 def extremal_cycle_instance(length: int, threshold: Fraction = Fraction(1, 2)) -> EventSystem:

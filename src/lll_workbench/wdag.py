@@ -14,18 +14,21 @@ holds the nodes whose longest path to the sink has k nodes. A pwdag's weight
 is the product of p over all members of all layers.
 
 Node identity convention: a wdag on n nodes uses ids 1..n and `labels[k-1]`
-is the label of node k. Arc rule (`ordered_arcs`): exactly the nodes with
-equal or adjacent labels are joined, from the earlier to the later node, so
-a set of such pairwise-conflicting nodes is totally ordered, and a node's
-position in it is 1 plus the number of its parents in the set. The canonical
-form renames node v to its pair (label, rank-within-label), the rank being 1
-plus v's same-label parents, and sorts. Two valid wdags are structurally
-equal iff their canonical encodings coincide.
+is the label of node k. A wdag is stored as one parent mask per node: bit u-1
+of `parents[v-1]` is set when (u, v) is an arc. Every reader (sinks, the
+topological order, closures, validity, reversibility, the canonical key)
+works on these masks; `arcs`, the same arcs as (u, v) pairs, is built on
+first read, for the wire format. Arc rule (`ordered_parents`): exactly the
+nodes with equal or adjacent labels are joined, from the earlier to the
+later node, so a set of such pairwise-conflicting nodes is totally ordered,
+and a node's position in it is 1 plus the number of its parents in the set.
+The canonical form renames node v to its pair (label, rank-within-label), the
+rank being 1 plus v's same-label parents, and sorts. Two valid wdags are
+structurally equal iff their canonical encodings coincide.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,16 +40,38 @@ from .graphs import DependencyGraph, InputError, Matching
 from .shearer import CapExceeded, ProbabilityVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WDag:
-    labels: tuple[int, ...]
-    arcs: frozenset[tuple[int, int]]
+    """A labelled digraph on nodes 1..n: `labels[v-1]` is node v's label, and
+    bit u-1 of `parents[v-1]` is set when (u, v) is an arc."""
 
-    def __post_init__(self):
-        n = len(self.labels)
-        for u, v in self.arcs:
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise InputError(f"arc ({u},{v}) out of range")
+    labels: tuple[int, ...]
+    parents: tuple[int, ...]
+
+    def __init__(self, labels: tuple[int, ...], parents: Sequence[int] = (), *, arcs=None):
+        """Given arcs, (u, v) pairs as `from_arcs` takes them, they replace
+        parents, so dataclasses.replace(d, arcs=...) also builds from pairs."""
+        n = len(labels)
+        if arcs is not None:
+            masks = [0] * n
+            for u, v in arcs:
+                if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                    raise InputError(f"arc ({u},{v}) out of range")
+                masks[v - 1] |= 1 << (u - 1)
+            parents = masks
+        elif len(parents) != n:
+            raise InputError("one parent mask per node required")
+        for v, mask in enumerate(parents):
+            # a negative mask, like one with a bit at n or above, shifts to nonzero
+            if type(mask) is not int or mask >> n or mask >> v & 1:
+                raise InputError(f"parent mask {mask!r} of node {v + 1} out of range")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "parents", tuple(parents))
+
+    @classmethod
+    def from_arcs(cls, labels: tuple[int, ...], arcs: Iterable[tuple[int, int]]) -> WDag:
+        """The wdag with these arcs, (u, v) pairs of node ids."""
+        return cls(labels, arcs=arcs)
 
     @property
     def n(self) -> int:
@@ -60,41 +85,35 @@ class WDag:
         return self.labels[v - 1]
 
     def sinks(self) -> tuple[int, ...]:
-        with_out = {u for u, _ in self.arcs}
-        return tuple(v for v in self.nodes if v not in with_out)
+        with_child = 0
+        for mask in self.parents:
+            with_child |= mask
+        return tuple(v for v in self.nodes if not with_child >> (v - 1) & 1)
 
     # Derived structure, computed on first use and kept in the instance's
     # __dict__: it is freed with the wdag and plays no part in ==, hash or repr.
 
     @cached_property
-    def _parents(self) -> dict[int, frozenset[int]]:
-        par: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for u, v in self.arcs:
-            par[v].add(u)
-        return {v: frozenset(s) for v, s in par.items()}
-
-    @cached_property
-    def _children(self) -> dict[int, frozenset[int]]:
-        ch: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for u, v in self.arcs:
-            ch[u].add(v)
-        return {v: frozenset(s) for v, s in ch.items()}
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs as (u, v) pairs."""
+        return frozenset((u + 1, v) for v, mask in enumerate(self.parents, 1) for u in _members(mask))
 
     @cached_property
     def _topological_order(self) -> tuple[int, ...]:
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = [v for v in self.nodes if indeg[v] == 0]
-        heapq.heapify(ready)
-        out: list[int] = []
-        while ready:
-            u = heapq.heappop(ready)
-            out.append(u)
-            for w in sorted(self._children[u]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(out) != self.n:
-            raise InputError("wdag contains a cycle")
+        parents, placed, out = self.parents, 0, []
+        left = (1 << self.n) - 1
+        while left:
+            ready = left
+            while ready:  # the lowest node whose parents are all placed
+                low = ready & -ready
+                if not parents[low.bit_length() - 1] & ~placed:
+                    break
+                ready ^= low
+            else:
+                raise InputError("wdag contains a cycle")
+            placed |= low
+            left ^= low
+            out.append(low.bit_length())
         return tuple(out)
 
 
@@ -102,109 +121,6 @@ def topological_order(d: WDag) -> tuple[int, ...]:
     """Lexicographic-minimal topological order (deterministic pi_D)."""
     return d._topological_order
 
-
-def ordered_arcs(
-    labels: Sequence[int], rank: Sequence, closed: Sequence[int]
-) -> list[tuple[int, int]]:
-    """The sorted arcs (a, b) between nodes whose labels conflict (bit
-    labels[b-1]-1 of closed[labels[a-1]-1], closed being the graph's
-    closed_masks), each from the lower rank to the higher. Precondition:
-    conflicting nodes never share a rank."""
-    nodes = tuple(enumerate(zip(labels, rank), 1))
-    arcs = []
-    for a, (la, ra) in nodes:
-        conflicts = closed[la - 1]
-        for b, (lb, rb) in nodes:
-            if ra < rb and conflicts >> (lb - 1) & 1:
-                arcs.append((a, b))
-    return arcs
-
-
-def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
-    """Acyclic, and for every node pair exactly one arc exists iff their
-    labels are equal or adjacent (no arc otherwise); independent of
-    ordered_arcs, so it can judge its outputs.
-    """
-    for v in d.nodes:
-        if not 1 <= d.label(v) <= g.m:
-            return False
-    try:
-        topological_order(d)
-    except InputError:  # a cycle
-        return False
-    closed = g.closed_masks
-    for u, v in combinations(d.nodes, 2):
-        lu, lv = d.label(u), d.label(v)
-        need = bool(closed[lu - 1] >> (lv - 1) & 1)
-        fwd = (u, v) in d.arcs
-        bwd = (v, u) in d.arcs
-        if need != (fwd != bwd) or (fwd and bwd):
-            return False
-    return True
-
-
-def canonical_key(d: WDag):
-    """Structure-invariant encoding: rename nodes to (label, within-label
-    rank) and sort, where the rank is 1 plus the node's same-label parents.
-
-    Assumes a valid wdag, in which same-label nodes are pairwise joined by
-    arcs; on other labelled DAGs two nodes may share a rank.
-    """
-    labels = d.labels
-    rank = [1] * (d.n + 1)
-    for u, v in d.arcs:
-        if labels[u - 1] == labels[v - 1]:
-            rank[v] += 1
-    pair = {v: (labels[v - 1], rank[v]) for v in d.nodes}
-    arcs = tuple(sorted((pair[u], pair[v]) for u, v in d.arcs))
-    return (tuple(sorted(pair.values())), arcs)
-
-
-def canonical_form(d: WDag) -> WDag:
-    """Renumber nodes so sorted (label, rank) pairs become ids 1..n."""
-    key_nodes, key_arcs = canonical_key(d)
-    ids = {pair: k + 1 for k, pair in enumerate(key_nodes)}
-    labels = tuple(pair[0] for pair in key_nodes)
-    arcs = frozenset((ids[a], ids[b]) for a, b in key_arcs)
-    return WDag(labels, arcs)
-
-
-# ---------------------------------------------------------------------------
-# prefixes
-
-def closure(d: WDag, nodes: Iterable[int]) -> frozenset[int]:
-    """All nodes with a directed path to some u in nodes (each node reaches
-    itself)."""
-    out = set(nodes)
-    stack = list(out)
-    while stack:
-        for u in d._parents[stack.pop()]:
-            if u not in out:
-                out.add(u)
-                stack.append(u)
-    return frozenset(out)
-
-
-def prefix(d: WDag, nodes: Sequence[int]) -> WDag:
-    """Induced sub-wdag on closure(nodes); node ids renumbered ascending."""
-    keep = sorted(closure(d, nodes))
-    new_id = {v: k + 1 for k, v in enumerate(keep)}
-    labels = tuple(d.label(v) for v in keep)
-    arcs = frozenset(
-        (new_id[u], new_id[v]) for u, v in d.arcs if u in new_id and v in new_id
-    )
-    return WDag(labels, arcs)
-
-
-def single_sink_prefix_count(d: WDag) -> int:
-    """Number of distinct prefixes of d having exactly one sink. A prefix with
-    the single sink v is the closure of v, so these are the distinct one-node
-    closures."""
-    return len({closure(d, (v,)) for v in d.nodes})
-
-
-# ---------------------------------------------------------------------------
-# stable-set sequences: enumeration of proper wdags
 
 def _members(mask: int) -> list[int]:
     """0-based vertices of a bit mask, ascending."""
@@ -215,6 +131,140 @@ def _members(mask: int) -> list[int]:
         mask ^= low
     return out
 
+
+def _label_masks(labels: Sequence[int]) -> dict[int, int]:
+    """The mask of the nodes (0-based bits) of each label present."""
+    out: dict[int, int] = {}
+    for v, lab in enumerate(labels):
+        out[lab] = out.get(lab, 0) | 1 << v
+    return out
+
+
+def ordered_parents(labels: Sequence[int], rank: Sequence, closed: Sequence[int]) -> tuple[int, ...]:
+    """The parent masks of the arcs between nodes whose labels conflict (bit
+    labels[b-1]-1 of closed[labels[a-1]-1], closed being the graph's
+    closed_masks), each from the lower rank to the higher. The nodes are
+    visited in rank order, and a node's parent mask ORs the masks of the
+    visited nodes of each label that conflicts with its own. Precondition:
+    conflicting nodes never share a rank."""
+    by_label: dict[int, int] = {}  # the visited nodes of each label
+    parents = [0] * len(labels)
+    for v in sorted(range(len(labels)), key=rank.__getitem__):
+        lab = labels[v]
+        reach, mask = closed[lab - 1], 0
+        for other, nodes in by_label.items():
+            if reach >> (other - 1) & 1:
+                mask |= nodes
+        parents[v] = mask
+        by_label[lab] = by_label.get(lab, 0) | 1 << v
+    return tuple(parents)
+
+
+def validate_wdag(d: WDag, g: DependencyGraph) -> bool:
+    """Acyclic, and for every node pair exactly one arc exists iff their
+    labels are equal or adjacent (no arc otherwise). Tested as: every arc
+    joins conflicting nodes, there are as many arcs as conflicting pairs, and
+    the topological order exists, which rules out a pair joined both ways.
+    Independent of ordered_parents, so it can judge its outputs.
+    """
+    if not all(1 <= lab <= g.m for lab in d.labels):
+        return False
+    closed = g.closed_masks
+    by_label = _label_masks(d.labels)
+    conflicts = {}  # per label: the nodes whose labels conflict with it
+    for lab in by_label:
+        reach, conflicting = closed[lab - 1], 0
+        for other, nodes in by_label.items():
+            if reach >> (other - 1) & 1:
+                conflicting |= nodes
+        conflicts[lab] = conflicting
+    arcs = ends = 0  # ends counts each conflicting pair twice
+    for v, (lab, up) in enumerate(zip(d.labels, d.parents)):
+        conflicting = conflicts[lab] & ~(1 << v)
+        if up & ~conflicting:
+            return False
+        arcs += up.bit_count()
+        ends += conflicting.bit_count()
+    if 2 * arcs != ends:
+        return False
+    try:
+        topological_order(d)
+    except InputError:  # a cycle
+        return False
+    return True
+
+
+def canonical_key(d: WDag):
+    """Structure-invariant encoding: rename nodes to (label, within-label
+    rank) and sort, where the rank is 1 plus the node's same-label parents.
+
+    Assumes a valid wdag, in which same-label nodes are pairwise joined by
+    arcs; on other labelled DAGs two nodes may share a rank.
+    """
+    same = _label_masks(d.labels)
+    pair = [(lab, 1 + (mask & same[lab]).bit_count()) for lab, mask in zip(d.labels, d.parents)]
+    arcs = []
+    for head, mask in zip(pair, d.parents):
+        while mask:  # _members inlined: this key is built for every map_h image
+            low = mask & -mask
+            arcs.append((pair[low.bit_length() - 1], head))
+            mask ^= low
+    arcs.sort()
+    return (tuple(sorted(pair)), tuple(arcs))
+
+
+def canonical_form(d: WDag) -> WDag:
+    """Renumber nodes so sorted (label, rank) pairs become ids 1..n."""
+    key_nodes, key_arcs = canonical_key(d)
+    ids = {pair: k for k, pair in enumerate(key_nodes)}
+    parents = [0] * d.n
+    for a, b in key_arcs:
+        parents[ids[b]] |= 1 << ids[a]
+    return WDag(tuple(pair[0] for pair in key_nodes), tuple(parents))
+
+
+# ---------------------------------------------------------------------------
+# prefixes
+
+def _ancestors(parents: Sequence[int], mask: int) -> int:
+    """mask and every node with a directed path into it (0-based bits)."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = parents[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo |= new
+    return mask
+
+
+def closure(d: WDag, nodes: Iterable[int]) -> frozenset[int]:
+    """All nodes with a directed path to some u in nodes (each node reaches
+    itself)."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << (v - 1)
+    return frozenset(v + 1 for v in _members(_ancestors(d.parents, mask)))
+
+
+def prefix(d: WDag, nodes: Sequence[int]) -> WDag:
+    """Induced sub-wdag on closure(nodes); node ids renumbered ascending."""
+    keep = sorted(closure(d, nodes))
+    new_bit = {v - 1: 1 << k for k, v in enumerate(keep)}
+    # a closure holds every parent of its nodes
+    parents = tuple(sum(new_bit[u] for u in _members(d.parents[v - 1])) for v in keep)
+    return WDag(tuple(d.label(v) for v in keep), parents)
+
+
+def single_sink_prefix_count(d: WDag) -> int:
+    """Number of distinct prefixes of d having exactly one sink. A prefix with
+    the single sink v is the closure of v, so these are the distinct one-node
+    closures."""
+    return len({_ancestors(d.parents, 1 << v) for v in range(d.n)})
+
+
+# ---------------------------------------------------------------------------
+# stable-set sequences: enumeration of proper wdags
 
 def _reach(mask: int, closed: Sequence[int]) -> int:
     """Closed neighbourhood of a vertex set."""
@@ -240,19 +290,30 @@ def _next_layers(
     return [(s.bit_count(), s, _reach(s, closed)) for s in subsets[1:]]
 
 
+#: _REV8[b] is the byte b with its bit order reversed
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _sequence_wdag(layers: Sequence[int], closed: Sequence[int]) -> tuple[tuple, WDag]:
     """The pwdag of a stable-set sequence (layer 0 holds the sink), in
     canonical form, with its sort key.
 
     Nodes are numbered by (label, rank), and rank 1 within a label goes to the
     deepest layer. The order is -depth; a layer is independent, so no two
-    conflicting nodes share a depth. Arcs come out sorted, so the key
-    (n, labels, arcs) orders pwdags as their canonical keys do.
+    conflicting nodes share a depth.
+
+    The key (n, labels, parent masks as bytes with their bits reversed) orders
+    pwdags as (n, labels, sorted arc tuple) does. Two pwdags with the same
+    labels join the same node pairs, each by one arc. Their sorted arc tuples
+    first differ at the lowest pair a < b (lowest a, then b) that they orient
+    differently, and the one with the arc (a, b) comes first. Their reversed
+    masks first differ at node a, bit b, which the one with the arc (b, a)
+    has set. A mask fits a byte while n <= 8, the enumeration cap.
     """
     nodes = sorted((v + 1, -depth) for depth, layer in enumerate(layers) for v in _members(layer))
     labels, rank = zip(*nodes)
-    arcs = tuple(ordered_arcs(labels, rank, closed))
-    return (len(labels), labels, arcs), WDag(labels, frozenset(arcs))
+    parents = ordered_parents(labels, rank, closed)
+    return (len(labels), labels, bytes(parents).translate(_REV8)), WDag(labels, parents)
 
 
 def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
@@ -298,8 +359,7 @@ def group_pwdags(
     for d in enumerate_pwdags(g, node_cap):
         (w,) = d.sinks()
         i = d.label(w)
-        r = sum(1 for v in d.nodes if d.label(v) == i)
-        groups.setdefault((i, r), []).append(d)
+        groups.setdefault((i, d.labels.count(i)), []).append(d)
     return groups
 
 
@@ -310,18 +370,22 @@ def is_reversible(d: WDag, u: int, v: int) -> bool:
     """An arc is reversible iff it is the unique directed path u -> v. Any
     other u -> v path ends in an arc from another parent of v, so the arc is
     reversible iff u is not among the ancestors of v's other parents."""
-    if (u, v) not in d.arcs:
+    if not (1 <= u <= d.n and 1 <= v <= d.n and d.parents[v - 1] >> (u - 1) & 1):
         raise InputError(f"({u},{v}) is not an arc")
-    return u not in closure(d, d._parents[v] - {u})
+    bit = 1 << (u - 1)
+    return not _ancestors(d.parents, d.parents[v - 1] & ~bit) & bit
 
 
 def _m_reversible_arcs(d: WDag, m: Matching) -> list[tuple[int, int]]:
-    out = []
-    for u, v in sorted(d.arcs):
-        pair = (min(d.label(u), d.label(v)), max(d.label(u), d.label(v)))
-        if pair in m.pairs and is_reversible(d, u, v):
-            out.append((u, v))
-    return out
+    """The reversible arcs between matched labels, sorted."""
+    labels = d.labels
+    matched = sorted(
+        (u + 1, v)
+        for v, mask in enumerate(d.parents, 1)
+        for u in _members(mask)
+        if (min(labels[u], labels[v - 1]), max(labels[u], labels[v - 1])) in m.pairs
+    )
+    return [(u, v) for u, v in matched if is_reversible(d, u, v)]
 
 
 def m_reversible_nodes(
@@ -350,7 +414,8 @@ def lambda_order(d: WDag, v: int, pair: tuple[int, int]) -> int:
     """1-based position of v, labelled in pair, in the pair's topological
     node list: 1 plus v's parents labelled in pair. Assumes a valid wdag,
     as node_list_for_pair does."""
-    return 1 + sum(1 for u in d._parents[v] if d.label(u) in pair)
+    inside = sum(1 << k for k, lab in enumerate(d.labels) if lab in pair)
+    return 1 + (d.parents[v - 1] & inside).bit_count()
 
 
 def disjoint_reversible_pairs(d: WDag, m: Matching) -> frozenset[tuple[int, int]]:
@@ -364,7 +429,7 @@ def disjoint_reversible_pairs(d: WDag, m: Matching) -> frozenset[tuple[int, int]
         k = 0
         while k < len(lst) - 1:
             u, v = lst[k], lst[k + 1]
-            if d.label(u) != d.label(v) and (u, v) in d.arcs and is_reversible(d, u, v):
+            if d.label(u) != d.label(v) and d.parents[v - 1] >> (u - 1) & 1 and is_reversible(d, u, v):
                 chosen.add((u, v))
                 k += 2
             else:
@@ -382,11 +447,10 @@ def reverse_arc(d: WDag, u: int, v: int) -> WDag:
     if not is_reversible(d, u, v):
         raise InputError(f"arc ({u},{v}) is not reversible")
     (w,) = sinks
-    arcs = set(d.arcs)
-    arcs.discard((u, v))
-    arcs.add((v, u))
-    flipped = WDag(d.labels, frozenset(arcs))
-    return prefix(flipped, (w,))
+    parents = list(d.parents)
+    parents[v - 1] &= ~(1 << (u - 1))
+    parents[u - 1] |= 1 << (v - 1)
+    return prefix(WDag(d.labels, parents), (w,))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +465,8 @@ def sample_indices(d: WDag, v: int, vbl: Mapping[int, Sequence[int]]) -> dict[in
     variable are then pairwise arc-connected, and v's parents among them are
     all those resampled before it.
     """
-    parents = d._parents[v]
-    return {j: 1 + sum(1 for u in parents if j in vbl[d.label(u)]) for j in vbl[d.label(v)]}
+    parent_labels = [d.labels[u] for u in _members(d.parents[v - 1])]
+    return {j: 1 + sum(1 for lab in parent_labels if j in vbl[lab]) for j in vbl[d.label(v)]}
 
 
 def consistent_with_table(d: WDag, system, table) -> bool:
@@ -542,38 +606,43 @@ def matched_nodes(d: WDag, m: Matching) -> frozenset[int]:
 
 def partitions_psi(d: WDag, m: Matching) -> Iterator[Partition4]:
     """All 4^|free| ordered partitions, where free nodes are the matched
-    nodes not participating in any matched reversible arc."""
+    nodes not participating in any matched reversible arc, in the order of
+    product(blocks, repeat=|free|) over the free nodes ascending. Each block
+    is one of the 2^|free| subsets of the free nodes (with the reversible
+    nodes, in the first block), built once per call."""
     reversible, _ = m_reversible_nodes(d, m)
     free = sorted(matched_nodes(d, m) - reversible)
-    for assign in product((1, 2, 3, 4), repeat=len(free)):
-        blocks: dict[int, set[int]] = {1: set(reversible), 2: set(), 3: set(), 4: set()}
-        for v, b in zip(free, assign):
-            blocks[b].add(v)
-        yield Partition4(*(frozenset(blocks[b]) for b in (1, 2, 3, 4)))
+    blocks = [frozenset(v for k, v in enumerate(free) if sub >> k & 1) for sub in range(1 << len(free))]
+    firsts = [reversible | block for block in blocks]
+    for assign in product(range(4), repeat=len(free)):
+        subs = [0, 0, 0, 0]
+        for k, b in enumerate(assign):
+            subs[b] |= 1 << k
+        yield Partition4(firsts[subs[0]], blocks[subs[1]], blocks[subs[2]], blocks[subs[3]])
 
 
 def map_h(d: WDag, s: Partition4, m: Matching, hom: HomomorphicGraph) -> WDag:
     """Image wdag over the split graph: every original node keeps a copy with
     an up/down label, and each node of the third/fourth blocks additionally
     spawns a partner-labelled companion after the copies. The order is
-    (position in topological_order(d), 0 for a companion, 1 for a copy); a
-    matched pair is an edge, so each companion is arced into its copy."""
+    2 * (position in topological_order(d)), plus 1 for a copy, so a
+    companion comes just before its copy; a matched pair is an edge, so each
+    companion is arced into its copy."""
     pos = {v: k for k, v in enumerate(topological_order(d))}
     labels, rank = [], []
-    for v in d.nodes:
-        lab = d.label(v)
+    for v, lab in enumerate(d.labels, 1):
         if v in s.s1:
             labels.append(hom.up(lab))
         elif v in s.s2 or v in s.s3 or v in s.s4:
             labels.append(hom.down(lab))
         else:
             labels.append(hom.plain(lab))
-        rank.append((pos[v], 1))
+        rank.append(2 * pos[v] + 1)
     for v in sorted(s.s3 | s.s4):
-        partner = m.partner(d.label(v))
+        partner = m.partner(d.labels[v - 1])
         labels.append(hom.up(partner) if v in s.s3 else hom.down(partner))
-        rank.append((pos[v], 0))
-    return WDag(tuple(labels), frozenset(ordered_arcs(labels, rank, hom.graph.closed_masks)))
+        rank.append(2 * pos[v])
+    return WDag(tuple(labels), ordered_parents(labels, rank, hom.graph.closed_masks))
 
 
 def split_labels(d: WDag, bits: Sequence[int], m: Matching, hom: HomomorphicGraph) -> WDag:
@@ -593,7 +662,7 @@ def split_labels(d: WDag, bits: Sequence[int], m: Matching, hom: HomomorphicGrap
             raise AssertionError("matched node missed")
         else:
             labels.append(hom.plain(lab))
-    return WDag(tuple(labels), d.arcs)
+    return WDag(tuple(labels), d.parents)
 
 
 # ---------------------------------------------------------------------------

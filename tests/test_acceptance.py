@@ -35,11 +35,11 @@ def test_acceptance_criterion(cid, title):
 
 
 def _without_same_label_arcs(dag):
-    return WDag(dag.labels, frozenset((u, v) for u, v in dag.arcs if dag.label(u) != dag.label(v)))
+    return WDag.from_arcs(dag.labels, frozenset((u, v) for u, v in dag.arcs if dag.label(u) != dag.label(v)))
 
 
 def _totally_ordered(dag):
-    return WDag(dag.labels, frozenset(combinations(dag.nodes, 2)))
+    return WDag.from_arcs(dag.labels, frozenset(combinations(dag.nodes, 2)))
 
 
 @pytest.mark.parametrize("mutate", [_without_same_label_arcs, _totally_ordered])

@@ -938,7 +938,7 @@ def _run_stats(draw):
 def _wdags(draw):
     n = draw(st.integers(1, 12))
     arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda a: a[0] != a[1])))
-    return WDag(tuple(draw(st.lists(_indices, min_size=n, max_size=n))), arcs)
+    return WDag.from_arcs(tuple(draw(st.lists(_indices, min_size=n, max_size=n))), arcs)
 
 
 def _same_json(a, b) -> bool:

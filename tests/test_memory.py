@@ -27,3 +27,22 @@ def test_no_unbounded_functools_caches():
             if callable(cache_info) and cache_info().maxsize is None:
                 unbounded.append(name)
     assert not unbounded, f"unbounded caches: {unbounded}"
+
+
+def test_pwdags_hold_parent_masks():
+    # C5's 11,245 pwdags of at most 7 nodes: about 450 bytes each as a
+    # label tuple and a parent-mask tuple (24 MB as frozensets of arc pairs)
+    import tracemalloc
+
+    from lll_workbench.graphs import DependencyGraph
+    from lll_workbench.wdag import enumerate_pwdags
+
+    c5 = DependencyGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    tracemalloc.start()
+    try:
+        pwdags = list(enumerate_pwdags(c5, 7))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pwdags) == 11_245
+    assert held < 8 * 2**20, f"{held / 2**20:.1f} MB held"

@@ -1,3 +1,5 @@
+import dataclasses
+import heapq
 import random
 from fractions import Fraction
 from functools import reduce
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lll_workbench.graphs import DependencyGraph, InputError, Matching
+from lll_workbench.jsonio import load_wdag
 from lll_workbench.mt_engine import (
     Event,
     EventSystem,
@@ -39,7 +42,7 @@ from lll_workbench.wdag import (
     map_h,
     matched_nodes,
     node_list_for_pair,
-    ordered_arcs,
+    ordered_parents,
     partitions_psi,
     prefix,
     repair_to_consistent,
@@ -64,7 +67,7 @@ M12 = Matching(frozenset({(1, 2)}))
 def chain(labels):
     n = len(labels)
     arcs = frozenset((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
-    return WDag(tuple(labels), arcs)
+    return WDag.from_arcs(tuple(labels), arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ def _reference_pwdags_for_multiset(g, labels):
             arcs.add((a, b) if not bits >> k & 1 else (b, a))
         if not reference_is_acyclic(n, arcs):
             continue
-        d = WDag(labels, frozenset(arcs))
+        d = WDag.from_arcs(labels, frozenset(arcs))
         if len(d.sinks()) == 1:
             results.append(canonical_form(d))
     return sorted(results, key=canonical_key)
@@ -150,6 +153,79 @@ def reference_is_prefix(h, d):
 def reference_single_sink_prefix_count(d):
     """Distinct closures of all 2^n node subsets with exactly one sink."""
     return sum(1 for keep in reference_closures(d) if len(prefix(d, tuple(keep)).sinks()) == 1)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the set and pair code that the parent-mask readers
+# replaced, reading only labels and the arcs view
+
+def reference_parents(d):
+    return {v: frozenset(u for u, w in d.arcs if w == v) for v in d.nodes}
+
+
+def reference_topological_order(d):
+    """Kahn's algorithm with a heap: the lexicographically least order;
+    InputError on a cycle."""
+    parents = reference_parents(d)
+    indeg = {v: len(parents[v]) for v in d.nodes}
+    ready = [v for v in d.nodes if indeg[v] == 0]
+    heapq.heapify(ready)
+    out = []
+    while ready:
+        u = heapq.heappop(ready)
+        out.append(u)
+        for w in sorted(w for a, w in d.arcs if a == u):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(out) != d.n:
+        raise InputError("wdag contains a cycle")
+    return tuple(out)
+
+
+def reference_set_closure(d, nodes):
+    """Set walk over the parents, on any digraph."""
+    parents = reference_parents(d)
+    out = set(nodes)
+    stack = list(out)
+    while stack:
+        for u in parents[stack.pop()]:
+            if u not in out:
+                out.add(u)
+                stack.append(u)
+    return frozenset(out)
+
+
+def reference_validate_wdag(d, g):
+    """Labels in range, acyclic, and a node pair carries exactly one arc iff
+    its labels conflict, tested pair by pair."""
+    if not all(1 <= lab <= g.m for lab in d.labels):
+        return False
+    try:
+        reference_topological_order(d)
+    except InputError:
+        return False
+    closed = g.closed_masks
+    for u, v in combinations(d.nodes, 2):
+        need = bool(closed[d.label(u) - 1] >> (d.label(v) - 1) & 1)
+        fwd, bwd = (u, v) in d.arcs, (v, u) in d.arcs
+        if need != (fwd != bwd) or (fwd and bwd):
+            return False
+    return True
+
+
+def reference_prefix(d, nodes):
+    keep = sorted(reference_set_closure(d, nodes))
+    new_id = {v: k + 1 for k, v in enumerate(keep)}
+    arcs = {(new_id[u], new_id[v]) for u, v in d.arcs if u in new_id and v in new_id}
+    return WDag.from_arcs(tuple(d.label(v) for v in keep), arcs)
+
+
+def reference_pair_canonical_key(d):
+    """Rank each node by 1 plus its same-label parents, from the arc pairs."""
+    rank = {v: 1 + sum(1 for u, w in d.arcs if w == v and d.label(u) == d.label(v)) for v in d.nodes}
+    pair = {v: (d.label(v), rank[v]) for v in d.nodes}
+    return (tuple(sorted(pair.values())), tuple(sorted((pair[u], pair[v]) for u, v in d.arcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +273,20 @@ def reference_closure(d, nodes):
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the arc-building loops that ordered_arcs replaced, each
-# testing conflicts its own way
+# reference oracles: the arc-building loops that ordered_parents replaced,
+# each testing conflicts its own way
+
+def reference_ordered_arcs(labels, rank, closed):
+    """The sorted arcs (a, b) between nodes whose labels conflict, each from
+    the lower rank to the higher, by a scan of all node pairs."""
+    nodes = tuple(enumerate(zip(labels, rank), 1))
+    arcs = []
+    for a, (la, ra) in nodes:
+        for b, (lb, rb) in nodes:
+            if ra < rb and closed[la - 1] >> (lb - 1) & 1:
+                arcs.append((a, b))
+    return arcs
+
 
 def reference_run_wdag(seq, g):
     """Arcs forward in time between equal or adjacent labels (has_edge)."""
@@ -207,7 +295,7 @@ def reference_run_wdag(seq, g):
         for l in range(k + 1, len(seq)):
             if seq[k] == seq[l] or g.has_edge(seq[k], seq[l]):
                 arcs.add((k + 1, l + 1))
-    return WDag(tuple(seq), frozenset(arcs))
+    return WDag.from_arcs(tuple(seq), frozenset(arcs))
 
 
 def reference_sequence_wdag(layers, closed):
@@ -222,7 +310,18 @@ def reference_sequence_wdag(layers, closed):
             if du < dw and closed[u] >> w & 1:
                 arcs.append((a, b))
     labels = tuple(v + 1 for v, _ in nodes)
-    return (len(labels), labels, tuple(arcs)), WDag(labels, frozenset(arcs))
+    return (len(labels), labels, tuple(arcs)), WDag.from_arcs(labels, frozenset(arcs))
+
+
+def reference_partitions_psi(d, m, reversible):
+    """One Partition4 per block assignment of the free matched nodes, each
+    block collected node by node."""
+    free = sorted(matched_nodes(d, m) - reversible)
+    for assign in product((1, 2, 3, 4), repeat=len(free)):
+        blocks = {1: set(reversible), 2: set(), 3: set(), 4: set()}
+        for v, b in zip(free, assign):
+            blocks[b].add(v)
+        yield Partition4(*(frozenset(blocks[b]) for b in (1, 2, 3, 4)))
 
 
 def reference_map_h(d, s, m, hom):
@@ -256,7 +355,7 @@ def reference_map_h(d, s, m, hom):
             la, lb = labels[a - 1], labels[b - 1]
             if ga != gb and (la == lb or hom.graph.has_edge(la, lb)) and pos[ga] < pos[gb]:
                 arcs.add((a, b))
-    return WDag(tuple(labels), frozenset(arcs))
+    return WDag.from_arcs(tuple(labels), frozenset(arcs))
 
 
 @st.composite
@@ -283,7 +382,7 @@ def shuffled(d, data):
     labels = [0] * d.n
     for v in d.nodes:
         labels[perm[v - 1] - 1] = d.label(v)
-    return WDag(tuple(labels), frozenset((perm[u - 1], perm[v - 1]) for u, v in d.arcs))
+    return WDag.from_arcs(tuple(labels), frozenset((perm[u - 1], perm[v - 1]) for u, v in d.arcs))
 
 
 @st.composite
@@ -344,17 +443,17 @@ valid_wdags = st.one_of(sequence_wdags(), pwdags(), reversed_pwdags(), map_h_ima
 
 class TestValidation:
     def test_single_node(self):
-        assert validate_wdag(WDag((1,), frozenset()), K2)
+        assert validate_wdag(WDag.from_arcs((1,), frozenset()), K2)
 
     def test_missing_arc_between_adjacent_labels(self):
-        assert not validate_wdag(WDag((1, 2), frozenset()), K2)
+        assert not validate_wdag(WDag.from_arcs((1, 2), frozenset()), K2)
 
     def test_forbidden_arc_between_far_labels(self):
-        assert not validate_wdag(WDag((1, 3), frozenset({(1, 2)})), P3)
+        assert not validate_wdag(WDag.from_arcs((1, 3), frozenset({(1, 2)})), P3)
 
     def test_resample_sequence_dag_validates(self):
         # sequence (1,3,2,1) on the path graph
-        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        d = WDag.from_arcs((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
         assert validate_wdag(d, P3)
 
 
@@ -369,7 +468,7 @@ class TestPrefix:
         assert head.labels == (1, 2)
 
     def test_is_prefix_on_sequence_dag(self):
-        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        d = WDag.from_arcs((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
         sub = prefix(d, (3,))
         assert sub.labels == (1, 3, 2)
         assert reference_is_prefix(sub, d)
@@ -411,7 +510,7 @@ class TestEnumeration:
                                     arcs.add(pair)
                                 elif mode == 2:
                                     arcs.add((pair[1], pair[0]))
-                            d = WDag(tuple(labels), frozenset(arcs))
+                            d = WDag.from_arcs(tuple(labels), frozenset(arcs))
                             if validate_wdag(d, g) and len(d.sinks()) == 1:
                                 brute.add(canonical_key(d))
                 fast = {canonical_key(d) for d in enumerate_pwdags(g, cap)}
@@ -478,7 +577,7 @@ class TestReversibility:
 class TestReverseArc:
     def test_two_node_drop(self):
         d = chain((1, 2))
-        assert reverse_arc(d, 1, 2) == WDag((2,), frozenset())
+        assert reverse_arc(d, 1, 2) == WDag.from_arcs((2,), frozenset())
 
     def test_interior_reversal_keeps_nodes(self):
         d = chain((2, 1, 1))
@@ -516,7 +615,7 @@ def single_edge_system():
 class TestTableConsistency:
     def test_single_node_reads_column_one(self):
         system = single_edge_system()
-        d = WDag((1,), frozenset())
+        d = WDag.from_arcs((1,), frozenset())
         good = FixedResamplingTable({(1, 1): 0, (2, 1): 0})
         bad = FixedResamplingTable({(1, 1): 1, (2, 1): 0})
         assert consistent_with_table(d, system, good)
@@ -667,7 +766,7 @@ class TestPartitionsAndMaps:
         self.hom = homomorphic_graph(K2, M12, self.p, self.pm, self.pp)
 
     def test_partition_counts(self):
-        assert len(list(partitions_psi(WDag((1,), frozenset()), M12))) == 4
+        assert len(list(partitions_psi(WDag.from_arcs((1,), frozenset()), M12))) == 4
         assert len(list(partitions_psi(chain((1, 2)), M12))) == 1  # all reversible
         assert len(list(partitions_psi(chain((1, 1)), M12))) == 16
 
@@ -677,13 +776,13 @@ class TestPartitionsAndMaps:
         assert s.s1 == frozenset({1, 2})
 
     def test_single_node_first_block_maps_to_up(self):
-        d = WDag((1,), frozenset())
+        d = WDag.from_arcs((1,), frozenset())
         parts = {tuple(sorted(s.s1)): s for s in partitions_psi(d, M12)}
         img = map_h(d, parts[(1,)], M12, self.hom)
         assert img.labels == (self.hom.up(1),)
 
     def test_single_node_third_block_spawns_partner(self):
-        d = WDag((1,), frozenset())
+        d = WDag.from_arcs((1,), frozenset())
         s3 = next(s for s in partitions_psi(d, M12) if s.s3)
         img = map_h(d, s3, M12, self.hom)
         assert img.n == 2
@@ -697,14 +796,14 @@ class TestPartitionsAndMaps:
         pm = ProbabilityVector.uniform(3, Fraction(24, 100))
         pp = ProbabilityVector.uniform(3, Fraction(23, 100))
         hom = homomorphic_graph(P3, p3_matching, p, pm, pp)
-        d = WDag((3, 3), frozenset({(1, 2)}))
+        d = WDag.from_arcs((3, 3), frozenset({(1, 2)}))
         (s,) = partitions_psi(d, p3_matching)
         img = map_h(d, s, p3_matching, hom)
         assert img.labels == (hom.plain(3), hom.plain(3))
         assert img.arcs == d.arcs
 
     def test_split_labels_identity_when_unmatched(self):
-        d = WDag((1,), frozenset())
+        d = WDag.from_arcs((1,), frozenset())
         m_far = Matching(frozenset({(2, 3)}))
         p = ProbabilityVector.uniform(4, Fraction(1, 4))
         pm = ProbabilityVector.uniform(4, Fraction(24, 100))
@@ -714,11 +813,25 @@ class TestPartitionsAndMaps:
         assert img.labels == (hom.plain(1),)
 
     def test_split_labels_bit_meaning(self):
-        d = WDag((1,), frozenset())
+        d = WDag.from_arcs((1,), frozenset())
         up = split_labels(d, (0,), M12, self.hom)
         down = split_labels(d, (1,), M12, self.hom)
         assert up.labels == (self.hom.up(1),)
         assert down.labels == (self.hom.down(1),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.one_of(pwdags(), reversed_pwdags()), data=st.data())
+    def test_partitions_and_reversible_nodes_equal_reference(self, case, data):
+        d, g, _ = case
+        m = data.draw(random_matchings(g))
+        arcs = [
+            (u, v) for u, v in sorted(d.arcs)
+            if (min(d.label(u), d.label(v)), max(d.label(u), d.label(v))) in m.pairs
+            and reference_path_count(d, u, v) == 1
+        ]
+        reversible = frozenset(v for arc in arcs for v in arc)
+        assert m_reversible_nodes(d, m)[0] == reversible
+        assert list(partitions_psi(d, m)) == list(reference_partitions_psi(d, m, reversible))
 
     def test_split_bijection_small(self):
         seen = set()
@@ -787,17 +900,17 @@ class TestWeights:
 
 class TestCanonicalForm:
     def test_relabeling_invariance(self):
-        d1 = WDag((1, 2), frozenset({(1, 2)}))
-        d2 = WDag((2, 1), frozenset({(2, 1)}))
+        d1 = WDag.from_arcs((1, 2), frozenset({(1, 2)}))
+        d2 = WDag.from_arcs((2, 1), frozenset({(2, 1)}))
         assert canonical_key(d1) == canonical_key(d2)
         assert canonical_form(d1) == canonical_form(d2)
 
     def test_topological_order_is_lex_minimal(self):
-        d = WDag((2, 1, 1), frozenset({(1, 2), (1, 3), (2, 3)}))
+        d = WDag.from_arcs((2, 1, 1), frozenset({(1, 2), (1, 3), (2, 3)}))
         assert topological_order(d) == (1, 2, 3)
 
     def test_node_list_for_pair_orders_topologically(self):
-        d = WDag((1, 1, 2), frozenset({(1, 2), (3, 1), (3, 2)}))
+        d = WDag.from_arcs((1, 1, 2), frozenset({(1, 2), (3, 1), (3, 2)}))
         assert node_list_for_pair(d, 1, 2) == [3, 1, 2]
 
 
@@ -837,6 +950,13 @@ class TestStableSetSequences:
             running += sums.by_size[n]
             assert running <= bound
         assert bound - running < bound * Fraction(1, 10**6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs(max_m=6), cap=st.integers(1, 6))
+    @example(g=DependencyGraph.from_edges(6, list(combinations(range(1, 7), 2))), cap=6)
+    def test_order_is_the_sorted_arc_order(self, g, cap):
+        ds = list(enumerate_pwdags(g, cap))
+        assert ds == sorted(ds, key=lambda d: (d.n, d.labels, tuple(sorted(d.arcs))))
 
     def test_each_class_once_and_proper(self):
         ds = list(enumerate_pwdags(C4, 6))
@@ -890,7 +1010,7 @@ def labelled_digraphs(draw):
         conflict = lu == lv or g.has_edge(lu, lv)
         mode = draw(st.sampled_from((1, 2, 1, 2, 0, 3) if conflict else (0, 0, 0, 1, 2)))
         arcs |= (set(), {(u, v)}, {(v, u)}, {(u, v), (v, u)})[mode]
-    return g, WDag(labels, frozenset(arcs))
+    return g, WDag.from_arcs(labels, frozenset(arcs))
 
 
 class TestReachability:
@@ -915,31 +1035,97 @@ class TestReachability:
     @given(case=labelled_digraphs(), data=st.data())
     def test_is_reversible_counts_one_path(self, case, data):
         _, d0 = case
-        d = shuffled(WDag(d0.labels, frozenset((u, v) for u, v in d0.arcs if u < v)), data)
+        d = shuffled(WDag.from_arcs(d0.labels, frozenset((u, v) for u, v in d0.arcs if u < v)), data)
         for u, v in d.arcs:
             assert is_reversible(d, u, v) == (reference_path_count(d, u, v) == 1)
 
 
+class TestMaskReaders:
+    """Each parent-mask reader against the set and pair code it replaced, on
+    labelled digraphs that need not be valid or acyclic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=labelled_digraphs(), data=st.data())
+    def test_readers_equal_the_set_references(self, case, data):
+        g, d = case
+        parents = reference_parents(d)
+        assert d.arcs == {(u, v) for v in d.nodes for u in d.nodes if d.parents[v - 1] >> (u - 1) & 1}
+        assert d.sinks() == tuple(v for v in d.nodes if all(u != v for u, _ in d.arcs))
+        try:
+            order = reference_topological_order(d)
+        except InputError:
+            with pytest.raises(InputError):
+                topological_order(d)
+        else:
+            assert topological_order(d) == order
+        assert validate_wdag(d, g) == reference_validate_wdag(d, g)
+        assert canonical_key(d) == reference_pair_canonical_key(d)
+        nodes = data.draw(st.lists(st.sampled_from(list(d.nodes)), max_size=3))
+        assert closure(d, nodes) == reference_set_closure(d, nodes)
+        assert prefix(d, nodes) == reference_prefix(d, nodes)
+        assert single_sink_prefix_count(d) == len({reference_set_closure(d, (v,)) for v in d.nodes})
+        vbl = {lab: tuple(data.draw(st.sets(st.integers(1, 4), min_size=1))) for lab in range(1, g.m + 2)}
+        pair = tuple(data.draw(st.lists(st.sampled_from(d.labels), min_size=2, max_size=2)))
+        for v in d.nodes:
+            labels_above = [d.label(u) for u in parents[v]]
+            assert lambda_order(d, v, pair) == 1 + sum(1 for lab in labels_above if lab in pair)
+            assert sample_indices(d, v, vbl) == {
+                j: 1 + sum(1 for lab in labels_above if j in vbl[lab]) for j in vbl[d.label(v)]
+            }
+        sinks = d.sinks()
+        for u, v in sorted(d.arcs):
+            reversible = u not in reference_set_closure(d, parents[v] - {u})
+            assert is_reversible(d, u, v) == reversible
+            if reversible and len(sinks) == 1:
+                flipped = WDag.from_arcs(d.labels, (d.arcs - {(u, v)}) | {(v, u)})
+                assert reverse_arc(d, u, v) == reference_prefix(flipped, sinks)
+
+
 class TestDerivedStructure:
     def test_cached_per_instance_without_changing_identity(self):
-        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
-        twin = WDag(d.labels, d.arcs)
+        d = WDag.from_arcs((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        twin = WDag(d.labels, d.parents)
+        assert d.parents == (0, 0, 0b0011, 0b0101)
         assert topological_order(d) == (1, 2, 3, 4)
         assert closure(d, (4,)) == frozenset({1, 2, 3, 4})
-        assert {"_parents", "_children", "_topological_order"} <= set(vars(d))
-        assert not set(vars(twin)) - {"labels", "arcs"}
+        assert d.arcs == frozenset({(1, 3), (1, 4), (2, 3), (3, 4)})
+        assert {"arcs", "_topological_order"} <= set(vars(d))
+        assert not set(vars(twin)) - {"labels", "parents"}
         assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.arcs = frozenset()
+
+    def test_replace_builds_from_arc_pairs(self):
+        d = chain((1, 2, 1))
+        flipped = dataclasses.replace(d, arcs={(2, 1), (1, 3), (2, 3)})
+        assert flipped == WDag((1, 2, 1), (0b010, 0, 0b011))
+
+    @pytest.mark.parametrize(
+        "labels,parents",
+        [((1, 2), (0, 1.0)), ((1, 2), (0, True)), ((1, 2), (0, 0b10)), ((1, 2), (0, 0b100)),
+         ((1, 2), (0, -1)), ((1, 2), (0,)), ((1,), ((1, 2),))],
+    )
+    def test_bad_parent_masks_are_input_errors(self, labels, parents):
+        with pytest.raises(InputError):
+            WDag(labels, parents)
+
+    @pytest.mark.parametrize("arc", [(1, 1), (0, 1), (1, 3), (-1, 2)])
+    def test_bad_arcs_are_input_errors(self, arc):
+        with pytest.raises(InputError, match="out of range"):
+            WDag.from_arcs((1, 2), [arc])
+        with pytest.raises(InputError, match="out of range"):
+            load_wdag({"labels": [1, 2], "arcs": [list(arc)]})
 
     def test_cycle_still_rejected(self):
         with pytest.raises(InputError):
-            topological_order(WDag((1, 2), frozenset({(1, 2), (2, 1)})))
+            topological_order(WDag.from_arcs((1, 2), frozenset({(1, 2), (2, 1)})))
 
 
 class TestSingleSinkPrefixes:
     def test_count_matches_subset_scan(self):
         for d in enumerate_pwdags(P3, 5):
             assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d)
-        d = WDag((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
+        d = WDag.from_arcs((1, 3, 2, 1), frozenset({(1, 3), (1, 4), (2, 3), (3, 4)}))
         assert single_sink_prefix_count(d) == reference_single_sink_prefix_count(d) == 4
 
 
@@ -998,12 +1184,33 @@ def random_partitions(draw, d, m):
 
 
 class TestOrderedArcs:
-    """The builders on ordered_arcs against the loops they replaced, on
+    """The builders on ordered_parents against the loops they replaced, on
     random graphs with m <= 6."""
 
     def test_arcs_come_out_sorted_from_lower_rank(self):
-        closed = P3.closed_masks
-        assert ordered_arcs((2, 1, 3, 2), (3, 0, 2, 1), closed) == [(2, 1), (2, 4), (3, 1), (4, 1), (4, 3)]
+        labels, rank, closed = (2, 1, 3, 2), (3, 0, 2, 1), P3.closed_masks
+        parents = ordered_parents(labels, rank, closed)
+        assert parents == (0b1110, 0, 0b1000, 0b0010)
+        arcs = [(2, 1), (2, 4), (3, 1), (4, 1), (4, 3)]
+        assert reference_ordered_arcs(labels, rank, closed) == arcs
+        assert WDag(labels, parents) == WDag.from_arcs(labels, arcs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(max_m=6), data=st.data())
+    def test_parents_equal_the_pair_scan(self, g, data):
+        # ranks with ties between non-conflicting nodes only, as the
+        # precondition allows: nodes in a random order, each joining the
+        # previous node's rank now and then when it conflicts with no node there
+        labels = tuple(data.draw(st.lists(st.integers(1, g.m), min_size=1, max_size=10)))
+        rank, r, tied = [0] * len(labels), 0, []
+        for v in data.draw(st.permutations(range(len(labels)))):
+            conflicts = any(g.closed_masks[labels[u] - 1] >> (labels[v] - 1) & 1 for u in tied)
+            if not tied or conflicts or data.draw(st.booleans()):
+                r, tied = r + 1, []
+            tied.append(v)
+            rank[v] = r
+        want = WDag.from_arcs(labels, reference_ordered_arcs(labels, rank, g.closed_masks))
+        assert WDag(labels, ordered_parents(labels, rank, g.closed_masks)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs(max_m=6), data=st.data())
@@ -1017,12 +1224,22 @@ class TestOrderedArcs:
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs(max_m=6), data=st.data())
     def test_sequence_wdags_equal_reference(self, g, data):
+        # the same wdags, and their sort keys order them as the reference's
+        # (n, labels, sorted arcs) keys do, up to the enumeration cap of 8 nodes
         closed = g.closed_masks
-        layers = [1 << data.draw(st.integers(0, g.m - 1))]
-        for _ in range(data.draw(st.integers(0, 4))):
-            below = _next_layers(reduce(or_, (closed[v] for v in range(g.m) if layers[-1] >> v & 1)), closed, 3)
-            layers.append(data.draw(st.sampled_from(below))[1])
-        assert _sequence_wdag(layers, closed) == reference_sequence_wdag(layers, closed)
+        got, want = [], []
+        for _ in range(data.draw(st.integers(1, 6))):
+            layers, left = [1 << data.draw(st.integers(0, g.m - 1))], 7
+            for _ in range(data.draw(st.integers(0, 4))):
+                if not left:
+                    break
+                reach = reduce(or_, (closed[v] for v in range(g.m) if layers[-1] >> v & 1))
+                layers.append(data.draw(st.sampled_from(_next_layers(reach, closed, min(3, left))))[1])
+                left -= layers[-1].bit_count()
+            got.append(_sequence_wdag(layers, closed))
+            want.append(reference_sequence_wdag(layers, closed))
+        assert [d for _, d in got] == [d for _, d in want]
+        assert [d for _, d in sorted(got, key=lambda item: item[0])] == [d for _, d in sorted(want, key=lambda item: item[0])]
 
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs(max_m=6).filter(lambda g: g.edges), data=st.data())
