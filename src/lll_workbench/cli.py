@@ -23,8 +23,9 @@ from .criterion import (
 )
 from .graphs import InputError, base_graph
 from .jsonio import emit_report, parse_fraction
-from .lattices import builtin_lattice
+from .lattices import BUILTIN_LATTICES, builtin_lattice
 from .mt_engine import (
+    DEFAULT_STEP_CAP,
     SELECTION_RULES,
     estimate_expected_steps,
     measure_pair_intersections,
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, system=True)
     p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--step-cap", type=int, default=1_000_000)
+    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p.set_defaults(fn=cmd_mt_run)
 
     p = sub.add_parser("mt-estimate", help="mean resample count over seeded runs")
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--step-cap", type=int, default=1_000_000)
+    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p.set_defaults(fn=cmd_mt_estimate)
 
     p = sub.add_parser("wdag-sum", help="exact pwdag weight sums by size")
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice-gap", help="gap bound for a built-in lattice")
     common(p)
-    p.add_argument("--lattice", required=True, choices=("square", "hexagonal", "cubic"))
+    p.add_argument("--lattice", required=True, choices=tuple(BUILTIN_LATTICES))
     p.add_argument("--pa", required=True, help="symmetric boundary probability")
     p.set_defaults(fn=cmd_lattice_gap)
 

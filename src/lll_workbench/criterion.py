@@ -6,17 +6,19 @@ bipartite graphs, cycle slack terms, the beyond-region verdict, single-step
 probability transfer along shortest paths, transfer-scheme condition checks,
 and lattice gap bounds.
 
-Roots of rationals are irrational, so those quantities are evaluated with
-certified interval arithmetic; every verdict comparison uses directed
-rounding (guaranteed quantities rounded down, thresholds rounded down), so
-acceptance is conservative.
+The overlap functional and the cycle slack need roots of rationals (p^(1/deg),
+sqrt(p), sqrt(|L|)). Each root is enclosed once, at 2^-200, in integer
+arithmetic; everything else is exact rational arithmetic on those
+enclosures. Every verdict comparison uses directed rounding (guaranteed
+quantities rounded down, thresholds rounded down), so acceptance is
+conservative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import isqrt
 from typing import Sequence
 
 from .graphs import (
@@ -42,31 +44,6 @@ from .shearer import (
 )
 
 
-@lru_cache(maxsize=1)
-def _iv():
-    """mpmath's interval context at 60 digits, imported and set up at the
-    first call: only digamma and r_cycle compute interval bounds, which of
-    the CLI commands only beyond and lattice-gap reach, and loading mpmath
-    would cost every other one-shot command tens of milliseconds."""
-    from mpmath import iv
-
-    iv.dps = 60
-    return iv
-
-
-def _to_iv(x: Fraction):
-    iv = _iv()
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
-def _mpf_tuple_to_fraction(data) -> Fraction:
-    sign, man, exp, _ = data
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Certified enclosure of a real quantity."""
@@ -78,17 +55,33 @@ class Bounds:
         if self.lo > self.hi:
             raise InputError("invalid bounds")
 
-    @staticmethod
-    def from_iv(x) -> "Bounds":
-        lo_data, hi_data = x._mpi_
-        return Bounds(_mpf_tuple_to_fraction(lo_data), _mpf_tuple_to_fraction(hi_data))
-
     def clamp_nonnegative(self) -> "Bounds":
         return Bounds(max(self.lo, Fraction(0)), max(self.hi, Fraction(0)))
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+
+ROOT_BITS = 200
+
+
+def _root(x: Fraction, k: int) -> Bounds:
+    """Enclosure of the k-th root of x > 0, at most 2^-ROOT_BITS wide: for
+    x = a/b, the integer k-th root r of n = a b^(k-1) 2^(k ROOT_BITS) gives
+    r <= b x^(1/k) 2^ROOT_BITS < r + 1. It is a point exactly when the root
+    is rational, since then n is a perfect k-th power."""
+    a, b = x.numerator, x.denominator
+    n = a * b ** (k - 1) << k * ROOT_BITS
+    if k == 2:
+        r = isqrt(n)
+    else:
+        # Newton's iteration from above decreases to the floor of the root
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+    scale = b << ROOT_BITS
+    return Bounds(Fraction(r, scale), Fraction(r if r**k == n else r + 1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +235,23 @@ def digamma(
         left = list(b.events)
     sub, original = _induced_bipartite(b, left)
     probs = [p[i] for i in original]
-    union_vars = sub.variable_count
-    min_p = min(probs)
-    iv = _iv()
-    acc = iv.mpf(0)
-    for k, i in enumerate(sub.events):
-        deg = len(sub.event_vars(i))
-        pi = _to_iv(probs[k])
-        acc += deg * iv.exp(iv.log(pi) / deg)
-    bracket = acc - union_vars
     delta_d = base_graph(sub).max_degree()
     if delta_d == 0:
         raise InputError("left set induces no dependencies; functional undefined")
-    delta_b = sub.max_event_degree()
-    numerator = _to_iv(min_p) ** 2 * bracket
-    denominator = iv.sqrt(iv.mpf(sub.event_count)) * delta_d * delta_b**2
-    value = Bounds.from_iv(numerator / denominator)
+    lo = hi = Fraction(-sub.variable_count)
+    for i, pi in zip(sub.events, probs):
+        deg = len(sub.event_vars(i))
+        root = _root(pi, deg)
+        lo += deg * root.lo
+        hi += deg * root.hi
+    scale = min(probs) ** 2 / (delta_d * sub.max_event_degree() ** 2)
+    # each end is divided by the end of the root of |L| that rounds it
+    # outward: a nonnegative one by the upper end, a negative one by the lower
+    sqrt_l = _root(Fraction(sub.event_count), 2)
+    value = Bounds(
+        scale * lo / (sqrt_l.hi if lo >= 0 else sqrt_l.lo),
+        scale * hi / (sqrt_l.lo if hi >= 0 else sqrt_l.hi),
+    )
     return value, value.clamp_nonnegative()
 
 
@@ -322,20 +316,18 @@ def r_cycle(
     with the bracket clamped at zero before squaring."""
     _validate_induced_cycle(g, cycle)
     k = len(cycle)
-    min_p = min(p[v] for v in cycle)
-    iv = _iv()
-    s = iv.mpf(0)
-    for v in cycle:
-        s += iv.sqrt(_to_iv(p[v]))
-    bracket = 2 * s / k - 1
-    scale = k * _to_iv(min_p) ** 4
-    plain = Bounds.from_iv(scale * bracket**2)
-    br = Bounds.from_iv(bracket)
-    if br.lo >= 0:
-        plus = plain
-    elif br.hi <= 0:
+    roots = [_root(p[v], 2) for v in cycle]
+    lo = 2 * sum(r.lo for r in roots) / k - 1
+    hi = 2 * sum(r.hi for r in roots) / k - 1
+    scale = k * min(p[v] for v in cycle) ** 4
+    if lo >= 0:
+        plain = plus = Bounds(scale * lo * lo, scale * hi * hi)
+    elif hi <= 0:
+        plain = Bounds(scale * hi * hi, scale * lo * lo)
         plus = Bounds(Fraction(0), Fraction(0))
     else:
+        # the bracket straddles 0, so its square starts there
+        plain = Bounds(Fraction(0), scale * max(lo * lo, hi * hi))
         plus = Bounds(Fraction(0), plain.hi)
     return plain, plus
 

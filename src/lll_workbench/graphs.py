@@ -164,16 +164,16 @@ class Matching:
                 raise InputError(f"matching pairs share vertex in ({u},{v})")
             seen.update((u, v))
 
+    @cached_property
+    def _partners(self) -> dict[int, int]:
+        """Each matched vertex's partner, both ways round."""
+        return {a: b for u, v in self.pairs for a, b in ((u, v), (v, u))}
+
     def partner(self, i: int) -> int | None:
-        for u, v in self.pairs:
-            if i == u:
-                return v
-            if i == v:
-                return u
-        return None
+        return self._partners.get(i)
 
     def covers(self, i: int) -> bool:
-        return self.partner(i) is not None
+        return i in self._partners
 
     def validate_against(self, g: DependencyGraph) -> None:
         for u, v in self.pairs:

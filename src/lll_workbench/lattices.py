@@ -103,12 +103,15 @@ def _cubic_spec() -> LatticeSpec:
     )
 
 
+#: the names builtin_lattice accepts, each with the builder of its spec
+BUILTIN_LATTICES = {
+    "square": _square_spec,
+    "hexagonal": _hexagonal_spec,
+    "cubic": _cubic_spec,
+}
+
+
 def builtin_lattice(name: str) -> LatticeSpec:
-    specs = {
-        "square": _square_spec,
-        "hexagonal": _hexagonal_spec,
-        "cubic": _cubic_spec,
-    }
-    if name not in specs:
-        raise InputError(f"unknown lattice {name!r}; choose from {sorted(specs)}")
-    return specs[name]()
+    if name not in BUILTIN_LATTICES:
+        raise InputError(f"unknown lattice {name!r}; choose from {sorted(BUILTIN_LATTICES)}")
+    return BUILTIN_LATTICES[name]()

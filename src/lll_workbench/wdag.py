@@ -536,22 +536,26 @@ class HomomorphicGraph:
 
     Vertex names: "k" for unmatched original k, "k+" (weight p'_k) and "k-"
     (weight p-_k - p'_k) for matched k. The probability of an unmatched
-    vertex is p-_k.
+    vertex is p-_k. copies[k-1] holds the split vertices of original k:
+    those of "k+" and "k-" if k is matched, that of "k" if not.
     """
 
     graph: DependencyGraph
     names: tuple[str, ...]
     p_m: ProbabilityVector
-    index: dict[str, int]
+    copies: tuple[tuple[int, ...], ...]
 
     def up(self, i: int) -> int:
-        return self.index[f"{i}+"]
+        up, _ = self.copies[i - 1]
+        return up
 
     def down(self, i: int) -> int:
-        return self.index[f"{i}-"]
+        _, down = self.copies[i - 1]
+        return down
 
     def plain(self, i: int) -> int:
-        return self.index[str(i)]
+        (plain,) = self.copies[i - 1]
+        return plain
 
 
 def homomorphic_graph(
@@ -564,29 +568,24 @@ def homomorphic_graph(
     m.validate_against(g)
     names: list[str] = []
     weights: list[Fraction] = []
+    copies: list[tuple[int, ...]] = []
     for i in g.vertices:
+        k = len(names) + 1
         if m.covers(i):
             if p_minus[i] < p_prime[i]:
                 raise InputError(f"p-_{i} < p'_{i} gives negative split mass")
-            names.append(f"{i}+")
-            weights.append(p_prime[i])
-            names.append(f"{i}-")
-            weights.append(p_minus[i] - p_prime[i])
+            names += (f"{i}+", f"{i}-")
+            weights += (p_prime[i], p_minus[i] - p_prime[i])
+            copies.append((k, k + 1))
         else:
             names.append(str(i))
             weights.append(p_minus[i])
-    index = {nm: k + 1 for k, nm in enumerate(names)}
-
-    def splits(i: int) -> list[str]:
-        return [f"{i}+", f"{i}-"] if m.covers(i) else [str(i)]
-
+            copies.append((k,))
     edges: set[tuple[int, int]] = set()
     for i0, i1 in g.edges:
-        group = [index[nm] for nm in splits(i0) + splits(i1)]
-        for a, b in combinations(sorted(group), 2):
-            edges.add((a, b))
+        edges.update(combinations(copies[i0 - 1] + copies[i1 - 1], 2))
     graph = DependencyGraph(len(names), frozenset(edges))
-    return HomomorphicGraph(graph, tuple(names), ProbabilityVector(tuple(weights)), index)
+    return HomomorphicGraph(graph, tuple(names), ProbabilityVector(tuple(weights)), tuple(copies))
 
 
 @dataclass(frozen=True)

@@ -571,7 +571,8 @@ def test_output_bytes_are_stable(files, tmp_path):
 # README commands but selftest, accepted and rejected verdicts, a coarse and
 # a skewed boundary bracket, the gap's -1 marker, mixed uniform/finite runs
 # with a string seed and with truncation, and by-size keys of 10 and more,
-# whose string order differs from their numeric order.
+# whose string order differs from their numeric order. The beyond and
+# lattice-gap digests are those of the enclosures from the integer roots.
 _GOLDEN = [
     ("readme-shearer-check", "shearer-check --graph {k3} --p 1/3,1/3,1/3",
      1, "1b4306ed64ae4f10e9d56f0d9786df590ca8f88740f1ddd9c5e0563589e7a2ee"),
@@ -588,9 +589,9 @@ _GOLDEN = [
     ("readme-criterion", "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2,3-4 --delta 1/8,1/8 --eps 1/8",
      0, "91da8f11cd007b363ed50d858a0368844bfc8aa77b7c8e923e646d5181db7721"),
     ("readme-beyond", "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000",
-     0, "d0c4d4c482c4a6026ff5e6c06e17abb45574bc29bf192ebcf1d45bc07096eded"),
+     0, "291d6c6dcfb0681298cb4ab8faa76670be21329eb66ed112e134190a0f4dd2ba"),
     ("readme-lattice-gap", "lattice-gap --lattice square --pa 0.1193",
-     0, "a9290c498e53b7e65fbda1488957ea7b2c336091f5e2816935cbf35dcd366712"),
+     0, "1b3f087cfc0b296e0dff31610eca37db43f2ed273b0ddd25ccaee0d6b345f601"),
     ("shearer-check-accepted", "shearer-check --graph {c4} --p 1/4,1/4,1/5,1/6",
      0, "6f44830ed088035fabfb3ef7d19e7f7bf493a450352b38617a92809b3eed733c"),
     ("shearer-check-rejected-c4", "shearer-check --graph {c4} --p 1/2,1/2,1/3,1/2",
@@ -620,9 +621,9 @@ _GOLDEN = [
     ("beyond-inside", "beyond --graph {c4} --p 1/4,1/4,1/4,1/4 --eps 1/8",
      0, "9fbbfa82e872b04cf7cf8d69fdcd3a9e04a9428fb7aac4be8a42307d1b21552a"),
     ("beyond-gap-resolution", "beyond --graph {c4} --p 3/10,3/10,3/10,3/10 --eps 1/1000 --resolution 1/64",
-     1, "29240556ad07df0dc8a762a53d7b176b2c6d7de317c35b5dd56542eb681b2423"),
+     1, "e146fe0498785e6995a30d1f644131728bdfd4d0e44b342e1409b33a1ee1683f"),
     ("lattice-gap-hexagonal", "lattice-gap --lattice hexagonal --pa 0.1547",
-     0, "4eea5cd4de685cd50ee9ef74264716edda807b6e23f6293089f1f843ecba360f"),
+     0, "6e8b58d153b2a2e0d513902d897814df09f37f525b5c07a5a5b0103cecbf64ec"),
 ]
 
 
@@ -797,10 +798,17 @@ def test_fuzzed_json_p_exits_with_a_code(tmp_path_factory, data):
         assert err.getvalue().startswith("input error") and out.getvalue() == ""
 
 
-def _loaded_by_importing_cli(names):
+def _loaded_by_importing_cli(names, argvs=()):
     """Those of the modules names that a fresh interpreter holds after
-    `import lll_workbench.cli`."""
-    script = f"import json, sys, lll_workbench.cli; print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"
+    `import lll_workbench.cli` and a dispatch of each of argvs, which must
+    exit 0."""
+    script = (
+        "import contextlib, io, json, sys, lll_workbench.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert lll_workbench.cli.dispatch(argv) == 0, argv\n"
+        f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"
+    )
     src = os.path.dirname(os.path.dirname(lll_workbench.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -815,9 +823,17 @@ def test_import_leaves_the_acceptance_suite_unloaded():
 
 
 def test_import_leaves_mpmath_and_the_process_pool_unloaded():
-    # only beyond and lattice-gap compute interval bounds, and only an
-    # estimate with two or more workers starts a pool
+    # only an estimate with two or more workers starts a pool
     assert _loaded_by_importing_cli(["mpmath", "concurrent.futures.process"]) == []
+
+
+def test_beyond_and_lattice_gap_leave_mpmath_unloaded(files):
+    # the two commands that print root enclosures take them in integers
+    argvs = [
+        ["beyond", "--graph", files["c4"], "--p", "0.27,0.27,0.27,0.36", "--eps", "1/1000000000"],
+        ["lattice-gap", "--lattice", "square", "--pa", "0.1193"],
+    ]
+    assert _loaded_by_importing_cli(["mpmath"], argvs) == []
 
 
 def test_selftest_reports_the_acceptance_results(capsys, monkeypatch):

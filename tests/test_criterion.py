@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv, mp
 
+from lll_workbench import criterion
 from lll_workbench.criterion import (
+    ROOT_BITS,
+    Bounds,
     IntersectionSetting,
+    _root,
     beyond_shearer_verdict,
     digamma,
     intersection_lll_verdict,
@@ -21,6 +28,7 @@ from lll_workbench.graphs import (
     DependencyGraph,
     InputError,
     Matching,
+    base_graph,
     edge_variable_graph,
 )
 from lll_workbench.lattices import builtin_lattice
@@ -46,6 +54,7 @@ def cycle(n):
 C4 = cycle(4)
 C5 = cycle(5)
 K3 = DependencyGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+P3 = DependencyGraph.from_edges(3, [(1, 2), (2, 3)])
 
 
 def quarter_setting(delta=Fraction(1, 8)):
@@ -282,6 +291,147 @@ class TestCycleSlack:
     def test_short_cycle_rejected(self):
         with pytest.raises(InputError):
             r_cycle(K3, ProbabilityVector.uniform(3, Fraction(1, 4)), (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the roots against mpmath's interval arithmetic at 120 digits, the test-only
+# reference: digamma and r_cycle as they were computed with it
+
+def _iv_fraction(x: Fraction):
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+def _mp_bounds(compute) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of the interval compute() returns in mpmath's
+    interval context at 120 digits."""
+    dps, iv.dps = iv.dps, 120
+    try:
+        x = compute()
+        with mp.workprec(iv.prec):
+            ends = [mp.mpf(end) for end in (x.a, x.b)]
+    finally:
+        iv.dps = dps
+    # man_exp holds the magnitude: (m, e) for +-m 2^e
+    return tuple(
+        (-1 if end < 0 else 1) * Fraction(int(end.man_exp[0])) * Fraction(2) ** end.man_exp[1]
+        for end in ends
+    )
+
+
+def reference_digamma(b: BipartiteEventVariableGraph, p: ProbabilityVector):
+    """The overlap functional on all of b's events, every variable incident."""
+
+    def compute():
+        acc = iv.mpf(0)
+        for i in b.events:
+            deg = len(b.event_vars(i))
+            acc += deg * iv.exp(iv.log(_iv_fraction(p[i])) / deg)
+        numerator = _iv_fraction(min(p.values)) ** 2 * (acc - b.variable_count)
+        delta_d, delta_b = base_graph(b).max_degree(), b.max_event_degree()
+        return numerator / (iv.sqrt(iv.mpf(b.event_count)) * delta_d * delta_b**2)
+
+    return _mp_bounds(compute)
+
+
+def reference_r_cycle(g: DependencyGraph, p: ProbabilityVector):
+    """The slack of g, a cycle 1..m, and its bracket 2 sum sqrt(p)/m - 1."""
+    m = g.m
+
+    def bracket():
+        s = iv.mpf(0)
+        for v in g.vertices:
+            s += iv.sqrt(_iv_fraction(p[v]))
+        return 2 * s / m - 1
+
+    return (
+        _mp_bounds(lambda: m * _iv_fraction(min(p.values)) ** 4 * bracket() ** 2),
+        _mp_bounds(bracket),
+    )
+
+
+def encloses(ours: Bounds, ref: tuple[Fraction, Fraction]) -> bool:
+    """ours contains the reference enclosure; a point, being exact, lies
+    inside it instead."""
+    lo, hi = ref
+    if ours.lo == ours.hi:
+        return lo <= ours.lo <= hi
+    return ours.lo <= lo and hi <= ours.hi
+
+
+_probabilities = st.fractions(Fraction(1, 10**4), 1, max_denominator=10**4)
+_probabilities = _probabilities | _probabilities.map(lambda x: x * x)
+
+
+@st.composite
+def edge_variable_graphs(draw):
+    """The edge-variable graph of a random graph on up to 7 vertices with no
+    isolated vertex, and probabilities for its events."""
+    n = draw(st.integers(2, 7))
+    edges = draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2))), min_size=1))
+    label = {v: k for k, v in enumerate(sorted({v for e in edges for v in e}), 1)}
+    g = DependencyGraph.from_edges(len(label), [(label[u], label[v]) for u, v in edges])
+    p = ProbabilityVector(tuple(draw(_probabilities) for _ in label))
+    return edge_variable_graph(g), p
+
+
+class TestCertifiedRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.fractions(Fraction(1, 10**9), 10**9, max_denominator=10**9), k=st.integers(1, 8))
+    def test_root_encloses_at_the_root_bits(self, x, k):
+        r = _root(x, k)
+        assert r.width <= Fraction(1, 2**ROOT_BITS)
+        if r.lo == r.hi:
+            assert r.lo**k == x
+        else:
+            assert r.lo**k < x < r.hi**k
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6), k=st.integers(1, 8))
+    def test_root_of_a_perfect_power_is_a_point(self, y, k):
+        r = _root(y**k, k)
+        assert r.lo == r.hi == y
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_variable_graphs())
+    def test_digamma_encloses_the_reference(self, case):
+        b, p = case
+        value, plus = digamma(b, p)
+        assert encloses(value, reference_digamma(b, p))
+        assert value.width <= Fraction(1, 2**190)
+        assert plus == value.clamp_nonnegative()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), length=st.integers(4, 8))
+    def test_r_cycle_encloses_the_reference(self, data, length):
+        g = cycle(length)
+        p = ProbabilityVector(tuple(data.draw(_probabilities) for _ in g.vertices))
+        plain, plus = r_cycle(g, p, tuple(g.vertices))
+        ref_plain, (br_lo, br_hi) = reference_r_cycle(g, p)
+        ref_plus = ref_plain if br_lo >= 0 else (0, 0) if br_hi <= 0 else (0, ref_plain[1])
+        assert encloses(plain, ref_plain)
+        assert encloses(plus, ref_plus)
+        assert plain.width <= Fraction(1, 2**190)
+
+    def test_a_bracket_straddling_zero_squares_from_zero(self, monkeypatch):
+        # exact roots give a point and irrational ones a bracket off 0 by far
+        # more than 2^-200, so a straddling bracket needs wider roots
+        def wide(x, k):
+            return Bounds(Fraction(49, 100), Fraction(51, 100))
+
+        monkeypatch.setattr(criterion, "_root", wide)
+        plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), (1, 2, 3, 4))
+        top = 4 * Fraction(1, 4) ** 4 * Fraction(2, 100) ** 2
+        assert plain == plus == Bounds(Fraction(0), top)
+
+    def test_digamma_divides_each_end_by_the_root_end_that_rounds_outward(self):
+        # degrees 1, 2, 1 and sqrt(1/4) = 1/2 make the root sum exact, 23/15,
+        # and the value -7/3000/sqrt(3) negative: over the upper end of the
+        # enclosure of sqrt(3), its lower end would come out above the value
+        b = edge_variable_graph(P3)
+        p = ProbabilityVector((Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)))
+        value, _ = digamma(b, p)
+        assert 3 * value.lo**2 > Fraction(7, 3000) ** 2 > 3 * value.hi**2
+        assert encloses(value, reference_digamma(b, p))
 
 
 class TestBeyondVerdict:

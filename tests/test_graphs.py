@@ -525,6 +525,23 @@ class TestDerivedAdjacency:
         assert back.closed_masks == masks and back.max_degree() == degree
 
     @settings(max_examples=60, deadline=None)
+    @given(spec=edge_lists())
+    def test_matching_partners_match_a_scan_of_the_pairs(self, spec):
+        m, edges = spec
+        pairs: list[tuple[int, int]] = []
+        for u, v in edges:
+            if not {u, v} & {w for pair in pairs for w in pair}:
+                pairs.append((u, v))
+        matching = Matching(frozenset(pairs))
+        twin = Matching(frozenset((v, u) for u, v in reversed(pairs)))
+        text = repr(matching)
+        for i in range(m + 2):
+            want = next((b for a, b in pairs + [(v, u) for u, v in pairs] if a == i), None)
+            assert matching.partner(i) == want
+            assert matching.covers(i) == (want is not None)
+        assert_same_value(matching, twin, text)
+
+    @settings(max_examples=60, deadline=None)
     @given(spec=incidence_lists())
     def test_bipartite_maps_match_reference(self, spec):
         events, variables, incidences = spec

@@ -730,6 +730,18 @@ class TestHomomorphicGraph:
         assert hom.p_m[3] == Fraction(1, 5) - Fraction(1, 6)
         assert hom.p_m[1] == Fraction(1, 5)
 
+    def test_label_lookups_name_their_split_vertices(self):
+        p4 = DependencyGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        p = ProbabilityVector.uniform(4, Fraction(1, 4))
+        pp = ProbabilityVector.uniform(4, Fraction(1, 5))
+        hom = homomorphic_graph(p4, Matching(frozenset({(2, 3)})), p, p, pp)
+        assert [hom.names[hom.plain(i) - 1] for i in (1, 4)] == ["1", "4"]
+        assert [hom.names[hom.up(i) - 1] for i in (2, 3)] == ["2+", "3+"]
+        assert [hom.names[hom.down(i) - 1] for i in (2, 3)] == ["2-", "3-"]
+        for lookup, label in ((hom.plain, 2), (hom.up, 1), (hom.down, 4)):
+            with pytest.raises(ValueError):
+                lookup(label)
+
     def test_empty_matching_keeps_graph(self):
         m = Matching(frozenset())
         p = ProbabilityVector.uniform(4, Fraction(1, 4))
