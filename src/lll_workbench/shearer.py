@@ -8,13 +8,15 @@ keep their probes as integer numerators over D*2^k, so Fractions appear only
 at the API boundary: the inputs, and the q-values, brackets and bounds
 returned. Pure functions over immutable inputs.
 
-One-off membership (`shearer_membership`, `in_shearer_bound`) runs the
-memoised recursion `_q_int` once. The searches probe one graph thousands of
-times with new numerators, so each compiles the recursion once per support
-it probes into a plan, the masks the recursion reaches in bottom-up order,
-and a probe replays the plan in one loop. A search keeps its plans until it
-returns, at most MAX_PLAN_STEPS steps of them; nothing is cached across
-calls.
+Every oracle call evaluates Q through one `_Plan` per vector: the masks the
+recursion on the lowest vertex reaches, in bottom-up order, each with its
+value. One-off membership and `q_polynomial` build one plan;
+`in_shearer_bound` reads q_0, the singleton q-values (one backward pass over
+the plan) and the witness walk off the same plan. The searches probe one
+graph thousands of times with new numerators, so each builds a support's
+plan at its first probe, keeps the plan's replay steps and replays them at
+every later probe of that support. A call holds at most MAX_PLAN_STEPS
+steps of plans; nothing is cached across calls.
 
 The gap search's boxes at one split depth share their widths, level and
 split axis, so `l1_gap` keeps those once per depth (at most one entry per
@@ -26,7 +28,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count, islice
+from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
 from .graphs import DependencyGraph, InputError
@@ -129,95 +132,109 @@ def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
         current = nxt
 
 
-def _q_int(
-    nums: Sequence[int],
-    den: int,
-    nbr: Sequence[int],
-    mask: int,
-    memo: dict[int, int],
-) -> int:
-    """Q(S) = den^|S| * q_0(G[S]) for the vector nums/den and S = `mask`: an
-    integer with the sign of q_0, the independence polynomial of the
-    induced subgraph at negated weights.
-
-    q_0 is multilinear, so splitting on the lowest vertex v of S gives
-    Q(S) = den*Q(S-v) - n_v * den^(|N[v] & S|-1) * Q(S - N[v]). Evaluating a
-    mask leaves every suffix mask, mask & (mask-1) and so on, in `memo`.
-    """
-    if mask == 0:
-        return 1
-    out = memo.get(mask)
-    if out is None:
-        v_bit = mask & -mask
-        v = v_bit.bit_length() - 1
-        near = mask & nbr[v]
-        without_v = _q_int(nums, den, nbr, mask ^ v_bit, memo)
-        without_nv = _q_int(nums, den, nbr, mask ^ near, memo)
-        out = den * without_v - nums[v] * den ** (near.bit_count() - 1) * without_nv
-        memo[mask] = out
-    return out
-
-
-def _member(nums: Sequence[int], den: int, nbr: Sequence[int], memo: dict | None = None) -> bool:
-    """Strict membership of a nonnegative vector nums/den, restricted to its
-    support; no input checks. q_0 > 0 on each of the nested suffixes of the
-    support (Scott-Sokal, J. Stat. Phys. 118, 2005: positivity along one
-    maximal chain of induced subgraphs is equivalent to q_I > 0 for every
-    independent I). The first evaluation fills `memo` with all the others.
-    """
-    mask = 0
-    for k, n in enumerate(nums):
-        if n:
-            mask |= 1 << k
-    memo = {} if memo is None else memo
-    while mask:
-        if _q_int(nums, den, nbr, mask, memo) <= 0:
-            return False
-        mask &= mask - 1
-    return True
-
-
-#: plan steps one search may hold over all the supports it probes; a step
-#: takes about 200 bytes, so the cap bounds a search's plans to about 100 MB
+#: plan steps one oracle call may hold: a search over all the supports it
+#: probes, a one-off call over all the masks it evaluates. A step takes about
+#: 200 bytes, so the cap bounds a call's plans to about 100 MB
 MAX_PLAN_STEPS = 500_000
 
-#: a compiled plan: the highest power of den its steps use, and its steps
-_Plan = tuple[int, tuple[tuple[int, int, int, int, bool], ...]]
+#: a plan's replay steps: the highest power of den they use, and one step
+#: (v, |N[v] & S|-1, index of S-v, index of S - N[v], S is a nested suffix)
+#: per mask S, in the order built
+_Replay = tuple[int, tuple[tuple[int, int, int, int, bool], ...]]
 
 
-def _compile(nbr: Sequence[int], support: int, room: int) -> _Plan:
-    """`_q_int`'s recursion from the mask `support`, unrolled once: one step
-    (v, |N[v] & S|-1, index of S-v, index of S - N[v], S is a nested suffix)
-    per mask S it reaches, children first, so that step k computes the
-    value with index k+1 (index 0 is the empty mask, Q = 1). A nested
-    suffix's children come first too, so the smallest one is checked first.
-    Raises CapExceeded when the plan would have more than `room` steps.
+class _Plan:
+    """The oracle's one plan for the vector nums/den, built as callers ask.
+
+    For a vertex set S, Q(S) = den^|S| * q_0(G[S]) is an integer with the
+    sign of q_0. q_0 is multilinear, so splitting on the lowest vertex v of S
+    gives Q(S) = den*Q(S-v) - n_v * den^(|N[v] & S|-1) * Q(S - N[v]).
+    `values` holds Q of every mask reached, children first (the empty mask
+    first, Q = 1): a plan step per mask, evaluated as it is built. `q`
+    walks each chain S, S-v, ... down to a known mask in a loop and
+    recurses only on a new S - N[v], so its depth does not grow with the
+    number of vertices. Raises CapExceeded once a chain leaves the plan
+    with more than `room` steps.
     """
-    index = {0: 0}
-    steps: list[tuple[int, int, int, int, bool]] = []
 
-    def visit(mask: int) -> int:
-        at = index.get(mask)
-        if at is None:
+    __slots__ = ("nbr", "nums", "den", "room", "values")
+
+    def __init__(self, nbr: Sequence[int], nums: Sequence[int], den: int, room: int):
+        self.nbr, self.nums, self.den, self.room = nbr, nums, den, room
+        self.values = {0: 1}
+
+    def q(self, mask: int) -> int:
+        values, nbr, nums, den = self.values, self.nbr, self.nums, self.den
+        chain = []
+        out = values.get(mask)
+        while out is None:
+            chain.append(mask)
+            mask &= mask - 1
+            out = values.get(mask)
+        for mask in reversed(chain):
             v_bit = mask & -mask
             v = v_bit.bit_length() - 1
             near = mask & nbr[v]
-            without_v = visit(mask ^ v_bit)
-            without_nv = visit(mask ^ near)
-            if len(steps) >= room:
-                raise CapExceeded(f"search plans capped at {MAX_PLAN_STEPS} steps")
+            without_nv = values.get(mask ^ near)
+            if without_nv is None:
+                without_nv = self.q(mask ^ near)
+            out = values[mask] = den * out - nums[v] * den ** (near.bit_count() - 1) * without_nv
+        if len(values) > self.room + 1:
+            raise CapExceeded(f"oracle plans capped at {MAX_PLAN_STEPS} steps")
+        return out
+
+    def inside(self, support: int) -> bool:
+        """Strict membership of the vector restricted to `support`: Q > 0 on
+        each of its nested suffixes (Scott-Sokal, J. Stat. Phys. 118, 2005:
+        positivity along one maximal chain of induced subgraphs is
+        equivalent to q_I > 0 for every independent I)."""
+        self.q(support)
+        while support:
+            if self.values[support] <= 0:
+                return False
+            support &= support - 1
+        return True
+
+    def replay(self, support: int) -> _Replay:
+        """The steps that recompute `values` at another vector, for `_probe`."""
+        nbr, index = self.nbr, dict(zip(self.values, count()))
+        steps = []
+        for mask in islice(index, 1, None):
+            v_bit = mask & -mask
+            v = v_bit.bit_length() - 1
+            near = mask & nbr[v]
             nested = support & -v_bit == mask
-            steps.append((v, near.bit_count() - 1, without_v, without_nv, nested))
-            at = index[mask] = len(steps)
-        return at
+            steps.append((v, near.bit_count() - 1, index[mask ^ v_bit], index[mask ^ near], nested))
+        return max((step[1] for step in steps), default=0), tuple(steps)
 
-    visit(support)
-    return max((step[1] for step in steps), default=0), tuple(steps)
+    def slopes(self) -> list[int]:
+        """-dQ(S)/dn_v for every vertex v, S the last mask built: one
+        backward pass over the plan's masks, last to first (reverse-mode
+        differentiation), in which weight[T] gathers dQ(S)/dQ(T) from the
+        masks built on T."""
+        values, nbr, nums, den = self.values, self.nbr, self.nums, self.den
+        weight = dict.fromkeys(values, 0)
+        weight[next(reversed(values))] = 1
+        slope = [0] * len(nums)
+        for mask in islice(reversed(values), len(values) - 1):  # not the empty mask
+            v_bit = mask & -mask
+            v = v_bit.bit_length() - 1
+            near = mask & nbr[v]
+            w = weight[mask]
+            weight[mask ^ v_bit] += den * w
+            w *= den ** (near.bit_count() - 1)
+            weight[mask ^ near] -= nums[v] * w
+            slope[v] += w * values[mask ^ near]
+        return slope
 
 
-def _probe(plan: _Plan, nums: Sequence[int], den: int) -> bool:
-    """`_member` of nums/den, whose support the plan was compiled for."""
-    top, steps = plan
+def _support(nums: Sequence[int]) -> int:
+    return sum(1 << k for k, n in enumerate(nums) if n)
+
+
+def _probe(replay: _Replay, nums: Sequence[int], den: int) -> bool:
+    """`_Plan.inside` of nums/den, whose support the steps were built for."""
+    top, steps = replay
     power = [1]
     for _ in range(top):
         power.append(power[-1] * den)
@@ -231,21 +248,25 @@ def _probe(plan: _Plan, nums: Sequence[int], den: int) -> bool:
 
 
 def _searcher(nbr: Sequence[int]) -> Callable[[Sequence[int], int], bool]:
-    """`_member` for the probes of one search: each support is compiled at
-    its first probe and its plan is kept until the search returns."""
-    plans: dict[tuple[bool, ...], _Plan] = {}
+    """Membership for the probes of one search: each support's plan is
+    built at its first probe, evaluating that probe, and its steps are kept
+    until the search returns; later probes of the support replay them."""
+    replays: dict[tuple[bool, ...], _Replay] = {}
     held = 0
     full = (True,) * len(nbr)  # most probes have no zero entry
 
     def member(nums: Sequence[int], den: int) -> bool:
         nonlocal held
         support = tuple(map(bool, nums)) if 0 in nums else full
-        plan = plans.get(support)
-        if plan is None:
-            mask = sum(1 << k for k, nonzero in enumerate(support) if nonzero)
-            plan = plans[support] = _compile(nbr, mask, MAX_PLAN_STEPS - held)
-            held += len(plan[1])
-        return _probe(plan, nums, den)
+        replay = replays.get(support)
+        if replay is not None:
+            return _probe(replay, nums, den)
+        mask = _support(nums)
+        plan = _Plan(nbr, nums, den, MAX_PLAN_STEPS - held)
+        inside = plan.inside(mask)
+        replays[support] = plan.replay(mask)
+        held += len(plan.values) - 1
+        return inside
 
     return member
 
@@ -303,22 +324,6 @@ def _outside(nbr: Sequence[int], m: int, iset: Sequence[int]) -> int:
     return mask
 
 
-def _q_of_set(
-    nums: Sequence[int],
-    den: int,
-    nbr: Sequence[int],
-    iset: Sequence[int],
-    memo: dict[int, int],
-) -> Fraction:
-    """q_I = (prod_{i in I} p_i) * q_0 on the graph minus N[I]."""
-    mask = _outside(nbr, len(nums), iset)
-    coeff = 1
-    for u in iset:
-        coeff *= nums[u - 1]
-    q = coeff * _q_int(nums, den, nbr, mask, memo)
-    return Fraction(q, den ** (len(iset) + mask.bit_count()))
-
-
 def q_polynomial(
     g: DependencyGraph, p: ProbabilityVector, independent: Sequence[int]
 ) -> Fraction:
@@ -336,7 +341,9 @@ def q_polynomial(
             if a < b and g.has_edge(a, b):
                 raise InputError(f"set not independent: edge ({a},{b})")
     nums, den = _integers(p.values)
-    return _q_of_set(nums, den, g.closed_masks, iset, {})
+    mask = _outside(g.closed_masks, g.m, iset)
+    q = prod(nums[u - 1] for u in iset) * _Plan(g.closed_masks, nums, den, MAX_PLAN_STEPS).q(mask)
+    return Fraction(q, den ** (len(iset) + mask.bit_count()))
 
 
 def q_empty(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
@@ -348,27 +355,28 @@ def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     restricting to the support (an event of probability zero never fires).
     """
     nums, den = _checked_integers(g, values)
-    return _member(nums, den, g.closed_masks)
+    return _Plan(g.closed_masks, nums, den, MAX_PLAN_STEPS).inside(_support(nums))
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     """Strict membership with q_0 and the singleton q-values; on rejection
     the witness is the first failing independent set (size order, then
     lexicographic). Every q_I has the sign of Q on the graph minus N[I].
+
+    One plan serves all three. q_0 is multilinear, so q_{v} = -p_v * dq_0/dp_v,
+    which is n_v * slope_v / den^m for Q of the whole graph; the witness walk
+    extends the plan with each S - N[I] it asks for.
     """
     nums, den = _checked_integers(g, p.values)
-    nbr = g.closed_masks
-    memo: dict[int, int] = {}
-    q_values = {(): _q_of_set(nums, den, nbr, (), memo)}
-    for v in g.vertices:
-        q_values[(v,)] = _q_of_set(nums, den, nbr, (v,), memo)
-    if _member(nums, den, nbr, memo):
+    nbr, full = g.closed_masks, (1 << g.m) - 1
+    plan = _Plan(nbr, nums, den, MAX_PLAN_STEPS)
+    scale = den**g.m
+    q_values = {(): Fraction(plan.q(full), scale)}
+    for v, slope in enumerate(plan.slopes()):
+        q_values[(v + 1,)] = Fraction(nums[v] * slope, scale)
+    if plan.inside(full):
         return ShearerReport(True, q_values, None)
-    witness = next(
-        iset
-        for iset in independent_sets(g)
-        if _q_int(nums, den, nbr, _outside(nbr, g.m, iset), memo) <= 0
-    )
+    witness = next(iset for iset in independent_sets(g) if plan.q(_outside(nbr, g.m, iset)) <= 0)
     return ShearerReport(False, q_values, witness)
 
 

@@ -33,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import DependencyGraph, InputError, Matching
-from .shearer import CapExceeded, ProbabilityVector
+from .shearer import CapExceeded, ProbabilityVector, _integers
 
 
 @dataclass(frozen=True, init=False)
@@ -675,10 +675,10 @@ class WeightSums:
 
 
 def wdag_weight(d: WDag, p: ProbabilityVector) -> Fraction:
-    out = Fraction(1)
-    for v in d.nodes:
-        out *= p[d.label(v)]
-    return out
+    """The product of p over the node labels, taken on the integer
+    numerators over the common denominator of p."""
+    num, den = _integers(p.values)
+    return Fraction(prod(num[label - 1] for label in d.labels), den**d.n)
 
 
 #: pwdag node counts above this are refused by weight_sums: the exact size-n
@@ -709,8 +709,11 @@ def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> Weig
         raise InputError("probability vector length mismatch")
     if node_cap > MAX_SUM_NODES:
         raise CapExceeded(f"weight sums capped at {MAX_SUM_NODES} nodes")
-    den = lcm(*(x.denominator for x in p.values))
-    num = [(x * den).numerator for x in p.values]
+    # each distinct closed neighbourhood is a state of node_cap entries, so
+    # this many states are refused before their masks, about m^2/16 bytes, exist
+    if len({g.neighbors(v) | {v} for v in g.vertices}) * node_cap > MAX_DP_STATES:
+        raise CapExceeded(f"weight-sum DP capped at {MAX_DP_STATES} states")
+    num, den = _integers(p.values)
     closed = g.closed_masks
 
     # successors of every reachable R: (|S|, scaled weight of S, reach(S))
@@ -745,9 +748,9 @@ def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> Weig
 def tighter_weight(
     d: WDag, p: ProbabilityVector, p_prime: ProbabilityVector, m: Matching
 ) -> Fraction:
-    """Weight with matched-reversible nodes priced at p' instead of p."""
+    """Weight with matched-reversible nodes priced at p' instead of p, on
+    the integer numerators of both over their common denominator."""
     reversible, _ = m_reversible_nodes(d, m)
-    out = Fraction(1)
-    for v in d.nodes:
-        out *= p_prime[d.label(v)] if v in reversible else p[d.label(v)]
-    return out
+    num, den = _integers(p.values + p_prime.values)  # p' at offset len(p)
+    picked = (num[d.label(v) - 1 + (len(p) if v in reversible else 0)] for v in d.nodes)
+    return Fraction(prod(picked), den**d.n)

@@ -276,10 +276,15 @@ def test_cap_exceeded_exits_three(files, capsys):
 
 
 def test_search_plan_cap_exits_three(files, capsys, monkeypatch):
+    # the searches and one-off membership count plan steps alike; K3's
+    # full support takes 3
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 2)
-    code = dispatch(["gap", "--graph", files["k3"], "--p", "1/2,1/3,1/3", "--resolution", "1/256"])
-    assert code == 3
-    assert "cap exceeded: search plans capped at 2 steps" in capsys.readouterr().err
+    for argv in (
+        ["gap", "--graph", files["k3"], "--p", "1/2,1/3,1/3", "--resolution", "1/256"],
+        ["shearer-check", "--graph", files["k3"], "--p", "1/4,1/4,1/4"],
+    ):
+        assert dispatch(argv) == 3
+        assert "cap exceeded: oracle plans capped at 2 steps" in capsys.readouterr().err
 
 
 def test_trial_cap_exits_three_promptly(files):
@@ -291,6 +296,21 @@ def test_trial_cap_exits_three_promptly(files):
     assert time.monotonic() - started < 5
     assert code == 3 and out == ""
     assert "cap exceeded: estimates capped at 1000000 trials" in err
+
+
+def test_wdag_sum_state_cap_fires_before_the_closed_masks(tmp_path):
+    # 50,000 isolated vertices are 50,000 DP states; their closed masks alone
+    # take about m^2/15 = 167 MB, more than the child's address space
+    m = 50_000
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"m": m, "edges": []}))
+    started = time.monotonic()
+    code, out, err = _dispatch_with_memory_limit(
+        ["wdag-sum", "--graph", str(path), "--p", ",".join(["1"] * m)], limit=1 << 27
+    )
+    assert time.monotonic() - started < 5
+    assert code == 3 and out == ""
+    assert "cap exceeded: weight-sum DP capped at 100000 states" in err
 
 
 def test_wdag_sum_state_cap_exits_three_promptly(files, capsys):

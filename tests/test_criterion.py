@@ -448,17 +448,21 @@ class TestBeyondVerdict:
         assert not verdict.accepted
         assert verdict.evidence == "gap-witness-at-or-above-cycle-slack"
 
-    def test_accepts_construction_beyond_region(self):
-        # scale the asymmetric direction to the boundary, step just past it;
-        # the gap stays under the cycle slack over 545 while exceeding the
-        # 2^-20 l^-3 floor
+    @staticmethod
+    def construction_beyond_region():
+        # scale the asymmetric direction to the boundary, step just past it
         direction = ProbabilityVector(
             (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 3))
         )
         scale = boundary_scale(C4, direction, Fraction(1, 10**10))
         eps = Fraction(1, 10**9)
         factor = scale.hi * (1 + Fraction(12, 10**8)) / (1 + eps)
-        p = ProbabilityVector(tuple(factor * v for v in direction.values))
+        return ProbabilityVector(tuple(factor * v for v in direction.values)), eps
+
+    def test_accepts_construction_beyond_region(self):
+        # the gap stays under the cycle slack over 545 while exceeding the
+        # 2^-20 l^-3 floor
+        p, eps = self.construction_beyond_region()
         verdict = beyond_shearer_verdict(C4, p, eps)
         assert verdict.accepted
         assert verdict.evidence == "gap-below-cycle-slack"
@@ -466,6 +470,33 @@ class TestBeyondVerdict:
         assert gap_lo >= Fraction(1, 2**20 * 4**3)
         assert verdict.details["gap_below_544"]
         assert not shearer_membership(C4, p.values)
+
+    def test_coarse_gap_resolution_rejects_the_construction(self):
+        # at resolution 1/64 the certified bracket is wider than the slack
+        p, eps = self.construction_beyond_region()
+        verdict = beyond_shearer_verdict(C4, p, eps, gap_resolution=Fraction(1, 64))
+        assert not verdict.accepted and verdict.bound_on_expected_steps is None
+        assert verdict.evidence == "gap-at-or-above-cycle-slack"
+        assert sorted(verdict.details) == [
+            "cycles", "eps", "gap", "gap_below_544", "gap_lower_witness",
+            "rounding", "threshold_544", "threshold_545",
+        ]
+        gap_lo, gap_hi = verdict.details["gap"]
+        assert gap_lo <= verdict.details["gap_lower_witness"] < verdict.details["threshold_545"] <= gap_hi
+        assert gap_hi - gap_lo <= Fraction(1, 64)
+        assert not verdict.details["gap_below_544"]
+
+    def test_scaled_entry_above_one_is_rejected_before_any_search(self):
+        # (1 + 1/2) * 9/10 = 27/20 leaves (0, 1]
+        verdict = beyond_shearer_verdict(C4, ProbabilityVector.uniform(4, Fraction(9, 10)), Fraction(1, 2))
+        assert not verdict.accepted and verdict.bound_on_expected_steps is None
+        assert verdict.evidence == "scaled-entry-above-one"
+        assert verdict.details == {
+            "eps": Fraction(1, 2),
+            "cycles": ((1, 2, 3, 4),),
+            "rounding": "slack terms rounded down",
+            "clamp": "scaled vector leaves (0,1]",
+        }
 
     def test_reports_both_thresholds(self):
         # 0.28 sits inside the region with a strictly positive cycle slack

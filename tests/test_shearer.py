@@ -1,11 +1,15 @@
 import heapq
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lll_workbench
 from lll_workbench import shearer
 from lll_workbench.graphs import DependencyGraph, InputError
 from lll_workbench.shearer import (
@@ -748,8 +752,89 @@ def test_input_checks_hold_with_or_without_probes(resolution):
 
 
 # ---------------------------------------------------------------------------
-# The compiled probe. The searches probe through one plan per support; the
-# per-probe recursion `_member` stays the reference for every probe they make.
+# The oracle's plans. Every caller evaluates through one `_Plan` per vector;
+# the searches replay a support's plan at later probes. The memoised recursion and its unrolled plan, which the oracle ran
+# before it had one builder, stay here as the references for every value,
+# plan and probe.
+
+
+def _q_int(nums, den, nbr, mask, memo):
+    """Q(S) = den^|S| * q_0(G[S]) for S = `mask`, split on the lowest vertex v:
+    Q(S) = den*Q(S-v) - n_v * den^(|N[v] & S|-1) * Q(S - N[v])."""
+    if mask == 0:
+        return 1
+    out = memo.get(mask)
+    if out is None:
+        v_bit = mask & -mask
+        v = v_bit.bit_length() - 1
+        near = mask & nbr[v]
+        without_v = _q_int(nums, den, nbr, mask ^ v_bit, memo)
+        without_nv = _q_int(nums, den, nbr, mask ^ near, memo)
+        out = den * without_v - nums[v] * den ** (near.bit_count() - 1) * without_nv
+        memo[mask] = out
+    return out
+
+
+def _member(nums, den, nbr, memo=None):
+    """Q > 0 on each nested suffix of the support of nums/den."""
+    mask = sum(1 << k for k, n in enumerate(nums) if n)
+    memo = {} if memo is None else memo
+    while mask:
+        if _q_int(nums, den, nbr, mask, memo) <= 0:
+            return False
+        mask &= mask - 1
+    return True
+
+
+def _compile(nbr, support):
+    """`_q_int`'s recursion from `support` unrolled: one step (v,
+    |N[v] & S|-1, index of S-v, index of S - N[v], S is a nested suffix) per
+    mask S, children first, and the highest power of den the steps use."""
+    index = {0: 0}
+    steps = []
+
+    def visit(mask):
+        at = index.get(mask)
+        if at is None:
+            v_bit = mask & -mask
+            v = v_bit.bit_length() - 1
+            near = mask & nbr[v]
+            without_v = visit(mask ^ v_bit)
+            without_nv = visit(mask ^ near)
+            steps.append((v, near.bit_count() - 1, without_v, without_nv, support & -v_bit == mask))
+            at = index[mask] = len(steps)
+        return at
+
+    visit(support)
+    return max((step[1] for step in steps), default=0), tuple(steps)
+
+
+def _q_of_set(nums, den, nbr, iset, memo):
+    """q_I = (prod_{i in I} p_i) * q_0 on the graph minus N[I]."""
+    mask = (1 << len(nums)) - 1
+    coeff = 1
+    for u in iset:
+        mask &= ~nbr[u - 1]
+        coeff *= nums[u - 1]
+    return Fraction(coeff * _q_int(nums, den, nbr, mask, memo), den ** (len(iset) + mask.bit_count()))
+
+
+def recursive_report(g, p):
+    """in_shearer_bound from the per-set recursion: q_0 and every singleton
+    q-value on one memo, then the first independent set with Q <= 0."""
+    nums, den = shearer._integers(p.values)
+    nbr, memo = g.closed_masks, {}
+    q_values = {iset: _q_of_set(nums, den, nbr, iset, memo) for iset in [()] + [(v,) for v in g.vertices]}
+    witness = None
+    if not _member(nums, den, nbr, memo):
+        for iset in independent_sets(g):
+            outside = (1 << g.m) - 1
+            for u in iset:
+                outside &= ~nbr[u - 1]
+            if _q_int(nums, den, nbr, outside, memo) <= 0:
+                witness = iset
+                break
+    return shearer.ShearerReport(witness is None, q_values, witness)
 
 
 @st.composite
@@ -769,13 +854,44 @@ def scaled_numerators(draw, m):
     return [0 if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, top)) for _ in range(m)], den
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=shuffled_graphs(), data=st.data())
+def test_plan_replays_the_unrolled_recursion(g, data):
+    nums, den = data.draw(scaled_numerators(g.m))
+    nbr, support = g.closed_masks, shearer._support(nums)
+    plan = shearer._Plan(nbr, nums, den, shearer.MAX_PLAN_STEPS)
+    memo = {}
+    assert plan.inside(support) == _member(nums, den, nbr, memo)
+    # the recursion's values, mask by mask, and its unrolled steps, which
+    # reproduce the verdict at the building vector
+    assert plan.values == {0: 1, **memo}
+    replay = plan.replay(support)
+    assert replay == _compile(nbr, support)
+    assert shearer._probe(replay, nums, den) == plan.inside(support)
+    # asking for another mask extends the plan by the masks it reaches
+    mask = data.draw(st.integers(0, (1 << g.m) - 1))
+    reached = {}
+    assert plan.q(mask) == _q_int(nums, den, nbr, mask, reached)
+    assert plan.values == {0: 1, **memo, **reached}
+
+
 @settings(max_examples=200, deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_compiled_probe_matches_recursive_member(g, data):
     member = shearer._searcher(g.closed_masks)
     for _ in range(8):
         nums, den = data.draw(scaled_numerators(g.m))
-        assert member(nums, den) == shearer._member(nums, den, g.closed_masks)
+        assert member(nums, den) == _member(nums, den, g.closed_masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shuffled_graphs(), data=st.data())
+def test_one_plan_gives_the_per_set_q_values_and_witness(g, data):
+    p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    assert in_shearer_bound(g, p) == recursive_report(g, p)
+    nums, den = data.draw(scaled_numerators(g.m))
+    values = [Fraction(n, den) for n in nums]
+    assert shearer_membership(g, values) == _member(nums, den, g.closed_masks)
 
 
 def _probes_of(search, args, make_member):
@@ -801,11 +917,11 @@ def _probes_of(search, args, make_member):
 
 def recursive_searcher(nbr):
     """The searches' reference: every probe runs the memoised recursion."""
-    return lambda nums, den: shearer._member(nums, den, nbr)
+    return lambda nums, den: _member(nums, den, nbr)
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=shuffled_graphs(max_m=5), data=st.data())
+@given(g=shuffled_graphs(max_m=10), data=st.data())
 def test_searches_make_the_recursive_reference_probes(g, data):
     compiled = shearer._searcher
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
@@ -819,19 +935,27 @@ def test_searches_make_the_recursive_reference_probes(g, data):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts the plans compiled (their supports) and the probes made."""
-    counts = {"compiled": [], "probes": 0}
-    compile_plan, probe = shearer._compile, shearer._probe
+    """Counts the plans built, the supports whose replay steps a search
+    keeps, and the probes that replay them."""
+    counts = {"plans": 0, "kept": [], "probes": 0}
+    probe = shearer._probe
 
-    def counted_compile(nbr, support, room):
-        counts["compiled"].append(support)
-        return compile_plan(nbr, support, room)
+    class CountedPlan(shearer._Plan):
+        __slots__ = ()
 
-    def counted_probe(plan, nums, den):
+        def __init__(self, *args):
+            counts["plans"] += 1
+            super().__init__(*args)
+
+        def replay(self, support):
+            counts["kept"].append(support)
+            return super().replay(support)
+
+    def counted_probe(replay, nums, den):
         counts["probes"] += 1
-        return probe(plan, nums, den)
+        return probe(replay, nums, den)
 
-    monkeypatch.setattr(shearer, "_compile", counted_compile)
+    monkeypatch.setattr(shearer, "_Plan", CountedPlan)
     monkeypatch.setattr(shearer, "_probe", counted_probe)
     return counts
 
@@ -851,11 +975,11 @@ C4_EXAMPLE = ProbabilityVector.uniform(4, Fraction(3, 10))
 )
 def test_each_search_compiles_each_support_once(work, search, args):
     first = search(*args)
-    compiled = list(work["compiled"])
-    assert compiled and len(set(compiled)) == len(compiled)
-    # nothing outlives the call: the same search compiles the same plans again
+    kept = list(work["kept"])
+    assert kept and len(set(kept)) == len(kept) == work["plans"]
+    # nothing outlives the call: the same search builds the same plans again
     assert search(*args) == first
-    assert work["compiled"] == compiled * 2
+    assert work["kept"] == kept * 2
 
 
 @pytest.mark.parametrize(
@@ -864,23 +988,84 @@ def test_each_search_compiles_each_support_once(work, search, args):
 )
 def test_gap_probe_counts(work, g, p, resolution, probes):
     l1_gap(g, p, resolution)
-    assert work["probes"] == 1 + probes  # the entry check, then the boxes
+    # a support's first probe builds its plan, every later one replays it
+    assert work["plans"] + work["probes"] == 1 + probes  # the entry check, then the boxes
 
 
-def test_one_off_membership_compiles_nothing(work):
+def test_one_off_calls_build_one_plan_and_replay_nothing(work):
     p = ProbabilityVector.uniform(4, Fraction(1, 2))
     shearer_membership(C4, p.values)
     in_shearer_bound(C4, p)
-    assert work == {"compiled": [], "probes": 0}
+    q_polynomial(C4, p, (1,))
+    assert work == {"plans": 3, "kept": [], "probes": 0}
 
 
 def test_plan_cap_counts_the_steps_a_search_holds(work, monkeypatch):
     expected = l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
-    supports, nbr = list(work["compiled"]), C4.closed_masks
-    held = sum(len(shearer._compile(nbr, s, shearer.MAX_PLAN_STEPS)[1]) for s in supports)
+    held = sum(len(_compile(C4.closed_masks, support)[1]) for support in work["kept"])
     assert held < shearer.MAX_PLAN_STEPS
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
     assert l1_gap(C4, C4_EXAMPLE, Fraction(1, 64)) == expected
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
-    with pytest.raises(CapExceeded, match=f"search plans capped at {held - 1} steps"):
+    with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
         l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+
+
+def test_long_path_needs_no_deep_recursion():
+    # q_0 of the path P_n at 1/4 is (n+2)/2^(n+1); the plan walks each
+    # chain S, S-v, ... in a loop, so 1,200 vertices recurse only once
+    g = DependencyGraph.from_edges(1200, [(k, k + 1) for k in range(1, 1200)])
+    assert q_empty(g, ProbabilityVector.uniform(1200, Fraction(1, 4))) == Fraction(1202, 2**1201)
+
+
+def test_oracle_calls_pass_under_a_low_recursion_limit():
+    # in a fresh interpreter, so that the limit counts only the oracle's frames
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from lll_workbench.graphs import DependencyGraph\n"
+        "from lll_workbench.shearer import ProbabilityVector as P, boundary_scale, in_shearer_bound, shearer_membership\n"
+        "g = DependencyGraph.from_edges(30, [(k, k % 30 + 1) for k in range(1, 31)])\n"
+        "sys.setrecursionlimit(25)\n"
+        "print(shearer_membership(g, [Fraction(1, 4)] * 30))\n"
+        "print(in_shearer_bound(g, P.uniform(30, Fraction(1, 2))).witness)\n"
+        "print(boundary_scale(g, P.uniform(30, 1), Fraction(1, 64)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lll_workbench.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True",
+        "()",
+        "BoundaryScale(lo=Fraction(1, 4), hi=Fraction(17, 64), clamped=False)",
+    ]
+
+
+def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
+    # membership, the q-values and the witness walk share one plan: C4's
+    # full support takes 5 steps and the walk's first failing set, (), adds none
+    p = ProbabilityVector.uniform(4, Fraction(1, 2))
+    assert len(_compile(C4.closed_masks, 0b1111)[1]) == 5
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 5)
+    assert in_shearer_bound(C4, p) == recursive_report(C4, p)
+    assert not shearer_membership(C4, p.values)
+    assert q_empty(C4, p) == Fraction(-1, 2)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 4)
+    for call in (
+        lambda: shearer_membership(C4, p.values),
+        lambda: in_shearer_bound(C4, p),
+        lambda: q_empty(C4, p),
+    ):
+        with pytest.raises(CapExceeded, match="oracle plans capped at 4 steps"):
+            call()
+    # the witness walk's steps count too: on two disjoint edges and an
+    # isolated vertex, the walk extends the 7-step plan by the mask {1,3,4}
+    g = DependencyGraph.from_edges(5, [(2, 5), (3, 4)])
+    p = ProbabilityVector(tuple(Fraction(k, 4) for k in (3, 3, 4, 3, 2)))
+    assert recursive_report(g, p).witness == (2,)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 8)
+    assert in_shearer_bound(g, p) == recursive_report(g, p)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 7)
+    assert not shearer_membership(g, p.values)
+    with pytest.raises(CapExceeded, match="oracle plans capped at 7 steps"):
+        in_shearer_bound(g, p)

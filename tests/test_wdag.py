@@ -1268,3 +1268,19 @@ class TestOrderedArcs:
         img = map_h(d, s, m, hom)
         assert img == reference_map_h(d, s, m, hom)
         assert validate_wdag(img, hom.graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(pwdags(), reversed_pwdags()), data=st.data())
+def test_integer_weights_equal_the_fraction_products(case, data):
+    d, g, _ = case
+    entries = st.fractions(min_value=Fraction(1, 997), max_value=1, max_denominator=997)
+    p, p_prime = (ProbabilityVector(tuple(data.draw(entries) for _ in range(g.m))) for _ in range(2))
+    m = data.draw(random_matchings(g))
+    reversible, _ = m_reversible_nodes(d, m)
+    weight, tighter = Fraction(1), Fraction(1)
+    for v in d.nodes:
+        weight *= p[d.label(v)]
+        tighter *= (p_prime if v in reversible else p)[d.label(v)]
+    assert wdag_weight(d, p) == weight
+    assert tighter_weight(d, p, p_prime, m) == tighter
