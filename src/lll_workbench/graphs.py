@@ -85,6 +85,45 @@ class DependencyGraph:
             masks[v - 1] |= 1 << (u - 1)
         return tuple(masks)
 
+    @cached_property
+    def breadth_first_order(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """A breadth-first (Cuthill-McKee) order of the vertices, in which
+        neighbours stay close: (order, rank, masks), indices 0-based like the
+        bits of closed_masks. order[k] is v-1 for the k-th vertex v visited,
+        rank inverts order, and masks[k] is the closed mask of that vertex
+        with bit rank[u-1] for u. Each component's walk starts at a vertex
+        of least degree and visits neighbours by ascending degree, ties
+        broken by label."""
+        m = self.m
+        adj: list[list[int]] = [[] for _ in range(m)]
+        for u, v in self.edges:
+            adj[u - 1].append(v - 1)
+            adj[v - 1].append(u - 1)
+        by_degree = sorted(range(m), key=lambda i: len(adj[i]))  # stable: ties by label
+        place = [0] * m
+        for k, i in enumerate(by_degree):
+            place[i] = k
+        order: list[int] = []
+        rank = [-1] * m
+        head = 0
+        for root in by_degree:
+            if rank[root] >= 0:
+                continue
+            rank[root] = len(order)
+            order.append(root)
+            while head < len(order):
+                fresh = [w for w in adj[order[head]] if rank[w] < 0]
+                fresh.sort(key=place.__getitem__)
+                for w in fresh:
+                    rank[w] = len(order)
+                    order.append(w)
+                head += 1
+        masks = [1 << k for k in range(m)]
+        for u, v in self.edges:
+            masks[rank[u - 1]] |= 1 << rank[v - 1]
+            masks[rank[v - 1]] |= 1 << rank[u - 1]
+        return tuple(order), tuple(rank), tuple(masks)
+
 
 @dataclass(frozen=True)
 class BipartiteEventVariableGraph:

@@ -709,9 +709,11 @@ def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> Weig
         raise InputError("probability vector length mismatch")
     if node_cap > MAX_SUM_NODES:
         raise CapExceeded(f"weight sums capped at {MAX_SUM_NODES} nodes")
-    # each distinct closed neighbourhood is a state of node_cap entries, so
-    # this many states are refused before their masks, about m^2/16 bytes, exist
-    if len({g.neighbors(v) | {v} for v in g.vertices}) * node_cap > MAX_DP_STATES:
+    # each distinct closed neighbourhood is a state of node_cap entries and a
+    # mask of ceil(m/64) words, so this many states are refused before their
+    # masks, about m^2/16 bytes, exist
+    words = (g.m + 63) // 64
+    if len({g.neighbors(v) | {v} for v in g.vertices}) * (node_cap + words) > MAX_DP_STATES:
         raise CapExceeded(f"weight-sum DP capped at {MAX_DP_STATES} states")
     num, den = _integers(p.values)
     closed = g.closed_masks

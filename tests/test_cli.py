@@ -298,19 +298,31 @@ def test_trial_cap_exits_three_promptly(files):
     assert "cap exceeded: estimates capped at 1000000 trials" in err
 
 
-def test_wdag_sum_state_cap_fires_before_the_closed_masks(tmp_path):
-    # 50,000 isolated vertices are 50,000 DP states; their closed masks alone
-    # take about m^2/15 = 167 MB, more than the child's address space
+def _edgeless_wdag_sum(tmp_path, *flags):
+    """wdag-sum on 50,000 isolated vertices, whose closed masks alone take
+    about m^2/15 = 167 MB, more than the child's 128 MB address space: it
+    must exit 3 within 5 s, before any mask exists."""
     m = 50_000
     path = tmp_path / "edgeless.json"
     path.write_text(json.dumps({"m": m, "edges": []}))
     started = time.monotonic()
     code, out, err = _dispatch_with_memory_limit(
-        ["wdag-sum", "--graph", str(path), "--p", ",".join(["1"] * m)], limit=1 << 27
+        ["wdag-sum", "--graph", str(path), "--p", ",".join(["1"] * m), *flags], limit=1 << 27
     )
     assert time.monotonic() - started < 5
     assert code == 3 and out == ""
     assert "cap exceeded: weight-sum DP capped at 100000 states" in err
+
+
+def test_wdag_sum_state_cap_fires_before_the_closed_masks(tmp_path):
+    # 50,000 DP states of 6 entries each
+    _edgeless_wdag_sum(tmp_path)
+
+
+def test_wdag_sum_state_cap_charges_each_state_its_mask(tmp_path):
+    # 50,000 states of one entry fit the cap, but each state's mask takes
+    # ceil(50,000/64) = 782 words
+    _edgeless_wdag_sum(tmp_path, "--node-cap", "1")
 
 
 def test_wdag_sum_state_cap_exits_three_promptly(files, capsys):

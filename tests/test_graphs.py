@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -523,6 +524,41 @@ class TestDerivedAdjacency:
         assert_same_value(g, twin, text)
         back = pickle.loads(pickle.dumps(g))
         assert back.closed_masks == masks and back.max_degree() == degree
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=edge_lists())
+    def test_breadth_first_order_matches_a_queue_walk(self, spec):
+        m, edges = spec
+        g = DependencyGraph.from_edges(m, edges)
+        text = repr(g)
+        # reference: roots and neighbours taken by (degree, label), 1-based
+        key = lambda v: (g.degree(v), v)  # noqa: E731
+        seen: list[int] = []
+        for root in sorted(g.vertices, key=key):
+            if root in seen:
+                continue
+            queue = deque([root])
+            seen.append(root)
+            while queue:
+                for w in sorted(g.neighbors(queue.popleft()), key=key):
+                    if w not in seen:
+                        seen.append(w)
+                        queue.append(w)
+        order, rank, masks = g.breadth_first_order
+        assert order == tuple(v - 1 for v in seen)
+        assert [rank[i] for i in order] == list(range(m))
+        for k, i in enumerate(order):
+            assert masks[k] == sum(1 << rank[u - 1] for u in g.neighbors(i + 1) | {i + 1})
+        assert_same_value(g, DependencyGraph.from_edges(m, edges), text)
+
+    def test_breadth_first_order_pinned(self):
+        # the path 3-1-4-2 and the isolated vertex 5: the walk starts at 5
+        # (degree 0), then at 2, the lower label of the two degree-1 ends
+        g = DependencyGraph.from_edges(5, [(3, 1), (1, 4), (4, 2)])
+        order, rank, masks = g.breadth_first_order
+        assert order == (4, 1, 3, 0, 2)
+        assert rank == (3, 1, 4, 2, 0)
+        assert masks == (0b00001, 0b00110, 0b01110, 0b11100, 0b11000)
 
     @settings(max_examples=60, deadline=None)
     @given(spec=edge_lists())

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import lll_workbench
 from lll_workbench import shearer
 from lll_workbench.graphs import DependencyGraph, InputError
+from lll_workbench.lattices import grid_unit
 from lll_workbench.shearer import (
     DESCENT_PASSES,
     DESCENT_TOLERANCE,
@@ -670,8 +671,8 @@ def _gap_probes(search, args):
     probes = []
     searcher, membership = shearer._searcher, fraction_membership
 
-    def logged_searcher(nbr):
-        member = searcher(nbr)
+    def logged_searcher(g):
+        member = searcher(g)
 
         def logged(nums, den):
             probes.append(tuple(Fraction(n, den) for n in nums))
@@ -865,7 +866,7 @@ def test_plan_replays_the_unrolled_recursion(g, data):
     # the recursion's values, mask by mask, and its unrolled steps, which
     # reproduce the verdict at the building vector
     assert plan.values == {0: 1, **memo}
-    replay = plan.replay(support)
+    replay = plan.replay(support, range(g.m))
     assert replay == _compile(nbr, support)
     assert shearer._probe(replay, nums, den) == plan.inside(support)
     # asking for another mask extends the plan by the masks it reaches
@@ -878,7 +879,7 @@ def test_plan_replays_the_unrolled_recursion(g, data):
 @settings(max_examples=200, deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_compiled_probe_matches_recursive_member(g, data):
-    member = shearer._searcher(g.closed_masks)
+    member = shearer._searcher(g)
     for _ in range(8):
         nums, den = data.draw(scaled_numerators(g.m))
         assert member(nums, den) == _member(nums, den, g.closed_masks)
@@ -896,11 +897,11 @@ def test_one_plan_gives_the_per_set_q_values_and_witness(g, data):
 
 def _probes_of(search, args, make_member):
     """The search's outcome and every probe it made, as (nums, den, verdict),
-    with members built by make_member(nbr)."""
+    with members built by make_member(g)."""
     log = []
 
-    def searcher(nbr):
-        member = make_member(nbr)
+    def searcher(g):
+        member = make_member(g)
 
         def logged(nums, den):
             out = member(nums, den)
@@ -915,9 +916,9 @@ def _probes_of(search, args, make_member):
         return _outcome(search, *args), log
 
 
-def recursive_searcher(nbr):
+def recursive_searcher(g):
     """The searches' reference: every probe runs the memoised recursion."""
-    return lambda nums, den: _member(nums, den, nbr)
+    return lambda nums, den: _member(nums, den, g.closed_masks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -931,6 +932,75 @@ def test_searches_make_the_recursive_reference_probes(g, data):
         (descent_gap_lower, (g, p)),
     ):
         assert _probes_of(search, args, compiled) == _probes_of(search, args, recursive_searcher)
+
+
+# The plans' vertex order. Graphs of `_ORDER_MIN_VERTICES` or more vertices
+# are planned in their breadth-first order; the caller's labels, which every
+# plan used before, are the reference. Each test runs the oracle both ways,
+# on every graph it draws, by moving that threshold.
+
+
+def _in_both_orders(call):
+    """call() with every graph planned in the caller's labels, then in its
+    breadth-first order."""
+    out = []
+    for smallest in (shearer.DEFAULT_ENUMERATION_CAP + 1, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shearer, "_ORDER_MIN_VERTICES", smallest)
+            out.append(call())
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=shuffled_graphs(), data=st.data())
+def test_breadth_first_plans_answer_as_the_identity_order(g, data):
+    nums, den = data.draw(scaled_numerators(g.m))  # zero entries too
+    values = [Fraction(n, den) for n in nums]
+    p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    isets = data.draw(st.lists(st.sampled_from(list(independent_sets(g))), max_size=4))
+
+    def answers():
+        report = in_shearer_bound(g, p)
+        return (
+            shearer_membership(g, values),
+            (report.in_bound, report.q_values, report.witness),
+            [q_polynomial(g, p, iset) for iset in isets],
+        )
+
+    identity, ordered = _in_both_orders(answers)
+    assert ordered == identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=shuffled_graphs(), data=st.data())
+def test_breadth_first_searches_make_the_identity_order_probes(g, data):
+    compiled = shearer._searcher
+    p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    for search, args in (
+        (boundary_scale, (g, p, Fraction(1, 256))),
+        (l1_gap, (g, p, Fraction(1, 32))),
+        (descent_gap_lower, (g, p)),
+    ):
+        identity, ordered = _in_both_orders(lambda: _probes_of(search, args, compiled))
+        assert ordered == identity
+
+
+def _full_plan_steps(nbr):
+    return len(_compile(nbr, (1 << len(nbr)) - 1)[1])
+
+
+def test_breadth_first_order_keeps_plans_small():
+    # a 5x5 grid window, labelled row by row, then under a seeded shuffle
+    unit, _ = grid_unit((5, 5))
+    label = [0] + random.Random(3).sample(range(1, 26), 25)
+    shuffled = DependencyGraph.from_edges(25, [(label[u], label[v]) for u, v in unit.edges])
+    assert _full_plan_steps(unit.closed_masks) == 121
+    assert _full_plan_steps(shuffled.closed_masks) == 1_370
+    assert _full_plan_steps(shearer._plan_order(shuffled)[2]) <= 121  # 103
+    # a cycle's own labels already split it two vertices wide
+    for n in range(16, 25):
+        g = cycle(n)
+        assert _full_plan_steps(shearer._plan_order(g)[2]) <= _full_plan_steps(g.closed_masks)
 
 
 @pytest.fixture
@@ -947,9 +1017,9 @@ def work(monkeypatch):
             counts["plans"] += 1
             super().__init__(*args)
 
-        def replay(self, support):
+        def replay(self, support, labels):
             counts["kept"].append(support)
-            return super().replay(support)
+            return super().replay(support, labels)
 
     def counted_probe(replay, nums, den):
         counts["probes"] += 1
