@@ -609,14 +609,12 @@ def check_11_gap_sanity() -> CheckResult:
             + ("" if boundary_ok else " FAIL")
         )
 
+    # minimally outside: K3 minus a vertex is inside, so the gap is exact
     p = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
     gap = l1_gap(k3, p, Fraction(1, 256))
-    third_ok = gap.lower <= Fraction(1, 6) <= gap.upper
+    third_ok = gap.lower == gap.upper == Fraction(1, 6)
     ok = ok and third_ok
-    lines.append(
-        f"K3 interval [{float(gap.lower):.5f},{float(gap.upper):.5f}] contains 1/6: "
-        + ("yes" if third_ok else "NO")
-    )
+    lines.append(f"K3 gap [{gap.lower},{gap.upper}] is exactly 1/6: " + ("yes" if third_ok else "NO"))
     return _result("11", started, ok, " | ".join(lines))
 
 

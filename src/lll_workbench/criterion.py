@@ -9,9 +9,10 @@ and lattice gap bounds.
 The overlap functional and the cycle slack need roots of rationals (p^(1/deg),
 sqrt(p), sqrt(|L|)). Each root is enclosed once, at 2^-200, in integer
 arithmetic; everything else is exact rational arithmetic on those
-enclosures. Every verdict comparison uses directed rounding (guaranteed
-quantities rounded down, thresholds rounded down), so acceptance is
-conservative.
+enclosures, and the summed cycle slack and the lattice gap are rounded
+outward to multiples of 2^-200. Every verdict comparison uses directed
+rounding (guaranteed quantities rounded down, thresholds rounded down), so
+acceptance is conservative.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .shearer import (
     descent_gap_lower,
     in_shearer_bound,
     l1_gap,
+    minimal_gap,
     shearer_membership,
 )
 
@@ -82,6 +84,14 @@ def _root(x: Fraction, k: int) -> Bounds:
             r = s
     scale = b << ROOT_BITS
     return Bounds(Fraction(r, scale), Fraction(r if r**k == n else r + 1, scale))
+
+
+def _grid_floor(x: Fraction) -> Fraction:
+    """The largest multiple of 2^-ROOT_BITS at most x (-_grid_floor(-x) is the
+    least one at least x). Printed enclosures that are sums and products of
+    roots, each over b*2^ROOT_BITS, are rounded outward with it: they stay
+    conservative and print with about half the digits."""
+    return Fraction((x.numerator << ROOT_BITS) // x.denominator, 1 << ROOT_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +351,10 @@ def beyond_shearer_verdict(
     """Accept iff the gap of the scaled vector stays below the disjoint
     chordless cycles' summed slack over 545 (both the 544 and 545 thresholds
     are reported; the stricter one decides). Chordal graphs have zero slack,
-    so acceptance then requires the scaled vector inside the region. A
-    gap_resolution must be positive; None picks one from the thresholds.
+    so acceptance then requires the scaled vector inside the region. The gap
+    is exact when the scaled vector is minimally outside (`minimal_gap`);
+    otherwise the certified search brackets it, at gap_resolution, which must
+    be positive; None picks one from the thresholds.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -359,6 +371,7 @@ def beyond_shearer_verdict(
     for c in cycles.cycles:
         _, plus = r_cycle(g, p, c)
         slack_lo += plus.lo
+    slack_lo = _grid_floor(slack_lo)
     thr544 = slack_lo / 544
     thr545 = slack_lo / 545
     details["threshold_544"] = thr544
@@ -369,17 +382,23 @@ def beyond_shearer_verdict(
         return Verdict(True, Fraction(g.m) / eps, "scaled-vector-in-region", details)
     if thr545 == 0:
         return Verdict(False, None, "out-of-region-with-zero-slack", details)
-    # a descent witness settles rejection without the expensive certified
+    # the gap itself when the scaled vector is minimally outside; otherwise a
+    # descent witness settles rejection without the expensive certified
     # search, which is only tractable when the vector is near the boundary
-    quick = descent_gap_lower(g, scaled)
+    exact = minimal_gap(g, scaled)
+    quick = descent_gap_lower(g, scaled) if exact is None else exact
     details["gap_lower_witness"] = quick
     if quick >= thr545:
         return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
-    resolution = min(thr545 / 8, (thr545 - quick) / 2) if gap_resolution is None else gap_resolution
-    gap = l1_gap(g, scaled, resolution)
-    details["gap"] = (gap.lower, gap.upper)
-    details["gap_below_544"] = gap.upper < thr544
-    if gap.upper < thr545:
+    if exact is None:
+        resolution = min(thr545 / 8, (thr545 - quick) / 2) if gap_resolution is None else gap_resolution
+        gap = l1_gap(g, scaled, resolution)
+        lower, upper = gap.lower, gap.upper
+    else:
+        lower = upper = exact
+    details["gap"] = (lower, upper)
+    details["gap_below_544"] = upper < thr544
+    if upper < thr545:
         return Verdict(True, Fraction(g.m) / eps, "gap-below-cycle-slack", details)
     return Verdict(False, None, "gap-at-or-above-cycle-slack", details)
 
@@ -501,8 +520,8 @@ def lattice_gap_q(
     denom = 17 * (delta + 1) * Fraction(unit.m) ** 2 * (1 - p_a) ** (diameter + 1)
     numer_scale = p_a ** (diameter + 2)
     q = Bounds(
-        numer_scale * plus.lo * plus.lo / denom,
-        numer_scale * plus.hi * plus.hi / denom,
+        _grid_floor(numer_scale * plus.lo * plus.lo / denom),
+        -_grid_floor(-numer_scale * plus.hi * plus.hi / denom),
     )
     return LatticeGapReport(
         q=q,

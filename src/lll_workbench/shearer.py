@@ -12,10 +12,11 @@ Every oracle call evaluates Q through one `_Plan` per vector: the masks the
 recursion on the lowest vertex reaches, in bottom-up order, each with its
 value. One-off membership and `q_polynomial` build one plan;
 `in_shearer_bound` reads q_0, the singleton q-values (one backward pass over
-the plan) and the witness walk off the same plan. The searches probe one
-graph thousands of times with new numerators, so each builds a support's
-plan at its first probe, keeps the plan's replay steps and replays them at
-every later probe of that support. A call holds at most MAX_PLAN_STEPS
+the plan) and the witness walk off the same plan, and `minimal_gap` reads
+q_0, that backward pass and the memberships of every G - v off one plan.
+The searches probe one graph thousands of times with new numerators, so
+each builds a support's plan at its first probe, keeps the plan's replay
+steps and replays them at every later probe of that support. A call holds at most MAX_PLAN_STEPS
 steps of plans; nothing is cached across calls.
 
 A plan's size depends on the vertex order it splits in, and any order gives
@@ -27,7 +28,7 @@ the caller's labels: numerators are permuted once per plan, the q-values
 mapped back, and replay steps name the caller's vertices.
 
 The gap search's boxes at one split depth share their widths, level and
-split axis, so `l1_gap` keeps those once per depth (at most one entry per
+split axis, so `_box_gap` keeps those once per depth (at most one entry per
 split) and a box on its heap is only its lower corner and its depth.
 """
 
@@ -445,14 +446,62 @@ def boundary_scale(
     return BoundaryScale(lo, hi, clamped=a + 1 == 1 << k)
 
 
-#: l1_gap's heap keys are box norms over den*2^shift; shift grows by this
-#: many bits whenever a box gets finer than 2^-shift
-_KEY_BITS = 64
+def minimal_gap(g: DependencyGraph, p: ProbabilityVector) -> Fraction | None:
+    """d(p, G) exactly when p is minimally outside G, else None.
+
+    p is minimally outside when q_0(G; p) <= 0 and p restricted to every
+    G - v is inside. Then d(p, G) = D* = -q_0(G; p) / min_v q_0(G - N[v]; p)
+    (see `l1_gap`). One plan gives all three: Q of the whole graph, the
+    slopes of that last mask built, den^(m-1) * q_0(G - N[v]), and then the
+    m memberships of G - v, which extend it.
+    """
+    nums, den = _checked_integers(g, p.values)
+    order, _, nbr = _plan_order(g)
+    plan = _Plan(nbr, [nums[i] for i in order], den, MAX_PLAN_STEPS)
+    full = (1 << g.m) - 1
+    q = plan.q(full)
+    if q > 0:
+        return None
+    slope = min(plan.slopes())  # > 0 once every G - v is inside
+    if not all(plan.inside(full ^ (1 << v)) for v in range(g.m)):
+        return None
+    return Fraction(-q, den * slope)
 
 
 def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
     """Certified bounds on d(p, G) = sup ||q||_1 over 0 <= q <= p with p-q
     outside the region. Returns the -1 marker when p is in the bound.
+
+    When p is minimally outside (q_0(G; p) <= 0, and p restricted to every
+    G - v inside), d is exact: lower == upper == D* of `minimal_gap`. q_0 is
+    multilinear with dq_0/dp_v = -q_0(G - N[v]), so for 0 <= x <= p
+    q_0(G; p-x) = sum over independent J of x^J * q_0(G - N[J]; p)
+    (Scott-Sokal, J. Stat. Phys. 118, 2005). Each G - N[J] with J nonempty
+    lies in some G - v, so its term is >= 0 and q_0(G; p-x) >= q_0(G; p) +
+    ||x||_1 * min_v q_0(G - N[v]; p): past D* every p-x is inside, since
+    its proper induced subgraphs stay inside too. Along the minimising v,
+    q_0 is linear, so p - D* e_v has q_0 = 0 and is outside: D* is attained.
+
+    Any other p takes `_box_gap`, the branch-and-bound search, whose
+    bracket is at most one resolution wide.
+    """
+    resolution = Fraction(resolution)
+    if resolution <= 0:
+        raise InputError("resolution must be positive")
+    exact = minimal_gap(g, p)
+    if exact is not None:
+        return GapEstimate(exact, exact, resolution)
+    return _box_gap(g, p, resolution)
+
+
+#: _box_gap's heap keys are box norms over den*2^shift; shift grows by this
+#: many bits whenever a box gets finer than 2^-shift
+_KEY_BITS = 64
+
+
+def _box_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
+    """`l1_gap` by branch-and-bound, for every p: certified bounds at most
+    one resolution apart, or the -1 marker when p is in the bound.
 
     Equivalent form used here: minimize ||r||_1 over out-of-bound r <= p
     (the out-region is up-closed since the region is down-closed), then
@@ -466,11 +515,9 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
     `geometry` holds (k, w, axis) per depth, filled at the first split of a
     box of the depth above: at most one entry per split, so at most
     MAX_GAP_BOXES + 1. Heap keys and the incumbent are norms over
-    den*2^shift, one scale for all levels <= shift.
+    den*2^shift, one scale for all levels <= shift. The resolution is a
+    positive Fraction, as `l1_gap` checks.
     """
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise InputError("resolution must be positive")
     nums, den = _checked_integers(g, p.values)
     member = _searcher(g)
     if member(nums, den):

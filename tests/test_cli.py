@@ -19,7 +19,7 @@ import lll_workbench
 from lll_workbench import shearer
 from lll_workbench.cli import build_parser, dispatch
 from lll_workbench.graphs import InputError
-from lll_workbench.jsonio import load_probability_vector
+from lll_workbench.jsonio import load_graph, load_probability_vector
 from lll_workbench.mt_engine import RunStats
 from lll_workbench.shearer import GapEstimate, ShearerReport
 from lll_workbench.wdag import WDag
@@ -574,6 +574,24 @@ def test_beyond_reports_both_thresholds(files, capsys):
     assert "threshold_545" in out["details"]
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_beyond_just_past_the_boundary_answers(files, capsys, n):
+    # uniform p at the boundary bracket's upper end is minimally outside C_n,
+    # so the gap is exact and no box search runs (which needed 500,000 boxes)
+    cycle = files["dir"] / f"c{n}.json"
+    cycle.write_text(json.dumps({"m": n, "edges": [[k, k % n + 1] for k in range(1, n + 1)]}))
+    g = load_graph(json.loads(cycle.read_text()))
+    hi = shearer.boundary_scale(g, shearer.ProbabilityVector.uniform(n, 1), Fraction(1, 2**30)).hi
+    started = time.monotonic()
+    code = dispatch(["beyond", "--graph", str(cycle), "--p", ",".join([str(hi)] * n), "--eps", "1/1000000000"])
+    elapsed = time.monotonic() - started
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["evidence"] == "gap-below-cycle-slack"
+    lower, upper = out["details"]["gap"]
+    assert lower == upper == out["details"]["gap_lower_witness"]
+    assert elapsed < 1.0
+
+
 def test_lattice_gap_square(files, capsys):
     code = dispatch(["lattice-gap", "--lattice", "square", "--pa", "0.1193"])
     out = json.loads(capsys.readouterr().out)
@@ -604,14 +622,16 @@ def test_output_bytes_are_stable(files, tmp_path):
 # a skewed boundary bracket, the gap's -1 marker, mixed uniform/finite runs
 # with a string seed and with truncation, and by-size keys of 10 and more,
 # whose string order differs from their numeric order. The beyond and
-# lattice-gap digests are those of the enclosures from the integer roots.
+# lattice-gap digests are those of the enclosures from the integer roots,
+# with the summed slack and the lattice gap rounded outward to multiples of
+# 2^-200, and the gap of a minimally-outside vector is exact.
 _GOLDEN = [
     ("readme-shearer-check", "shearer-check --graph {k3} --p 1/3,1/3,1/3",
      1, "1b4306ed64ae4f10e9d56f0d9786df590ca8f88740f1ddd9c5e0563589e7a2ee"),
     ("readme-boundary", "boundary --graph {c4} --p 1,1,1,1 --resolution 1/4096",
      0, "3bff0221286bfd7e483b178c163f261bf02ea94a419b68f4fbf02c48d49f6bb4"),
     ("readme-gap", "gap --graph {k3} --p 1/2,1/3,1/3 --resolution 1/256",
-     0, "a49fd3ce9e9e548cb51c660df4988313a5757dbd816112141efa296e2201c9ec"),
+     0, "a0a7d4b969680e4df59f2f61c6ee0a4fb3f90c4edd9552ad13865338b3b32f75"),
     ("readme-mt-run", "mt-run --system {system} --seed 7",
      0, "9a3f2017b6d5f281595a91a341a6c2fbe723eedef8ea07c36e70dafe55b3ae59"),
     ("readme-mt-estimate-csv", "mt-estimate --system {system} --trials 100000 --seed 7 --format csv",
@@ -621,9 +641,9 @@ _GOLDEN = [
     ("readme-criterion", "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2,3-4 --delta 1/8,1/8 --eps 1/8",
      0, "91da8f11cd007b363ed50d858a0368844bfc8aa77b7c8e923e646d5181db7721"),
     ("readme-beyond", "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000",
-     0, "291d6c6dcfb0681298cb4ab8faa76670be21329eb66ed112e134190a0f4dd2ba"),
+     0, "441a3f339b9601e75ed1815ae5e7845cdddb55fb6ea06d0b8106a14e459ba18f"),
     ("readme-lattice-gap", "lattice-gap --lattice square --pa 0.1193",
-     0, "1b3f087cfc0b296e0dff31610eca37db43f2ed273b0ddd25ccaee0d6b345f601"),
+     0, "b5540de084745b00f0c636df6b78bd2801140021f36f1511046d1ffe9604d3e5"),
     ("shearer-check-accepted", "shearer-check --graph {c4} --p 1/4,1/4,1/5,1/6",
      0, "6f44830ed088035fabfb3ef7d19e7f7bf493a450352b38617a92809b3eed733c"),
     ("shearer-check-rejected-c4", "shearer-check --graph {c4} --p 1/2,1/2,1/3,1/2",
@@ -635,7 +655,7 @@ _GOLDEN = [
     ("gap-in-bound", "gap --graph {c4} --p 1/5,1/5,1/5,1/5 --resolution 1/64",
      0, "df21f2461c710a0e12164cbfa4a9406bc517b1398eeb5d5d85653a5c636bdb21"),
     ("gap-c4", "gap --graph {c4} --p 3/10,3/10,3/10,3/10 --resolution 1/64",
-     0, "3b77c69846773e0e547030538b1fa62f65c45e68291906413945619a2d736fff"),
+     0, "48148762d7429e46bb65a86aa691cce0b81ecd91f6fdc89e0bfe2733934793ed"),
     ("mt-run-mixed-string-seed", "mt-run --system {mixed} --seed mixed/run --rule uniform-violated",
      0, "abcb3c01dccb849ea1bf0408423bf793d44db9719d793cbec645dbf6e09432c5"),
     ("mt-run-truncated", "mt-run --system {overlap} --seed 0 --step-cap 1",
@@ -653,9 +673,9 @@ _GOLDEN = [
     ("beyond-inside", "beyond --graph {c4} --p 1/4,1/4,1/4,1/4 --eps 1/8",
      0, "9fbbfa82e872b04cf7cf8d69fdcd3a9e04a9428fb7aac4be8a42307d1b21552a"),
     ("beyond-gap-resolution", "beyond --graph {c4} --p 3/10,3/10,3/10,3/10 --eps 1/1000 --resolution 1/64",
-     1, "e146fe0498785e6995a30d1f644131728bdfd4d0e44b342e1409b33a1ee1683f"),
+     1, "fc84b8cbcc9c783ef66420f43edd2c9d527e4d28424b97c19d23ce7cd8ea0c3b"),
     ("lattice-gap-hexagonal", "lattice-gap --lattice hexagonal --pa 0.1547",
-     0, "6e8b58d153b2a2e0d513902d897814df09f37f525b5c07a5a5b0103cecbf64ec"),
+     0, "6d342a226a3934adbebf5c29932b45d2c335edf669739c6cf05783298f35e8dc"),
 ]
 
 
@@ -824,7 +844,9 @@ def test_fuzzed_json_p_exits_with_a_code(tmp_path_factory, data):
     p = json.dumps(data.draw(_corrupted(_valid_pvecs())))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = dispatch(["shearer-check", "--graph", str(c4), "--p", p])
+        # attached with "=", so that a document such as -1.2e-26 reaches the
+        # loader instead of being read by argparse as an option
+        code = dispatch(["shearer-check", "--graph", str(c4), f"--p={p}"])
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("input error") and out.getvalue() == ""

@@ -391,6 +391,22 @@ class TestCertifiedRoots:
         r = _root(y**k, k)
         assert r.lo == r.hi == y
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.fractions(-(10**9), 10**9, max_denominator=10**40))
+    def test_grid_floor_rounds_down_to_the_root_bits(self, x):
+        down = criterion._grid_floor(x)
+        assert down <= x < down + Fraction(1, 2**ROOT_BITS)
+        assert (down * 2**ROOT_BITS).denominator == 1
+
+    def test_printed_slack_and_lattice_gap_lie_on_the_grid(self):
+        grid = 2**ROOT_BITS
+        p = ProbabilityVector((Fraction(27, 100),) * 3 + (Fraction(36, 100),))
+        details = beyond_shearer_verdict(C4, p, Fraction(1, 10**9)).details
+        assert (details["threshold_545"] * 545 * grid).denominator == 1
+        spec = builtin_lattice("square")
+        q = lattice_gap_q(spec.expanded()[0], spec.unit, Fraction(1193, 10000)).q
+        assert (q.lo * grid).denominator == (q.hi * grid).denominator == 1
+
     @settings(max_examples=100, deadline=None)
     @given(case=edge_variable_graphs())
     def test_digamma_encloses_the_reference(self, case):
@@ -471,10 +487,24 @@ class TestBeyondVerdict:
         assert verdict.details["gap_below_544"]
         assert not shearer_membership(C4, p.values)
 
-    def test_coarse_gap_resolution_rejects_the_construction(self):
-        # at resolution 1/64 the certified bracket is wider than the slack
+    def test_exact_gap_needs_no_resolution(self):
+        # the construction is minimally outside C4 (each C4 - v is a path,
+        # inside), so its gap is exact and a coarse resolution changes nothing
         p, eps = self.construction_beyond_region()
         verdict = beyond_shearer_verdict(C4, p, eps, gap_resolution=Fraction(1, 64))
+        assert verdict == beyond_shearer_verdict(C4, p, eps)
+        assert verdict.accepted and verdict.evidence == "gap-below-cycle-slack"
+        gap_lo, gap_hi = verdict.details["gap"]
+        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] < verdict.details["threshold_545"]
+
+    def test_coarse_gap_resolution_rejects_the_construction(self):
+        # an isolated fifth vertex of probability 10^-12 keeps the vector
+        # outside without it (G - 5 = C4), so the gap takes the search; at
+        # resolution 1/64 the certified bracket is wider than the slack
+        p, eps = self.construction_beyond_region()
+        g = DependencyGraph.from_edges(5, C4.edges)
+        p = ProbabilityVector(p.values + (Fraction(1, 10**12),))
+        verdict = beyond_shearer_verdict(g, p, eps, gap_resolution=Fraction(1, 64))
         assert not verdict.accepted and verdict.bound_on_expected_steps is None
         assert verdict.evidence == "gap-at-or-above-cycle-slack"
         assert sorted(verdict.details) == [

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import lll_workbench
 from lll_workbench import shearer
@@ -26,6 +26,7 @@ from lll_workbench.shearer import (
     in_shearer_bound,
     independent_sets,
     l1_gap,
+    minimal_gap,
     q_empty,
     q_polynomial,
     resample_bound,
@@ -661,12 +662,45 @@ def test_integer_searches_match_fraction_references(g, data, resolution):
         for key_bits in (shearer._KEY_BITS, 1):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(shearer, "_KEY_BITS", key_bits)
-                assert _gap_probes(l1_gap, (g, p, resolution)) == want
+                assert _gap_probes(shearer._box_gap, (g, p, resolution)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_graphs(max_m=5), data=st.data())
+def test_minimal_gap_matches_the_box_search(g, data):
+    """D* of a vector just past the boundary against brute force over the
+    G - v, the box search's bracket, the descent witness, and the removal
+    along v* on both sides of D*."""
+    d = ProbabilityVector(tuple(Fraction(data.draw(st.integers(1, 8)), 8) for _ in range(g.m)))
+    p = ProbabilityVector(tuple(boundary_scale(g, d, Fraction(1, 2**20)).hi * x for x in d.values))
+    exact = minimal_gap(g, p)
+    minimal = fraction_q(g, p, ()) <= 0 and all(
+        fraction_membership(g, [0 if k == v else x for k, x in enumerate(p.values)]) for v in range(g.m)
+    )
+    assert (exact is not None) == minimal
+    if not minimal:
+        event("not minimally outside")
+        return
+    assert exact >= descent_gap_lower(g, p)
+    # v* minimises q_0(G - N[v]) = q_{v} / p_v
+    v = min(g.vertices, key=lambda v: fraction_q(g, p, (v,)) / p[v])
+    assert exact < p[v]
+    at = list(p.values)
+    at[v - 1] -= exact
+    assert not fraction_membership(g, at)
+    at[v - 1] -= (p[v] - exact) / 2**20
+    assert fraction_membership(g, at)
+    try:
+        bracket = fraction_l1_gap(g, p, Fraction(1, 64), 1000)
+    except CapExceeded:
+        event("box search capped")
+        return
+    assert bracket.lower <= exact <= bracket.upper
 
 
 def _gap_probes(search, args):
     """The gap search's outcome under a 1,000-box cap and the points it
-    probed, in order, as Fractions: l1_gap's through `_searcher`, the
+    probed, in order, as Fractions: `_box_gap`'s through `_searcher`, the
     reference's through `fraction_membership`."""
     probes = []
     searcher, membership = shearer._searcher, fraction_membership
@@ -702,30 +736,40 @@ K3_EXAMPLE = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
 
 
 class TestPinnedGaps:
+    # the box search's brackets, which l1_gap gives for vectors that are not
+    # minimally outside; K3_EXAMPLE and C4 at 3/10 are minimally outside
     def test_k3_brackets(self):
-        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 256)) == GapEstimate(
+        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 256)) == GapEstimate(
             Fraction(1, 6), Fraction(131, 768), Fraction(1, 256)
         )
-        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
+        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
             Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
         )
 
     def test_c4_bracket(self):
         p = ProbabilityVector.uniform(4, Fraction(3, 10))
-        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(
+        assert shearer._box_gap(C4, p, Fraction(1, 64)) == GapEstimate(
             Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
         )
 
     def test_key_rescaling_keeps_the_bracket(self, monkeypatch):
         # with one bit of key scale, nearly every finer box rescales the heap
         monkeypatch.setattr(shearer, "_KEY_BITS", 1)
-        assert l1_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
+        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
             Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
         )
         p = ProbabilityVector.uniform(4, Fraction(3, 10))
-        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(
+        assert shearer._box_gap(C4, p, Fraction(1, 64)) == GapEstimate(
             Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
         )
+
+    def test_minimally_outside_gaps_are_exact(self):
+        # on K3 the region is p_1 + p_2 + p_3 < 1, so d = 7/6 - 1; on C4 at
+        # 3/10, D* = -q_0(C4) / q_0(K1) = (1/50) / (7/10)
+        for resolution in (Fraction(1, 256), Fraction(1, 64)):
+            assert l1_gap(K3, K3_EXAMPLE, resolution) == GapEstimate(Fraction(1, 6), Fraction(1, 6), resolution)
+        p = ProbabilityVector.uniform(4, Fraction(3, 10))
+        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(Fraction(1, 35), Fraction(1, 35), Fraction(1, 64))
 
     def test_coarse_resolution_needs_no_probe(self):
         d = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -928,7 +972,7 @@ def test_searches_make_the_recursive_reference_probes(g, data):
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
     for search, args in (
         (boundary_scale, (g, p, Fraction(1, 256))),
-        (l1_gap, (g, p, Fraction(1, 32))),
+        (shearer._box_gap, (g, p, Fraction(1, 32))),
         (descent_gap_lower, (g, p)),
     ):
         assert _probes_of(search, args, compiled) == _probes_of(search, args, recursive_searcher)
@@ -965,6 +1009,7 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
             shearer_membership(g, values),
             (report.in_bound, report.q_values, report.witness),
             [q_polynomial(g, p, iset) for iset in isets],
+            minimal_gap(g, p),
         )
 
     identity, ordered = _in_both_orders(answers)
@@ -978,7 +1023,7 @@ def test_breadth_first_searches_make_the_identity_order_probes(g, data):
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
     for search, args in (
         (boundary_scale, (g, p, Fraction(1, 256))),
-        (l1_gap, (g, p, Fraction(1, 32))),
+        (shearer._box_gap, (g, p, Fraction(1, 32))),
         (descent_gap_lower, (g, p)),
     ):
         identity, ordered = _in_both_orders(lambda: _probes_of(search, args, compiled))
@@ -1037,8 +1082,8 @@ C4_EXAMPLE = ProbabilityVector.uniform(4, Fraction(3, 10))
     "search,args",
     [
         (boundary_scale, (C4, ProbabilityVector.uniform(4, 1), Fraction(1, 4096))),
-        (l1_gap, (K3, K3_EXAMPLE, Fraction(1, 256))),
-        (l1_gap, (C4, C4_EXAMPLE, Fraction(1, 64))),
+        (shearer._box_gap, (K3, K3_EXAMPLE, Fraction(1, 256))),
+        (shearer._box_gap, (C4, C4_EXAMPLE, Fraction(1, 64))),
         (descent_gap_lower, (C4, C4_EXAMPLE)),
         (descent_gap_lower, (K3, K3_EXAMPLE)),
     ],
@@ -1057,7 +1102,7 @@ def test_each_search_compiles_each_support_once(work, search, args):
     [(K3, K3_EXAMPLE, Fraction(1, 256), 39_823), (C4, C4_EXAMPLE, Fraction(1, 64), 13_848)],
 )
 def test_gap_probe_counts(work, g, p, resolution, probes):
-    l1_gap(g, p, resolution)
+    shearer._box_gap(g, p, resolution)
     # a support's first probe builds its plan, every later one replays it
     assert work["plans"] + work["probes"] == 1 + probes  # the entry check, then the boxes
 
@@ -1071,14 +1116,14 @@ def test_one_off_calls_build_one_plan_and_replay_nothing(work):
 
 
 def test_plan_cap_counts_the_steps_a_search_holds(work, monkeypatch):
-    expected = l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+    expected = shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64))
     held = sum(len(_compile(C4.closed_masks, support)[1]) for support in work["kept"])
     assert held < shearer.MAX_PLAN_STEPS
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
-    assert l1_gap(C4, C4_EXAMPLE, Fraction(1, 64)) == expected
+    assert shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64)) == expected
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
     with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
-        l1_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+        shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64))
 
 
 def test_long_path_needs_no_deep_recursion():
@@ -1139,3 +1184,13 @@ def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
     assert not shearer_membership(g, p.values)
     with pytest.raises(CapExceeded, match="oracle plans capped at 7 steps"):
         in_shearer_bound(g, p)
+
+
+def test_minimal_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
+    # C4's full support takes 5 steps, and the memberships of the four paths
+    # C4 - v extend that plan by 5 more
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 10)
+    assert minimal_gap(C4, C4_EXAMPLE) == Fraction(1, 35)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 9)
+    with pytest.raises(CapExceeded, match="oracle plans capped at 9 steps"):
+        minimal_gap(C4, C4_EXAMPLE)
