@@ -193,13 +193,7 @@ def cmd_criterion(args) -> int:
 
 def cmd_beyond(args) -> int:
     g = _graph(args)
-    verdict = beyond_shearer_verdict(
-        g,
-        _pvec(args),
-        parse_fraction(args.eps),
-        gap_resolution=None if args.resolution is None else parse_fraction(args.resolution),
-    )
-    return _emit_verdict(args, verdict)
+    return _emit_verdict(args, beyond_shearer_verdict(g, _pvec(args), parse_fraction(args.eps)))
 
 
 def cmd_lattice_gap(args) -> int:
@@ -268,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", default="1/1024")
     p.set_defaults(fn=cmd_boundary)
 
-    p = sub.add_parser("gap", help="certified bounds on the L1 gap")
+    p = sub.add_parser("gap", help="the exact L1 gap")
     common(p, graph=True, pvec=True)
-    p.add_argument("--resolution", default="1/256")
+    p.add_argument("--resolution", default="1/256", help="checked and echoed only")
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("mt-run", help="one seeded resampling run")
@@ -306,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beyond", help="beyond-region verdict from cycle slack")
     common(p, graph=True, pvec=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--resolution", default=None, help="gap search resolution")
     p.set_defaults(fn=cmd_beyond)
 
     p = sub.add_parser("lattice-gap", help="gap bound for a built-in lattice")

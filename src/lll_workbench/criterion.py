@@ -38,9 +38,8 @@ from .graphs import (
 )
 from .shearer import (
     ProbabilityVector,
-    descent_gap_lower,
+    connected_gap,
     in_shearer_bound,
-    l1_gap,
     minimal_gap,
     shearer_membership,
 )
@@ -342,25 +341,18 @@ def r_cycle(
     return plain, plus
 
 
-def beyond_shearer_verdict(
-    g: DependencyGraph,
-    p: ProbabilityVector,
-    eps: Fraction,
-    gap_resolution: Fraction | None = None,
-) -> Verdict:
+def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fraction) -> Verdict:
     """Accept iff the gap of the scaled vector stays below the disjoint
     chordless cycles' summed slack over 545 (both the 544 and 545 thresholds
     are reported; the stricter one decides). Chordal graphs have zero slack,
     so acceptance then requires the scaled vector inside the region. The gap
-    is exact when the scaled vector is minimally outside (`minimal_gap`);
-    otherwise the certified search brackets it, at gap_resolution, which must
-    be positive; None picks one from the thresholds.
+    is exact: `minimal_gap` when the scaled vector is minimally outside,
+    else `connected_gap`, which stops at the first witness of a gap at or
+    above the 545 threshold.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
-    if gap_resolution is not None and gap_resolution <= 0:
-        raise InputError("resolution must be positive")
     cycles = find_disjoint_chordless_cycles(g)
     scaled_vals = [(1 + eps) * x for x in p.values]
     details: dict = {"eps": eps, "cycles": cycles.cycles, "rounding": "slack terms rounded down"}
@@ -382,25 +374,15 @@ def beyond_shearer_verdict(
         return Verdict(True, Fraction(g.m) / eps, "scaled-vector-in-region", details)
     if thr545 == 0:
         return Verdict(False, None, "out-of-region-with-zero-slack", details)
-    # the gap itself when the scaled vector is minimally outside; otherwise a
-    # descent witness settles rejection without the expensive certified
-    # search, which is only tractable when the vector is near the boundary
-    exact = minimal_gap(g, scaled)
-    quick = descent_gap_lower(g, scaled) if exact is None else exact
-    details["gap_lower_witness"] = quick
-    if quick >= thr545:
+    gap = minimal_gap(g, scaled)
+    if gap is None:
+        gap = connected_gap(g, scaled, stop=thr545)
+    details["gap_lower_witness"] = gap
+    if gap >= thr545:
         return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
-    if exact is None:
-        resolution = min(thr545 / 8, (thr545 - quick) / 2) if gap_resolution is None else gap_resolution
-        gap = l1_gap(g, scaled, resolution)
-        lower, upper = gap.lower, gap.upper
-    else:
-        lower = upper = exact
-    details["gap"] = (lower, upper)
-    details["gap_below_544"] = upper < thr544
-    if upper < thr545:
-        return Verdict(True, Fraction(g.m) / eps, "gap-below-cycle-slack", details)
-    return Verdict(False, None, "gap-at-or-above-cycle-slack", details)
+    details["gap"] = (gap, gap)
+    details["gap_below_544"] = gap < thr544
+    return Verdict(True, Fraction(g.m) / eps, "gap-below-cycle-slack", details)
 
 
 # ---------------------------------------------------------------------------

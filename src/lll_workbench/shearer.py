@@ -3,21 +3,22 @@
 Everything here is exact: the alternating sums over independent sets cancel
 catastrophically in floating point. The oracle runs on integer numerators
 over one common denominator D: for a vertex set S, Q(S) = D^|S| * q_0(G[S])
-is an integer with the sign of q_0. The boundary, gap and descent searches
-keep their probes as integer numerators over D*2^k, so Fractions appear only
-at the API boundary: the inputs, and the q-values, brackets and bounds
-returned. Pure functions over immutable inputs.
+is an integer with the sign of q_0. The boundary search keeps its probes as
+integer numerators over D*2^k, so Fractions appear only at the API
+boundary: the inputs, and the q-values, brackets and gaps returned. Pure
+functions over immutable inputs.
 
 Every oracle call evaluates Q through one `_Plan` per vector: the masks the
 recursion on the lowest vertex reaches, in bottom-up order, each with its
 value. One-off membership and `q_polynomial` build one plan;
 `in_shearer_bound` reads q_0, the singleton q-values (one backward pass over
-the plan) and the witness walk off the same plan, and `minimal_gap` reads
-q_0, that backward pass and the memberships of every G - v off one plan.
-The searches probe one graph thousands of times with new numerators, so
-each builds a support's plan at its first probe, keeps the plan's replay
-steps and replays them at every later probe of that support. A call holds at most MAX_PLAN_STEPS
-steps of plans; nothing is cached across calls.
+the plan) and the witness walk off the same plan, `minimal_gap` reads
+q_0, that backward pass and the memberships of every G - v off one plan,
+and `connected_gap` reads the q_0 of every vertex set it walks off one
+plan. `boundary_scale` probes one graph many times with new numerators, so
+it builds a support's plan at its first probe, keeps the plan's replay
+steps and replays them at every later probe of that support. A call holds
+at most MAX_PLAN_STEPS steps of plans; nothing is cached across calls.
 
 A plan's size depends on the vertex order it splits in, and any order gives
 the same verdict and values (any maximal chain of induced subgraphs decides
@@ -26,15 +27,10 @@ in their breadth-first (Cuthill-McKee) order: on a 5x5 grid with shuffled
 labels that is 103 steps instead of 800 to 1,400. Inputs and results stay in
 the caller's labels: numerators are permuted once per plan, the q-values
 mapped back, and replay steps name the caller's vertices.
-
-The gap search's boxes at one split depth share their widths, level and
-split axis, so `_box_gap` keeps those once per depth (at most one entry per
-split) and a box on its heap is only its lower corner and its depth.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -50,14 +46,6 @@ class CapExceeded(RuntimeError):
 
 #: graphs larger than this are refused by full independent-set enumeration
 DEFAULT_ENUMERATION_CAP = 30
-
-#: l1_gap refuses to split more boxes than this
-MAX_GAP_BOXES = 500_000
-
-#: descent_gap_lower bisects each coordinate to this width, in at most
-#: DESCENT_PASSES passes over the coordinates
-DESCENT_TOLERANCE = Fraction(1, 1 << 40)
-DESCENT_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -94,9 +82,8 @@ class ShearerReport:
 
 @dataclass(frozen=True)
 class GapEstimate:
-    """Certified bounds on the maximum L1-gap d(p, G).
-
-    lower == upper == -1 encodes the in-bound marker value.
+    """The L1 gap d(p, G), exact: lower == upper == d, or == -1, the marker
+    for a vector in the bound. `resolution` is the caller's, echoed.
     """
 
     lower: Fraction
@@ -304,27 +291,6 @@ def _searcher(g: DependencyGraph) -> Callable[[Sequence[int], int], bool]:
     return member
 
 
-def _bisect(
-    x0: Sequence[int],
-    x1: Sequence[int],
-    den: int,
-    member: Callable[[Sequence[int], int], bool],
-    done: Callable[[int], bool],
-) -> tuple[int, int]:
-    """Bisection on the segment from x0, in the region, to x1, outside it,
-    both numerators over den. After t halvings the bracket runs from
-    x0 + a*(x1-x0)/2^t, in the region, to x0 + (a+1)*(x1-x0)/2^t, outside
-    it; halves until done(t) and returns (a, t)."""
-    step = [y - x for x, y in zip(x0, x1)]
-    a = t = 0
-    while not done(t):
-        t += 1
-        a <<= 1
-        if member([(x << t) + (a + 1) * d for x, d in zip(x0, step)], den << t):
-            a += 1
-    return a, t
-
-
 def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Numerators over the least common denominator."""
     den = lcm(*(v.denominator for v in values))
@@ -439,19 +405,25 @@ def boundary_scale(
     # t_max * direction is nums over top. When t_max <= resolution no probe
     # is made: the bracket is [0, t_max].
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
+    # after t halvings the bracket runs from a/2^t * t_max, in the region,
+    # to (a+1)/2^t * t_max, outside it
     member = _searcher(g)
-    a, k = _bisect([0] * len(nums), nums, top, member, lambda t: width <= res << t)
-    lo = t_max * Fraction(a, 1 << k)
-    hi = t_max * Fraction(a + 1, 1 << k)
-    return BoundaryScale(lo, hi, clamped=a + 1 == 1 << k)
+    a = t = 0
+    while width > res << t:
+        t += 1
+        a <<= 1
+        if member([(a + 1) * n for n in nums], top << t):
+            a += 1
+    return BoundaryScale(t_max * Fraction(a, 1 << t), t_max * Fraction(a + 1, 1 << t), clamped=a + 1 == 1 << t)
 
 
 def minimal_gap(g: DependencyGraph, p: ProbabilityVector) -> Fraction | None:
     """d(p, G) exactly when p is minimally outside G, else None.
 
     p is minimally outside when q_0(G; p) <= 0 and p restricted to every
-    G - v is inside. Then d(p, G) = D* = -q_0(G; p) / min_v q_0(G - N[v]; p)
-    (see `l1_gap`). One plan gives all three: Q of the whole graph, the
+    G - v is inside. Then d(p, G) = D* = -q_0(G; p) / min_v q_0(G - N[v]; p),
+    the set K = G of `connected_gap`, which then needs no walk (README,
+    "Exact gaps"). One plan gives all three: Q of the whole graph, the
     slopes of that last mask built, den^(m-1) * q_0(G - N[v]), and then the
     m memberships of G - v, which extend it.
     """
@@ -469,161 +441,89 @@ def minimal_gap(g: DependencyGraph, p: ProbabilityVector) -> Fraction | None:
 
 
 def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
-    """Certified bounds on d(p, G) = sup ||q||_1 over 0 <= q <= p with p-q
-    outside the region. Returns the -1 marker when p is in the bound.
+    """d(p, G) = sup ||x||_1 over 0 <= x <= p with p - x outside the region,
+    exactly: lower == upper == d, or the -1 marker when p is in the bound.
+    The resolution must be positive and is only echoed.
 
-    When p is minimally outside (q_0(G; p) <= 0, and p restricted to every
-    G - v inside), d is exact: lower == upper == D* of `minimal_gap`. q_0 is
-    multilinear with dq_0/dp_v = -q_0(G - N[v]), so for 0 <= x <= p
-    q_0(G; p-x) = sum over independent J of x^J * q_0(G - N[J]; p)
-    (Scott-Sokal, J. Stat. Phys. 118, 2005). Each G - N[J] with J nonempty
-    lies in some G - v, so its term is >= 0 and q_0(G; p-x) >= q_0(G; p) +
-    ||x||_1 * min_v q_0(G - N[v]; p): past D* every p-x is inside, since
-    its proper induced subgraphs stay inside too. Along the minimising v,
-    q_0 is linear, so p - D* e_v has q_0 = 0 and is outside: D* is attained.
-
-    Any other p takes `_box_gap`, the branch-and-bound search, whose
-    bracket is at most one resolution wide.
+    A minimally-outside p (q_0(G; p) <= 0, and p restricted to every G - v
+    inside) takes `minimal_gap`, D* off one plan; every other out-of-region
+    p takes `connected_gap`.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
     exact = minimal_gap(g, p)
-    if exact is not None:
-        return GapEstimate(exact, exact, resolution)
-    return _box_gap(g, p, resolution)
+    if exact is None:
+        if shearer_membership(g, p.values):
+            return GapEstimate(Fraction(-1), Fraction(-1), resolution)
+        exact = connected_gap(g, p)
+    return GapEstimate(exact, exact, resolution)
 
 
-#: _box_gap's heap keys are box norms over den*2^shift; shift grows by this
-#: many bits whenever a box gets finer than 2^-shift
-_KEY_BITS = 64
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of mask, lowest first."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
-def _box_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
-    """`l1_gap` by branch-and-bound, for every p: certified bounds at most
-    one resolution apart, or the -1 marker when p is in the bound.
+def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) -> Fraction:
+    """d(p, G) of an out-of-region p; with `stop`, it returns as soon as it
+    has certified a value >= stop, which is then a lower bound on d.
 
-    Equivalent form used here: minimize ||r||_1 over out-of-bound r <= p
-    (the out-region is up-closed since the region is down-closed), then
-    d = ||p||_1 - min. Branch-and-bound over boxes [a, a+w] in [0, p]:
-    a box with in-bound upper corner contains no out point; a box with
-    out-of-bound lower corner achieves exactly ||a||_1.
-
-    A split halves the widest side (the first on ties), so every box at
-    split depth d has the same widths w, split axis and level k (its
-    numerators are over den*2^k); a box is its lower corner and its depth.
-    `geometry` holds (k, w, axis) per depth, filled at the first split of a
-    box of the depth above: at most one entry per split, so at most
-    MAX_GAP_BOXES + 1. Heap keys and the incumbent are norms over
-    den*2^shift, one scale for all levels <= shift. The resolution is a
-    positive Fraction, as `l1_gap` checks.
+    d = ||p||_1 minus the least ||p_K||_1 - D_w(K) over the connected vertex
+    sets K and the w in K with p restricted to K - w inside and
+    q_0(K; p) <= 0, where D_w(K) = -q_0(K; p) / q_0(K - N[w]; p); each such
+    (K, w) gives the outside point p_K - D_w(K) e_w (README, "Exact gaps").
+    The sets are walked from their lowest vertex, in the labels of one plan.
+    Each carries its admissible w, those with K - w inside: S is inside iff
+    S - u is and Q(S) > 0, so the admissible w of K + u need only Q of
+    K + u and of each K + u - w. A set with none has no admissible superset,
+    and since D_w < p_w, one with ||p_K||_1 - max p >= the best norm so far
+    has no better one. No outside point has norm below 1 (the union bound),
+    so best = 1 ends the walk. Each set visited is a mask of the plan, so
+    MAX_PLAN_STEPS caps the walk.
     """
     nums, den = _checked_integers(g, p.values)
-    member = _searcher(g)
-    if member(nums, den):
-        return GapEstimate(Fraction(-1), Fraction(-1), resolution)
+    order, _, nbr = _plan_order(g)
+    ranked = [nums[i] for i in order]
+    plan = _Plan(nbr, ranked, den, MAX_PLAN_STEPS)
+    norm, top = Fraction(sum(nums), den), max(nums)
+    best = norm  # p itself is outside
+    floor = 1 if stop is None else max(1, norm - stop)
 
-    shift = _KEY_BITS
-    # every box on the heap straddles the boundary: lower corner in bound,
-    # upper corner out of bound; its min-norm lower bound is ||a||_1
-    upper = sum(nums) << shift  # ||p||_1 itself is achievable (p is out of bound)
-    geometry = [(0, tuple(nums), nums.index(max(nums)))]
-    # (||a||_1, order, depth, a), the zero vector in bound at order 0; split
-    # s pushes its halves at orders 2s and 2s+1, so ties pop in push order
-    heap: list[tuple[int, int, int, tuple[int, ...]]] = [(0, 0, 0, (0,) * len(nums))]
-    boxes_seen = 0
-    while heap:
-        lb, _, depth, a = heapq.heappop(heap)
-        if (upper - lb) * resolution.denominator <= resolution.numerator * den << shift:
-            break  # lb is the least norm still open
-        boxes_seen += 1
-        if boxes_seen > MAX_GAP_BOXES:
-            raise CapExceeded(f"l1_gap exceeded {MAX_GAP_BOXES} boxes")
-        k, w, axis = geometry[depth]
-        depth += 1
-        if depth == len(geometry):  # the first split at this depth
-            level = k + (w[axis] & 1)  # an odd split point needs one more bit
-            half = [x << (level - k) for x in w]
-            half[axis] >>= 1
-            if level > shift:  # rescale every key; their order stays
-                shift += _KEY_BITS
-                upper <<= _KEY_BITS
-                lb <<= _KEY_BITS
-                heap[:] = [(key << _KEY_BITS, *rest) for key, *rest in heap]
-            geometry.append((level, tuple(half), half.index(max(half))))
-        level, w, _ = geometry[depth]
-        if level > k:
-            a = tuple(x << 1 for x in a)
-        if not member([x + y for x, y in zip(a, w)], den << level):
-            # the lower half still straddles; its key is lb
-            heapq.heappush(heap, (lb, 2 * boxes_seen, depth, a))
-        lb += w[axis] << (shift - level)
-        if lb < upper:
-            a = a[:axis] + (a[axis] + w[axis],) + a[axis + 1 :]
-            if member(a, den << level):
-                heapq.heappush(heap, (lb, 2 * boxes_seen + 1, depth, a))
-            else:
-                upper = lb  # a itself is an out point
-    else:
-        lb = upper  # every box was settled
-    norm = Fraction(sum(nums), den)
-    return GapEstimate(
-        norm - Fraction(upper, den << shift),
-        norm - Fraction(min(lb, upper), den << shift),
-        resolution,
-    )
+    def visit(mask: int, total: int, admissible: int, ext: int, seen: int) -> None:
+        # total is the numerator of ||p_K||_1; ext holds the neighbours that
+        # may still join K, seen the vertices that may not (those below K's
+        # lowest, and those tried already), so each set is visited once
+        nonlocal best
+        q = plan.q(mask)
+        if q <= 0:
+            # the largest D_w has the least den^|K & N[w]| * Q(K - N[w]) > 0
+            scale = min(den ** (mask & nbr[w]).bit_count() * plan.q(mask & ~nbr[w]) for w in _bits(admissible))
+            best = min(best, Fraction(total, den) + Fraction(q, scale))
+        inside = q > 0 and admissible == mask
+        while ext and best > floor:
+            u_bit = ext & -ext
+            ext ^= u_bit
+            u = u_bit.bit_length() - 1
+            child, grown = mask | u_bit, total + ranked[u]
+            if (grown - top) * best.denominator < best.numerator * den:
+                if inside and plan.q(child) > 0:
+                    kept = child
+                else:
+                    kept = u_bit if inside else 0
+                    kept |= sum(1 << w for w in _bits(admissible) if plan.q(child ^ 1 << w) > 0)
+                if kept:
+                    visit(child, grown, kept, (ext | nbr[u]) & ~(child | seen), seen)
+            seen |= u_bit
 
-
-def descent_gap_lower(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
-    """Cheap certified lower bound on d(p, G) for an out-of-bound p.
-
-    Coordinate descent from r = p: per coordinate, bisect the smallest value
-    keeping r out of the region; every intermediate r stays a witness, so
-    ||p||_1 - ||r||_1 is always a valid lower bound. Returns -1 when p is in
-    the region. r is kept as integer numerators over den*2^level.
-    """
-    nums, den = _checked_integers(g, p.values)
-    member = _searcher(g)
-    if member(nums, den):
-        return Fraction(-1)
-    tol_num, tol_den = DESCENT_TOLERANCE.numerator, DESCENT_TOLERANCE.denominator
-    r, level = list(nums), 0
-    for _ in range(DESCENT_PASSES):
-        improved = False
-        for k in range(len(r)):
-            rk = r[k]
-            if rk == 0:
-                continue
-            probe = list(r)
-            probe[k] = 0
-            if not member(probe, den << level):
-                r[k] = 0
-                improved = True
-                continue
-            # from probe (r with r_k = 0) to r, until r_k/2^t <= the tolerance
-            a, t = _bisect(
-                probe,
-                r,
-                den << level,
-                member,
-                lambda t: rk * tol_den <= tol_num * den << (level + t),
-            )
-            if a + 1 < 1 << t:  # hi < r_k
-                r = [x << t for x in r]
-                r[k] = rk * (a + 1)
-                level += t
-                # drop the factors of two all entries share; r is never
-                # zero, since it stays out of the region
-                low = 0
-                for x in r:
-                    low |= x
-                drop = min(level, (low & -low).bit_length() - 1)
-                r = [x >> drop for x in r]
-                level -= drop
-                improved = True
-        if not improved:
+    for v in range(g.m):
+        if best <= floor:
             break
-    return Fraction((sum(nums) << level) - sum(r), den << level)
+        bit, seen = 1 << v, (2 << v) - 1
+        visit(bit, ranked[v], bit, nbr[v] & ~seen, seen)
+    return norm - best
 
 
 def resample_bound(report: ShearerReport) -> Fraction:

@@ -147,21 +147,9 @@ def test_shearer_check_accepts_interior(files, capsys):
             '{"events": 1, "vars": 1e300, "edges": [[1, 1]]}',
             "must be integers",
         ),
-        (
-            "beyond --graph {c4} --p 0.2928932,0.2928932,0.2928932,0.2928932 --eps 1/10000000 --resolution 0",
-            None,
-            "resolution must be positive",
-        ),
-        (
-            "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000 --resolution=-1/8",
-            None,
-            "resolution must be positive",
-        ),
-        (
-            "beyond --graph {c4} --p 0.27,0.27,0.27,0.36 --eps 1/1000000000 --resolution=",
-            None,
-            "cannot parse rational ''",
-        ),
+        ("gap --graph {c4} --p 3/10,3/10,3/10,3/10 --resolution 0", None, "resolution must be positive"),
+        ("gap --graph {c4} --p 1/5,1/5,1/5,1/5 --resolution=-1/8", None, "resolution must be positive"),
+        ("gap --graph {c4} --p 3/10,3/10,3/10,3/10 --resolution=", None, "cannot parse rational ''"),
         ("criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1_0-2 --delta 1/8 --eps 1/8", None, "bad matching pair"),
         ("criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching +1-2 --delta 1/8 --eps 1/8", None, "bad matching pair"),
         (
@@ -202,9 +190,9 @@ def test_shearer_check_accepts_interior(files, capsys):
         "huge-events",
         "float-huge-events",
         "float-huge-vars",
-        "beyond-zero-resolution",
-        "beyond-negative-resolution",
-        "beyond-empty-resolution",
+        "gap-zero-resolution",
+        "gap-negative-resolution",
+        "gap-empty-resolution",
         "underscore-matching",
         "signed-matching",
         "non-ascii-matching",
@@ -392,6 +380,21 @@ def test_boundary_and_gap(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["lower"] != "-1"
+
+
+def test_gap_with_a_unit_entry_is_exact(files, capsys):
+    # the edgeless pair at (1/2, 1): the unit entry alone is outside
+    pair = files["dir"] / "e2.json"
+    pair.write_text(json.dumps({"m": 2, "edges": []}))
+    started = time.monotonic()
+    code = dispatch(["gap", "--graph", str(pair), "--p", "1/2,1", "--resolution", "1/4"])
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"lower": "1/2", "upper": "1/2", "resolution": "1/4"}
+    # the gap is exact, so beyond takes no resolution
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["beyond", "--graph", files["c4"], "--p", "3/10,3/10,3/10,3/10", "--eps", "1/1000", "--resolution", "1/64"])
+    assert exc.value.code == 2
 
 
 def test_boundary_checks_the_direction_without_probes(files, capsys):
@@ -672,7 +675,7 @@ _GOLDEN = [
      1, "155daf57378b4c096e2da9b4e8d5262db52b0800cb2f32795ab25195f15de8e1"),
     ("beyond-inside", "beyond --graph {c4} --p 1/4,1/4,1/4,1/4 --eps 1/8",
      0, "9fbbfa82e872b04cf7cf8d69fdcd3a9e04a9428fb7aac4be8a42307d1b21552a"),
-    ("beyond-gap-resolution", "beyond --graph {c4} --p 3/10,3/10,3/10,3/10 --eps 1/1000 --resolution 1/64",
+    ("beyond-gap-resolution", "beyond --graph {c4} --p 3/10,3/10,3/10,3/10 --eps 1/1000",
      1, "fc84b8cbcc9c783ef66420f43edd2c9d527e4d28424b97c19d23ce7cd8ea0c3b"),
     ("lattice-gap-hexagonal", "lattice-gap --lattice hexagonal --pa 0.1547",
      0, "6d342a226a3934adbebf5c29932b45d2c335edf669739c6cf05783298f35e8dc"),

@@ -43,6 +43,8 @@ from lll_workbench.shearer import (
     ProbabilityVector,
     boundary_scale,
     in_shearer_bound,
+    l1_gap,
+    minimal_gap,
     shearer_membership,
 )
 
@@ -489,32 +491,48 @@ class TestBeyondVerdict:
 
     def test_exact_gap_needs_no_resolution(self):
         # the construction is minimally outside C4 (each C4 - v is a path,
-        # inside), so its gap is exact and a coarse resolution changes nothing
+        # inside), so its gap is D* of minimal_gap
         p, eps = self.construction_beyond_region()
-        verdict = beyond_shearer_verdict(C4, p, eps, gap_resolution=Fraction(1, 64))
-        assert verdict == beyond_shearer_verdict(C4, p, eps)
+        verdict = beyond_shearer_verdict(C4, p, eps)
         assert verdict.accepted and verdict.evidence == "gap-below-cycle-slack"
+        scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
         gap_lo, gap_hi = verdict.details["gap"]
-        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] < verdict.details["threshold_545"]
+        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == minimal_gap(C4, scaled)
+        assert gap_lo < verdict.details["threshold_545"]
 
-    def test_coarse_gap_resolution_rejects_the_construction(self):
+    def test_exact_gap_accepts_the_construction(self):
         # an isolated fifth vertex of probability 10^-12 keeps the vector
-        # outside without it (G - 5 = C4), so the gap takes the search; at
-        # resolution 1/64 the certified bracket is wider than the slack
+        # outside without it (G - 5 = C4), so the gap takes connected_gap:
+        # the set C4 gives the same gap, under the slack
         p, eps = self.construction_beyond_region()
         g = DependencyGraph.from_edges(5, C4.edges)
         p = ProbabilityVector(p.values + (Fraction(1, 10**12),))
-        verdict = beyond_shearer_verdict(g, p, eps, gap_resolution=Fraction(1, 64))
-        assert not verdict.accepted and verdict.bound_on_expected_steps is None
-        assert verdict.evidence == "gap-at-or-above-cycle-slack"
+        scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
+        assert minimal_gap(g, scaled) is None
+        verdict = beyond_shearer_verdict(g, p, eps)
+        assert verdict.accepted and verdict.evidence == "gap-below-cycle-slack"
         assert sorted(verdict.details) == [
             "cycles", "eps", "gap", "gap_below_544", "gap_lower_witness",
             "rounding", "threshold_544", "threshold_545",
         ]
         gap_lo, gap_hi = verdict.details["gap"]
-        assert gap_lo <= verdict.details["gap_lower_witness"] < verdict.details["threshold_545"] <= gap_hi
-        assert gap_hi - gap_lo <= Fraction(1, 64)
-        assert not verdict.details["gap_below_544"]
+        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == l1_gap(g, scaled, 1).lower
+        assert f"{float(gap_lo):.4g} {float(verdict.details['threshold_545']):.4g}" == "1.557e-07 2.466e-07"
+        assert verdict.details["gap_below_544"]
+
+    @pytest.mark.parametrize("n,p", [(8, Fraction(3, 10)), (10, Fraction(3, 10)), (12, Fraction(27, 100))])
+    def test_early_witness_crosses_the_threshold_with_the_exact_gap(self, n, p):
+        # cycles far past the boundary, not minimally outside: the walk stops
+        # at its first witness at or above the 545 threshold
+        g, eps = cycle(n), Fraction(1, 1000)
+        verdict = beyond_shearer_verdict(g, ProbabilityVector.uniform(n, p), eps)
+        scaled = ProbabilityVector.uniform(n, (1 + eps) * p)
+        exact = l1_gap(g, scaled, 1).lower
+        witness = verdict.details["gap_lower_witness"]
+        assert minimal_gap(g, scaled) is None
+        assert witness <= exact
+        assert (witness >= verdict.details["threshold_545"]) == (exact >= verdict.details["threshold_545"])
+        assert verdict.accepted == (exact < verdict.details["threshold_545"])
 
     def test_scaled_entry_above_one_is_rejected_before_any_search(self):
         # (1 + 1/2) * 9/10 = 27/20 leaves (0, 1]

@@ -14,14 +14,12 @@ from lll_workbench import shearer
 from lll_workbench.graphs import DependencyGraph, InputError
 from lll_workbench.lattices import grid_unit
 from lll_workbench.shearer import (
-    DESCENT_PASSES,
-    DESCENT_TOLERANCE,
     BoundaryScale,
     CapExceeded,
     GapEstimate,
     ProbabilityVector,
     boundary_scale,
-    descent_gap_lower,
+    connected_gap,
     expected_resample_bound,
     in_shearer_bound,
     independent_sets,
@@ -41,6 +39,9 @@ def cycle(n):
 K1 = DependencyGraph(1, frozenset())
 K3 = DependencyGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
 C4 = cycle(4)
+P4 = DependencyGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+E2 = DependencyGraph(2, frozenset())
+P4_EXAMPLE = ProbabilityVector((Fraction(2, 5), Fraction(3, 10), Fraction(3, 5), Fraction(1, 10)))
 
 
 def brute_q(g, p, iset):
@@ -184,21 +185,15 @@ class TestGap:
         assert gap.upper - gap.lower <= Fraction(1, 256)
 
     def test_interval_well_formed_beyond(self):
-        # certified search stays cheap when the out-region is shallow, so use
-        # a mildly-beyond vector at a matching resolution
         gap = l1_gap(C4, ProbabilityVector.uniform(4, Fraction(31, 100)), Fraction(1, 64))
-        assert Fraction(0) <= gap.lower <= gap.upper
-        assert gap.upper - gap.lower <= Fraction(1, 64)
+        assert Fraction(0) <= gap.lower == gap.upper
 
     def test_descent_bound_is_consistent(self):
+        # the descent reference's witness is a lower bound, here within 2^-40
         p = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
-        quick = descent_gap_lower(K3, p)
+        quick = fraction_descent_gap_lower(K3, p)
         gap = l1_gap(K3, p, Fraction(1, 256))
-        assert quick <= gap.upper
-        assert quick >= gap.lower - Fraction(1, 256)
-
-    def test_descent_marker_inside(self):
-        assert descent_gap_lower(K3, ProbabilityVector.uniform(3, Fraction(1, 4))) == -1
+        assert gap.lower - DESCENT_TOLERANCE <= quick <= gap.lower == gap.upper
 
 
 class TestExpectedResampleBound:
@@ -504,10 +499,11 @@ def test_boundary_bracket_holds_first_root(g, data, resolution):
 
 
 # ---------------------------------------------------------------------------
-# Fraction references: the nested-suffix membership test and the gap,
-# boundary and descent searches as they ran on Fractions before the oracle
-# moved onto integer numerators over a common denominator. The integer code
-# must return equal values.
+# Fraction references: the nested-suffix membership test and the boundary
+# search as they ran on Fractions before the oracle moved onto integer
+# numerators over a common denominator, which the integer code must equal;
+# and the box search and coordinate descent that bracketed the gap before it
+# was exact, which must hold the exact gap.
 
 
 def fraction_membership(g, values):
@@ -575,6 +571,12 @@ def fraction_l1_gap(g, p, resolution, max_boxes):
         offer(a_high, b, False)
     lower_min = min(min((item[0] for item in heap), default=upper_best), upper_best)
     return GapEstimate(total - upper_best, total - lower_min, resolution)
+
+
+#: the descent reference bisects each coordinate to this width, in at most
+#: DESCENT_PASSES passes over the coordinates
+DESCENT_TOLERANCE = Fraction(1, 1 << 40)
+DESCENT_PASSES = 8
 
 
 def fraction_descent_gap_lower(g, p):
@@ -647,22 +649,7 @@ def test_integer_oracle_matches_fraction_reference(g, data):
 )
 def test_integer_searches_match_fraction_references(g, data, resolution):
     d = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
-    scale = boundary_scale(g, d, resolution)
-    assert scale == fraction_boundary_scale(g, d, resolution)
-    # one vector just past the boundary, where descent bisects every
-    # coordinate, and one drawn anywhere
-    past = ProbabilityVector(tuple(scale.hi * x for x in d.values))
-    anywhere = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
-    for p in (past, anywhere):
-        assert descent_gap_lower(g, p) == fraction_descent_gap_lower(g, p)
-        # a unit entry can keep the box search from closing (its lower
-        # corners only approach the face x_k = 1), so both run under a cap;
-        # one bit of key scale takes the rescaling path at nearly every level
-        want = _gap_probes(fraction_l1_gap, (g, p, resolution, 1000))
-        for key_bits in (shearer._KEY_BITS, 1):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(shearer, "_KEY_BITS", key_bits)
-                assert _gap_probes(shearer._box_gap, (g, p, resolution)) == want
+    assert boundary_scale(g, d, resolution) == fraction_boundary_scale(g, d, resolution)
 
 
 @settings(max_examples=100, deadline=None)
@@ -681,7 +668,7 @@ def test_minimal_gap_matches_the_box_search(g, data):
     if not minimal:
         event("not minimally outside")
         return
-    assert exact >= descent_gap_lower(g, p)
+    assert exact >= fraction_descent_gap_lower(g, p)
     # v* minimises q_0(G - N[v]) = q_{v} / p_v
     v = min(g.vertices, key=lambda v: fraction_q(g, p, (v,)) / p[v])
     assert exact < p[v]
@@ -698,31 +685,31 @@ def test_minimal_gap_matches_the_box_search(g, data):
     assert bracket.lower <= exact <= bracket.upper
 
 
-def _gap_probes(search, args):
-    """The gap search's outcome under a 1,000-box cap and the points it
-    probed, in order, as Fractions: `_box_gap`'s through `_searcher`, the
-    reference's through `fraction_membership`."""
-    probes = []
-    searcher, membership = shearer._searcher, fraction_membership
-
-    def logged_searcher(g):
-        member = searcher(g)
-
-        def logged(nums, den):
-            probes.append(tuple(Fraction(n, den) for n in nums))
-            return member(nums, den)
-
-        return logged
-
-    def logged_membership(g, values):
-        probes.append(tuple(map(Fraction, values)))
-        return membership(g, values)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shearer, "_searcher", logged_searcher)
-        patch.setitem(globals(), "fraction_membership", logged_membership)
-        patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
-        return _outcome(search, *args), probes
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(max_m=6), data=st.data())
+def test_exact_gap_matches_the_brute_force_theorem(g, data):
+    """l1_gap of vectors just past the boundary and far past it against the
+    theorem by brute force over every vertex set, the box search's bracket
+    when it closes under its cap, and the descent witness; and the early
+    stop of `connected_gap`, which `beyond` takes at its threshold."""
+    d = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
+    hi = boundary_scale(g, d, Fraction(1, 2**20)).hi
+    far = hi * data.draw(st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(3)]))
+    for p in (ProbabilityVector(tuple(min(1, t * x) for x in d.values)) for t in (hi, far)):
+        gap = l1_gap(g, p, Fraction(1, 16))
+        exact = gap.lower
+        assert gap.upper == exact == brute_gap(g, p)
+        assert exact >= fraction_descent_gap_lower(g, p)
+        try:
+            bracket = fraction_l1_gap(g, p, Fraction(1, 8), 100)
+        except CapExceeded:
+            event("box search capped")
+        else:
+            assert bracket.lower <= exact <= bracket.upper
+        for stop in (exact, exact / 2, exact + Fraction(1, 97), data.draw(st.fractions(Fraction(1, 1000), 2))):
+            early = connected_gap(g, p, stop)
+            assert (early >= stop) == (exact >= stop)
+            assert early == exact if early < stop else early <= exact
 
 
 def _outcome(search, *args):
@@ -735,33 +722,97 @@ def _outcome(search, *args):
 K3_EXAMPLE = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
 
 
+def _on(p, vertices):
+    """p restricted to the given 0-based vertices: zero elsewhere."""
+    return [x if k in vertices else Fraction(0) for k, x in enumerate(p.values)]
+
+
+def _q0(g, vals):
+    """q_0 at vals of the subgraph induced by their support."""
+    return _ref_q_empty(_closed_nbr(g), vals, (1 << g.m) - 1, {})
+
+
+def _closed(g, w):
+    return {w} | {u - 1 for u in g.neighbors(w + 1)}
+
+
+def brute_gap(g, p):
+    """d(p, G) by the theorem over every vertex set, connected or not:
+    ||p||_1 minus the least ||p_K||_1 - D_w(K) over the S with p restricted
+    to S inside and the w outside S, K = S + w, with q_0(K; p) <= 0, where
+    D_w(K) = -q_0(K; p) / q_0(K - N[w]; p)."""
+    least = None
+    for size in range(g.m):
+        for s in combinations(range(g.m), size):
+            if not fraction_membership(g, _on(p, s)):
+                continue
+            for w in set(range(g.m)) - set(s):
+                k = set(s) | {w}
+                q = _q0(g, _on(p, k))
+                if q <= 0:
+                    norm = sum(_on(p, k)) + q / _q0(g, _on(p, k - _closed(g, w)))
+                    least = norm if least is None else min(least, norm)
+    return sum(p.values) - least
+
+
+def item_20_formula(g, p):
+    """The formula ROADMAP item 20 proposed: the largest ||p_{V - H}||_1 +
+    D*(H) over the H on which p is minimally outside."""
+    best = None
+    for size in range(1, g.m + 1):
+        for h in map(set, combinations(range(g.m), size)):
+            q = _q0(g, _on(p, h))
+            if q > 0 or not all(fraction_membership(g, _on(p, h - {v})) for v in h):
+                continue
+            d_star = -q / min(_q0(g, _on(p, h - _closed(g, v))) for v in h)
+            value = sum(p.values) - sum(_on(p, h)) + d_star
+            best = value if best is None else max(best, value)
+    return best
+
+
 class TestPinnedGaps:
-    # the box search's brackets, which l1_gap gives for vectors that are not
-    # minimally outside; K3_EXAMPLE and C4 at 3/10 are minimally outside
+    # connected_gap alone, without minimal_gap before it: K3_EXAMPLE ends the
+    # walk at the union bound (a set of norm 1), C4 at 3/10 takes K = C4
     def test_k3_brackets(self):
-        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 256)) == GapEstimate(
-            Fraction(1, 6), Fraction(131, 768), Fraction(1, 256)
-        )
-        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
-            Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
-        )
+        assert connected_gap(K3, K3_EXAMPLE) == Fraction(1, 6)
 
     def test_c4_bracket(self):
-        p = ProbabilityVector.uniform(4, Fraction(3, 10))
-        assert shearer._box_gap(C4, p, Fraction(1, 64)) == GapEstimate(
-            Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
-        )
+        assert connected_gap(C4, C4_EXAMPLE) == Fraction(1, 35)
 
-    def test_key_rescaling_keeps_the_bracket(self, monkeypatch):
-        # with one bit of key scale, nearly every finer box rescales the heap
-        monkeypatch.setattr(shearer, "_KEY_BITS", 1)
-        assert shearer._box_gap(K3, K3_EXAMPLE, Fraction(1, 64)) == GapEstimate(
-            Fraction(1, 6), Fraction(35, 192), Fraction(1, 64)
-        )
-        p = ProbabilityVector.uniform(4, Fraction(3, 10))
-        assert shearer._box_gap(C4, p, Fraction(1, 64)) == GapEstimate(
-            Fraction(9, 320), Fraction(21, 640), Fraction(1, 64)
-        )
+    def test_path_is_not_item_20s_formula(self):
+        # P4 - 4 is outside, so P4 is not minimally outside at P4_EXAMPLE.
+        # K = P4 and w = 1 give the outside point (1/10, 3/10, 3/5, 1/10),
+        # at which q_0(P4) = 0: d = 3/10. Item 20's formula takes the
+        # minimally-outside H = {1, 2, 3}: p_4 + D*(H) = 1/10 + 3/20 = 1/4
+        assert minimal_gap(P4, P4_EXAMPLE) is None
+        assert l1_gap(P4, P4_EXAMPLE, Fraction(1, 4)) == GapEstimate(Fraction(3, 10), Fraction(3, 10), Fraction(1, 4))
+        assert item_20_formula(P4, P4_EXAMPLE) == Fraction(1, 4)
+        # the walk meets K = {1, 2, 3} first, so a stop at 3/10 walks on
+        assert connected_gap(P4, P4_EXAMPLE, Fraction(1, 4)) == Fraction(1, 4)
+        assert connected_gap(P4, P4_EXAMPLE, Fraction(3, 10)) == Fraction(3, 10)
+        assert fraction_descent_gap_lower(P4, P4_EXAMPLE) == Fraction(3, 10)
+
+    def test_only_admissible_w_give_outside_points(self):
+        # the path 1-2-4 and an isolated 3: p restricted to K - 1 = {2, 4} is
+        # outside, so K = {1, 2, 4} with w = 1 would need the entry
+        # y_1 = q_0({2, 4}) / q_0({4}) = -1; the least norm is 1, at K = {2, 4}
+        g = DependencyGraph.from_edges(4, [(1, 2), (2, 4)])
+        p = ProbabilityVector((Fraction(1, 5), Fraction(3, 5), Fraction(1, 10), Fraction(7, 10)))
+        assert connected_gap(g, p) == brute_gap(g, p) == Fraction(3, 5)
+
+    def test_unit_entries_close(self):
+        # a unit entry alone is outside, at norm 1
+        for p, gap in (((Fraction(1, 2), Fraction(1)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1))):
+            assert l1_gap(E2, ProbabilityVector(p), Fraction(1, 4)) == GapEstimate(gap, gap, Fraction(1, 4))
+
+    def test_cycle_far_outside(self):
+        # C8 at 3/10: every C8 - v is a path P7, itself outside
+        p = ProbabilityVector.uniform(8, Fraction(3, 10))
+        assert minimal_gap(cycle(8), p) is None
+        assert l1_gap(cycle(8), p, Fraction(1, 64)).lower == Fraction(5, 7)
+        # with a stop, the walk returns a witness at or above it, or the gap
+        assert Fraction(7, 10) <= connected_gap(cycle(8), p, Fraction(7, 10)) <= Fraction(5, 7)
+        assert connected_gap(cycle(8), p, Fraction(3, 4)) == Fraction(5, 7)
 
     def test_minimally_outside_gaps_are_exact(self):
         # on K3 the region is p_1 + p_2 + p_3 < 1, so d = 7/6 - 1; on C4 at
@@ -956,7 +1007,6 @@ def _probes_of(search, args, make_member):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(shearer, "_searcher", searcher)
-        patch.setattr(shearer, "MAX_GAP_BOXES", 1000)
         return _outcome(search, *args), log
 
 
@@ -968,14 +1018,9 @@ def recursive_searcher(g):
 @settings(max_examples=60, deadline=None)
 @given(g=shuffled_graphs(max_m=10), data=st.data())
 def test_searches_make_the_recursive_reference_probes(g, data):
-    compiled = shearer._searcher
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
-    for search, args in (
-        (boundary_scale, (g, p, Fraction(1, 256))),
-        (shearer._box_gap, (g, p, Fraction(1, 32))),
-        (descent_gap_lower, (g, p)),
-    ):
-        assert _probes_of(search, args, compiled) == _probes_of(search, args, recursive_searcher)
+    args = (g, p, Fraction(1, 256))
+    assert _probes_of(boundary_scale, args, shearer._searcher) == _probes_of(boundary_scale, args, recursive_searcher)
 
 
 # The plans' vertex order. Graphs of `_ORDER_MIN_VERTICES` or more vertices
@@ -1010,6 +1055,7 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
             (report.in_bound, report.q_values, report.witness),
             [q_polynomial(g, p, iset) for iset in isets],
             minimal_gap(g, p),
+            l1_gap(g, p, Fraction(1, 64)),
         )
 
     identity, ordered = _in_both_orders(answers)
@@ -1019,15 +1065,10 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
 @settings(max_examples=60, deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_breadth_first_searches_make_the_identity_order_probes(g, data):
-    compiled = shearer._searcher
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
-    for search, args in (
-        (boundary_scale, (g, p, Fraction(1, 256))),
-        (shearer._box_gap, (g, p, Fraction(1, 32))),
-        (descent_gap_lower, (g, p)),
-    ):
-        identity, ordered = _in_both_orders(lambda: _probes_of(search, args, compiled))
-        assert ordered == identity
+    args = (g, p, Fraction(1, 256))
+    identity, ordered = _in_both_orders(lambda: _probes_of(boundary_scale, args, shearer._searcher))
+    assert ordered == identity
 
 
 def _full_plan_steps(nbr):
@@ -1082,10 +1123,6 @@ C4_EXAMPLE = ProbabilityVector.uniform(4, Fraction(3, 10))
     "search,args",
     [
         (boundary_scale, (C4, ProbabilityVector.uniform(4, 1), Fraction(1, 4096))),
-        (shearer._box_gap, (K3, K3_EXAMPLE, Fraction(1, 256))),
-        (shearer._box_gap, (C4, C4_EXAMPLE, Fraction(1, 64))),
-        (descent_gap_lower, (C4, C4_EXAMPLE)),
-        (descent_gap_lower, (K3, K3_EXAMPLE)),
     ],
 )
 def test_each_search_compiles_each_support_once(work, search, args):
@@ -1097,16 +1134,6 @@ def test_each_search_compiles_each_support_once(work, search, args):
     assert work["kept"] == kept * 2
 
 
-@pytest.mark.parametrize(
-    "g,p,resolution,probes",
-    [(K3, K3_EXAMPLE, Fraction(1, 256), 39_823), (C4, C4_EXAMPLE, Fraction(1, 64), 13_848)],
-)
-def test_gap_probe_counts(work, g, p, resolution, probes):
-    shearer._box_gap(g, p, resolution)
-    # a support's first probe builds its plan, every later one replays it
-    assert work["plans"] + work["probes"] == 1 + probes  # the entry check, then the boxes
-
-
 def test_one_off_calls_build_one_plan_and_replay_nothing(work):
     p = ProbabilityVector.uniform(4, Fraction(1, 2))
     shearer_membership(C4, p.values)
@@ -1116,14 +1143,36 @@ def test_one_off_calls_build_one_plan_and_replay_nothing(work):
 
 
 def test_plan_cap_counts_the_steps_a_search_holds(work, monkeypatch):
-    expected = shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+    args = (C4, ProbabilityVector.uniform(4, 1), Fraction(1, 4096))
+    expected = boundary_scale(*args)
     held = sum(len(_compile(C4.closed_masks, support)[1]) for support in work["kept"])
     assert held < shearer.MAX_PLAN_STEPS
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
-    assert shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64)) == expected
+    assert boundary_scale(*args) == expected
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
     with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
-        shearer._box_gap(C4, C4_EXAMPLE, Fraction(1, 64))
+        boundary_scale(*args)
+
+
+def test_connected_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
+    # every set the walk visits is a mask of its one plan
+    plans = []
+
+    class KeptPlan(shearer._Plan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(shearer, "_Plan", KeptPlan)
+    assert connected_gap(P4, P4_EXAMPLE) == Fraction(3, 10)
+    held = len(plans[0].values) - 1
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
+    assert connected_gap(P4, P4_EXAMPLE) == Fraction(3, 10)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
+    with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
+        connected_gap(P4, P4_EXAMPLE)
 
 
 def test_long_path_needs_no_deep_recursion():
