@@ -22,7 +22,7 @@ from .criterion import (
     lattice_gap_q,
 )
 from .graphs import InputError, base_graph
-from .jsonio import emit_report, parse_fraction
+from .jsonio import dumps_report, parse_fraction
 from .lattices import BUILTIN_LATTICES, builtin_lattice
 from .mt_engine import (
     DEFAULT_STEP_CAP,
@@ -89,10 +89,15 @@ def _seed(text: str) -> int | str:
     return int(text) if re.fullmatch(r"-?[0-9]+", text) else text
 
 
-def _emit(args, payload, fmt="json"):
-    text = emit_report(payload, args.out, fmt)
-    if not args.out:
+def _write(args, text: str) -> None:
+    if args.out:
+        jsonio.write_report(text, args.out)
+    else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload, fmt="json"):
+    _write(args, dumps_report(payload, fmt))
 
 
 def _emit_verdict(args, verdict) -> int:
@@ -135,7 +140,7 @@ def cmd_mt_estimate(args) -> int:
         system, args.rule, args.trials, args.seed, args.step_cap
     )
     if args.format == "csv":
-        _emit(args, jsonio.estimate_to_rows(est, args.seed), fmt="csv")
+        _write(args, jsonio.dumps_estimate_csv(est, args.seed))
     else:
         _emit(
             args,

@@ -7,8 +7,9 @@ probability transfer along shortest paths, transfer-scheme condition checks,
 and lattice gap bounds.
 
 The overlap functional and the cycle slack need roots of rationals (p^(1/deg),
-sqrt(p), sqrt(|L|)). Each root is enclosed once, at 2^-200, in integer
-arithmetic; everything else is exact rational arithmetic on those
+sqrt(p), sqrt(|L|)). Each root is enclosed at 2^-200 in integer
+arithmetic, the overlap functional's once per distinct value and degree
+within a call; everything else is exact rational arithmetic on those
 enclosures, and the summed cycle slack and the lattice gap are rounded
 outward to multiples of 2^-200. Every verdict comparison uses directed
 rounding (guaranteed quantities rounded down, thresholds rounded down), so
@@ -38,9 +39,9 @@ from .graphs import (
 )
 from .shearer import (
     ProbabilityVector,
-    connected_gap,
     in_shearer_bound,
     minimal_gap,
+    outside_gap,
     shearer_membership,
 )
 
@@ -67,12 +68,11 @@ class Bounds:
 ROOT_BITS = 200
 
 
-def _root(x: Fraction, k: int) -> Bounds:
-    """Enclosure of the k-th root of x > 0, at most 2^-ROOT_BITS wide: for
-    x = a/b, the integer k-th root r of n = a b^(k-1) 2^(k ROOT_BITS) gives
-    r <= b x^(1/k) 2^ROOT_BITS < r + 1. It is a point exactly when the root
-    is rational, since then n is a perfect k-th power."""
-    a, b = x.numerator, x.denominator
+def _root_floor(a: int, b: int, k: int) -> tuple[int, bool]:
+    """For x = a/b > 0, the integer k-th root r of n = a b^(k-1) 2^(k ROOT_BITS),
+    which gives r <= b x^(1/k) 2^ROOT_BITS < r + 1, and whether r is exact:
+    it is exactly when the root is rational, since then n is a perfect k-th
+    power."""
     n = a * b ** (k - 1) << k * ROOT_BITS
     if k == 2:
         r = isqrt(n)
@@ -81,8 +81,16 @@ def _root(x: Fraction, k: int) -> Bounds:
         r = 1 << -(-n.bit_length() // k)
         while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
             r = s
-    scale = b << ROOT_BITS
-    return Bounds(Fraction(r, scale), Fraction(r if r**k == n else r + 1, scale))
+    return r, r**k == n
+
+
+def _root(x: Fraction, k: int) -> Bounds:
+    """Enclosure of the k-th root of x > 0 over b 2^ROOT_BITS for x = a/b, at
+    most 2^-ROOT_BITS wide (`_root_floor`); a point when the root is
+    rational."""
+    r, exact = _root_floor(x.numerator, x.denominator, k)
+    scale = x.denominator << ROOT_BITS
+    return Bounds(Fraction(r, scale), Fraction(r if exact else r + 1, scale))
 
 
 def _grid_floor(x: Fraction) -> Fraction:
@@ -247,12 +255,18 @@ def digamma(
     delta_d = base_graph(sub).max_degree()
     if delta_d == 0:
         raise InputError("left set induces no dependencies; functional undefined")
-    lo = hi = Fraction(-sub.variable_count)
+    # events of one probability and degree share a root: group them, keyed
+    # by integers, and enclose each root once
+    groups: dict[tuple[int, int, int], int] = {}
     for i, pi in zip(sub.events, probs):
-        deg = len(sub.event_vars(i))
-        root = _root(pi, deg)
-        lo += deg * root.lo
-        hi += deg * root.hi
+        key = (pi.numerator, pi.denominator, len(sub.event_vars(i)))
+        groups[key] = groups.get(key, 0) + 1
+    lo = hi = Fraction(-sub.variable_count)
+    for (a, b, deg), count in groups.items():
+        r, exact = _root_floor(a, b, deg)
+        scale = b << ROOT_BITS
+        lo += Fraction(count * deg * r, scale)
+        hi += Fraction(count * deg * (r if exact else r + 1), scale)
     scale = min(probs) ** 2 / (delta_d * sub.max_event_degree() ** 2)
     # each end is divided by the end of the root of |L| that rounds it
     # outward: a nonnegative one by the upper end, a negative one by the lower
@@ -347,7 +361,7 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
     are reported; the stricter one decides). Chordal graphs have zero slack,
     so acceptance then requires the scaled vector inside the region. The gap
     is exact: `minimal_gap` when the scaled vector is minimally outside,
-    else `connected_gap`, which stops at the first witness of a gap at or
+    else `outside_gap`, which stops at the first witness of a gap at or
     above the 545 threshold.
     """
     eps = Fraction(eps)
@@ -376,7 +390,7 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
         return Verdict(False, None, "out-of-region-with-zero-slack", details)
     gap = minimal_gap(g, scaled)
     if gap is None:
-        gap = connected_gap(g, scaled, stop=thr545)
+        gap = outside_gap(g, scaled, stop=thr545)
     details["gap_lower_witness"] = gap
     if gap >= thr545:
         return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)

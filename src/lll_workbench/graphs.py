@@ -11,12 +11,14 @@ Vertices are indexed 1..m throughout, matching the JSON wire format.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
-from typing import Collection, Iterable, Mapping, Sequence
+from itertools import chain, combinations, product
+from math import prod
+from operator import mul
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -63,7 +65,9 @@ class DependencyGraph:
         return len(self._neighbor_sets[v])
 
     def max_degree(self) -> int:
-        return max(len(s) for s in self._neighbor_sets.values())
+        # counted off the edges: it is asked of fresh graphs, whose
+        # neighbour sets would be built for it alone
+        return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
     # Derived structure, computed on first use and kept in the instance's
     # __dict__: it is freed with the graph and plays no part in ==, hash or repr.
@@ -369,10 +373,19 @@ def expand_translational_unit(
     """Union of shifted copies of the unit; coincident positions merge.
 
     Copies are placed at every offset sum(a_k * shift_k) for a_k in
-    range(repetitions[k]). Edges are the union of copy edges, so overlapping
-    shifts (e.g. primitive lattice vectors) reproduce the full periodic graph
-    on the covered window, while disjoint shifts give detached blocks.
-    Returns the expanded graph and the vertex -> position map.
+    range(repetitions[k]), in product order, and each copy gives the
+    positions it adds the next vertex ids in lexicographic order. Edges are
+    the union of copy edges, so overlapping shifts (e.g. primitive lattice
+    vectors) reproduce the full periodic graph on the covered window, while
+    disjoint shifts give detached blocks. Returns the expanded graph and the
+    vertex -> position map.
+
+    Positions are coded as single integers, in a mixed radix over the
+    window's bounding box with the last axis varying fastest, so that codes
+    sort as the position tuples do. A copy's codes are the unit's codes plus
+    its offset's code: the unit's sorted order serves every copy, and
+    distinct unit positions stay distinct in each. The codes are decoded to
+    tuples once, at the end.
     """
     if len(shift_vectors) != len(repetitions):
         raise InputError("one repetition extent per shift vector required")
@@ -389,41 +402,43 @@ def expand_translational_unit(
     if any(r < 1 for r in repetitions):
         raise InputError("repetitions must be positive")
 
-    positions: dict[tuple[int, ...], int] = {}
-    edges: set[tuple[int, int]] = set()
-    for combo in product(*[range(r) for r in repetitions]):
-        offset = tuple(
-            sum(a * s[d] for a, s in zip(combo, shift_vectors)) for d in range(dim)
-        )
-        placed: dict[int, tuple[int, ...]] = {
-            v: tuple(p + o for p, o in zip(embedding[v], offset))
-            for v in unit.vertices
-        }
-        if len(set(placed.values())) != len(placed):
-            raise InputError("a shifted copy collapses two unit vertices")
-        for pos in sorted(placed.values()):
-            if pos not in positions:
-                positions[pos] = len(positions) + 1
-        for u, v in unit.edges:
-            edges.add(_normalize_edge(positions[placed[u]], positions[placed[v]]))
-    graph = DependencyGraph(len(positions), frozenset(edges))
-    return graph, {vid: pos for pos, vid in positions.items()}
+    # the window's bounding box: from lo[d], span[d] values along axis d
+    lo, span = [], []
+    for d in range(dim):
+        axis = [pos[d] for pos in embedding.values()]
+        reach = [(r - 1) * s[d] for s, r in zip(shift_vectors, repetitions)]
+        lo.append(min(axis) + sum(min(x, 0) for x in reach))
+        span.append(max(axis) + sum(max(x, 0) for x in reach) - lo[d] + 1)
+    weight = [prod(span[d + 1 :]) for d in range(dim)]
+
+    def encode(vector) -> int:
+        return sum(x * w for x, w in zip(vector, weight))
+
+    base = encode(lo)
+    code = {v: encode(pos) - base for v, pos in embedding.items()}
+    order = sorted(code.values())
+    shift_codes = [encode(s) for s in shift_vectors]
+    offsets = [sum(map(mul, combo, shift_codes)) for combo in product(*[range(r) for r in repetitions])]
+    # ids in order of first appearance, copy after copy
+    ids = {c: vid for vid, c in enumerate(dict.fromkeys(c + o for o in offsets for c in order), 1)}
+    # an edge is its lower end's code and the difference up to the other
+    # end's, so that shifted copies of one edge coincide as codes
+    lower_ends: dict[int, list[int]] = {}
+    for u, v in unit.edges:
+        cu, cv = sorted((code[u], code[v]))
+        lower_ends.setdefault(cv - cu, []).append(cu)
+    edges = frozenset(
+        (ids[c], ids[c + d])
+        for d, ends in lower_ends.items()
+        for c in {e + o for o in offsets for e in ends}
+    )
+    # decoded axis by axis; a 0-dimensional unit has one vertex, at ()
+    axes = [[c // w % s + x for c in ids] for w, s, x in zip(weight, span, lo)]
+    return DependencyGraph(len(ids), edges), dict(enumerate(zip(*axes) if dim else [()], 1))
 
 
 # ---------------------------------------------------------------------------
 # shared graph utilities
-
-def bfs_distances(g: DependencyGraph, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    dq = deque([source])
-    while dq:
-        u = dq.popleft()
-        for v in sorted(g.neighbors(u)):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                dq.append(v)
-    return dist
-
 
 def shortest_path(
     g: DependencyGraph, source: int, target: int, allowed: Collection[int] | None = None
@@ -447,23 +462,70 @@ def shortest_path(
     return None
 
 
+def _layers(g: DependencyGraph, source: int) -> Iterator[int]:
+    """The breadth-first layers around source as bit masks (bit v-1 for v):
+    the source alone, then each set of vertices one step further out."""
+    masks = g.closed_masks
+    seen = layer = 1 << (source - 1)
+    while layer:
+        yield layer
+        grown = 0
+        while layer:
+            low = layer & -layer
+            grown |= masks[low.bit_length() - 1]
+            layer ^= low
+        layer = grown & ~seen
+        seen |= layer
+
+
 def is_connected(g: DependencyGraph) -> bool:
-    return len(bfs_distances(g, 1)) == g.m
+    # the layers are disjoint, so their sum is their union
+    return sum(_layers(g, 1)) == (1 << g.m) - 1
+
+
+def connected_components(g: DependencyGraph) -> list[tuple[tuple[int, ...], DependencyGraph]]:
+    """Each component of g, by its least vertex: its vertices, ascending, and
+    the subgraph they induce, relabelled 1..k in that order."""
+    parts: list[list[int]] = []
+    part_of, label = [0] * (g.m + 1), [0] * (g.m + 1)
+    unseen = (1 << g.m) - 1
+    while unseen:
+        part = sum(_layers(g, (unseen & -unseen).bit_length()))
+        unseen ^= part
+        members = []
+        while part:
+            low = part & -part
+            members.append(low.bit_length())
+            part ^= low
+        for k, v in enumerate(members, 1):
+            part_of[v], label[v] = len(parts), k
+        parts.append(members)
+    edges: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for u, v in g.edges:
+        edges[part_of[u]].append((label[u], label[v]))
+    return [
+        (tuple(members), DependencyGraph(len(members), frozenset(e)))
+        for members, e in zip(parts, edges)
+    ]
 
 
 def graph_diameter(g: DependencyGraph) -> int:
     """Max graph distance over vertex pairs; error if disconnected."""
+    full = (1 << g.m) - 1
     diam = 0
     for v in g.vertices:
-        dist = bfs_distances(g, v)
-        if len(dist) != g.m:
+        reached = depth = 0
+        for depth, layer in enumerate(_layers(g, v)):
+            reached |= layer
+        if reached != full:
             raise InputError("graph is disconnected")
-        diam = max(diam, max(dist.values()))
+        diam = max(diam, depth)
     return diam
 
 
 def graph_distance(g: DependencyGraph, u: int, v: int) -> int:
-    dist = bfs_distances(g, u)
-    if v not in dist:
-        raise InputError(f"no path from {u} to {v}")
-    return dist[v]
+    if 1 <= v <= g.m:
+        for depth, layer in enumerate(_layers(g, u)):
+            if layer >> (v - 1) & 1:
+                return depth
+    raise InputError(f"no path from {u} to {v}")

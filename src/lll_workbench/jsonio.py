@@ -215,11 +215,17 @@ def load_wdag(data: Mapping) -> WDag:
         )
 
 
-def estimate_to_rows(est: StepEstimate, seed) -> list[list]:
-    rows = [["seed", "T", "truncated"]]
-    for index, t, truncated in est.per_trial:
-        rows.append([trial_seed(seed, index), t, str(truncated).lower()])
-    return rows
+def dumps_estimate_csv(est: StepEstimate, seed) -> str:
+    """An estimate's per-trial rows as csv in one pass: each trial's seed,
+    its resample count T and whether it was truncated, under a header."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("seed", "T", "truncated"))
+    writer.writerows(
+        (trial_seed(seed, index), t, "true" if truncated else "false")
+        for index, t, truncated in est.per_trial
+    )
+    return buf.getvalue()
 
 
 def dumps_json(payload) -> str:
@@ -234,20 +240,20 @@ def dumps_csv(rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def emit_report(payload, path: str | None, fmt: str = "json") -> str:
-    """Serialize to json or csv; write to path when given. Returns the text."""
+def dumps_report(payload, fmt: str = "json") -> str:
+    """Serialize to json or csv (a list of rows)."""
     if fmt == "json":
-        text = dumps_json(payload)
-    elif fmt == "csv":
+        return dumps_json(payload)
+    if fmt == "csv":
         if not isinstance(payload, (list, tuple)):
             raise InputError("csv output needs a list of rows")
-        text = dumps_csv(payload)
-    else:
-        raise InputError(f"unknown format {fmt!r}")
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
-    return text
+        return dumps_csv(payload)
+    raise InputError(f"unknown format {fmt!r}")
+
+
+def write_report(text: str, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc

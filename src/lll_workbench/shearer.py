@@ -37,7 +37,7 @@ from itertools import count, islice
 from math import lcm, prod
 from typing import Callable, Iterator, Sequence
 
-from .graphs import DependencyGraph, InputError
+from .graphs import DependencyGraph, InputError, connected_components
 
 
 class CapExceeded(RuntimeError):
@@ -447,7 +447,7 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
 
     A minimally-outside p (q_0(G; p) <= 0, and p restricted to every G - v
     inside) takes `minimal_gap`, D* off one plan; every other out-of-region
-    p takes `connected_gap`.
+    p takes `outside_gap`, component by component.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
@@ -456,8 +456,37 @@ def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> Ga
     if exact is None:
         if shearer_membership(g, p.values):
             return GapEstimate(Fraction(-1), Fraction(-1), resolution)
-        exact = connected_gap(g, p)
+        exact = outside_gap(g, p)
     return GapEstimate(exact, exact, resolution)
+
+
+def outside_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) -> Fraction:
+    """d(p, G) of an out-of-region p, with `connected_gap`'s early `stop`;
+    the gap searches take it once p is known not to be minimally outside G.
+    q_0 factors over components, so p - x is outside iff it is outside on
+    some component C, and d(p, G) is the max over the out-of-region C of
+    ||p_{V-C}||_1 + d(p_C, C). Each such C takes `minimal_gap`, and
+    `connected_gap` when p_C is not minimally outside C (a disconnected G
+    never is: G - v keeps every other component); a connected G goes to
+    `connected_gap` directly.
+    """
+    parts = connected_components(g)
+    if len(parts) == 1:
+        return connected_gap(g, p, stop)
+    norm = sum(p.values)
+    best = None
+    for vertices, sub in parts:
+        sub_p = ProbabilityVector(tuple(p[v] for v in vertices))
+        rest = norm - sum(sub_p.values)
+        gap = minimal_gap(sub, sub_p)
+        if gap is None:
+            if shearer_membership(sub, sub_p.values):
+                continue
+            gap = connected_gap(sub, sub_p, None if stop is None else stop - rest)
+        best = rest + gap if best is None else max(best, rest + gap)
+        if stop is not None and best >= stop:
+            break  # a certified lower bound at or above stop
+    return best
 
 
 def _bits(mask: int) -> Iterator[int]:

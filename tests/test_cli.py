@@ -19,8 +19,14 @@ import lll_workbench
 from lll_workbench import shearer
 from lll_workbench.cli import build_parser, dispatch
 from lll_workbench.graphs import InputError
-from lll_workbench.jsonio import load_graph, load_probability_vector
-from lll_workbench.mt_engine import RunStats
+from lll_workbench.jsonio import (
+    dumps_csv,
+    dumps_estimate_csv,
+    load_event_system,
+    load_graph,
+    load_probability_vector,
+)
+from lll_workbench.mt_engine import RunStats, estimate_expected_steps, trial_seed
 from lll_workbench.shearer import GapEstimate, ShearerReport
 from lll_workbench.wdag import WDag
 
@@ -427,6 +433,42 @@ def test_mt_run_and_estimate_csv(files, capsys):
     assert len(lines) == 51
 
 
+def reference_estimate_csv(est, seed):
+    """The estimate's csv through rows and the per-cell writer, as it was
+    written before the one-pass writer: the test-only reference."""
+    rows = [["seed", "T", "truncated"]]
+    for index, t, truncated in est.per_trial:
+        rows.append([trial_seed(seed, index), t, str(truncated).lower()])
+    return dumps_csv(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(10**12), 10**12) | st.text(st.sampled_from('ab7/,"\n\r '), max_size=6),
+    trials=st.integers(1, 12),
+    step_cap=st.integers(1, 4),
+)
+def test_estimate_csv_matches_the_row_writer(seed, trials, step_cap):
+    # the 4-cycle of events truncates some runs at these caps
+    system = load_event_system(_GOLDEN_SYSTEMS["overlap"])
+    est = estimate_expected_steps(system, "lowest-index", trials, seed, step_cap, workers=1)
+    assert dumps_estimate_csv(est, seed) == reference_estimate_csv(est, seed)
+
+
+def test_estimate_csv_has_truncated_rows_and_writes_to_out(files, capsys):
+    system = files["dir"] / "overlap.json"
+    system.write_text(json.dumps(_GOLDEN_SYSTEMS["overlap"]))
+    argv = ["mt-estimate", "--system", str(system), "--trials", "40", "--seed", 'x,"y', "--step-cap", "1", "--format", "csv"]
+    assert dispatch(argv) == 0
+    text = capsys.readouterr().out
+    assert ",true" in text and ",false" in text
+    assert text.startswith('seed,T,truncated\n"x,""y/0",')
+    out = files["dir"] / "estimate.csv"
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == text
+
+
 def test_mt_seed_accepts_strings_like_the_api(files, capsys):
     from lll_workbench.jsonio import jsonable, load_event_system
     from lll_workbench.mt_engine import run_mt
@@ -679,6 +721,11 @@ _GOLDEN = [
      1, "fc84b8cbcc9c783ef66420f43edd2c9d527e4d28424b97c19d23ce7cd8ea0c3b"),
     ("lattice-gap-hexagonal", "lattice-gap --lattice hexagonal --pa 0.1547",
      0, "6d342a226a3934adbebf5c29932b45d2c335edf669739c6cf05783298f35e8dc"),
+    ("lattice-gap-cubic", "lattice-gap --lattice cubic --pa 0.1",
+     0, "634c47dadf92daa133bc5059c7a82c41a2230907d7c5c04fb524984844ccb082"),
+    # csv quoting of a string seed holding a comma and a double quote
+    ("mt-estimate-csv-string-seed", 'mt-estimate --system {system} --trials 50 --seed a,"b --format csv',
+     0, "08c0a07db763f758efdd2e04515bc95b59a2027211c776c63305a353ec637a20"),
 ]
 
 

@@ -376,6 +376,71 @@ def edge_variable_graphs(draw):
     return edge_variable_graph(g), p
 
 
+def per_event_digamma(b: BipartiteEventVariableGraph, p: ProbabilityVector, left=None):
+    """digamma as it was before its roots were grouped: one enclosure and
+    one Fraction sum per event, the test-only reference for equal Bounds."""
+    sub, original = criterion._induced_bipartite(b, list(b.events) if left is None else left)
+    probs = [p[i] for i in original]
+    delta_d = base_graph(sub).max_degree()
+    lo = hi = Fraction(-sub.variable_count)
+    for i, pi in zip(sub.events, probs):
+        deg = len(sub.event_vars(i))
+        root = _root(pi, deg)
+        lo += deg * root.lo
+        hi += deg * root.hi
+    scale = min(probs) ** 2 / (delta_d * sub.max_event_degree() ** 2)
+    sqrt_l = _root(Fraction(sub.event_count), 2)
+    value = Bounds(
+        scale * lo / (sqrt_l.hi if lo >= 0 else sqrt_l.lo),
+        scale * hi / (sqrt_l.lo if hi >= 0 else sqrt_l.hi),
+    )
+    return value, value.clamp_nonnegative()
+
+
+@st.composite
+def grouped_cases(draw):
+    """An edge-variable graph whose events take their probabilities from a
+    pool of one to three values (squares among them, whose square roots are
+    exact), so that events of equal probability and degree share a root; and
+    a left set of at least one dependent pair, or None."""
+    b, _ = draw(edge_variable_graphs())
+    pool = draw(st.lists(_probabilities, min_size=1, max_size=3))
+    p = ProbabilityVector(tuple(draw(st.sampled_from(pool)) for _ in b.events))
+    left = None
+    if draw(st.booleans()):
+        u, v = draw(st.sampled_from(sorted(base_graph(b).edges)))
+        left = sorted({u, v} | set(draw(st.lists(st.sampled_from(list(b.events))))))
+    return b, p, left
+
+
+class TestGroupedRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(case=grouped_cases())
+    def test_digamma_equals_the_per_event_reference(self, case):
+        b, p, left = case
+        assert digamma(b, p, left) == per_event_digamma(b, p, left)
+
+    @pytest.mark.parametrize("name,pa", [("square", "0.1193"), ("hexagonal", "0.1547"), ("cubic", "0.1")])
+    def test_lattice_units_equal_the_per_event_reference(self, name, pa):
+        b = edge_variable_graph(builtin_lattice(name).unit)
+        p = ProbabilityVector.uniform(b.event_count, Fraction(pa))
+        assert digamma(b, p) == per_event_digamma(b, p)
+
+    def test_one_enclosure_per_distinct_value_and_degree(self, monkeypatch):
+        calls = []
+        floor = criterion._root_floor
+
+        def spy(a, b, k):
+            calls.append((a, b, k))
+            return floor(a, b, k)
+
+        monkeypatch.setattr(criterion, "_root_floor", spy)
+        b = edge_variable_graph(builtin_lattice("square").unit)  # degrees 2, 3 and 4
+        digamma(b, ProbabilityVector.uniform(25, Fraction(1193, 10000)))
+        # the three event roots, and sqrt(|L|) = sqrt(25)
+        assert sorted(calls) == [(25, 1, 2)] + [(1193, 10000, k) for k in (2, 3, 4)]
+
+
 class TestCertifiedRoots:
     @settings(max_examples=300, deadline=None)
     @given(x=st.fractions(Fraction(1, 10**9), 10**9, max_denominator=10**9), k=st.integers(1, 8))
@@ -502,8 +567,9 @@ class TestBeyondVerdict:
 
     def test_exact_gap_accepts_the_construction(self):
         # an isolated fifth vertex of probability 10^-12 keeps the vector
-        # outside without it (G - 5 = C4), so the gap takes connected_gap:
-        # the set C4 gives the same gap, under the slack
+        # outside without it (G - 5 = C4), so the gap takes outside_gap: the
+        # component C4 is minimally outside, and the gap adds 10^-12 to its
+        # D*, under the slack
         p, eps = self.construction_beyond_region()
         g = DependencyGraph.from_edges(5, C4.edges)
         p = ProbabilityVector(p.values + (Fraction(1, 10**12),))
@@ -533,6 +599,19 @@ class TestBeyondVerdict:
         assert witness <= exact
         assert (witness >= verdict.details["threshold_545"]) == (exact >= verdict.details["threshold_545"])
         assert verdict.accepted == (exact < verdict.details["threshold_545"])
+
+    def test_early_witness_on_a_disconnected_graph(self):
+        # C8 far past the boundary beside an isolated vertex: the witness
+        # adds the vertex's entry to the component's early stop
+        g, eps = DependencyGraph.from_edges(9, cycle(8).edges), Fraction(1, 1000)
+        p = ProbabilityVector((Fraction(3, 10),) * 8 + (Fraction(1, 10),))
+        verdict = beyond_shearer_verdict(g, p, eps)
+        scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
+        exact = l1_gap(g, scaled, 1).lower
+        assert exact == Fraction(1001, 10**4) + l1_gap(cycle(8), ProbabilityVector(scaled.values[:8]), 1).lower
+        witness, threshold = verdict.details["gap_lower_witness"], verdict.details["threshold_545"]
+        assert threshold <= witness <= exact
+        assert not verdict.accepted
 
     def test_scaled_entry_above_one_is_rejected_before_any_search(self):
         # (1 + 1/2) * 9/10 = 27/20 leaves (0, 1]

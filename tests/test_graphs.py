@@ -2,7 +2,7 @@ import pickle
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from lll_workbench.graphs import (
     InputError,
     Matching,
     base_graph,
-    bfs_distances,
+    connected_components,
     edge_variable_graph,
     expand_translational_unit,
     find_disjoint_chordless_cycles,
@@ -21,6 +21,7 @@ from lll_workbench.graphs import (
     graph_distance,
     greedy_max_intersection_matching,
     is_chordal,
+    is_connected,
     is_linear,
     shortest_path,
     simplify,
@@ -96,6 +97,72 @@ def edge_lists(draw, max_m=12):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     return m, [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+
+
+# ---------------------------------------------------------------------------
+# test-only references: the dict/deque breadth-first search and the
+# tuple-position expansion the mask search and the integer codes replaced
+
+def bfs_distances(g, source):
+    dist = {source: 0}
+    dq = deque([source])
+    while dq:
+        u = dq.popleft()
+        for v in sorted(g.neighbors(u)):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                dq.append(v)
+    return dist
+
+
+def reference_is_connected(g):
+    return len(bfs_distances(g, 1)) == g.m
+
+
+def reference_graph_diameter(g):
+    diam = 0
+    for v in g.vertices:
+        dist = bfs_distances(g, v)
+        if len(dist) != g.m:
+            raise InputError("graph is disconnected")
+        diam = max(diam, max(dist.values()))
+    return diam
+
+
+def reference_graph_distance(g, u, v):
+    dist = bfs_distances(g, u)
+    if v not in dist:
+        raise InputError(f"no path from {u} to {v}")
+    return dist[v]
+
+
+def reference_expansion(unit, embedding, shift_vectors, repetitions):
+    """Each copy's positions as tuples, sorted per copy, ids by first
+    appearance."""
+    dim = len(next(iter(embedding.values())))
+    positions = {}
+    edges = set()
+    for combo in product(*[range(r) for r in repetitions]):
+        offset = tuple(sum(a * s[d] for a, s in zip(combo, shift_vectors)) for d in range(dim))
+        placed = {v: tuple(p + o for p, o in zip(embedding[v], offset)) for v in unit.vertices}
+        if len(set(placed.values())) != len(placed):
+            raise InputError("a shifted copy collapses two unit vertices")
+        for pos in sorted(placed.values()):
+            if pos not in positions:
+                positions[pos] = len(positions) + 1
+        for u, v in unit.edges:
+            a, b = positions[placed[u]], positions[placed[v]]
+            edges.add((min(a, b), max(a, b)))
+    graph = DependencyGraph(len(positions), frozenset(edges))
+    return graph, {vid: pos for pos, vid in positions.items()}
+
+
+def outcome(fn, *args):
+    """fn's value, or the message of the InputError it raises."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
 
 
 class TestBaseGraph:
@@ -401,6 +468,38 @@ class TestExpansion:
         g, pos = expand_translational_unit(unit, emb, ((3, 0, 0),), (2,))
         assert g.m == 54
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), shifts=st.integers(0, 3))
+    def test_matches_the_tuple_reference(self, data, dim, shifts):
+        # random units with distinct positions, negative coordinates among
+        # them; shifts of any sign, zero vectors included
+        m, edges = data.draw(edge_lists(max_m=7))
+        coords = st.integers(-4, 4)
+        places = data.draw(
+            st.lists(st.tuples(*[coords] * dim), min_size=m, max_size=m, unique=True)
+        )
+        embedding = dict(zip(range(1, m + 1), places))
+        shift_vectors = data.draw(st.lists(st.tuples(*[coords] * dim), min_size=shifts, max_size=shifts))
+        repetitions = data.draw(st.lists(st.integers(1, 3), min_size=shifts, max_size=shifts))
+        unit = DependencyGraph.from_edges(m, edges)
+        graph, pos = expand_translational_unit(unit, embedding, shift_vectors, repetitions)
+        want_graph, want_pos = reference_expansion(unit, embedding, shift_vectors, repetitions)
+        assert graph == want_graph
+        assert list(pos.items()) == list(want_pos.items())
+
+    def test_builtin_windows_match_the_tuple_reference(self):
+        for name in ("square", "hexagonal", "cubic"):
+            spec = builtin_lattice(name)
+            args = (spec.unit, spec.embedding, spec.shift_vectors, spec.default_repetitions)
+            graph, pos = expand_translational_unit(*args)
+            want_graph, want_pos = reference_expansion(*args)
+            assert graph == want_graph
+            assert list(pos.items()) == list(want_pos.items())
+
+    def test_a_point_unit_in_no_dimensions(self):
+        unit = DependencyGraph(1, frozenset())
+        assert expand_translational_unit(unit, {1: ()}, ((), ()), (2, 3)) == (unit, {1: ()})
+
     def test_primitive_shifts_rebuild_full_grid(self):
         unit, emb = grid_unit((5, 5))
         g, pos = expand_translational_unit(unit, emb, ((1, 0), (0, 1)), (6, 6))
@@ -459,6 +558,7 @@ class TestValidation:
     def test_distance(self):
         assert graph_distance(C4, 1, 3) == 2
 
+
     def test_counts_beyond_the_incidences_size_nothing(self):
         inc = frozenset({(1, 1), (2, 1), (2, 3)})
         huge = BipartiteEventVariableGraph(2, 10**300, inc)
@@ -470,6 +570,44 @@ class TestValidation:
             huge.var_events(10**300 + 1)
         with pytest.raises(InputError, match="events without variables"):
             BipartiteEventVariableGraph(10**300, 3, inc)
+
+
+class TestMaskSearches:
+    """The frontier-mask searches against the dict/deque references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=edge_lists(max_m=9))
+    def test_match_the_breadth_first_references(self, spec):
+        m, edges = spec
+        g = DependencyGraph.from_edges(m, edges)
+        assert is_connected(g) == reference_is_connected(g)
+        assert outcome(graph_diameter, g) == outcome(reference_graph_diameter, g)
+        for u in g.vertices:
+            for v in range(0, m + 2):
+                assert outcome(graph_distance, g, u, v) == outcome(reference_graph_distance, g, u, v)
+
+    def test_disconnected_graphs_keep_their_errors(self):
+        g = DependencyGraph.from_edges(4, [(1, 2), (3, 4)])
+        assert not is_connected(g)
+        with pytest.raises(InputError, match="graph is disconnected"):
+            graph_diameter(g)
+        with pytest.raises(InputError, match="no path from 1 to 3"):
+            graph_distance(g, 1, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=edge_lists(max_m=10))
+    def test_components_partition_into_induced_connected_subgraphs(self, spec):
+        m, edges = spec
+        g = DependencyGraph.from_edges(m, edges)
+        parts = connected_components(g)
+        assert sorted(v for vertices, _ in parts for v in vertices) == list(g.vertices)
+        assert [vertices[0] for vertices, _ in parts] == sorted(vertices[0] for vertices, _ in parts)
+        for vertices, sub in parts:
+            assert list(vertices) == sorted(vertices)
+            assert set(bfs_distances(g, vertices[0])) == set(vertices)
+            label = {v: k for k, v in enumerate(vertices, 1)}
+            want = {(label[u], label[v]) for u, v in g.edges if u in label and v in label}
+            assert sub == DependencyGraph(len(vertices), frozenset(want))
 
 
 @st.composite

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from lll_workbench.shearer import (
     independent_sets,
     l1_gap,
     minimal_gap,
+    outside_gap,
     q_empty,
     q_polynomial,
     resample_bound,
@@ -707,9 +709,36 @@ def test_exact_gap_matches_the_brute_force_theorem(g, data):
         else:
             assert bracket.lower <= exact <= bracket.upper
         for stop in (exact, exact / 2, exact + Fraction(1, 97), data.draw(st.fractions(Fraction(1, 1000), 2))):
-            early = connected_gap(g, p, stop)
-            assert (early >= stop) == (exact >= stop)
-            assert early == exact if early < stop else early <= exact
+            for search in (connected_gap, outside_gap):
+                early = search(g, p, stop)
+                assert (early >= stop) == (exact >= stop)
+                assert early == exact if early < stop else early <= exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=st.lists(small_graphs(max_m=4), min_size=2, max_size=3), data=st.data())
+def test_component_gaps_match_the_walk_over_the_whole_graph(parts, data):
+    """outside_gap on a disjoint union of graphs, each part inside, just past
+    its boundary or far past it, against the walk over the whole union."""
+    edges, values = [], []
+    for part in parts:
+        base = len(values)
+        edges += [(u + base, v + base) for u, v in part.edges]
+        d = ProbabilityVector(tuple(data.draw(mixed_vectors(part.m, zeros=False))))
+        scale = boundary_scale(part, d, Fraction(1, 2**20))
+        t = data.draw(st.sampled_from([scale.lo, scale.hi, 2 * scale.hi]))
+        values += [min(1, t * x) for x in d.values]
+    g = DependencyGraph.from_edges(len(values), edges)
+    p = ProbabilityVector(tuple(values))
+    if shearer_membership(g, p.values):
+        assert l1_gap(g, p, Fraction(1, 16)).lower == -1
+        return
+    exact = connected_gap(g, p)
+    assert l1_gap(g, p, Fraction(1, 16)).lower == outside_gap(g, p) == exact
+    for stop in (exact, exact / 2, exact + Fraction(1, 97)):
+        early = outside_gap(g, p, stop)
+        assert (early >= stop) == (exact >= stop)
+        assert early == exact if early < stop else early <= exact
 
 
 def _outcome(search, *args):
@@ -813,6 +842,31 @@ class TestPinnedGaps:
         # with a stop, the walk returns a witness at or above it, or the gap
         assert Fraction(7, 10) <= connected_gap(cycle(8), p, Fraction(7, 10)) <= Fraction(5, 7)
         assert connected_gap(cycle(8), p, Fraction(3, 4)) == Fraction(5, 7)
+
+    def test_disconnected_gap_takes_each_component(self):
+        # a 5x5 grid just past its boundary plus an isolated vertex: the walk
+        # over the whole graph runs to the plan cap, the grid alone is
+        # minimally outside
+        grid, _ = grid_unit((5, 5))
+        hi = boundary_scale(grid, ProbabilityVector.uniform(25, 1), Fraction(1, 2**30)).hi
+        g = DependencyGraph(26, grid.edges)
+        tiny = Fraction(1, 10**12)
+        p = ProbabilityVector((hi,) * 25 + (tiny,))
+        start = time.perf_counter()
+        gap = l1_gap(g, p, Fraction(1, 256))
+        assert time.perf_counter() - start < 1
+        want = tiny + minimal_gap(grid, ProbabilityVector.uniform(25, hi))
+        assert gap == GapEstimate(want, want, Fraction(1, 256))
+        assert outside_gap(g, p, want / 2) >= want / 2
+        assert outside_gap(g, p, 2 * want) == want
+
+    def test_disconnected_gap_is_the_largest_over_failing_components(self):
+        # C4 at 3/10 (d = 1/35) beside K3_EXAMPLE (d = 1/6) and an inside edge
+        g = DependencyGraph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (5, 7), (8, 9)])
+        p = ProbabilityVector(C4_EXAMPLE.values + K3_EXAMPLE.values + (Fraction(1, 5),) * 2)
+        norm = sum(p.values)
+        want = max(norm - sum(C4_EXAMPLE.values) + Fraction(1, 35), norm - sum(K3_EXAMPLE.values) + Fraction(1, 6))
+        assert l1_gap(g, p, Fraction(1, 64)).lower == want == connected_gap(g, p)
 
     def test_minimally_outside_gaps_are_exact(self):
         # on K3 the region is p_1 + p_2 + p_3 < 1, so d = 7/6 - 1; on C4 at
