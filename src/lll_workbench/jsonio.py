@@ -23,6 +23,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -81,7 +82,10 @@ def jsonable(value) -> Any:
     if type(value) in _PLAIN:
         return value
     if isinstance(value, Fraction):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's int-to-decimal digit limit
+            return _rational(value)
     if isinstance(value, dict):
         return {_key_str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -96,6 +100,14 @@ def jsonable(value) -> Any:
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def _rational(value: Fraction) -> str:
+    """str(value) for a rational whose numerator or denominator has more
+    digits than the interpreter writes of an int (4,300 by default): an
+    exact Decimal writes its integer digits with no such limit."""
+    num, den = (str(Decimal(n)) for n in value.as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _key_str(key) -> str:

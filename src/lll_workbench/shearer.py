@@ -17,8 +17,17 @@ q_0, that backward pass and the memberships of every G - v off one plan,
 and `connected_gap` reads the q_0 of every vertex set it walks off one
 plan. `boundary_scale` probes one graph many times with new numerators, so
 it builds a support's plan at its first probe, keeps the plan's replay
-steps and replays them at every later probe of that support. A call holds
-at most MAX_PLAN_STEPS steps of plans; nothing is cached across calls.
+steps and replays them at every later probe of that support. Nothing is
+cached across calls.
+
+MAX_PLAN_STEPS is the oracle's one cap, and it bounds memory, not time: a
+mask is charged for the size of its value (`_step_charge`), so a call's
+plans, with the q-values `in_shearer_bound` reports, hold about 100 MB at
+most at any vertex count and denominator, and a call whose full-support plan
+cannot fit is refused before any mask exists. The witness walk holds its
+level lists under a budget of its own, so `in_shearer_bound` holds up to
+about twice that. Reducing the m reported q-values of about m * bits(D) bits
+each takes time of order m^3 * bits(D)^2, which no cap bounds.
 
 A plan's size depends on the vertex order it splits in, and any order gives
 the same verdict and values (any maximal chain of induced subgraphs decides
@@ -44,8 +53,37 @@ class CapExceeded(RuntimeError):
     """A configured enumeration or search cap was hit."""
 
 
-#: graphs larger than this are refused by full independent-set enumeration
-DEFAULT_ENUMERATION_CAP = 30
+#: the oracle's one cap, in steps of 1,600 bits (200 bytes): a search over all
+#: the supports it probes, a one-off call over all the masks it evaluates and
+#: the q-values it reports, and the witness walk over the two levels of
+#: independent sets it holds. Each mask, value or set is charged its size in
+#: steps (`_step_charge`), so each holds about 100 MB at most, whatever the
+#: vertex count and denominator
+MAX_PLAN_STEPS = 500_000
+
+
+def _capped() -> CapExceeded:
+    return CapExceeded(f"oracle plans capped at {MAX_PLAN_STEPS} steps")
+
+
+def _step_charge(m: int, bits: int) -> int:
+    """The steps charged for one entry over m vertices: an m-bit mask and up
+    to m numbers of bits+1 bits each. A plan's value Q(S) = den^|S| *
+    q_0(G[S]) has |Q(S)| <= (2*den)^|S|, so a plan passes bits(den); a set of
+    the witness walk is a tuple of up to m words, 64. Any graph of up to 30
+    vertices below a 2^51 denominator pays 1."""
+    return -(-m * (bits + 2) // 1600)
+
+
+def _room(m: int, bits: int, kept: int = 0) -> int:
+    """The entries of `_step_charge(m, bits)` steps MAX_PLAN_STEPS holds
+    beside `kept` values of that size. Raises CapExceeded when it holds
+    fewer than m, the nested suffixes of a full support, so that an input
+    too large is refused before any mask exists."""
+    room = MAX_PLAN_STEPS // _step_charge(m, bits) - kept
+    if room < m:
+        raise _capped()
+    return room
 
 
 @dataclass(frozen=True)
@@ -98,40 +136,33 @@ class BoundaryScale:
     clamped: bool
 
 
-def _check_size(g: DependencyGraph) -> None:
-    if g.m > DEFAULT_ENUMERATION_CAP:
-        raise CapExceeded(
-            f"graph has {g.m} vertices; enumeration capped at {DEFAULT_ENUMERATION_CAP}"
-        )
-
-
 def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
     """All independent sets including (), in nondecreasing size order,
     lexicographic within each size: extending each set of a lex-ordered
     level by larger vertices, in increasing order, keeps the next level in
-    lex order.
+    lex order. Each level is held as a list, its sets charged at
+    `_step_charge(g.m, 64)`: raises CapExceeded once a level and the next
+    hold more than MAX_PLAN_STEPS steps.
     """
-    _check_size(g)
+    room = MAX_PLAN_STEPS // _step_charge(g.m, 64)
     nbr = g.closed_masks
     current: list[tuple[tuple[int, ...], int]] = [((), 0)]
     yield ()
     while current:
         nxt: list[tuple[tuple[int, ...], int]] = []
+        left = room - len(current)
         for vs, mask in current:
             start = vs[-1] + 1 if vs else 1
             for v in range(start, g.m + 1):
                 if mask & (1 << (v - 1)):
                     continue
                 nxt.append((vs + (v,), mask | nbr[v - 1]))
+            if len(nxt) > left:
+                raise _capped()
         for vs, _ in nxt:
             yield vs
         current = nxt
 
-
-#: plan steps one oracle call may hold: a search over all the supports it
-#: probes, a one-off call over all the masks it evaluates. A step takes about
-#: 200 bytes, so the cap bounds a call's plans to about 100 MB
-MAX_PLAN_STEPS = 500_000
 
 #: a plan's replay steps: the highest power of den they use, and one step
 #: (v's label, |N[v] & S|-1, index of S-v, index of S - N[v], S is a nested
@@ -150,7 +181,7 @@ class _Plan:
     walks each chain S, S-v, ... down to a known mask in a loop and
     recurses only on a new S - N[v], so its depth does not grow with the
     number of vertices. Raises CapExceeded once a chain leaves the plan
-    with more than `room` steps.
+    with more than `room` masks (`_room`).
     """
 
     __slots__ = ("nbr", "nums", "den", "room", "values")
@@ -176,7 +207,7 @@ class _Plan:
                 without_nv = self.q(mask ^ near)
             out = values[mask] = den * out - nums[v] * den ** (near.bit_count() - 1) * without_nv
         if len(values) > self.room + 1:
-            raise CapExceeded(f"oracle plans capped at {MAX_PLAN_STEPS} steps")
+            raise _capped()
         return out
 
     def inside(self, support: int) -> bool:
@@ -255,20 +286,21 @@ def _plan_order(g: DependencyGraph) -> tuple[Sequence[int], Sequence[int], Seque
     `DependencyGraph.breadth_first_order`: the plan's vertex k is the
     caller's order[k], the caller's u-1 is the plan's rank[u-1], and masks
     are the closed masks in the plan's labels. The caller's own labels below
-    _ORDER_MIN_VERTICES and above the size cap, which only q_polynomial
-    passes."""
-    if _ORDER_MIN_VERTICES <= g.m <= DEFAULT_ENUMERATION_CAP:
+    _ORDER_MIN_VERTICES."""
+    if g.m >= _ORDER_MIN_VERTICES:
         return g.breadth_first_order
     labels = range(g.m)
     return labels, labels, g.closed_masks
 
 
-def _searcher(g: DependencyGraph) -> Callable[[Sequence[int], int], bool]:
-    """Membership for the probes of one search: each support's plan is
-    built at its first probe, evaluating that probe, and its steps are kept
-    until the search returns; later probes of the support replay them. The
-    steps name the caller's vertices, so a probe reads its numerators as
-    given."""
+def _searcher(g: DependencyGraph, den: int) -> Callable[[Sequence[int], int], bool]:
+    """Membership for the probes of one search, over denominators up to den:
+    each support's plan is built at its first probe, evaluating that probe,
+    and its steps are kept until the search returns; later probes of the
+    support replay them, holding one probe's values. The steps name the
+    caller's vertices, so a probe reads its numerators as given. Every mask
+    is charged at den."""
+    room = _room(g.m, den.bit_length())
     order, _, nbr = _plan_order(g)
     replays: dict[tuple[bool, ...], _Replay] = {}
     held = 0
@@ -282,7 +314,7 @@ def _searcher(g: DependencyGraph) -> Callable[[Sequence[int], int], bool]:
             return _probe(replay, nums, den)
         ranked = [nums[i] for i in order]
         mask = _support(ranked)
-        plan = _Plan(nbr, ranked, den, MAX_PLAN_STEPS - held)
+        plan = _Plan(nbr, ranked, den, room - held)
         inside = plan.inside(mask)
         replays[support] = plan.replay(mask, order)
         held += len(plan.values) - 1
@@ -302,17 +334,17 @@ def _check_length(g: DependencyGraph, values: Sequence) -> None:
         raise InputError("vector length mismatch")
 
 
-def _checked_integers(g: DependencyGraph, values: Sequence) -> tuple[list[int], int]:
+def _checked_integers(g: DependencyGraph, values: Sequence, kept: int = 0) -> tuple[list[int], int, int]:
     """The input checks of membership and of the searches (length, entries
-    in [0,1], size cap) on the numerators over the common denominator."""
+    in [0,1], the plan's room beside `kept` values) on the numerators over
+    the common denominator: (numerators, denominator, room)."""
     vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     _check_length(g, vals)
     nums, den = _integers(vals)
     for n in nums:
         if not 0 <= n <= den:
             raise InputError(f"entry {Fraction(n, den)} outside [0,1]")
-    _check_size(g)
-    return nums, den
+    return nums, den, _room(g.m, den.bit_length(), kept)
 
 
 def _outside(nbr: Sequence[int], rank: Sequence[int], m: int, iset: Sequence[int]) -> int:
@@ -340,9 +372,10 @@ def q_polynomial(
             if a < b and g.has_edge(a, b):
                 raise InputError(f"set not independent: edge ({a},{b})")
     nums, den = _integers(p.values)
+    room = _room(g.m, den.bit_length())
     order, rank, nbr = _plan_order(g)
     mask = _outside(nbr, rank, g.m, iset)
-    q = prod(nums[u - 1] for u in iset) * _Plan(nbr, [nums[i] for i in order], den, MAX_PLAN_STEPS).q(mask)
+    q = prod(nums[u - 1] for u in iset) * _Plan(nbr, [nums[i] for i in order], den, room).q(mask)
     return Fraction(q, den ** (len(iset) + mask.bit_count()))
 
 
@@ -354,10 +387,10 @@ def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     """Strict membership test, extended to vectors with zero entries by
     restricting to the support (an event of probability zero never fires).
     """
-    nums, den = _checked_integers(g, values)
+    nums, den, room = _checked_integers(g, values)
     order, _, nbr = _plan_order(g)
     ranked = [nums[i] for i in order]
-    return _Plan(nbr, ranked, den, MAX_PLAN_STEPS).inside(_support(ranked))
+    return _Plan(nbr, ranked, den, room).inside(_support(ranked))
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
@@ -367,11 +400,12 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
 
     One plan serves all three. q_0 is multilinear, so q_{v} = -p_v * dq_0/dp_v,
     which is n_v * slope_v / den^m for Q of the whole graph; the witness walk
-    extends the plan with each S - N[I] it asks for.
+    extends the plan with each S - N[I] it asks for. The m+1 q-values are
+    charged against the plan's budget as entries of the plan.
     """
-    nums, den = _checked_integers(g, p.values)
+    nums, den, room = _checked_integers(g, p.values, g.m + 1)
     order, rank, nbr = _plan_order(g)
-    plan = _Plan(nbr, [nums[i] for i in order], den, MAX_PLAN_STEPS)
+    plan = _Plan(nbr, [nums[i] for i in order], den, room)
     full, scale = (1 << g.m) - 1, den**g.m
     q_values = {(): Fraction(plan.q(full), scale)}
     slopes = plan.slopes()
@@ -399,17 +433,19 @@ def boundary_scale(
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
-    nums, den = _checked_integers(g, direction.values)
+    nums, den, _ = _checked_integers(g, direction.values)
     top = max(nums)
     t_max = Fraction(den, top)
-    # t_max * direction is nums over top. When t_max <= resolution no probe
-    # is made: the bracket is [0, t_max].
+    # t_max * direction is nums over top. After `last` halvings, the least
+    # number with t_max / 2^last <= resolution, the bracket is narrow enough;
+    # when t_max <= resolution no probe is made: the bracket is [0, t_max].
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
+    last = ((width - 1) // res).bit_length()
     # after t halvings the bracket runs from a/2^t * t_max, in the region,
     # to (a+1)/2^t * t_max, outside it
-    member = _searcher(g)
+    member = _searcher(g, top << last)
     a = t = 0
-    while width > res << t:
+    while t < last:
         t += 1
         a <<= 1
         if member([(a + 1) * n for n in nums], top << t):
@@ -427,9 +463,9 @@ def minimal_gap(g: DependencyGraph, p: ProbabilityVector) -> Fraction | None:
     slopes of that last mask built, den^(m-1) * q_0(G - N[v]), and then the
     m memberships of G - v, which extend it.
     """
-    nums, den = _checked_integers(g, p.values)
+    nums, den, room = _checked_integers(g, p.values)
     order, _, nbr = _plan_order(g)
-    plan = _Plan(nbr, [nums[i] for i in order], den, MAX_PLAN_STEPS)
+    plan = _Plan(nbr, [nums[i] for i in order], den, room)
     full = (1 << g.m) - 1
     q = plan.q(full)
     if q > 0:
@@ -504,7 +540,8 @@ def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | Non
     sets K and the w in K with p restricted to K - w inside and
     q_0(K; p) <= 0, where D_w(K) = -q_0(K; p) / q_0(K - N[w]; p); each such
     (K, w) gives the outside point p_K - D_w(K) e_w (README, "Exact gaps").
-    The sets are walked from their lowest vertex, in the labels of one plan.
+    The sets are walked from their lowest vertex, in the labels of one plan,
+    on an explicit stack, so the walk's depth is not the interpreter's.
     Each carries its admissible w, those with K - w inside: S is inside iff
     S - u is and Q(S) > 0, so the admissible w of K + u need only Q of
     K + u and of each K + u - w. A set with none has no admissible superset,
@@ -513,28 +550,43 @@ def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | Non
     so best = 1 ends the walk. Each set visited is a mask of the plan, so
     MAX_PLAN_STEPS caps the walk.
     """
-    nums, den = _checked_integers(g, p.values)
+    nums, den, room = _checked_integers(g, p.values)
     order, _, nbr = _plan_order(g)
     ranked = [nums[i] for i in order]
-    plan = _Plan(nbr, ranked, den, MAX_PLAN_STEPS)
+    plan = _Plan(nbr, ranked, den, room)
     norm, top = Fraction(sum(nums), den), max(nums)
     best = norm  # p itself is outside
     floor = 1 if stop is None else max(1, norm - stop)
 
+    # a frame is [K, the numerator of ||p_K||_1, K's admissible w, K is
+    # inside, ext, seen]: ext holds the neighbours that may still join K,
+    # seen the vertices that may not (those below K's lowest, and those tried
+    # already), so each set is visited once, depth first at any depth
+    stack: list[list] = []
+
     def visit(mask: int, total: int, admissible: int, ext: int, seen: int) -> None:
-        # total is the numerator of ||p_K||_1; ext holds the neighbours that
-        # may still join K, seen the vertices that may not (those below K's
-        # lowest, and those tried already), so each set is visited once
         nonlocal best
         q = plan.q(mask)
         if q <= 0:
             # the largest D_w has the least den^|K & N[w]| * Q(K - N[w]) > 0
             scale = min(den ** (mask & nbr[w]).bit_count() * plan.q(mask & ~nbr[w]) for w in _bits(admissible))
             best = min(best, Fraction(total, den) + Fraction(q, scale))
-        inside = q > 0 and admissible == mask
-        while ext and best > floor:
+        stack.append([mask, total, admissible, q > 0 and admissible == mask, ext, seen])
+
+    for v in range(g.m):
+        if best <= floor:
+            break
+        bit, seen = 1 << v, (2 << v) - 1
+        visit(bit, ranked[v], bit, nbr[v] & ~seen, seen)
+        while stack:
+            frame = stack[-1]
+            mask, total, admissible, inside, ext, seen = frame
+            if not ext or best <= floor:
+                stack.pop()
+                continue
             u_bit = ext & -ext
             ext ^= u_bit
+            frame[4], frame[5] = ext, seen | u_bit
             u = u_bit.bit_length() - 1
             child, grown = mask | u_bit, total + ranked[u]
             if (grown - top) * best.denominator < best.numerator * den:
@@ -545,13 +597,6 @@ def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | Non
                     kept |= sum(1 << w for w in _bits(admissible) if plan.q(child ^ 1 << w) > 0)
                 if kept:
                     visit(child, grown, kept, (ext | nbr[u]) & ~(child | seen), seen)
-            seen |= u_bit
-
-    for v in range(g.m):
-        if best <= floor:
-            break
-        bit, seen = 1 << v, (2 << v) - 1
-        visit(bit, ranked[v], bit, nbr[v] & ~seen, seen)
     return norm - best
 
 

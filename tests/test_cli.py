@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import lll_workbench
 from lll_workbench import shearer
 from lll_workbench.cli import build_parser, dispatch
-from lll_workbench.graphs import InputError
+from lll_workbench.graphs import DependencyGraph, InputError
 from lll_workbench.jsonio import (
     dumps_csv,
     dumps_estimate_csv,
@@ -27,7 +27,8 @@ from lll_workbench.jsonio import (
     load_probability_vector,
 )
 from lll_workbench.mt_engine import RunStats, estimate_expected_steps, trial_seed
-from lll_workbench.shearer import GapEstimate, ShearerReport
+from lll_workbench.lattices import grid_unit
+from lll_workbench.shearer import GapEstimate, ProbabilityVector, ShearerReport, boundary_scale
 from lll_workbench.wdag import WDag
 
 # a count no structure may be sized by; written out as a JSON integer
@@ -279,6 +280,109 @@ def test_search_plan_cap_exits_three(files, capsys, monkeypatch):
     ):
         assert dispatch(argv) == 3
         assert "cap exceeded: oracle plans capped at 2 steps" in capsys.readouterr().err
+
+
+def _graph_file(tmp_path, name, g):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"m": g.m, "edges": sorted(g.edges)}))
+    return str(path)
+
+
+def _path_graph(n):
+    return DependencyGraph.from_edges(n, [(k, k + 1) for k in range(1, n)])
+
+
+def _p_arg(values):
+    return ",".join(f"{v.numerator}/{v.denominator}" for v in values)
+
+
+def _plan_cap_within_memory(argv, limit):
+    """dispatch(argv) under an address-space limit: it must exit 3 at the
+    oracle's plan cap, promptly and without running out of memory."""
+    started = time.monotonic()
+    code, out, err = _dispatch_with_memory_limit(argv, limit)
+    assert time.monotonic() - started < 10
+    assert code == 3 and out == "", err
+    assert err == "cap exceeded: oracle plans capped at 500000 steps\n"
+
+
+def test_plan_budget_refuses_a_huge_graph_before_any_mask(tmp_path):
+    # 50,000 isolated vertices: their closed masks alone would take about
+    # 167 MB, more than the child's 128 MB, and each mask is charged 94 steps
+    m = 50_000
+    path = _graph_file(tmp_path, "edgeless", DependencyGraph(m, frozenset()))
+    started = time.monotonic()
+    _plan_cap_within_memory(["shearer-check", "--graph", path, "--p", ",".join(["1"] * m)], 1 << 27)
+    assert time.monotonic() - started < 5
+
+
+#: the 25 largest primes below 2^64, as 2^64 minus these
+_PRIMES_BELOW_2_64 = (
+    59, 83, 95, 179, 189, 257, 279, 323, 353, 363, 425, 453, 503,
+    743, 825, 843, 845, 897, 899, 935, 945, 1023, 1025, 1077, 1079,
+)
+
+
+def test_gap_over_a_wide_denominator_exits_three_within_memory(tmp_path):
+    # a 5x5 grid just past its boundary, each entry rounded up over its own
+    # 64-bit prime (a 1,640-bit common denominator with the pendant's
+    # 10^-12): about 27 steps a mask, so the walk stops near 100 MB
+    grid, _ = grid_unit((5, 5))
+    hi = boundary_scale(grid, ProbabilityVector.uniform(25, 1), Fraction(1, 2**30)).hi
+    primes = [2**64 - k for k in _PRIMES_BELOW_2_64]
+    values = [Fraction(-(-hi.numerator * q // hi.denominator), q) for q in primes] + [Fraction(1, 10**12)]
+    g = DependencyGraph.from_edges(26, sorted(grid.edges) + [(1, 26)])
+    path = _graph_file(tmp_path, "pendant", g)
+    _plan_cap_within_memory(["gap", "--graph", path, "--p", _p_arg(values)], 1 << 29)
+
+
+@pytest.mark.parametrize("boundary_of", [1100, 1200])
+def test_gap_on_a_long_path_exits_three_within_memory(tmp_path, boundary_of):
+    # P_1200 at the hi of P_1100's 2^-40 bracket walks connected sets, and at
+    # its own, the memberships of every P_1200 - v: each is charged 32 or
+    # 29 steps a mask
+    scale = boundary_scale(_path_graph(boundary_of), ProbabilityVector.uniform(boundary_of, 1), Fraction(1, 2**40))
+    path = _graph_file(tmp_path, "p1200", _path_graph(1200))
+    _plan_cap_within_memory(["gap", "--graph", path, "--p", _p_arg([scale.hi] * 1200)], 1 << 29)
+
+
+@pytest.mark.parametrize(
+    "name,g,inside",
+    [
+        ("grid4x30", grid_unit((4, 30))[0], Fraction(1, 10)),
+        ("grid12x12", grid_unit((12, 12))[0], Fraction(1, 10)),
+        ("p1200", _path_graph(1200), Fraction(1, 5)),
+    ],
+)
+def test_graphs_over_thirty_vertices_answer(tmp_path, capsys, name, g, inside):
+    path = _graph_file(tmp_path, name, g)
+    started = time.monotonic()
+    assert dispatch(["shearer-check", "--graph", path, "--p", ",".join([str(inside)] * g.m)]) == 0
+    assert json.loads(capsys.readouterr().out)["in_bound"] is True
+    argv = ["boundary", "--graph", path, "--p", ",".join(["1"] * g.m), "--resolution", "1/1048576"]
+    assert dispatch(argv) == 0
+    bracket = json.loads(capsys.readouterr().out)
+    assert inside < Fraction(bracket["lo"]) < Fraction(bracket["hi"]) < 2 * inside
+    assert time.monotonic() - started < 5
+
+
+def test_results_past_the_int_digit_limit_are_written(tmp_path):
+    # 200 isolated vertices at 10^-25: q_0 = (1 - 10^-25)^200 has a 5,001-digit
+    # denominator, past the 4,300 digits str() writes of an int by default
+    m = 200
+    path = _graph_file(tmp_path, "edgeless", DependencyGraph(m, frozenset()))
+    code, out, err = _dispatch_with_memory_limit(["shearer-check", "--graph", path, "--p", ",".join(["1e-25"] * m)])
+    assert (code, err) == (0, "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(Fraction(10**25 - 1, 10**25) ** m)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["q_values"]["()"] == expected
+    assert len(expected.partition("/")[2]) == 5001
 
 
 def test_trial_cap_exits_three_promptly(files):

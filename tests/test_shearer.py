@@ -83,6 +83,16 @@ class TestIndependentSets:
         with pytest.raises(CapExceeded):
             list(independent_sets(DependencyGraph(31, frozenset())))
 
+    def test_a_level_and_the_next_share_the_budget(self, monkeypatch):
+        # 4 isolated vertices: levels of 1, 4, 6, 4 and 1 sets, charged 1 a
+        # set; levels 1 and 2 together hold 10
+        g = DependencyGraph(4, frozenset())
+        monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 10)
+        assert len(list(independent_sets(g))) == 16
+        monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 9)
+        with pytest.raises(CapExceeded, match="oracle plans capped at 9 steps"):
+            list(independent_sets(g))
+
 
 class TestQValues:
     def test_single_vertex(self):
@@ -895,9 +905,11 @@ def test_input_checks_hold_with_or_without_probes(resolution):
     ):
         with pytest.raises(InputError, match="^vector length mismatch"):
             search(C4, ProbabilityVector.uniform(3, Fraction(1, 4)), resolution)
-    # the size cap holds for boundary_scale; the q-values keep none
+    # the plan budget holds for boundary_scale, probes or not, and no
+    # longer depends on the vertex count: C31 answers
     with pytest.raises(CapExceeded):
-        boundary_scale(cycle(31), ProbabilityVector.uniform(31, 1), resolution)
+        boundary_scale(DependencyGraph(50_000, frozenset()), ProbabilityVector.uniform(50_000, 1), resolution)
+    assert boundary_scale(cycle(31), ProbabilityVector.uniform(31, 1), resolution).hi > 0
     assert q_empty(cycle(31), ProbabilityVector.uniform(31, Fraction(1, 4))) > 0
 
 
@@ -1028,7 +1040,7 @@ def test_plan_replays_the_unrolled_recursion(g, data):
 @settings(max_examples=200, deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_compiled_probe_matches_recursive_member(g, data):
-    member = shearer._searcher(g)
+    member = shearer._searcher(g, 97 << 12)  # the largest den drawn
     for _ in range(8):
         nums, den = data.draw(scaled_numerators(g.m))
         assert member(nums, den) == _member(nums, den, g.closed_masks)
@@ -1046,11 +1058,11 @@ def test_one_plan_gives_the_per_set_q_values_and_witness(g, data):
 
 def _probes_of(search, args, make_member):
     """The search's outcome and every probe it made, as (nums, den, verdict),
-    with members built by make_member(g)."""
+    with members built by make_member(g, den) for denominators up to den."""
     log = []
 
-    def searcher(g):
-        member = make_member(g)
+    def searcher(g, den):
+        member = make_member(g, den)
 
         def logged(nums, den):
             out = member(nums, den)
@@ -1064,7 +1076,7 @@ def _probes_of(search, args, make_member):
         return _outcome(search, *args), log
 
 
-def recursive_searcher(g):
+def recursive_searcher(g, den):
     """The searches' reference: every probe runs the memoised recursion."""
     return lambda nums, den: _member(nums, den, g.closed_masks)
 
@@ -1087,7 +1099,7 @@ def _in_both_orders(call):
     """call() with every graph planned in the caller's labels, then in its
     breadth-first order."""
     out = []
-    for smallest in (shearer.DEFAULT_ENUMERATION_CAP + 1, 1):
+    for smallest in (sys.maxsize, 1):  # above every graph's size, then below
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shearer, "_ORDER_MIN_VERTICES", smallest)
             out.append(call())
@@ -1122,6 +1134,48 @@ def test_breadth_first_searches_make_the_identity_order_probes(g, data):
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
     args = (g, p, Fraction(1, 256))
     identity, ordered = _in_both_orders(lambda: _probes_of(boundary_scale, args, shearer._searcher))
+    assert ordered == identity
+
+
+def path(n):
+    return DependencyGraph.from_edges(n, [(k, k + 1) for k in range(1, n)])
+
+
+@st.composite
+def large_graphs(draw):
+    """Graphs of 31-130 vertices whose own labels keep plans small enough to
+    plan both ways: grid strips 2-4 wide labelled across the strip, small
+    grids under a drawn shuffle, long cycles and paths."""
+    kind = draw(st.sampled_from(["strip", "shuffled", "cycle", "path"]))
+    event(kind)
+    if kind == "strip":
+        width = draw(st.integers(2, 4))
+        return grid_unit((draw(st.integers(31 // width + 1, 130 // width)), width))[0]
+    if kind == "shuffled":
+        g = grid_unit(draw(st.sampled_from([(2, 16), (3, 11), (4, 8)])))[0]
+        label = [0] + draw(st.permutations(range(1, g.m + 1)))
+        return DependencyGraph.from_edges(g.m, [(label[u], label[v]) for u, v in g.edges])
+    n = draw(st.integers(31, 130))
+    return cycle(n) if kind == "cycle" else path(n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=large_graphs(), data=st.data())
+def test_large_graphs_answer_alike_in_both_orders(g, data):
+    # above the 30 vertices the oracle once refused; entries near the
+    # thresholds of grids (about 0.12-0.14) and of paths and cycles (1/4)
+    pool = [Fraction(k, 80) for k in (5, 8, 10, 11, 12, 16, 20, 24)]
+    p = ProbabilityVector(tuple(data.draw(st.lists(st.sampled_from(pool), min_size=g.m, max_size=g.m))))
+
+    def answers():
+        report = in_shearer_bound(g, p)
+        return (
+            shearer_membership(g, p.values),
+            (report.in_bound, report.q_values, report.witness),
+            boundary_scale(g, p, Fraction(1, 64)),
+        )
+
+    identity, ordered = _in_both_orders(answers)
     assert ordered == identity
 
 
@@ -1229,6 +1283,72 @@ def test_connected_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
         connected_gap(P4, P4_EXAMPLE)
 
 
+def test_steps_are_charged_by_their_size(monkeypatch):
+    # every graph of up to 30 vertices below a 2^51 denominator pays 1 a
+    # step, so plans that fit before fit now
+    assert shearer._step_charge(30, 51) == 1
+    assert shearer._step_charge(31, 51) == shearer._step_charge(30, 52) == 2
+    # K3 over a 1,600-bit denominator is charged 4 a step: its 3-step plan
+    # takes 12, with the report's 4 q-values 28, and a budget below that
+    # refuses it before any mask exists
+    p = ProbabilityVector.uniform(3, Fraction(1, 2**1599))
+    expected = in_shearer_bound(K3, p)
+    # the boundary search is charged at the last probe's 1,599-bit denominator
+    search = (K3, ProbabilityVector.uniform(3, 1), Fraction(1, 2**1598))
+    bracket = boundary_scale(*search)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 28)
+    assert in_shearer_bound(K3, p) == expected
+    g = DependencyGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 27)
+    with pytest.raises(CapExceeded, match="oracle plans capped at 27 steps"):
+        in_shearer_bound(g, p)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 12)
+    assert q_empty(K3, p) == expected.q_values[()]
+    assert boundary_scale(*search) == bracket
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 11)
+    for call in (
+        lambda: shearer_membership(g, p.values),
+        lambda: q_empty(g, p),
+        lambda: minimal_gap(g, p),
+        lambda: connected_gap(g, p),
+        lambda: boundary_scale(g, *search[1:]),
+    ):
+        with pytest.raises(CapExceeded, match="oracle plans capped at 11 steps"):
+            call()
+    assert "closed_masks" not in g.__dict__
+
+
+def test_q_empty_refuses_a_graph_too_large_before_any_mask():
+    # 50,000 isolated vertices: each mask would be charged 157 steps
+    g = DependencyGraph(50_000, frozenset())
+    p = ProbabilityVector.uniform(50_000, Fraction(1, 4))
+    started = time.monotonic()
+    with pytest.raises(CapExceeded, match="oracle plans capped at 500000 steps"):
+        q_empty(g, p)
+    assert time.monotonic() - started < 1
+    assert "closed_masks" not in g.__dict__ and "breadth_first_order" not in g.__dict__
+
+
+def test_connected_gap_walks_deeper_than_the_recursion_limit():
+    # on P_100 just past its boundary the walk grows K from vertex 1 through
+    # the whole path, 100 sets deep, on an explicit stack
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from lll_workbench.graphs import DependencyGraph\n"
+        "from lll_workbench.shearer import ProbabilityVector as P, boundary_scale, connected_gap, minimal_gap\n"
+        "g = DependencyGraph.from_edges(100, [(k, k + 1) for k in range(1, 100)])\n"
+        "p = P.uniform(100, boundary_scale(g, P.uniform(100, 1), Fraction(1, 2**20)).hi)\n"
+        "exact = minimal_gap(g, p)\n"
+        "sys.setrecursionlimit(25)\n"
+        "print(exact is not None and connected_gap(g, p) == exact)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lll_workbench.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
 def test_long_path_needs_no_deep_recursion():
     # q_0 of the path P_n at 1/4 is (n+2)/2^(n+1); the plan walks each
     # chain S, S-v, ... in a loop, so 1,200 vertices recurse only once
@@ -1261,11 +1381,22 @@ def test_oracle_calls_pass_under_a_low_recursion_limit():
 
 def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
     # membership, the q-values and the witness walk share one plan: C4's
-    # full support takes 5 steps and the walk's first failing set, (), adds none
+    # full support takes 5 steps and the walk's first failing set, (), adds
+    # none; the report's 5 q-values are charged beside it
     p = ProbabilityVector.uniform(4, Fraction(1, 2))
     assert len(_compile(C4.closed_masks, 0b1111)[1]) == 5
+    expected = recursive_report(C4, p)
+    # two disjoint edges and an isolated vertex, for the witness walk below
+    g = DependencyGraph.from_edges(5, [(2, 5), (3, 4)])
+    q = ProbabilityVector(tuple(Fraction(k, 4) for k in (3, 3, 4, 3, 2)))
+    walked = recursive_report(g, q)
+    assert walked.witness == (2,)
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 10)
+    assert in_shearer_bound(C4, p) == expected
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 9)
+    with pytest.raises(CapExceeded, match="oracle plans capped at 9 steps"):
+        in_shearer_bound(C4, p)
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 5)
-    assert in_shearer_bound(C4, p) == recursive_report(C4, p)
     assert not shearer_membership(C4, p.values)
     assert q_empty(C4, p) == Fraction(-1, 2)
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 4)
@@ -1276,17 +1407,15 @@ def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
     ):
         with pytest.raises(CapExceeded, match="oracle plans capped at 4 steps"):
             call()
-    # the witness walk's steps count too: on two disjoint edges and an
-    # isolated vertex, the walk extends the 7-step plan by the mask {1,3,4}
-    g = DependencyGraph.from_edges(5, [(2, 5), (3, 4)])
-    p = ProbabilityVector(tuple(Fraction(k, 4) for k in (3, 3, 4, 3, 2)))
-    assert recursive_report(g, p).witness == (2,)
-    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 8)
-    assert in_shearer_bound(g, p) == recursive_report(g, p)
+    # the witness walk's steps count too: on g, the walk extends the 7-step
+    # plan by the mask {1,3,4}, beside 6 q-values
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 14)
+    assert in_shearer_bound(g, q) == walked
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 13)
+    with pytest.raises(CapExceeded, match="oracle plans capped at 13 steps"):
+        in_shearer_bound(g, q)
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 7)
-    assert not shearer_membership(g, p.values)
-    with pytest.raises(CapExceeded, match="oracle plans capped at 7 steps"):
-        in_shearer_bound(g, p)
+    assert not shearer_membership(g, q.values)
 
 
 def test_minimal_gap_counts_its_steps_against_the_plan_cap(monkeypatch):

@@ -2,13 +2,16 @@
 
 For each graph it prints the vertex count m, the steps of the plan for q_0 of
 the whole graph built in the caller's labels (identity) and in the graph's
-breadth-first order, the order the oracle plans the graph in (`refused` above
-its 30-vertex cap), and the median time to build the breadth-first order on a
-fresh copy of the graph. A plan that reaches MAX_PLAN_STEPS prints as
-`capped`. The graphs are the README's, the cycles C16-C24, region-large's
-sixteen random graphs at seed 7 (drawn as perfbench/workloads.py draws them)
-and the lattice-gap units, each unit also under a seeded label shuffle.
-Standard library only.
+breadth-first order, the order the oracle plans the graph in, the steps each
+mask of that plan is charged at a DEN_BITS-bit denominator, whether the
+oracle's plan fits MAX_PLAN_STEPS at that charge, and the median time to
+build the breadth-first order on a fresh copy of the graph. A plan of more
+than MAX_PLAN_STEPS masks prints as `capped`. The graphs are the README's,
+the cycles C16-C24, region-large's sixteen random graphs at seed 7 (drawn as
+perfbench/workloads.py draws them), the lattice-gap units, each also under a
+seeded label shuffle, and the larger graphs a vertex order is tuned on: the
+4x30 grid, the 6x12 grid under a seeded shuffle, the lattice-gap windows and
+the path P_1200. Standard library only.
 
     python3 tools/plan_steps.py
 """
@@ -25,14 +28,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lll_workbench import shearer  # noqa: E402
 from lll_workbench.graphs import DependencyGraph  # noqa: E402
-from lll_workbench.lattices import BUILTIN_LATTICES  # noqa: E402
+from lll_workbench.lattices import BUILTIN_LATTICES, grid_unit  # noqa: E402
 
-#: region-large's seed for its random graphs, and the seed of the unit shuffles
+#: region-large's seed for its random graphs, and the seed of the shuffles
 SEED = 7
+
+#: the denominator the charge is printed at: a 2^-40 boundary bracket's
+DEN_BITS = 40
 
 
 def cycle(n: int) -> DependencyGraph:
     return DependencyGraph.from_edges(n, [(k, k % n + 1) for k in range(1, n + 1)])
+
+
+def path(n: int) -> DependencyGraph:
+    return DependencyGraph.from_edges(n, [(k, k + 1) for k in range(1, n)])
 
 
 def region_large_graphs() -> list[tuple[str, DependencyGraph]]:
@@ -71,13 +81,19 @@ def graphs() -> list[tuple[str, DependencyGraph]]:
     for name, spec in BUILTIN_LATTICES.items():
         unit = spec().unit
         out += [(f"{name} unit", unit), (f"{name} unit shuffled", shuffled(unit, rng))]
+    out += [
+        ("4x30 grid", grid_unit((4, 30))[0]),
+        ("6x12 grid shuffled", shuffled(grid_unit((6, 12))[0], rng)),
+    ]
+    out += [(f"{name} window", spec().expanded()[0]) for name, spec in BUILTIN_LATTICES.items()]
+    out.append(("P1200", path(1200)))
     return out
 
 
-def plan_steps(masks) -> int | str:
-    """Steps of the plan for the full vertex set; the numerators do not
-    change which masks it reaches."""
-    plan = shearer._Plan(masks, [0] * len(masks), 1, shearer.MAX_PLAN_STEPS)
+def plan_steps(masks, room: int = shearer.MAX_PLAN_STEPS) -> int | str:
+    """Steps of the plan for the full vertex set, or `capped` past `room`;
+    the numerators do not change which masks it reaches."""
+    plan = shearer._Plan(masks, [0] * len(masks), 1, room)
     try:
         plan.q((1 << len(masks)) - 1)
     except shearer.CapExceeded:
@@ -95,20 +111,27 @@ def order_us(g: DependencyGraph) -> float:
     return 1e6 * statistics.median(times)
 
 
-def oracle_order(g: DependencyGraph) -> str:
-    if g.m > shearer.DEFAULT_ENUMERATION_CAP:
+def fits(g: DependencyGraph) -> str:
+    """Whether the oracle's full-support plan fits its budget at DEN_BITS."""
+    try:
+        room = shearer._room(g.m, DEN_BITS)
+    except shearer.CapExceeded:
         return "refused"
-    return "breadth-first" if g.m >= shearer._ORDER_MIN_VERTICES else "identity"
+    return "no" if plan_steps(shearer._plan_order(g)[2], room) == "capped" else "yes"
 
 
 def main() -> int:
-    print(f"oracle: breadth-first order from {shearer._ORDER_MIN_VERTICES} vertices")
-    row = "{:<24} {:>3} {:>9} {:>14} {:>14} {:>9}"
-    print(row.format("graph", "m", "identity", "breadth-first", "oracle", "order_us"))
+    print(
+        f"oracle: breadth-first order from {shearer._ORDER_MIN_VERTICES} vertices; "
+        f"{shearer.MAX_PLAN_STEPS} steps, charged at a {DEN_BITS}-bit denominator"
+    )
+    row = "{:<24} {:>4} {:>9} {:>14} {:>14} {:>6} {:>7} {:>9}"
+    print(row.format("graph", "m", "identity", "breadth-first", "oracle", "charge", "fits", "order_us"))
     for name, g in graphs():
         print(row.format(
             name, g.m, plan_steps(g.closed_masks), plan_steps(g.breadth_first_order[2]),
-            oracle_order(g), f"{order_us(g):.1f}",
+            "breadth-first" if g.m >= shearer._ORDER_MIN_VERTICES else "identity",
+            shearer._step_charge(g.m, DEN_BITS), fits(g), f"{order_us(g):.1f}",
         ))
     return 0
 
