@@ -47,7 +47,7 @@ from .shearer import (
     ProbabilityVector,
     boundary_scale,
     in_shearer_bound,
-    l1_gap,
+    gap,
     q_empty,
     shearer_membership,
 )
@@ -591,8 +591,7 @@ def check_11_gap_sanity() -> CheckResult:
     ok = True
 
     for g, inside in ((k3, Fraction(1, 4)), (c4, Fraction(1, 4))):
-        gap = l1_gap(g, ProbabilityVector.uniform(g.m, inside), Fraction(1, 256))
-        marker_ok = gap.lower == gap.upper == Fraction(-1)
+        marker_ok = gap(g, ProbabilityVector.uniform(g.m, inside)) is None
         ok = ok and marker_ok
         lines.append(f"in-bound marker m={g.m}: {'ok' if marker_ok else 'FAIL'}")
 
@@ -601,20 +600,20 @@ def check_11_gap_sanity() -> CheckResult:
         scale = boundary_scale(
             g, ProbabilityVector.uniform(g.m, 1), Fraction(1, 4096)
         )
-        gap = l1_gap(g, ProbabilityVector.uniform(g.m, scale.hi), Fraction(1, 1024))
-        boundary_ok = Fraction(0) <= gap.upper <= claim
+        d = gap(g, ProbabilityVector.uniform(g.m, scale.hi))
+        boundary_ok = d is not None and 0 <= d <= claim
         ok = ok and boundary_ok
         lines.append(
-            f"boundary m={g.m}: d<= {float(gap.upper):.5f}"
+            f"boundary m={g.m}: d<= {float(d or 0):.5f}"
             + ("" if boundary_ok else " FAIL")
         )
 
     # minimally outside: K3 minus a vertex is inside, so the gap is exact
     p = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
-    gap = l1_gap(k3, p, Fraction(1, 256))
-    third_ok = gap.lower == gap.upper == Fraction(1, 6)
+    d = gap(k3, p)
+    third_ok = d == Fraction(1, 6)
     ok = ok and third_ok
-    lines.append(f"K3 gap [{gap.lower},{gap.upper}] is exactly 1/6: " + ("yes" if third_ok else "NO"))
+    lines.append(f"K3 gap [{d},{d}] is exactly 1/6: " + ("yes" if third_ok else "NO"))
     return _result("11", started, ok, " | ".join(lines))
 
 
@@ -633,13 +632,6 @@ CHECKS: tuple[tuple[str, str, Callable[[], CheckResult]], ...] = (
     ("10", "out-of-region transfer stability", check_10_transfer),
     ("11", "gap sanity", check_11_gap_sanity),
 )
-
-
-def run_check(criterion_id: str) -> CheckResult:
-    for cid, _, fn in CHECKS:
-        if cid == criterion_id:
-            return fn()
-    raise KeyError(f"unknown acceptance criterion {criterion_id!r}")
 
 
 def run_all() -> list[CheckResult]:

@@ -35,7 +35,7 @@ from .shearer import (
     CapExceeded,
     boundary_scale,
     in_shearer_bound,
-    l1_gap,
+    gap,
     resample_bound,
 )
 from .wdag import weight_sums
@@ -122,8 +122,14 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    g = _graph(args)
-    _emit(args, l1_gap(g, _pvec(args), parse_fraction(args.resolution)))
+    """The exact gap as both lower and upper, -1 for a vector in the bound,
+    beside the resolution, which is checked and echoed only."""
+    g, p, resolution = _graph(args), _pvec(args), parse_fraction(args.resolution)
+    if resolution <= 0:
+        raise InputError("resolution must be positive")
+    exact = gap(g, p)
+    exact = Fraction(-1) if exact is None else exact
+    _emit(args, {"lower": exact, "upper": exact, "resolution": resolution})
     return EXIT_OK
 
 

@@ -3,8 +3,10 @@
 Reduced probability vectors for matched intersecting event pairs, the
 intersection-aware convergence verdict, the overlap functional on linear
 bipartite graphs, cycle slack terms, the beyond-region verdict, single-step
-probability transfer along shortest paths, transfer-scheme condition checks,
-and lattice gap bounds.
+probability transfer along shortest paths, and lattice gap bounds. The
+paper's statements these serve that no command evaluates (the reduction
+identity, the matching floor, the transfer-scheme conditions) are checked
+by reference functions in the tests.
 
 The overlap functional and the cycle slack need roots of rationals (p^(1/deg),
 sqrt(p), sqrt(|L|)). Each root is enclosed at 2^-200 in integer
@@ -34,16 +36,8 @@ from .graphs import (
     graph_diameter,
     graph_distance,
     is_connected,
-    is_linear,
-    simplify,
 )
-from .shearer import (
-    ProbabilityVector,
-    in_shearer_bound,
-    minimal_gap,
-    outside_gap,
-    shearer_membership,
-)
+from .shearer import ProbabilityVector, gap, in_shearer_bound, shearer_membership
 
 
 @dataclass(frozen=True)
@@ -59,10 +53,6 @@ class Bounds:
 
     def clamp_nonnegative(self) -> "Bounds":
         return Bounds(max(self.lo, Fraction(0)), max(self.hi, Fraction(0)))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 ROOT_BITS = 200
@@ -159,18 +149,6 @@ def reduced_vectors(setting: IntersectionSetting) -> ReducedVectors:
     return ReducedVectors(
         ProbabilityVector(tuple(minus)), ProbabilityVector(tuple(prime)), c
     )
-
-
-def reduction_identity_holds(setting: IntersectionSetting) -> bool:
-    """Exact check of p-_i + p-_j (p-_i - p'_i) >= p_i for every matched pair
-    (both orientations)."""
-    rv = reduced_vectors(setting)
-    pm, pp = rv.p_minus, rv.p_prime
-    for i, j in setting.matching.pairs:
-        for a, b in ((i, j), (j, i)):
-            if pm[a] + pm[b] * (pm[a] - pp[a]) < setting.p[a]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +256,6 @@ def digamma(
     return value, value.clamp_nonnegative()
 
 
-def matching_intersection_lower_bound(
-    b: BipartiteEventVariableGraph,
-    p: ProbabilityVector,
-    left_sets: Sequence[Sequence[int]],
-) -> list[Fraction]:
-    """Per disjoint left set, the guaranteed floor on the sum of squared
-    pairwise intersections some matching must achieve: the squared positive
-    part of the overlap functional, rounded down.
-
-    Each induced subgraph (or its simplification) must be linear.
-    """
-    seen: set[int] = set()
-    for ls in left_sets:
-        inter = seen & set(ls)
-        if inter:
-            raise InputError(f"left sets overlap at {sorted(inter)}")
-        seen |= set(ls)
-    bounds: list[Fraction] = []
-    for ls in left_sets:
-        sub, _ = _induced_bipartite(b, ls)
-        if not is_linear(sub):
-            sub2 = simplify(sub)
-            if not is_linear(sub2):
-                raise InputError(
-                    f"left set {sorted(set(ls))} induces a non-linear subgraph"
-                )
-        _, plus = digamma(b, p, ls)
-        bounds.append(plus.lo * plus.lo)
-    return bounds
-
-
 # ---------------------------------------------------------------------------
 # cycle slack and the beyond-region verdict
 
@@ -359,10 +306,9 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
     """Accept iff the gap of the scaled vector stays below the disjoint
     chordless cycles' summed slack over 545 (both the 544 and 545 thresholds
     are reported; the stricter one decides). Chordal graphs have zero slack,
-    so acceptance then requires the scaled vector inside the region. The gap
-    is exact: `minimal_gap` when the scaled vector is minimally outside,
-    else `outside_gap`, which stops at the first witness of a gap at or
-    above the 545 threshold.
+    so acceptance then requires the scaled vector inside the region. One
+    `gap` call gives the exact gap, or the first witness of a gap at or
+    above the 545 threshold, or, at zero slack, only the in-bound test.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -382,20 +328,17 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
     thr545 = slack_lo / 545
     details["threshold_544"] = thr544
     details["threshold_545"] = thr545
-    scaled = ProbabilityVector(tuple(scaled_vals))
-    if shearer_membership(g, scaled.values):
+    found = gap(g, ProbabilityVector(tuple(scaled_vals)), stop=thr545)
+    if found is None:
         details["gap"] = Fraction(-1)
         return Verdict(True, Fraction(g.m) / eps, "scaled-vector-in-region", details)
     if thr545 == 0:
         return Verdict(False, None, "out-of-region-with-zero-slack", details)
-    gap = minimal_gap(g, scaled)
-    if gap is None:
-        gap = outside_gap(g, scaled, stop=thr545)
-    details["gap_lower_witness"] = gap
-    if gap >= thr545:
+    details["gap_lower_witness"] = found
+    if found >= thr545:
         return Verdict(False, None, "gap-witness-at-or-above-cycle-slack", details)
-    details["gap"] = (gap, gap)
-    details["gap_below_544"] = gap < thr544
+    details["gap"] = (found, found)
+    details["gap_below_544"] = found < thr544
     return Verdict(True, Fraction(g.m) / eps, "gap-below-cycle-slack", details)
 
 
@@ -437,47 +380,6 @@ def transfer_along_path(
     if vals[first - 1] > 1:
         raise InputError("transfer would push the target entry above 1")
     return ProbabilityVector(tuple(vals))
-
-
-def probability_transfer_conditions(
-    g: DependencyGraph,
-    p: ProbabilityVector,
-    p_a: Fraction,
-    source_sets: Sequence[Sequence[int]],
-    target_sets: Sequence[Sequence[int]],
-    multiplicity: int,
-    distance: int,
-) -> bool:
-    """Check the three transfer-scheme conditions: bounded target
-    multiplicity, bounded source-target distance, and the scaled surplus
-    inequality per set pair. All arithmetic exact.
-    """
-    p_a = Fraction(p_a)
-    if len(source_sets) != len(target_sets):
-        raise InputError("one target set per source set required")
-    covered = set()
-    for s in source_sets:
-        covered |= set(s)
-    if covered != set(g.vertices):
-        raise InputError("source sets must cover every vertex")
-    counts: dict[int, int] = {}
-    for t in target_sets:
-        for i in set(t):
-            counts[i] = counts.get(i, 0) + 1
-    if any(ct > multiplicity for ct in counts.values()):
-        return False
-    for s, t in zip(source_sets, target_sets):
-        for i in set(s):
-            for i2 in set(t):
-                if i != i2 and graph_distance(g, i, i2) > distance:
-                    return False
-    scale = ((1 - p_a) / p_a) ** (distance - 1) * Fraction(multiplicity) / p_a
-    for s, t in zip(source_sets, target_sets):
-        lhs = scale * sum((max(p[i] - p_a, Fraction(0)) for i in set(s)), Fraction(0))
-        rhs = sum((max(p_a - p[i], Fraction(0)) for i in set(t)), Fraction(0))
-        if lhs > rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Graph models and structural predicates.
 
 Dependency graphs over event indices, event-variable bipartite graphs,
-base-graph construction, chordality, chordless cycles, greedy matchings,
-linearity, bipartite simplification, and translational-unit expansion.
+base-graph construction, chordless cycles (a graph is chordal iff it has
+none), connected components, and translational-unit expansion.
 
 All graph values are immutable after construction; every operation here is a
 pure function, so values can be shared freely across concurrent tasks.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import prod
@@ -60,9 +59,6 @@ class DependencyGraph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._neighbor_sets[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._neighbor_sets[v])
 
     def max_degree(self) -> int:
         # counted off the edges: it is asked of fresh graphs, whose
@@ -165,11 +161,6 @@ class BipartiteEventVariableGraph:
     def event_vars(self, i: int) -> frozenset[int]:
         return self._event_vars[i]
 
-    def var_events(self, j: int) -> frozenset[int]:
-        if not 1 <= j <= self.variable_count:
-            raise KeyError(j)
-        return self._var_events.get(j, frozenset())
-
     def max_event_degree(self) -> int:
         return max(len(self.event_vars(i)) for i in self.events)
 
@@ -242,11 +233,6 @@ def base_graph(b: BipartiteEventVariableGraph) -> DependencyGraph:
     return DependencyGraph(b.event_count, frozenset(edges))
 
 
-def is_chordal(g: DependencyGraph) -> bool:
-    """True iff the graph has no induced cycle of length >= 4."""
-    return _shortest_chordless_cycle(g, set(g.vertices)) is None
-
-
 def _shortest_chordless_cycle(g: DependencyGraph, alive: set[int]) -> tuple[int, ...] | None:
     """Shortest induced cycle of length >= 4 inside the alive vertex set.
 
@@ -297,60 +283,6 @@ def find_disjoint_chordless_cycles(g: DependencyGraph) -> ChordlessCycleSet:
         cycles.append(c)
         alive -= set(c)
     return ChordlessCycleSet(tuple(cycles))
-
-
-def greedy_max_intersection_matching(
-    g: DependencyGraph, w: Mapping[tuple[int, int], Fraction]
-) -> Matching:
-    """Greedy matching by weight: scan the edges heaviest first (ties broken
-    by lexicographic edge order) and take each edge whose endpoints are both
-    still unmatched.
-    """
-    weights: dict[tuple[int, int], Fraction] = {}
-    for (u, v), wt in w.items():
-        e = _normalize_edge(u, v)
-        if e not in g.edges:
-            raise InputError(f"weight given for non-edge {e}")
-        weights[e] = Fraction(wt)
-    missing = g.edges - weights.keys()
-    if missing:
-        raise InputError(f"weights missing for edges {sorted(missing)}")
-    chosen: set[tuple[int, int]] = set()
-    matched: set[int] = set()
-    for e in sorted(weights, key=lambda x: (-weights[x], x)):
-        if e[0] not in matched and e[1] not in matched:
-            chosen.add(e)
-            matched.update(e)
-    return Matching(frozenset(chosen))
-
-
-def is_linear(b: BipartiteEventVariableGraph) -> bool:
-    """True iff every pair of events shares at most one variable."""
-    for u, v in combinations(b.events, 2):
-        if len(b.event_vars(u) & b.event_vars(v)) > 1:
-            return False
-    return True
-
-
-def simplify(b: BipartiteEventVariableGraph) -> BipartiteEventVariableGraph:
-    """Drop variables seen by a single event; merge variables with identical
-    event neighborhoods. Preserves linearity. Variables renumbered 1..n'.
-    """
-    groups: dict[frozenset[int], int] = {}
-    new_edges: set[tuple[int, int]] = set()
-    next_var = 0
-    for evs in b._var_events.values():
-        if len(evs) <= 1:
-            continue
-        if evs not in groups:
-            next_var += 1
-            groups[evs] = next_var
-        jj = groups[evs]
-        for i in evs:
-            new_edges.add((i, jj))
-    if next_var == 0:
-        raise InputError("simplification removed every variable")
-    return BipartiteEventVariableGraph(b.event_count, next_var, frozenset(new_edges))
 
 
 def edge_variable_graph(g: DependencyGraph) -> BipartiteEventVariableGraph:
@@ -485,12 +417,15 @@ def is_connected(g: DependencyGraph) -> bool:
 
 def connected_components(g: DependencyGraph) -> list[tuple[tuple[int, ...], DependencyGraph]]:
     """Each component of g, by its least vertex: its vertices, ascending, and
-    the subgraph they induce, relabelled 1..k in that order."""
+    the subgraph they induce, relabelled 1..k in that order; a connected g
+    is its own one component, as it is."""
     parts: list[list[int]] = []
     part_of, label = [0] * (g.m + 1), [0] * (g.m + 1)
     unseen = (1 << g.m) - 1
     while unseen:
         part = sum(_layers(g, (unseen & -unseen).bit_length()))
+        if part == (1 << g.m) - 1:
+            return [(tuple(g.vertices), g)]
         unseen ^= part
         members = []
         while part:

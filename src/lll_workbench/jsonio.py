@@ -10,9 +10,11 @@ One writer, `jsonable`, renders every result: a result object (a dataclass)
 becomes the dict of its fields, so a field name is its wire key; shearer-check
 and mt-run add one derived key each (expected_resample_bound, T). Reports are
 emitted with sorted keys and rationals rendered "a/b", so byte-identical
-inputs give byte-identical outputs. Only two commands build a dict of their
-own: mt-estimate's JSON drops the per-trial rows, which its CSV form lists,
-and lattice-gap flattens its interval bounds and adds float summaries.
+inputs give byte-identical outputs. Three commands build a dict of their
+own: gap writes its exact value as lower and upper beside the resolution
+it was given, mt-estimate's JSON drops the per-trial rows, which its CSV
+form lists, and lattice-gap flattens its interval bounds and adds float
+summaries.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .mt_engine import (
     trial_seed,
 )
 from .shearer import ProbabilityVector
-from .wdag import WDag
 
 
 def parse_fraction(text) -> Fraction:
@@ -93,8 +94,6 @@ def jsonable(value) -> Any:
         if isinstance(value, (set, frozenset)):
             items = sorted(items)
         return [jsonable(v) for v in items]
-    if isinstance(value, WDag):  # stored as parent masks, written as arc pairs
-        return {"labels": jsonable(value.labels), "arcs": jsonable(value.arcs)}
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, float) and not math.isfinite(value):
@@ -216,15 +215,6 @@ def load_event_system(data: Mapping) -> EventSystem:
         if not events:
             raise InputError("event system needs at least one event")
         return EventSystem(tuple(variables), tuple(events))
-
-
-def load_wdag(data: Mapping) -> WDag:
-    what = "bad wdag object: labels and arcs"
-    with _wire_object("wdag"):
-        return WDag.from_arcs(
-            tuple(_integer(x, what) for x in data["labels"]),
-            [(_integer(u, what), _integer(v, what)) for u, v in data.get("arcs", [])],
-        )
 
 
 def dumps_estimate_csv(est: StepEstimate, seed) -> str:

@@ -12,13 +12,13 @@ Every oracle call evaluates Q through one `_Plan` per vector: the masks the
 recursion on the lowest vertex reaches, in bottom-up order, each with its
 value. One-off membership and `q_polynomial` build one plan;
 `in_shearer_bound` reads q_0, the singleton q-values (one backward pass over
-the plan) and the witness walk off the same plan, `minimal_gap` reads
-q_0, that backward pass and the memberships of every G - v off one plan,
-and `connected_gap` reads the q_0 of every vertex set it walks off one
-plan. `boundary_scale` probes one graph many times with new numerators, so
-it builds a support's plan at its first probe, keeps the plan's replay
-steps and replays them at every later probe of that support. Nothing is
-cached across calls.
+the plan) and the witness walk off the same plan, and `gap` reads the
+in-bound test, D* (that backward pass and the memberships of every G - v)
+and the q_0 of every vertex set its walk visits off one plan per
+component. `boundary_scale` probes one graph many times with new
+numerators, so it builds a support's plan at its first probe, keeps the
+plan's replay steps and replays them at every later probe of that support.
+Nothing is cached across calls.
 
 MAX_PLAN_STEPS is the oracle's one cap, and it bounds memory, not time: a
 mask is charged for the size of its value (`_step_charge`), so a call's
@@ -116,17 +116,6 @@ class ShearerReport:
     in_bound: bool
     q_values: dict[tuple[int, ...], Fraction]
     witness: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
-class GapEstimate:
-    """The L1 gap d(p, G), exact: lower == upper == d, or == -1, the marker
-    for a vector in the bound. `resolution` is the caller's, echoed.
-    """
-
-    lower: Fraction
-    upper: Fraction
-    resolution: Fraction
 
 
 @dataclass(frozen=True)
@@ -453,73 +442,45 @@ def boundary_scale(
     return BoundaryScale(t_max * Fraction(a, 1 << t), t_max * Fraction(a + 1, 1 << t), clamped=a + 1 == 1 << t)
 
 
-def minimal_gap(g: DependencyGraph, p: ProbabilityVector) -> Fraction | None:
-    """d(p, G) exactly when p is minimally outside G, else None.
-
-    p is minimally outside when q_0(G; p) <= 0 and p restricted to every
-    G - v is inside. Then d(p, G) = D* = -q_0(G; p) / min_v q_0(G - N[v]; p),
-    the set K = G of `connected_gap`, which then needs no walk (README,
-    "Exact gaps"). One plan gives all three: Q of the whole graph, the
-    slopes of that last mask built, den^(m-1) * q_0(G - N[v]), and then the
-    m memberships of G - v, which extend it.
-    """
-    nums, den, room = _checked_integers(g, p.values)
-    order, _, nbr = _plan_order(g)
-    plan = _Plan(nbr, [nums[i] for i in order], den, room)
-    full = (1 << g.m) - 1
-    q = plan.q(full)
-    if q > 0:
-        return None
-    slope = min(plan.slopes())  # > 0 once every G - v is inside
-    if not all(plan.inside(full ^ (1 << v)) for v in range(g.m)):
-        return None
-    return Fraction(-q, den * slope)
-
-
-def l1_gap(g: DependencyGraph, p: ProbabilityVector, resolution: Fraction) -> GapEstimate:
+def gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) -> Fraction | None:
     """d(p, G) = sup ||x||_1 over 0 <= x <= p with p - x outside the region,
-    exactly: lower == upper == d, or the -1 marker when p is in the bound.
-    The resolution must be positive and is only echoed.
+    exactly, or None when p is in the bound. With `stop`, it returns as
+    soon as it has certified a value >= stop, which is then a lower bound on
+    d; p itself certifies 0, so a stop <= 0 returns right after the in-bound
+    test.
 
-    A minimally-outside p (q_0(G; p) <= 0, and p restricted to every G - v
-    inside) takes `minimal_gap`, D* off one plan; every other out-of-region
-    p takes `outside_gap`, component by component.
-    """
-    resolution = Fraction(resolution)
-    if resolution <= 0:
-        raise InputError("resolution must be positive")
-    exact = minimal_gap(g, p)
-    if exact is None:
-        if shearer_membership(g, p.values):
-            return GapEstimate(Fraction(-1), Fraction(-1), resolution)
-        exact = outside_gap(g, p)
-    return GapEstimate(exact, exact, resolution)
-
-
-def outside_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) -> Fraction:
-    """d(p, G) of an out-of-region p, with `connected_gap`'s early `stop`;
-    the gap searches take it once p is known not to be minimally outside G.
     q_0 factors over components, so p - x is outside iff it is outside on
     some component C, and d(p, G) is the max over the out-of-region C of
-    ||p_{V-C}||_1 + d(p_C, C). Each such C takes `minimal_gap`, and
-    `connected_gap` when p_C is not minimally outside C (a disconnected G
-    never is: G - v keeps every other component); a connected G goes to
-    `connected_gap` directly.
+    ||p_{V-C}||_1 + d(p_C, C); a connected G is its own one component. One
+    plan per component gives its in-bound test, then D* when p_C is
+    minimally outside C (q_0(C; p) <= 0 and p restricted to every C - v
+    inside): d(p_C, C) = D* = -q_0(C; p) / min_v q_0(C - N[v]; p), from Q
+    of C, the slopes of that last mask built, den^(k-1) * q_0(C - N[v]),
+    and the k memberships of C - v, which extend it (README, "Exact gaps").
+    Any other out-of-region p_C takes the walk, `_walk`, on the same plan.
+    The whole vector is checked, and refused when the full-support plan of
+    G cannot fit, before any mask exists.
     """
-    parts = connected_components(g)
-    if len(parts) == 1:
-        return connected_gap(g, p, stop)
-    norm = sum(p.values)
-    best = None
-    for vertices, sub in parts:
-        sub_p = ProbabilityVector(tuple(p[v] for v in vertices))
-        rest = norm - sum(sub_p.values)
-        gap = minimal_gap(sub, sub_p)
-        if gap is None:
-            if shearer_membership(sub, sub_p.values):
-                continue
-            gap = connected_gap(sub, sub_p, None if stop is None else stop - rest)
-        best = rest + gap if best is None else max(best, rest + gap)
+    nums, den, _ = _checked_integers(g, p.values)
+    norm, best = sum(nums), None
+    for vertices, part in connected_components(g):
+        part_nums = [nums[v - 1] for v in vertices]
+        order, _, nbr = _plan_order(part)
+        plan = _Plan(nbr, [part_nums[i] for i in order], den, _room(part.m, den.bit_length()))
+        full = (1 << part.m) - 1
+        if plan.inside(full):
+            continue
+        rest = Fraction(norm - sum(part_nums), den)
+        if stop is not None and stop <= 0:
+            return rest
+        q, found = plan.values[full], None
+        if q <= 0:
+            slope = min(plan.slopes())  # > 0 once every C - v is inside
+            if all(plan.inside(full ^ (1 << v)) for v in range(part.m)):
+                found = Fraction(-q, den * slope)
+        if found is None:
+            found = _walk(plan, None if stop is None else stop - rest)
+        best = rest + found if best is None else max(best, rest + found)
         if stop is not None and best >= stop:
             break  # a certified lower bound at or above stop
     return best
@@ -532,29 +493,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) -> Fraction:
-    """d(p, G) of an out-of-region p; with `stop`, it returns as soon as it
-    has certified a value >= stop, which is then a lower bound on d.
+def _walk(plan: _Plan, stop: Fraction | None) -> Fraction:
+    """d(p, G) of the plan's out-of-region vector p = nums/den, in the
+    plan's labels, with `gap`'s early `stop`.
 
     d = ||p||_1 minus the least ||p_K||_1 - D_w(K) over the connected vertex
     sets K and the w in K with p restricted to K - w inside and
     q_0(K; p) <= 0, where D_w(K) = -q_0(K; p) / q_0(K - N[w]; p); each such
     (K, w) gives the outside point p_K - D_w(K) e_w (README, "Exact gaps").
-    The sets are walked from their lowest vertex, in the labels of one plan,
-    on an explicit stack, so the walk's depth is not the interpreter's.
-    Each carries its admissible w, those with K - w inside: S is inside iff
-    S - u is and Q(S) > 0, so the admissible w of K + u need only Q of
-    K + u and of each K + u - w. A set with none has no admissible superset,
-    and since D_w < p_w, one with ||p_K||_1 - max p >= the best norm so far
-    has no better one. No outside point has norm below 1 (the union bound),
-    so best = 1 ends the walk. Each set visited is a mask of the plan, so
-    MAX_PLAN_STEPS caps the walk.
+    The sets are walked from their lowest vertex on an explicit stack, so
+    the walk's depth is not the interpreter's. Each carries its admissible
+    w, those with K - w inside: S is inside iff S - u is and Q(S) > 0, so
+    the admissible w of K + u need only Q of K + u and of each K + u - w. A
+    set with none has no admissible superset, and since D_w < p_w, one with
+    ||p_K||_1 - max p >= the best norm so far has no better one. No outside
+    point has norm below 1 (the union bound), so best = 1 ends the walk.
+    Each set visited is a mask of the plan, so MAX_PLAN_STEPS caps the walk.
     """
-    nums, den, room = _checked_integers(g, p.values)
-    order, _, nbr = _plan_order(g)
-    ranked = [nums[i] for i in order]
-    plan = _Plan(nbr, ranked, den, room)
-    norm, top = Fraction(sum(nums), den), max(nums)
+    nbr, ranked, den = plan.nbr, plan.nums, plan.den
+    norm, top = Fraction(sum(ranked), den), max(ranked)
     best = norm  # p itself is outside
     floor = 1 if stop is None else max(1, norm - stop)
 
@@ -573,7 +530,7 @@ def connected_gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | Non
             best = min(best, Fraction(total, den) + Fraction(q, scale))
         stack.append([mask, total, admissible, q > 0 and admissible == mask, ext, seen])
 
-    for v in range(g.m):
+    for v in range(len(ranked)):
         if best <= floor:
             break
         bit, seen = 1 << v, (2 << v) - 1

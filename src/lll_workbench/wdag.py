@@ -18,13 +18,14 @@ is the label of node k. A wdag is stored as one parent mask per node: bit u-1
 of `parents[v-1]` is set when (u, v) is an arc. Every reader (sinks, the
 topological order, closures, validity, reversibility, the canonical key)
 works on these masks; `arcs`, the same arcs as (u, v) pairs, is built on
-first read, for the wire format. Arc rule (`ordered_parents`): exactly the
-nodes with equal or adjacent labels are joined, from the earlier to the
-later node, so a set of such pairwise-conflicting nodes is totally ordered,
-and a node's position in it is 1 plus the number of its parents in the set.
-The canonical form renames node v to its pair (label, rank-within-label), the
+first read, for readers that take pairs. Arc rule (`ordered_parents`):
+exactly the nodes with equal or adjacent labels are joined, from the earlier
+to the later node, so a set of such pairwise-conflicting nodes is totally
+ordered, and a node's position in it is 1 plus the number of its parents in
+the set.
+The canonical key renames node v to its pair (label, rank-within-label), the
 rank being 1 plus v's same-label parents, and sorts. Two valid wdags are
-structurally equal iff their canonical encodings coincide.
+structurally equal iff their canonical keys coincide.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class WDag:
     parents: tuple[int, ...]
 
     def __init__(self, labels: tuple[int, ...], parents: Sequence[int] = (), *, arcs=None):
-        """Given arcs, (u, v) pairs as `from_arcs` takes them, they replace
-        parents, so dataclasses.replace(d, arcs=...) also builds from pairs."""
+        """Given arcs, (u, v) pairs of node ids, they replace parents, so
+        dataclasses.replace(d, arcs=...) also builds from pairs."""
         n = len(labels)
         if arcs is not None:
             masks = [0] * n
@@ -67,11 +68,6 @@ class WDag:
                 raise InputError(f"parent mask {mask!r} of node {v + 1} out of range")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "parents", tuple(parents))
-
-    @classmethod
-    def from_arcs(cls, labels: tuple[int, ...], arcs: Iterable[tuple[int, int]]) -> WDag:
-        """The wdag with these arcs, (u, v) pairs of node ids."""
-        return cls(labels, arcs=arcs)
 
     @property
     def n(self) -> int:
@@ -211,16 +207,6 @@ def canonical_key(d: WDag):
             mask ^= low
     arcs.sort()
     return (tuple(sorted(pair)), tuple(arcs))
-
-
-def canonical_form(d: WDag) -> WDag:
-    """Renumber nodes so sorted (label, rank) pairs become ids 1..n."""
-    key_nodes, key_arcs = canonical_key(d)
-    ids = {pair: k for k, pair in enumerate(key_nodes)}
-    parents = [0] * d.n
-    for a, b in key_arcs:
-        parents[ids[b]] |= 1 << ids[a]
-    return WDag(tuple(pair[0] for pair in key_nodes), tuple(parents))
 
 
 # ---------------------------------------------------------------------------
@@ -401,40 +387,13 @@ def m_reversible_nodes(
     return frozenset(nodes), {k: frozenset(s) for k, s in per_label.items()}
 
 
-def node_list_for_pair(d: WDag, i: int, j: int) -> list[int]:
-    """All nodes labelled i or j in topological order, each at its
-    lambda_order. Assumes a valid wdag with i and j equal or adjacent, so
-    these nodes are pairwise arc-connected and the order is unique."""
-    pair = (i, j)
-    members = [v for v in d.nodes if d.label(v) in pair]
-    return sorted(members, key=lambda v: lambda_order(d, v, pair))
-
-
 def lambda_order(d: WDag, v: int, pair: tuple[int, int]) -> int:
-    """1-based position of v, labelled in pair, in the pair's topological
-    node list: 1 plus v's parents labelled in pair. Assumes a valid wdag,
-    as node_list_for_pair does."""
+    """1-based position of v, labelled in pair, among the nodes labelled in
+    pair, in topological order: 1 plus v's parents labelled in pair. Assumes
+    a valid wdag with the pair's labels equal or adjacent, so these nodes
+    are pairwise joined by arcs and the order is unique."""
     inside = sum(1 << k for k, lab in enumerate(d.labels) if lab in pair)
     return 1 + (d.parents[v - 1] & inside).bit_count()
-
-
-def disjoint_reversible_pairs(d: WDag, m: Matching) -> frozenset[tuple[int, int]]:
-    """Greedy scan of each matched pair's node list, taking a reversible
-    consecutive matched arc and skipping past it. Covers, per matched label,
-    at least half the nodes participating in matched reversible arcs.
-    """
-    chosen: set[tuple[int, int]] = set()
-    for i, j in sorted(m.pairs):
-        lst = node_list_for_pair(d, i, j)
-        k = 0
-        while k < len(lst) - 1:
-            u, v = lst[k], lst[k + 1]
-            if d.label(u) != d.label(v) and d.parents[v - 1] >> (u - 1) & 1 and is_reversible(d, u, v):
-                chosen.add((u, v))
-                k += 2
-            else:
-                k += 1
-    return frozenset(chosen)
 
 
 def reverse_arc(d: WDag, u: int, v: int) -> WDag:

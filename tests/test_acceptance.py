@@ -18,28 +18,26 @@ from itertools import combinations
 import pytest
 
 from lll_workbench import acceptance, wdag
-from lll_workbench.acceptance import CHECKS, run_check
+from lll_workbench.acceptance import CHECKS
 from lll_workbench.mt_engine import witness_dag_of_run
 from lll_workbench.tables import ResamplingTable
 from lll_workbench.wdag import WDag
 
 
-@pytest.mark.parametrize(
-    "cid,title", [(cid, title) for cid, title, _ in CHECKS], ids=[c for c, _, _ in CHECKS]
-)
-def test_acceptance_criterion(cid, title):
-    result = run_check(cid)
+@pytest.mark.parametrize("cid,title,check", CHECKS, ids=[c for c, _, _ in CHECKS])
+def test_acceptance_criterion(cid, title, check):
+    result = check()
     line = f"criterion {cid} ({title}): {result.detail}"
     print(("PASS " if result.passed else "FAIL ") + line)
     assert result.passed, line
 
 
 def _without_same_label_arcs(dag):
-    return WDag.from_arcs(dag.labels, frozenset((u, v) for u, v in dag.arcs if dag.label(u) != dag.label(v)))
+    return WDag(dag.labels, arcs=frozenset((u, v) for u, v in dag.arcs if dag.label(u) != dag.label(v)))
 
 
 def _totally_ordered(dag):
-    return WDag.from_arcs(dag.labels, frozenset(combinations(dag.nodes, 2)))
+    return WDag(dag.labels, arcs=frozenset(combinations(dag.nodes, 2)))
 
 
 @pytest.mark.parametrize("mutate", [_without_same_label_arcs, _totally_ordered])

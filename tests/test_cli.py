@@ -28,8 +28,7 @@ from lll_workbench.jsonio import (
 )
 from lll_workbench.mt_engine import RunStats, estimate_expected_steps, trial_seed
 from lll_workbench.lattices import grid_unit
-from lll_workbench.shearer import GapEstimate, ProbabilityVector, ShearerReport, boundary_scale
-from lll_workbench.wdag import WDag
+from lll_workbench.shearer import ProbabilityVector, ShearerReport, boundary_scale
 
 # a count no structure may be sized by; written out as a JSON integer
 HUGE = 10**300
@@ -280,6 +279,40 @@ def test_search_plan_cap_exits_three(files, capsys, monkeypatch):
     ):
         assert dispatch(argv) == 3
         assert "cap exceeded: oracle plans capped at 2 steps" in capsys.readouterr().err
+
+
+def test_zero_slack_beyond_makes_no_minimal_test(tmp_path, capsys, monkeypatch):
+    # a 4x4 grid at uniform p just past its boundary (slack 0: p < 1/4):
+    # beyond's gap call has stop 0 and returns after the in-bound test, so
+    # a budget that holds the membership plan but not the D* test's masks
+    # still answers
+    g = grid_unit((4, 4))[0]
+    hi = boundary_scale(g, ProbabilityVector.uniform(16, 1), Fraction(1, 2**30)).hi
+    eps = Fraction(1, 1000)
+    scaled = ProbabilityVector.uniform(16, hi)
+    plans = []
+
+    class KeptPlan(shearer._Plan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shearer, "_Plan", KeptPlan)
+        assert not shearer.shearer_membership(g, scaled.values)
+        shearer.gap(g, scaled)
+    member, minimal = (len(plan.values) - 1 for plan in plans)
+    assert member < minimal
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", member)
+    with pytest.raises(shearer.CapExceeded):
+        shearer.gap(g, scaled)
+    argv = ["beyond", "--graph", _graph_file(tmp_path, "grid", g), "--p", _p_arg([hi / (1 + eps)] * 16), "--eps", "1/1000"]
+    assert dispatch(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["evidence"] == "out-of-region-with-zero-slack"
+    assert out["details"]["threshold_545"] == "0"
 
 
 def _graph_file(tmp_path, name, g):
@@ -1060,21 +1093,6 @@ def test_selftest_reports_the_acceptance_results(capsys, monkeypatch):
     )
 
 
-def test_wdag_wire_format_roundtrip():
-    from lll_workbench.graphs import InputError
-    from lll_workbench.jsonio import jsonable, load_wdag
-
-    data = {"labels": [1, 3, 2, 1], "arcs": [[1, 3], [1, 4], [2, 3], [3, 4]]}
-    d = load_wdag(data)
-    assert jsonable(d) == data
-    for bad in ({"labels": [1, 2.0]}, {"labels": [1, 2], "arcs": [[1, True]]}):
-        with pytest.raises(InputError, match="must be integers"):
-            load_wdag(bad)
-    for arcs in ([[1]], [[1, 2, 3]], [1], None):
-        with pytest.raises(InputError, match="bad wdag object"):
-            load_wdag({"labels": [1], "arcs": arcs})
-
-
 # ---------------------------------------------------------------------------
 # the per-type renderers jsonable replaced, kept as reference oracles
 
@@ -1101,10 +1119,6 @@ def _key_str(key) -> str:
     return str(key)
 
 
-def wdag_to_dict(d: WDag) -> dict:
-    return {"labels": list(d.labels), "arcs": [list(a) for a in sorted(d.arcs)]}
-
-
 def run_stats_to_dict(stats: RunStats) -> dict:
     return {
         "T": stats.t,
@@ -1124,14 +1138,6 @@ def shearer_report_to_dict(report: ShearerReport) -> dict:
         "in_bound": report.in_bound,
         "q_values": {_key_str(k): fraction_str(v) for k, v in report.q_values.items()},
         "witness": list(report.witness) if report.witness is not None else None,
-    }
-
-
-def gap_to_dict(gap: GapEstimate) -> dict:
-    return {
-        "lower": fraction_str(gap.lower),
-        "upper": fraction_str(gap.upper),
-        "resolution": fraction_str(gap.resolution),
     }
 
 
@@ -1158,13 +1164,6 @@ def _run_stats(draw):
     return RunStats(draw(st.lists(_indices).map(tuple)), draw(st.booleans()), final, counts)
 
 
-@st.composite
-def _wdags(draw):
-    n = draw(st.integers(1, 12))
-    arcs = draw(st.frozensets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda a: a[0] != a[1])))
-    return WDag.from_arcs(tuple(draw(st.lists(_indices, min_size=n, max_size=n))), arcs)
-
-
 def _same_json(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
@@ -1172,17 +1171,13 @@ def _same_json(a, b) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(
     report=_shearer_reports(),
-    gap=st.builds(GapEstimate, _fractions, _fractions, _fractions),
     stats=_run_stats(),
-    d=_wdags(),
 )
-def test_jsonable_matches_the_per_type_renderers(report, gap, stats, d):
+def test_jsonable_matches_the_per_type_renderers(report, stats):
     from lll_workbench.jsonio import jsonable
 
     assert _same_json(jsonable(report), shearer_report_to_dict(report))
-    assert _same_json(jsonable(gap), gap_to_dict(gap))
     assert _same_json({**jsonable(stats), "T": stats.t}, run_stats_to_dict(stats))
-    assert _same_json(jsonable(d), wdag_to_dict(d))
 
 
 def test_bipartite_input_derives_dependency_graph(files, tmp_path, capsys):

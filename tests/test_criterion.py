@@ -16,11 +16,8 @@ from lll_workbench.criterion import (
     digamma,
     intersection_lll_verdict,
     lattice_gap_q,
-    matching_intersection_lower_bound,
-    probability_transfer_conditions,
     r_cycle,
     reduced_vectors,
-    reduction_identity_holds,
     transfer_along_path,
 )
 from lll_workbench.graphs import (
@@ -30,6 +27,7 @@ from lll_workbench.graphs import (
     Matching,
     base_graph,
     edge_variable_graph,
+    graph_distance,
 )
 from lll_workbench.lattices import builtin_lattice
 from lll_workbench.mt_engine import (
@@ -42,11 +40,11 @@ from lll_workbench.mt_engine import (
 from lll_workbench.shearer import (
     ProbabilityVector,
     boundary_scale,
+    gap,
     in_shearer_bound,
-    l1_gap,
-    minimal_gap,
     shearer_membership,
 )
+from test_graphs import greedy_max_intersection_matching, is_linear, simplify
 
 
 def cycle(n):
@@ -66,6 +64,81 @@ def quarter_setting(delta=Fraction(1, 8)):
         Matching(frozenset({(1, 2)})),
         {(1, 2): delta},
     )
+
+
+# The paper's statements that no command evaluates, checked exactly: the
+# reduction identity, the matching floor and the transfer-scheme conditions.
+
+
+def reduction_identity_holds(setting):
+    """Exact check of p-_i + p-_j (p-_i - p'_i) >= p_i for every matched pair
+    (both orientations)."""
+    rv = reduced_vectors(setting)
+    pm, pp = rv.p_minus, rv.p_prime
+    return all(
+        pm[a] + pm[b] * (pm[a] - pp[a]) >= setting.p[a]
+        for i, j in setting.matching.pairs
+        for a, b in ((i, j), (j, i))
+    )
+
+
+def matching_intersection_lower_bound(b, p, left_sets):
+    """Per disjoint left set, the guaranteed floor on the sum of squared
+    pairwise intersections some matching must achieve: the squared positive
+    part of the overlap functional, rounded down. Each induced subgraph (or
+    its simplification) must be linear."""
+    seen = set()
+    for ls in left_sets:
+        if seen & set(ls):
+            raise InputError(f"left sets overlap at {sorted(seen & set(ls))}")
+        seen |= set(ls)
+    bounds = []
+    for ls in left_sets:
+        sub, _ = criterion._induced_bipartite(b, ls)
+        if not is_linear(sub) and not is_linear(simplify(sub)):
+            raise InputError(f"left set {sorted(set(ls))} induces a non-linear subgraph")
+        _, plus = digamma(b, p, ls)
+        bounds.append(plus.lo * plus.lo)
+    return bounds
+
+
+def probability_transfer_conditions(g, p, p_a, source_sets, target_sets, multiplicity, distance):
+    """The three transfer-scheme conditions: bounded target multiplicity,
+    bounded source-target distance, and the scaled surplus inequality per
+    set pair. All arithmetic exact."""
+    p_a = Fraction(p_a)
+    if len(source_sets) != len(target_sets):
+        raise InputError("one target set per source set required")
+    if set().union(*map(set, source_sets)) != set(g.vertices):
+        raise InputError("source sets must cover every vertex")
+    counts = {}
+    for t in target_sets:
+        for i in set(t):
+            counts[i] = counts.get(i, 0) + 1
+    if any(ct > multiplicity for ct in counts.values()):
+        return False
+    for s, t in zip(source_sets, target_sets):
+        if any(i != i2 and graph_distance(g, i, i2) > distance for i in set(s) for i2 in set(t)):
+            return False
+    scale = ((1 - p_a) / p_a) ** (distance - 1) * Fraction(multiplicity) / p_a
+    for s, t in zip(source_sets, target_sets):
+        lhs = scale * sum((max(p[i] - p_a, Fraction(0)) for i in set(s)), Fraction(0))
+        rhs = sum((max(p_a - p[i], Fraction(0)) for i in set(t)), Fraction(0))
+        if lhs > rhs:
+            return False
+    return True
+
+
+def d_star(g, p):
+    """D* = -q_0(G; p) / min_v q_0(G - N[v]; p) when p is minimally outside
+    G (q_0(G; p) <= 0 and p restricted to every G - v inside), else None;
+    q_{v} = p_v * q_0(G - N[v])."""
+    q = in_shearer_bound(g, p).q_values
+    if q[()] > 0 or not all(
+        shearer_membership(g, [0 if k == v else x for k, x in enumerate(p.values, 1)]) for v in g.vertices
+    ):
+        return None
+    return -q[()] / min(q[(v,)] / p[v] for v in g.vertices)
 
 
 class TestReducedVectors:
@@ -165,14 +238,14 @@ class TestDigamma:
         b = edge_variable_graph(C4)
         value, plus = digamma(b, ProbabilityVector.uniform(4, Fraction(1, 4)))
         assert value.lo <= 0 <= value.hi
-        assert value.width < Fraction(1, 10**30)
+        assert (value.hi - value.lo) < Fraction(1, 10**30)
         assert plus.lo == 0
 
     def test_eight_cycle_at_036(self):
         b = edge_variable_graph(C4)
         value, _ = digamma(b, ProbabilityVector.uniform(4, Fraction(9, 25)))
         assert value.lo <= Fraction(81, 12500) <= value.hi
-        assert value.width < Fraction(1, 10**30)
+        assert (value.hi - value.lo) < Fraction(1, 10**30)
 
     def test_five_by_five_grid(self):
         unit = builtin_lattice("square").unit
@@ -206,8 +279,6 @@ class TestMatchingLowerBound:
         assert abs(bound - expected) < Fraction(1, 10**20)
 
     def test_greedy_matching_achieves_floor_empirically(self):
-        from lll_workbench.graphs import greedy_max_intersection_matching
-
         rng = random.Random(55)
         b = edge_variable_graph(C4)
         for _ in range(100):
@@ -269,7 +340,7 @@ class TestCycleSlack:
         plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(9, 25)), (1, 2, 3, 4))
         exact = Fraction(26873856, 10**10)
         assert plain.lo <= exact <= plain.hi
-        assert plain.width < Fraction(1, 10**25)
+        assert (plain.hi - plain.lo) < Fraction(1, 10**25)
         assert plus.lo == plain.lo
 
     def test_clamped_variant_differs_below_quarter(self):
@@ -446,7 +517,7 @@ class TestCertifiedRoots:
     @given(x=st.fractions(Fraction(1, 10**9), 10**9, max_denominator=10**9), k=st.integers(1, 8))
     def test_root_encloses_at_the_root_bits(self, x, k):
         r = _root(x, k)
-        assert r.width <= Fraction(1, 2**ROOT_BITS)
+        assert (r.hi - r.lo) <= Fraction(1, 2**ROOT_BITS)
         if r.lo == r.hi:
             assert r.lo**k == x
         else:
@@ -480,7 +551,7 @@ class TestCertifiedRoots:
         b, p = case
         value, plus = digamma(b, p)
         assert encloses(value, reference_digamma(b, p))
-        assert value.width <= Fraction(1, 2**190)
+        assert (value.hi - value.lo) <= Fraction(1, 2**190)
         assert plus == value.clamp_nonnegative()
 
     @settings(max_examples=100, deadline=None)
@@ -493,7 +564,7 @@ class TestCertifiedRoots:
         ref_plus = ref_plain if br_lo >= 0 else (0, 0) if br_hi <= 0 else (0, ref_plain[1])
         assert encloses(plain, ref_plain)
         assert encloses(plus, ref_plus)
-        assert plain.width <= Fraction(1, 2**190)
+        assert (plain.hi - plain.lo) <= Fraction(1, 2**190)
 
     def test_a_bracket_straddling_zero_squares_from_zero(self, monkeypatch):
         # exact roots give a point and irrational ones a bracket off 0 by far
@@ -556,25 +627,24 @@ class TestBeyondVerdict:
 
     def test_exact_gap_needs_no_resolution(self):
         # the construction is minimally outside C4 (each C4 - v is a path,
-        # inside), so its gap is D* of minimal_gap
+        # inside), so its gap is D*
         p, eps = self.construction_beyond_region()
         verdict = beyond_shearer_verdict(C4, p, eps)
         assert verdict.accepted and verdict.evidence == "gap-below-cycle-slack"
         scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
         gap_lo, gap_hi = verdict.details["gap"]
-        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == minimal_gap(C4, scaled)
+        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == d_star(C4, scaled)
         assert gap_lo < verdict.details["threshold_545"]
 
     def test_exact_gap_accepts_the_construction(self):
         # an isolated fifth vertex of probability 10^-12 keeps the vector
-        # outside without it (G - 5 = C4), so the gap takes outside_gap: the
-        # component C4 is minimally outside, and the gap adds 10^-12 to its
-        # D*, under the slack
+        # outside without it (G - 5 = C4), so G is not minimally outside: the
+        # component C4 is, and the gap adds 10^-12 to its D*, under the slack
         p, eps = self.construction_beyond_region()
         g = DependencyGraph.from_edges(5, C4.edges)
         p = ProbabilityVector(p.values + (Fraction(1, 10**12),))
         scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
-        assert minimal_gap(g, scaled) is None
+        assert d_star(g, scaled) is None
         verdict = beyond_shearer_verdict(g, p, eps)
         assert verdict.accepted and verdict.evidence == "gap-below-cycle-slack"
         assert sorted(verdict.details) == [
@@ -582,7 +652,7 @@ class TestBeyondVerdict:
             "rounding", "threshold_544", "threshold_545",
         ]
         gap_lo, gap_hi = verdict.details["gap"]
-        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == l1_gap(g, scaled, 1).lower
+        assert gap_lo == gap_hi == verdict.details["gap_lower_witness"] == gap(g, scaled)
         assert f"{float(gap_lo):.4g} {float(verdict.details['threshold_545']):.4g}" == "1.557e-07 2.466e-07"
         assert verdict.details["gap_below_544"]
 
@@ -593,9 +663,9 @@ class TestBeyondVerdict:
         g, eps = cycle(n), Fraction(1, 1000)
         verdict = beyond_shearer_verdict(g, ProbabilityVector.uniform(n, p), eps)
         scaled = ProbabilityVector.uniform(n, (1 + eps) * p)
-        exact = l1_gap(g, scaled, 1).lower
+        exact = gap(g, scaled)
         witness = verdict.details["gap_lower_witness"]
-        assert minimal_gap(g, scaled) is None
+        assert d_star(g, scaled) is None
         assert witness <= exact
         assert (witness >= verdict.details["threshold_545"]) == (exact >= verdict.details["threshold_545"])
         assert verdict.accepted == (exact < verdict.details["threshold_545"])
@@ -607,8 +677,8 @@ class TestBeyondVerdict:
         p = ProbabilityVector((Fraction(3, 10),) * 8 + (Fraction(1, 10),))
         verdict = beyond_shearer_verdict(g, p, eps)
         scaled = ProbabilityVector(tuple((1 + eps) * x for x in p.values))
-        exact = l1_gap(g, scaled, 1).lower
-        assert exact == Fraction(1001, 10**4) + l1_gap(cycle(8), ProbabilityVector(scaled.values[:8]), 1).lower
+        exact = gap(g, scaled)
+        assert exact == Fraction(1001, 10**4) + gap(cycle(8), ProbabilityVector(scaled.values[:8]))
         witness, threshold = verdict.details["gap_lower_witness"], verdict.details["threshold_545"]
         assert threshold <= witness <= exact
         assert not verdict.accepted
@@ -742,8 +812,6 @@ class TestLatticeOverlapFloorOnCopies:
         # random elementary system with every event probability exactly 1/8 on
         # a 10x10 window; the summed squared overlaps of matched pairs near
         # any translated unit copy dominate the unit functional's square
-        from lll_workbench.graphs import greedy_max_intersection_matching
-
         spec = builtin_lattice("square")
         expanded, positions = spec.expanded()
         target = Fraction(1, 8)

@@ -17,16 +17,12 @@ from lll_workbench.lattices import grid_unit
 from lll_workbench.shearer import (
     BoundaryScale,
     CapExceeded,
-    GapEstimate,
     ProbabilityVector,
     boundary_scale,
-    connected_gap,
     expected_resample_bound,
+    gap,
     in_shearer_bound,
     independent_sets,
-    l1_gap,
-    minimal_gap,
-    outside_gap,
     q_empty,
     q_polynomial,
     resample_bound,
@@ -187,25 +183,21 @@ class TestBoundaryScale:
 
 class TestGap:
     def test_marker_for_inside_vectors(self):
-        gap = l1_gap(K3, ProbabilityVector.uniform(3, Fraction(1, 4)), Fraction(1, 256))
-        assert gap.lower == gap.upper == Fraction(-1)
+        assert gap(K3, ProbabilityVector.uniform(3, Fraction(1, 4))) is None
 
     def test_k3_example_contains_one_sixth(self):
         p = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
-        gap = l1_gap(K3, p, Fraction(1, 256))
-        assert gap.lower <= Fraction(1, 6) <= gap.upper
-        assert gap.upper - gap.lower <= Fraction(1, 256)
+        assert gap(K3, p) == Fraction(1, 6)
 
     def test_interval_well_formed_beyond(self):
-        gap = l1_gap(C4, ProbabilityVector.uniform(4, Fraction(31, 100)), Fraction(1, 64))
-        assert Fraction(0) <= gap.lower == gap.upper
+        assert gap(C4, ProbabilityVector.uniform(4, Fraction(31, 100))) >= 0
 
     def test_descent_bound_is_consistent(self):
         # the descent reference's witness is a lower bound, here within 2^-40
         p = ProbabilityVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)))
         quick = fraction_descent_gap_lower(K3, p)
-        gap = l1_gap(K3, p, Fraction(1, 256))
-        assert gap.lower - DESCENT_TOLERANCE <= quick <= gap.lower == gap.upper
+        exact = gap(K3, p)
+        assert exact - DESCENT_TOLERANCE <= quick <= exact
 
 
 class TestExpectedResampleBound:
@@ -546,8 +538,8 @@ def fraction_boundary_scale(g, direction, resolution):
 
 
 def fraction_l1_gap(g, p, resolution, max_boxes):
-    if fraction_membership(g, p.values):
-        return GapEstimate(Fraction(-1), Fraction(-1), resolution)
+    """The box search's bracket (lower, upper) on d(p, G) of an out-of-region
+    p, at most resolution wide."""
     total = sum(p.values, Fraction(0))
     upper_best, counter, heap = total, 0, []
 
@@ -573,7 +565,7 @@ def fraction_l1_gap(g, p, resolution, max_boxes):
             continue
         boxes_seen += 1
         if boxes_seen > max_boxes:
-            raise CapExceeded(f"l1_gap exceeded {max_boxes} boxes")
+            raise CapExceeded(f"box search exceeded {max_boxes} boxes")
         axis = max(range(len(a)), key=lambda k: (b[k] - a[k], -k))
         mid = (a[axis] + b[axis]) / 2
         b_low = tuple(mid if k == axis else b[k] for k in range(len(b)))
@@ -582,7 +574,7 @@ def fraction_l1_gap(g, p, resolution, max_boxes):
             offer(a, b_low, True)
         offer(a_high, b, False)
     lower_min = min(min((item[0] for item in heap), default=upper_best), upper_best)
-    return GapEstimate(total - upper_best, total - lower_min, resolution)
+    return total - upper_best, total - lower_min
 
 
 #: the descent reference bisects each coordinate to this width, in at most
@@ -672,17 +664,17 @@ def test_minimal_gap_matches_the_box_search(g, data):
     along v* on both sides of D*."""
     d = ProbabilityVector(tuple(Fraction(data.draw(st.integers(1, 8)), 8) for _ in range(g.m)))
     p = ProbabilityVector(tuple(boundary_scale(g, d, Fraction(1, 2**20)).hi * x for x in d.values))
-    exact = minimal_gap(g, p)
     minimal = fraction_q(g, p, ()) <= 0 and all(
         fraction_membership(g, [0 if k == v else x for k, x in enumerate(p.values)]) for v in range(g.m)
     )
-    assert (exact is not None) == minimal
     if not minimal:
         event("not minimally outside")
         return
+    exact = gap(g, p)
     assert exact >= fraction_descent_gap_lower(g, p)
-    # v* minimises q_0(G - N[v]) = q_{v} / p_v
+    # v* minimises q_0(G - N[v]) = q_{v} / p_v, and D* = -q_0(G) / q_0(G - N[v*])
     v = min(g.vertices, key=lambda v: fraction_q(g, p, (v,)) / p[v])
+    assert exact == -fraction_q(g, p, ()) * p[v] / fraction_q(g, p, (v,))
     assert exact < p[v]
     at = list(p.values)
     at[v - 1] -= exact
@@ -690,36 +682,35 @@ def test_minimal_gap_matches_the_box_search(g, data):
     at[v - 1] -= (p[v] - exact) / 2**20
     assert fraction_membership(g, at)
     try:
-        bracket = fraction_l1_gap(g, p, Fraction(1, 64), 1000)
+        lower, upper = fraction_l1_gap(g, p, Fraction(1, 64), 1000)
     except CapExceeded:
         event("box search capped")
         return
-    assert bracket.lower <= exact <= bracket.upper
+    assert lower <= exact <= upper
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=small_graphs(max_m=6), data=st.data())
 def test_exact_gap_matches_the_brute_force_theorem(g, data):
-    """l1_gap of vectors just past the boundary and far past it against the
-    theorem by brute force over every vertex set, the box search's bracket
-    when it closes under its cap, and the descent witness; and the early
-    stop of `connected_gap`, which `beyond` takes at its threshold."""
+    """gap of vectors just past the boundary and far past it, and the walk
+    alone, against the theorem by brute force over every vertex set, the box
+    search's bracket when it closes under its cap, and the descent witness;
+    and the early stop of both, which `beyond` takes at its threshold."""
     d = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
     hi = boundary_scale(g, d, Fraction(1, 2**20)).hi
     far = hi * data.draw(st.sampled_from([Fraction(11, 10), Fraction(3, 2), Fraction(3)]))
     for p in (ProbabilityVector(tuple(min(1, t * x) for x in d.values)) for t in (hi, far)):
-        gap = l1_gap(g, p, Fraction(1, 16))
-        exact = gap.lower
-        assert gap.upper == exact == brute_gap(g, p)
+        exact = gap(g, p)
+        assert exact == walk_alone(g, p) == brute_gap(g, p)
         assert exact >= fraction_descent_gap_lower(g, p)
         try:
-            bracket = fraction_l1_gap(g, p, Fraction(1, 8), 100)
+            lower, upper = fraction_l1_gap(g, p, Fraction(1, 8), 100)
         except CapExceeded:
             event("box search capped")
         else:
-            assert bracket.lower <= exact <= bracket.upper
+            assert lower <= exact <= upper
         for stop in (exact, exact / 2, exact + Fraction(1, 97), data.draw(st.fractions(Fraction(1, 1000), 2))):
-            for search in (connected_gap, outside_gap):
+            for search in (walk_alone, gap):
                 early = search(g, p, stop)
                 assert (early >= stop) == (exact >= stop)
                 assert early == exact if early < stop else early <= exact
@@ -728,8 +719,8 @@ def test_exact_gap_matches_the_brute_force_theorem(g, data):
 @settings(max_examples=60, deadline=None)
 @given(parts=st.lists(small_graphs(max_m=4), min_size=2, max_size=3), data=st.data())
 def test_component_gaps_match_the_walk_over_the_whole_graph(parts, data):
-    """outside_gap on a disjoint union of graphs, each part inside, just past
-    its boundary or far past it, against the walk over the whole union."""
+    """gap on a disjoint union of graphs, each part inside, just past its
+    boundary or far past it, against the walk over the whole union."""
     edges, values = [], []
     for part in parts:
         base = len(values)
@@ -741,12 +732,12 @@ def test_component_gaps_match_the_walk_over_the_whole_graph(parts, data):
     g = DependencyGraph.from_edges(len(values), edges)
     p = ProbabilityVector(tuple(values))
     if shearer_membership(g, p.values):
-        assert l1_gap(g, p, Fraction(1, 16)).lower == -1
+        assert gap(g, p) is None
         return
-    exact = connected_gap(g, p)
-    assert l1_gap(g, p, Fraction(1, 16)).lower == outside_gap(g, p) == exact
+    exact = walk_alone(g, p)
+    assert gap(g, p) == exact
     for stop in (exact, exact / 2, exact + Fraction(1, 97)):
-        early = outside_gap(g, p, stop)
+        early = gap(g, p, stop)
         assert (early >= stop) == (exact >= stop)
         assert early == exact if early < stop else early <= exact
 
@@ -773,6 +764,15 @@ def _q0(g, vals):
 
 def _closed(g, w):
     return {w} | {u - 1 for u in g.neighbors(w + 1)}
+
+
+def walk_alone(g, p, stop=None):
+    """The connected-set walk of `gap` over the whole of g on a plan of its
+    own, with no in-bound test, no D* and no split into components before
+    it: a second route to d(p, G) of an out-of-region p."""
+    nums, den, room = shearer._checked_integers(g, p.values)
+    order, _, nbr = shearer._plan_order(g)
+    return shearer._walk(shearer._Plan(nbr, [nums[i] for i in order], den, room), stop)
 
 
 def brute_gap(g, p):
@@ -810,25 +810,25 @@ def item_20_formula(g, p):
 
 
 class TestPinnedGaps:
-    # connected_gap alone, without minimal_gap before it: K3_EXAMPLE ends the
-    # walk at the union bound (a set of norm 1), C4 at 3/10 takes K = C4
+    # the walk alone, without D* before it: K3_EXAMPLE ends the walk at the
+    # union bound (a set of norm 1), C4 at 3/10 takes K = C4
     def test_k3_brackets(self):
-        assert connected_gap(K3, K3_EXAMPLE) == Fraction(1, 6)
+        assert walk_alone(K3, K3_EXAMPLE) == Fraction(1, 6)
 
     def test_c4_bracket(self):
-        assert connected_gap(C4, C4_EXAMPLE) == Fraction(1, 35)
+        assert walk_alone(C4, C4_EXAMPLE) == Fraction(1, 35)
 
     def test_path_is_not_item_20s_formula(self):
         # P4 - 4 is outside, so P4 is not minimally outside at P4_EXAMPLE.
         # K = P4 and w = 1 give the outside point (1/10, 3/10, 3/5, 1/10),
         # at which q_0(P4) = 0: d = 3/10. Item 20's formula takes the
         # minimally-outside H = {1, 2, 3}: p_4 + D*(H) = 1/10 + 3/20 = 1/4
-        assert minimal_gap(P4, P4_EXAMPLE) is None
-        assert l1_gap(P4, P4_EXAMPLE, Fraction(1, 4)) == GapEstimate(Fraction(3, 10), Fraction(3, 10), Fraction(1, 4))
+        assert not fraction_membership(P4, _on(P4_EXAMPLE, {0, 1, 2}))
+        assert gap(P4, P4_EXAMPLE) == Fraction(3, 10)
         assert item_20_formula(P4, P4_EXAMPLE) == Fraction(1, 4)
         # the walk meets K = {1, 2, 3} first, so a stop at 3/10 walks on
-        assert connected_gap(P4, P4_EXAMPLE, Fraction(1, 4)) == Fraction(1, 4)
-        assert connected_gap(P4, P4_EXAMPLE, Fraction(3, 10)) == Fraction(3, 10)
+        assert gap(P4, P4_EXAMPLE, Fraction(1, 4)) == Fraction(1, 4)
+        assert gap(P4, P4_EXAMPLE, Fraction(3, 10)) == Fraction(3, 10)
         assert fraction_descent_gap_lower(P4, P4_EXAMPLE) == Fraction(3, 10)
 
     def test_only_admissible_w_give_outside_points(self):
@@ -837,21 +837,21 @@ class TestPinnedGaps:
         # y_1 = q_0({2, 4}) / q_0({4}) = -1; the least norm is 1, at K = {2, 4}
         g = DependencyGraph.from_edges(4, [(1, 2), (2, 4)])
         p = ProbabilityVector((Fraction(1, 5), Fraction(3, 5), Fraction(1, 10), Fraction(7, 10)))
-        assert connected_gap(g, p) == brute_gap(g, p) == Fraction(3, 5)
+        assert gap(g, p) == walk_alone(g, p) == brute_gap(g, p) == Fraction(3, 5)
 
     def test_unit_entries_close(self):
         # a unit entry alone is outside, at norm 1
-        for p, gap in (((Fraction(1, 2), Fraction(1)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1))):
-            assert l1_gap(E2, ProbabilityVector(p), Fraction(1, 4)) == GapEstimate(gap, gap, Fraction(1, 4))
+        for p, want in (((Fraction(1, 2), Fraction(1)), Fraction(1, 2)), ((Fraction(1), Fraction(1)), Fraction(1))):
+            assert gap(E2, ProbabilityVector(p)) == want
 
     def test_cycle_far_outside(self):
         # C8 at 3/10: every C8 - v is a path P7, itself outside
         p = ProbabilityVector.uniform(8, Fraction(3, 10))
-        assert minimal_gap(cycle(8), p) is None
-        assert l1_gap(cycle(8), p, Fraction(1, 64)).lower == Fraction(5, 7)
+        assert not fraction_membership(cycle(8), _on(p, set(range(7))))
+        assert gap(cycle(8), p) == Fraction(5, 7)
         # with a stop, the walk returns a witness at or above it, or the gap
-        assert Fraction(7, 10) <= connected_gap(cycle(8), p, Fraction(7, 10)) <= Fraction(5, 7)
-        assert connected_gap(cycle(8), p, Fraction(3, 4)) == Fraction(5, 7)
+        assert Fraction(7, 10) <= gap(cycle(8), p, Fraction(7, 10)) <= Fraction(5, 7)
+        assert gap(cycle(8), p, Fraction(3, 4)) == Fraction(5, 7)
 
     def test_disconnected_gap_takes_each_component(self):
         # a 5x5 grid just past its boundary plus an isolated vertex: the walk
@@ -863,12 +863,12 @@ class TestPinnedGaps:
         tiny = Fraction(1, 10**12)
         p = ProbabilityVector((hi,) * 25 + (tiny,))
         start = time.perf_counter()
-        gap = l1_gap(g, p, Fraction(1, 256))
+        got = gap(g, p)
         assert time.perf_counter() - start < 1
-        want = tiny + minimal_gap(grid, ProbabilityVector.uniform(25, hi))
-        assert gap == GapEstimate(want, want, Fraction(1, 256))
-        assert outside_gap(g, p, want / 2) >= want / 2
-        assert outside_gap(g, p, 2 * want) == want
+        want = tiny + gap(grid, ProbabilityVector.uniform(25, hi))
+        assert got == want
+        assert gap(g, p, want / 2) >= want / 2
+        assert gap(g, p, 2 * want) == want
 
     def test_disconnected_gap_is_the_largest_over_failing_components(self):
         # C4 at 3/10 (d = 1/35) beside K3_EXAMPLE (d = 1/6) and an inside edge
@@ -876,15 +876,13 @@ class TestPinnedGaps:
         p = ProbabilityVector(C4_EXAMPLE.values + K3_EXAMPLE.values + (Fraction(1, 5),) * 2)
         norm = sum(p.values)
         want = max(norm - sum(C4_EXAMPLE.values) + Fraction(1, 35), norm - sum(K3_EXAMPLE.values) + Fraction(1, 6))
-        assert l1_gap(g, p, Fraction(1, 64)).lower == want == connected_gap(g, p)
+        assert gap(g, p) == want == walk_alone(g, p)
 
     def test_minimally_outside_gaps_are_exact(self):
         # on K3 the region is p_1 + p_2 + p_3 < 1, so d = 7/6 - 1; on C4 at
         # 3/10, D* = -q_0(C4) / q_0(K1) = (1/50) / (7/10)
-        for resolution in (Fraction(1, 256), Fraction(1, 64)):
-            assert l1_gap(K3, K3_EXAMPLE, resolution) == GapEstimate(Fraction(1, 6), Fraction(1, 6), resolution)
-        p = ProbabilityVector.uniform(4, Fraction(3, 10))
-        assert l1_gap(C4, p, Fraction(1, 64)) == GapEstimate(Fraction(1, 35), Fraction(1, 35), Fraction(1, 64))
+        assert gap(K3, K3_EXAMPLE) == Fraction(1, 6)
+        assert gap(C4, ProbabilityVector.uniform(4, Fraction(3, 10))) == Fraction(1, 35)
 
     def test_coarse_resolution_needs_no_probe(self):
         d = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -899,7 +897,7 @@ def test_input_checks_hold_with_or_without_probes(resolution):
     with pytest.raises(InputError, match="^vector length mismatch"):
         boundary_scale(C4, ProbabilityVector.uniform(3, 1), resolution)
     for search in (
-        l1_gap,
+        lambda g, p, _: gap(g, p),
         lambda g, p, _: in_shearer_bound(g, p),
         lambda g, p, _: q_polynomial(g, p, ()),
     ):
@@ -1120,8 +1118,7 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
             shearer_membership(g, values),
             (report.in_bound, report.q_values, report.witness),
             [q_polynomial(g, p, iset) for iset in isets],
-            minimal_gap(g, p),
-            l1_gap(g, p, Fraction(1, 64)),
+            gap(g, p),
         )
 
     identity, ordered = _in_both_orders(answers)
@@ -1262,8 +1259,9 @@ def test_plan_cap_counts_the_steps_a_search_holds(work, monkeypatch):
         boundary_scale(*args)
 
 
-def test_connected_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
-    # every set the walk visits is a mask of its one plan
+@pytest.fixture
+def kept_plans(monkeypatch):
+    """The plans built, kept to be read after the call."""
     plans = []
 
     class KeptPlan(shearer._Plan):
@@ -1274,13 +1272,88 @@ def test_connected_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
             plans.append(self)
 
     monkeypatch.setattr(shearer, "_Plan", KeptPlan)
-    assert connected_gap(P4, P4_EXAMPLE) == Fraction(3, 10)
-    held = len(plans[0].values) - 1
+    return plans
+
+
+def test_connected_gap_counts_its_steps_against_the_plan_cap(kept_plans, monkeypatch):
+    # P4 is not minimally outside at P4_EXAMPLE: the in-bound test, the D*
+    # test and every set the walk visits are masks of gap's one plan, 14
+    assert gap(P4, P4_EXAMPLE) == Fraction(3, 10)
+    (plan,) = kept_plans
+    held = len(plan.values) - 1
+    assert held == 14
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
-    assert connected_gap(P4, P4_EXAMPLE) == Fraction(3, 10)
+    assert gap(P4, P4_EXAMPLE) == Fraction(3, 10)
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
     with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
-        connected_gap(P4, P4_EXAMPLE)
+        gap(P4, P4_EXAMPLE)
+
+
+@pytest.mark.parametrize(
+    "g,p,stop",
+    [
+        (K3, ProbabilityVector.uniform(3, Fraction(1, 4)), None),  # in the bound
+        (K3, K3_EXAMPLE, None),  # minimally outside: D*
+        (C4, C4_EXAMPLE, Fraction(1)),
+        (P4, P4_EXAMPLE, None),  # the walk
+        (P4, P4_EXAMPLE, Fraction(1, 4)),
+        (cycle(8), ProbabilityVector.uniform(8, Fraction(3, 10)), Fraction(0)),
+        (cycle(12), ProbabilityVector.uniform(12, Fraction(3, 10)), Fraction(7, 10)),  # breadth-first order
+    ],
+)
+def test_gap_builds_one_plan_on_a_connected_graph(kept_plans, g, p, stop):
+    # the in-bound test, D* and the walk read one plan of g itself: no
+    # relabelled copy, no second plan of the same vector
+    gap(g, p, stop)
+    (plan,) = kept_plans
+    assert plan.nbr is shearer._plan_order(g)[2]
+
+
+def test_gap_builds_one_plan_per_component(kept_plans):
+    # C4 at 3/10, K3_EXAMPLE and an inside edge: one plan each
+    g = DependencyGraph.from_edges(9, [(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (5, 7), (8, 9)])
+    p = ProbabilityVector(C4_EXAMPLE.values + K3_EXAMPLE.values + (Fraction(1, 5),) * 2)
+    gap(g, p)
+    assert [len(plan.nums) for plan in kept_plans] == [4, 3, 2]
+
+
+def connected_set_count(g):
+    """The nonempty vertex sets of g that induce a connected subgraph."""
+    count = 0
+    for size in range(1, g.m + 1):
+        for s in map(set, combinations(g.vertices, size)):
+            reached, frontier = set(), [min(s)]
+            while frontier:
+                v = frontier.pop()
+                reached.add(v)
+                frontier += (g.neighbors(v) & s) - reached
+            count += reached == s
+    return count
+
+
+def test_walk_visits_each_connected_set_once(monkeypatch):
+    # just past the boundary nothing prunes the walk, so it visits every
+    # connected set, and it queries Q(K) from `visit` once per set K it
+    # visits. A walk that forgets the neighbours it has tried revisits sets
+    # in their subtrees (C4: 15 visits, the 3x3 grid: 686) with the same gap
+    visits = []
+
+    class CountedPlan(shearer._Plan):
+        __slots__ = ()
+
+        def q(self, mask):
+            if sys._getframe(1).f_code.co_name == "visit":
+                visits.append(mask)
+            return super().q(mask)
+
+    for g, sets in ((C4, 13), (cycle(6), 31), (grid_unit((3, 3))[0], 218)):
+        p = ProbabilityVector.uniform(g.m, boundary_scale(g, ProbabilityVector.uniform(g.m, 1), Fraction(1, 2**20)).hi)
+        exact = gap(g, p)
+        visits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(shearer, "_Plan", CountedPlan)
+            assert walk_alone(g, p) == exact
+        assert len(visits) == len(set(visits)) == connected_set_count(g) == sets
 
 
 def test_steps_are_charged_by_their_size(monkeypatch):
@@ -1309,8 +1382,7 @@ def test_steps_are_charged_by_their_size(monkeypatch):
     for call in (
         lambda: shearer_membership(g, p.values),
         lambda: q_empty(g, p),
-        lambda: minimal_gap(g, p),
-        lambda: connected_gap(g, p),
+        lambda: gap(g, p),
         lambda: boundary_scale(g, *search[1:]),
     ):
         with pytest.raises(CapExceeded, match="oracle plans capped at 11 steps"):
@@ -1336,12 +1408,16 @@ def test_connected_gap_walks_deeper_than_the_recursion_limit():
         "import sys\n"
         "from fractions import Fraction\n"
         "from lll_workbench.graphs import DependencyGraph\n"
-        "from lll_workbench.shearer import ProbabilityVector as P, boundary_scale, connected_gap, minimal_gap\n"
+        "from lll_workbench import shearer\n"
+        "from lll_workbench.shearer import ProbabilityVector as P, boundary_scale, gap\n"
         "g = DependencyGraph.from_edges(100, [(k, k + 1) for k in range(1, 100)])\n"
         "p = P.uniform(100, boundary_scale(g, P.uniform(100, 1), Fraction(1, 2**20)).hi)\n"
-        "exact = minimal_gap(g, p)\n"
+        "exact = gap(g, p)\n"
+        "nums, den, room = shearer._checked_integers(g, p.values)\n"
+        "order, _, nbr = shearer._plan_order(g)\n"
+        "plan = shearer._Plan(nbr, [nums[i] for i in order], den, room)\n"
         "sys.setrecursionlimit(25)\n"
-        "print(exact is not None and connected_gap(g, p) == exact)\n"
+        "print(exact is not None and shearer._walk(plan, None) == exact)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lll_workbench.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
@@ -1418,11 +1494,13 @@ def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
     assert not shearer_membership(g, q.values)
 
 
-def test_minimal_gap_counts_its_steps_against_the_plan_cap(monkeypatch):
+def test_minimal_gap_counts_its_steps_against_the_plan_cap(kept_plans, monkeypatch):
     # C4's full support takes 5 steps, and the memberships of the four paths
-    # C4 - v extend that plan by 5 more
+    # C4 - v extend gap's one plan by 5 more: D* needs no walk
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 10)
-    assert minimal_gap(C4, C4_EXAMPLE) == Fraction(1, 35)
+    assert gap(C4, C4_EXAMPLE) == Fraction(1, 35)
+    (plan,) = kept_plans
+    assert len(plan.values) - 1 == 10
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 9)
     with pytest.raises(CapExceeded, match="oracle plans capped at 9 steps"):
-        minimal_gap(C4, C4_EXAMPLE)
+        gap(C4, C4_EXAMPLE)
