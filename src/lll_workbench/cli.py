@@ -22,7 +22,7 @@ from .criterion import (
     lattice_gap_q,
 )
 from .graphs import InputError, base_graph
-from .jsonio import dumps_report, parse_fraction
+from .jsonio import parse_fraction
 from .lattices import BUILTIN_LATTICES, builtin_lattice
 from .mt_engine import (
     DEFAULT_STEP_CAP,
@@ -58,6 +58,8 @@ def _read_json(path: str):
         raise InputError(f"malformed JSON in {path}: nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text") from exc
+    except ValueError as exc:  # an integer literal past the int digit limit
+        raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _graph(args):
@@ -78,7 +80,7 @@ def _pvec(args):
     if text.lstrip()[:1] in ("[", "{"):
         try:
             text = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # malformed, or an integer past the int digit limit
             raise InputError(f"malformed JSON in --p: {exc}") from exc
     return jsonio.load_probability_vector(text)
 
@@ -96,8 +98,8 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, payload, fmt="json"):
-    _write(args, dumps_report(payload, fmt))
+def _emit(args, payload):
+    _write(args, jsonio.dumps_json(payload))
 
 
 def _emit_verdict(args, verdict) -> int:
@@ -169,7 +171,7 @@ def cmd_wdag_sum(args) -> int:
         for size in sorted(sums.by_size):
             acc += sums.by_size[size]
             rows.append([size, sums.by_size[size], acc])
-        _emit(args, rows, fmt="csv")
+        _write(args, jsonio.dumps_csv(rows))
     else:
         _emit(args, sums)
     return EXIT_OK
@@ -233,14 +235,12 @@ def cmd_selftest(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all()
-    all_ok = True
-    for res in results:
-        flag = "PASS" if res.passed else "FAIL"
-        sys.stdout.write(
-            f"[{flag}] criterion {res.criterion} ({res.elapsed:.1f}s): {res.detail}\n"
-        )
-        all_ok = all_ok and res.passed
-    sys.stdout.write("selftest: " + ("all passed\n" if all_ok else "FAILURES\n"))
+    all_ok = all(res.passed for res in results)
+    lines = [
+        f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.criterion} ({res.elapsed:.1f}s): {res.detail}\n"
+        for res in results
+    ]
+    _write(args, "".join(lines) + "selftest: " + ("all passed\n" if all_ok else "FAILURES\n"))
     return EXIT_OK if all_ok else EXIT_REJECT
 
 

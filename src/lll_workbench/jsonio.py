@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from decimal import Decimal
@@ -50,6 +51,12 @@ def parse_fraction(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, str):
         try:
+            # Fraction builds 10^|e| for a decimal exponent e: refuse an e
+            # whose power has more digits than int() may convert, as a
+            # literal of that many digits is refused (a limit of 0 is none)
+            _, marker, exponent = text.lower().rpartition("e")
+            if marker and abs(int(exponent)) >= (sys.get_int_max_str_digits() or math.inf):
+                raise ValueError("exponent past the int digit limit")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {text!r}") from exc
@@ -240,17 +247,6 @@ def dumps_csv(rows: Sequence[Sequence]) -> str:
     for row in rows:
         writer.writerow([jsonable(x) for x in row])
     return buf.getvalue()
-
-
-def dumps_report(payload, fmt: str = "json") -> str:
-    """Serialize to json or csv (a list of rows)."""
-    if fmt == "json":
-        return dumps_json(payload)
-    if fmt == "csv":
-        if not isinstance(payload, (list, tuple)):
-            raise InputError("csv output needs a list of rows")
-        return dumps_csv(payload)
-    raise InputError(f"unknown format {fmt!r}")
 
 
 def write_report(text: str, path: str) -> None:

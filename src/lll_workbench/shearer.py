@@ -8,34 +8,35 @@ integer numerators over D*2^k, so Fractions appear only at the API
 boundary: the inputs, and the q-values, brackets and gaps returned. Pure
 functions over immutable inputs.
 
-Every oracle call evaluates Q through one `_Plan` per vector: the masks the
-recursion on the lowest vertex reaches, in bottom-up order, each with its
-value. One-off membership and `q_polynomial` build one plan;
-`in_shearer_bound` reads q_0, the singleton q-values (one backward pass over
-the plan) and the witness walk off the same plan, and `gap` reads the
-in-bound test, D* (that backward pass and the memberships of every G - v)
-and the q_0 of every vertex set its walk visits off one plan per
-component. `boundary_scale` probes one graph many times with new
-numerators, so it builds a support's plan at its first probe, keeps the
-plan's replay steps and replays them at every later probe of that support.
-Nothing is cached across calls.
+Every oracle call evaluates Q through one `_Plan` per vector, opened from
+the graph with `_Plan.open`: the masks the recursion on the lowest vertex
+reaches, in bottom-up order, each with its value. `q_empty` and one-off
+membership build one plan; `in_shearer_bound` reads q_0, the singleton
+q-values (one backward pass over the plan) and the witness walk off the same
+plan, and `gap` reads the in-bound test, D* (that backward pass and the
+memberships of every G - v) and the q_0 of every vertex set its walk visits
+off one plan per component. `boundary_scale` probes one graph many times
+with new numerators on one support, so it builds its plan at the first
+probe and replays the plan's steps at every later one. Nothing is cached
+across calls.
 
-MAX_PLAN_STEPS is the oracle's one cap, and it bounds memory, not time: a
+MAX_PLAN_STEPS is the oracle's only cap, and it bounds memory, not time: a
 mask is charged for the size of its value (`_step_charge`), so a call's
 plans, with the q-values `in_shearer_bound` reports, hold about 100 MB at
 most at any vertex count and denominator, and a call whose full-support plan
-cannot fit is refused before any mask exists. The witness walk holds its
-level lists under a budget of its own, so `in_shearer_bound` holds up to
-about twice that. Reducing the m reported q-values of about m * bits(D) bits
-each takes time of order m^3 * bits(D)^2, which no cap bounds.
+cannot fit is refused before any mask exists. The witness walk holds one
+partial independent set per depth beside the plan, whose masks it extends
+under the same cap. Reducing the m reported q-values of about m * bits(D)
+bits each takes time of order m^3 * bits(D)^2, which no cap bounds.
 
 A plan's size depends on the vertex order it splits in, and any order gives
 the same verdict and values (any maximal chain of induced subgraphs decides
 membership), so graphs of _ORDER_MIN_VERTICES or more vertices are planned
 in their breadth-first (Cuthill-McKee) order: on a 5x5 grid with shuffled
-labels that is 103 steps instead of 800 to 1,400. Inputs and results stay in
-the caller's labels: numerators are permuted once per plan, the q-values
-mapped back, and replay steps name the caller's vertices.
+labels that is 103 steps instead of 800 to 1,400. The order is picked in
+`_Plan.open` alone, and inputs and results stay in the caller's labels: the
+plan permutes the numerators once, its slopes and replay steps name the
+caller's vertices, and the witness walk tries the caller's vertices in turn.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import lcm, prod
-from typing import Callable, Iterator, Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .graphs import DependencyGraph, InputError, connected_components
 
@@ -53,11 +54,10 @@ class CapExceeded(RuntimeError):
     """A configured enumeration or search cap was hit."""
 
 
-#: the oracle's one cap, in steps of 1,600 bits (200 bytes): a search over all
-#: the supports it probes, a one-off call over all the masks it evaluates and
-#: the q-values it reports, and the witness walk over the two levels of
-#: independent sets it holds. Each mask, value or set is charged its size in
-#: steps (`_step_charge`), so each holds about 100 MB at most, whatever the
+#: the oracle's only cap, in steps of 1,600 bits (200 bytes): over all the
+#: masks a call's plan evaluates, the witness walk's included, and the
+#: q-values it reports. Each mask or value is charged its size in steps
+#: (`_step_charge`), so a call holds about 100 MB at most, whatever the
 #: vertex count and denominator
 MAX_PLAN_STEPS = 500_000
 
@@ -69,9 +69,8 @@ def _capped() -> CapExceeded:
 def _step_charge(m: int, bits: int) -> int:
     """The steps charged for one entry over m vertices: an m-bit mask and up
     to m numbers of bits+1 bits each. A plan's value Q(S) = den^|S| *
-    q_0(G[S]) has |Q(S)| <= (2*den)^|S|, so a plan passes bits(den); a set of
-    the witness walk is a tuple of up to m words, 64. Any graph of up to 30
-    vertices below a 2^51 denominator pays 1."""
+    q_0(G[S]) has |Q(S)| <= (2*den)^|S|, so a plan passes bits(den). Any
+    graph of up to 30 vertices below a 2^51 denominator pays 1."""
     return -(-m * (bits + 2) // 1600)
 
 
@@ -125,32 +124,9 @@ class BoundaryScale:
     clamped: bool
 
 
-def independent_sets(g: DependencyGraph) -> Iterator[tuple[int, ...]]:
-    """All independent sets including (), in nondecreasing size order,
-    lexicographic within each size: extending each set of a lex-ordered
-    level by larger vertices, in increasing order, keeps the next level in
-    lex order. Each level is held as a list, its sets charged at
-    `_step_charge(g.m, 64)`: raises CapExceeded once a level and the next
-    hold more than MAX_PLAN_STEPS steps.
-    """
-    room = MAX_PLAN_STEPS // _step_charge(g.m, 64)
-    nbr = g.closed_masks
-    current: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    yield ()
-    while current:
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        left = room - len(current)
-        for vs, mask in current:
-            start = vs[-1] + 1 if vs else 1
-            for v in range(start, g.m + 1):
-                if mask & (1 << (v - 1)):
-                    continue
-                nxt.append((vs + (v,), mask | nbr[v - 1]))
-            if len(nxt) > left:
-                raise _capped()
-        for vs, _ in nxt:
-            yield vs
-        current = nxt
+#: graphs with fewer vertices than this are planned in the caller's labels:
+#: on them, building the breadth-first order costs more than it saves
+_ORDER_MIN_VERTICES = 12
 
 
 #: a plan's replay steps: the highest power of den they use, and one step
@@ -171,13 +147,38 @@ class _Plan:
     recurses only on a new S - N[v], so its depth does not grow with the
     number of vertices. Raises CapExceeded once a chain leaves the plan
     with more than `room` masks (`_room`).
+
+    Masks, `nbr` and `nums` are in the plan's labels: its vertex k is the
+    caller's order[k] (0-based), and the caller's u-1 is its rank[u-1]. The
+    oracle opens its plans with `open`; built directly, a plan takes raw
+    closed masks and numerators in its own labels, the caller's.
     """
 
-    __slots__ = ("nbr", "nums", "den", "room", "values")
+    __slots__ = ("nbr", "nums", "den", "room", "order", "rank", "full", "values")
 
-    def __init__(self, nbr: Sequence[int], nums: Sequence[int], den: int, room: int):
+    def __init__(self, nbr: Sequence[int], nums: Sequence[int], den: int, room: int, order=(), rank=()):
         self.nbr, self.nums, self.den, self.room = nbr, nums, den, room
-        self.values = {0: 1}
+        self.order, self.rank = order or range(len(nums)), rank or range(len(nums))
+        self.full, self.values = (1 << len(nums)) - 1, {0: 1}
+
+    @classmethod
+    def open(cls, g: DependencyGraph, nums: Sequence[int], den: int, kept: int = 0, bits: int = 0) -> "_Plan":
+        """The plan of g at the caller's numerators nums over den, each
+        mask charged at a `bits`-bit denominator (den's own by default)
+        beside `kept` values of that size. Refuses before any mask exists
+        (`_room`). Graphs of _ORDER_MIN_VERTICES or more vertices are
+        planned in `DependencyGraph.breadth_first_order`, smaller ones in
+        the caller's labels."""
+        room = _room(g.m, bits or den.bit_length(), kept)
+        if g.m < _ORDER_MIN_VERTICES:
+            return cls(g.closed_masks, nums, den, room)
+        order, rank, nbr = g.breadth_first_order
+        return cls(nbr, [nums[i] for i in order], den, room, order, rank)
+
+    @property
+    def support(self) -> int:
+        """The mask of the vertices with a nonzero numerator."""
+        return sum(1 << k for k, n in enumerate(self.nums) if n)
 
     def q(self, mask: int) -> int:
         values, nbr, nums, den = self.values, self.nbr, self.nums, self.den
@@ -211,22 +212,24 @@ class _Plan:
             support &= support - 1
         return True
 
-    def replay(self, support: int, labels: Sequence[int]) -> _Replay:
-        """The steps that recompute `values` at another vector, for `_probe`,
-        each naming its vertex v by labels[v]: the index of v's numerator in
-        the vectors probed."""
-        nbr, index = self.nbr, dict(zip(self.values, count()))
+    def replay(self) -> _Replay:
+        """The steps that recompute `values` at another vector of the same
+        support, for `_probe`, each naming its vertex in the caller's
+        labels: the index of its numerator in the vectors probed."""
+        nbr, order, support = self.nbr, self.order, self.support
+        index = dict(zip(self.values, count()))
         steps = []
         for mask in islice(index, 1, None):
             v_bit = mask & -mask
             v = v_bit.bit_length() - 1
             near = mask & nbr[v]
             nested = support & -v_bit == mask
-            steps.append((labels[v], near.bit_count() - 1, index[mask ^ v_bit], index[mask ^ near], nested))
+            steps.append((order[v], near.bit_count() - 1, index[mask ^ v_bit], index[mask ^ near], nested))
         return max((step[1] for step in steps), default=0), tuple(steps)
 
     def slopes(self) -> list[int]:
-        """-dQ(S)/dn_v for every vertex v, S the last mask built: one
+        """-dQ(S)/dn_v for every vertex v, in the caller's labels, S the
+        last mask built: one
         backward pass over the plan's masks, last to first (reverse-mode
         differentiation), in which weight[T] gathers dQ(S)/dQ(T) from the
         masks built on T."""
@@ -243,11 +246,7 @@ class _Plan:
             w *= den ** (near.bit_count() - 1)
             weight[mask ^ near] -= nums[v] * w
             slope[v] += w * values[mask ^ near]
-        return slope
-
-
-def _support(nums: Sequence[int]) -> int:
-    return sum(1 << k for k, n in enumerate(nums) if n)
+        return [slope[k] for k in self.rank]
 
 
 def _probe(replay: _Replay, nums: Sequence[int], den: int) -> bool:
@@ -265,121 +264,39 @@ def _probe(replay: _Replay, nums: Sequence[int], den: int) -> bool:
     return True
 
 
-#: graphs with fewer vertices than this are planned in the caller's labels:
-#: on them, building the breadth-first order costs more than it saves
-_ORDER_MIN_VERTICES = 12
-
-
-def _plan_order(g: DependencyGraph) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-    """The vertex order g's plans are built in, as (order, rank, masks) of
-    `DependencyGraph.breadth_first_order`: the plan's vertex k is the
-    caller's order[k], the caller's u-1 is the plan's rank[u-1], and masks
-    are the closed masks in the plan's labels. The caller's own labels below
-    _ORDER_MIN_VERTICES."""
-    if g.m >= _ORDER_MIN_VERTICES:
-        return g.breadth_first_order
-    labels = range(g.m)
-    return labels, labels, g.closed_masks
-
-
-def _searcher(g: DependencyGraph, den: int) -> Callable[[Sequence[int], int], bool]:
-    """Membership for the probes of one search, over denominators up to den:
-    each support's plan is built at its first probe, evaluating that probe,
-    and its steps are kept until the search returns; later probes of the
-    support replay them, holding one probe's values. The steps name the
-    caller's vertices, so a probe reads its numerators as given. Every mask
-    is charged at den."""
-    room = _room(g.m, den.bit_length())
-    order, _, nbr = _plan_order(g)
-    replays: dict[tuple[bool, ...], _Replay] = {}
-    held = 0
-    full = (True,) * g.m  # most probes have no zero entry
-
-    def member(nums: Sequence[int], den: int) -> bool:
-        nonlocal held
-        support = tuple(map(bool, nums)) if 0 in nums else full
-        replay = replays.get(support)
-        if replay is not None:
-            return _probe(replay, nums, den)
-        ranked = [nums[i] for i in order]
-        mask = _support(ranked)
-        plan = _Plan(nbr, ranked, den, room - held)
-        inside = plan.inside(mask)
-        replays[support] = plan.replay(mask, order)
-        held += len(plan.values) - 1
-        return inside
-
-    return member
-
-
 def _integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Numerators over the least common denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _check_length(g: DependencyGraph, values: Sequence) -> None:
-    if len(values) != g.m:
-        raise InputError("vector length mismatch")
-
-
-def _checked_integers(g: DependencyGraph, values: Sequence, kept: int = 0) -> tuple[list[int], int, int]:
-    """The input checks of membership and of the searches (length, entries
-    in [0,1], the plan's room beside `kept` values) on the numerators over
-    the common denominator: (numerators, denominator, room)."""
+def _checked_integers(g: DependencyGraph, values: Sequence) -> tuple[list[int], int]:
+    """The input checks of every oracle call (length, entries in [0,1]) on
+    the numerators over the common denominator."""
     vals = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
-    _check_length(g, vals)
+    if len(vals) != g.m:
+        raise InputError("vector length mismatch")
     nums, den = _integers(vals)
     for n in nums:
         if not 0 <= n <= den:
             raise InputError(f"entry {Fraction(n, den)} outside [0,1]")
-    return nums, den, _room(g.m, den.bit_length(), kept)
-
-
-def _outside(nbr: Sequence[int], rank: Sequence[int], m: int, iset: Sequence[int]) -> int:
-    """The mask of the vertices outside N[I], in the labels of `_plan_order`."""
-    mask = (1 << m) - 1
-    for u in iset:
-        mask &= ~nbr[rank[u - 1]]
-    return mask
-
-
-def q_polynomial(
-    g: DependencyGraph, p: ProbabilityVector, independent: Sequence[int]
-) -> Fraction:
-    """q_I: alternating sum over independent supersets J of I of prod p.
-
-    Factorizes as (prod_{i in I} p_i) * q_0 on the graph minus N[I].
-    """
-    _check_length(g, p.values)
-    iset = tuple(sorted(set(independent)))
-    for u in iset:
-        if not 1 <= u <= g.m:
-            raise InputError(f"vertex {u} out of range")
-    for a in iset:
-        for b in iset:
-            if a < b and g.has_edge(a, b):
-                raise InputError(f"set not independent: edge ({a},{b})")
-    nums, den = _integers(p.values)
-    room = _room(g.m, den.bit_length())
-    order, rank, nbr = _plan_order(g)
-    mask = _outside(nbr, rank, g.m, iset)
-    q = prod(nums[u - 1] for u in iset) * _Plan(nbr, [nums[i] for i in order], den, room).q(mask)
-    return Fraction(q, den ** (len(iset) + mask.bit_count()))
+    return nums, den
 
 
 def q_empty(g: DependencyGraph, p: ProbabilityVector) -> Fraction:
-    return q_polynomial(g, p, ())
+    """q_0 = sum over the independent sets J of (-1)^|J| prod_{j in J} p_j."""
+    nums, den = _checked_integers(g, p.values)
+    plan = _Plan.open(g, nums, den)
+    return Fraction(plan.q(plan.full), den**g.m)
 
 
 def shearer_membership(g: DependencyGraph, values: Sequence[Fraction]) -> bool:
     """Strict membership test, extended to vectors with zero entries by
     restricting to the support (an event of probability zero never fires).
     """
-    nums, den, room = _checked_integers(g, values)
-    order, _, nbr = _plan_order(g)
-    ranked = [nums[i] for i in order]
-    return _Plan(nbr, ranked, den, room).inside(_support(ranked))
+    nums, den = _checked_integers(g, values)
+    plan = _Plan.open(g, nums, den)
+    return plan.inside(plan.support)
 
 
 def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
@@ -392,18 +309,43 @@ def in_shearer_bound(g: DependencyGraph, p: ProbabilityVector) -> ShearerReport:
     extends the plan with each S - N[I] it asks for. The m+1 q-values are
     charged against the plan's budget as entries of the plan.
     """
-    nums, den, room = _checked_integers(g, p.values, g.m + 1)
-    order, rank, nbr = _plan_order(g)
-    plan = _Plan(nbr, [nums[i] for i in order], den, room)
-    full, scale = (1 << g.m) - 1, den**g.m
-    q_values = {(): Fraction(plan.q(full), scale)}
-    slopes = plan.slopes()
-    for v, k in enumerate(rank):
-        q_values[(v + 1,)] = Fraction(nums[v] * slopes[k], scale)
-    if plan.inside(full):
+    nums, den = _checked_integers(g, p.values)
+    plan = _Plan.open(g, nums, den, g.m + 1)
+    scale = den**g.m
+    q_values = {(): Fraction(plan.q(plan.full), scale)}
+    for v, slope in enumerate(plan.slopes()):
+        q_values[(v + 1,)] = Fraction(nums[v] * slope, scale)
+    if plan.inside(plan.full):
         return ShearerReport(True, q_values, None)
-    witness = next(iset for iset in independent_sets(g) if plan.q(_outside(nbr, rank, g.m, iset)) <= 0)
-    return ShearerReport(False, q_values, witness)
+    return ShearerReport(False, q_values, _witness(plan))
+
+
+def _witness(plan: _Plan) -> tuple[int, ...]:
+    """The first independent set I, by size and then lexicographically in
+    the caller's labels, with Q <= 0 on the graph minus N[I]: one exists
+    once the plan's full mask is outside (Scott-Sokal). The walk is depth
+    first, one size at a time, over the caller's vertices u (0-based here),
+    and holds one partial set per depth, each with its mask outside N[I] in
+    the plan's labels: a vertex after I's last may join I iff its bit
+    rank[u] is in that mask. Only the plan's masks are charged."""
+    m, nbr, rank = len(plan.nums), plan.nbr, plan.rank
+    for size in range(m + 1):
+        iset, outside, u = [], [plan.full], 0
+        while True:
+            if len(iset) == size:
+                if plan.q(outside[-1]) <= 0:
+                    return tuple(v + 1 for v in iset)
+            elif u < m:
+                if outside[-1] >> rank[u] & 1:
+                    iset.append(u)
+                    outside.append(outside[-1] & ~nbr[rank[u]])
+                u += 1
+                continue
+            if not iset:
+                break
+            u = iset.pop() + 1
+            outside.pop()
+    raise AssertionError("a vector outside the region has a failing independent set")
 
 
 def boundary_scale(
@@ -418,11 +360,16 @@ def boundary_scale(
     inside, so t_max itself always fails membership. clamped means only that
     bisection found no failing point below t_max (hi == t_max): the boundary
     may still lie inside (lo, t_max).
+
+    Every probe has the direction's support, all of g, so one plan serves
+    them all: it is opened before the first probe, charged at the last
+    probe's denominator, built at the first probe, and replayed (`_probe`)
+    at every later one.
     """
     resolution = Fraction(resolution)
     if resolution <= 0:
         raise InputError("resolution must be positive")
-    nums, den, _ = _checked_integers(g, direction.values)
+    nums, den = _checked_integers(g, direction.values)
     top = max(nums)
     t_max = Fraction(den, top)
     # t_max * direction is nums over top. After `last` halvings, the least
@@ -431,13 +378,18 @@ def boundary_scale(
     width, res = t_max.numerator * resolution.denominator, resolution.numerator * t_max.denominator
     last = ((width - 1) // res).bit_length()
     # after t halvings the bracket runs from a/2^t * t_max, in the region,
-    # to (a+1)/2^t * t_max, outside it
-    member = _searcher(g, top << last)
+    # to (a+1)/2^t * t_max, outside it. The first probe, a = 0 at t = 1, is
+    # nums over top << 1: it builds the plan, whose steps replay the others
+    plan = _Plan.open(g, nums, top << 1, 0, (top << last).bit_length())
     a = t = 0
+    if last:
+        t, a = 1, int(plan.inside(plan.full))
+        replay = plan.replay()
+    del plan  # its steps are all the later probes need, not its values
     while t < last:
         t += 1
         a <<= 1
-        if member([(a + 1) * n for n in nums], top << t):
+        if _probe(replay, [(a + 1) * n for n in nums], top << t):
             a += 1
     return BoundaryScale(t_max * Fraction(a, 1 << t), t_max * Fraction(a + 1, 1 << t), clamped=a + 1 == 1 << t)
 
@@ -461,22 +413,21 @@ def gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) 
     The whole vector is checked, and refused when the full-support plan of
     G cannot fit, before any mask exists.
     """
-    nums, den, _ = _checked_integers(g, p.values)
+    nums, den = _checked_integers(g, p.values)
+    _room(g.m, den.bit_length())
     norm, best = sum(nums), None
     for vertices, part in connected_components(g):
         part_nums = [nums[v - 1] for v in vertices]
-        order, _, nbr = _plan_order(part)
-        plan = _Plan(nbr, [part_nums[i] for i in order], den, _room(part.m, den.bit_length()))
-        full = (1 << part.m) - 1
-        if plan.inside(full):
+        plan = _Plan.open(part, part_nums, den)
+        if plan.inside(plan.full):
             continue
         rest = Fraction(norm - sum(part_nums), den)
         if stop is not None and stop <= 0:
             return rest
-        q, found = plan.values[full], None
+        q, found = plan.values[plan.full], None
         if q <= 0:
             slope = min(plan.slopes())  # > 0 once every C - v is inside
-            if all(plan.inside(full ^ (1 << v)) for v in range(part.m)):
+            if all(plan.inside(plan.full ^ (1 << v)) for v in range(part.m)):
                 found = Fraction(-q, den * slope)
         if found is None:
             found = _walk(plan, None if stop is None else stop - rest)

@@ -25,6 +25,7 @@ from lll_workbench.jsonio import (
     load_event_system,
     load_graph,
     load_probability_vector,
+    parse_fraction,
 )
 from lll_workbench.mt_engine import RunStats, estimate_expected_steps, trial_seed
 from lll_workbench.lattices import grid_unit
@@ -61,6 +62,18 @@ def test_shearer_check_rejects_triangle_boundary(files, capsys):
     assert out["in_bound"] is False
     assert out["witness"] == []
     assert out["q_values"]["()"] == "0"
+
+
+def test_shearer_check_prints_a_witness_of_two_vertices(tmp_path, capsys):
+    # two disjoint 5-cycles at 3/5: q_0 = 1/25 > 0, and every set of one
+    # vertex passes, so the first failing set is (1, 3)
+    edges = [(5 * c + k, 5 * c + k % 5 + 1) for c in range(2) for k in range(1, 6)]
+    path = tmp_path / "two_c5.json"
+    path.write_text(json.dumps({"m": 10, "edges": edges}))
+    code = dispatch(["shearer-check", "--graph", str(path), "--p", ",".join(["3/5"] * 10)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["witness"] == [1, 3] and out["q_values"]["()"] == "1/25"
 
 
 def test_shearer_check_accepts_interior(files, capsys):
@@ -173,6 +186,19 @@ def test_shearer_check_accepts_interior(files, capsys):
             None,
             "either --delta or --system",
         ),
+        ("shearer-check --graph {bad} --p 1/4", '{"m": 1' + "0" * 5000 + ', "edges": []}', "malformed JSON in"),
+        ("shearer-check --graph {c4} --p [1" + "0" * 5000 + "]", None, "malformed JSON in --p"),
+        ("shearer-check --p 1/4", None, "a --graph or --bipartite input is required"),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2,3-4 --delta 1/8 --eps 1/8",
+            None,
+            "one delta per matching pair required",
+        ),
+        (
+            "criterion --graph {c4} --p 1/4,1/4,1/4,1/4 --matching 1-2 --eps 1/8",
+            None,
+            "need --delta or --system to bound pair intersections",
+        ),
     ],
     ids=[
         "json",
@@ -204,6 +230,11 @@ def test_shearer_check_accepts_interior(files, capsys):
         "non-ascii-matching",
         "empty-delta",
         "delta-and-system",
+        "int-digit-limit-file",
+        "int-digit-limit-p",
+        "no-graph",
+        "too-few-deltas",
+        "no-delta-or-system",
     ],
 )
 def test_malformed_json_exits_two(files, capsys, command, content, message):
@@ -224,6 +255,19 @@ def test_malformed_json_exits_two(files, capsys, command, content, message):
     assert time.monotonic() - started < 5
     assert code == 2
     assert "input error" in err and message in err
+
+
+def test_decimal_exponents_past_the_int_digit_limit_exit_two(files, capsys):
+    # Fraction builds 10^|e| for a decimal exponent e, so 1e-1000000000
+    # would take hours: an exponent whose power has more digits than int()
+    # may convert is refused, as a literal of that many digits is
+    limit = sys.get_int_max_str_digits()
+    assert parse_fraction(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    started = time.monotonic()
+    for text in (f"1e-{limit}", "1e-1000000000", "1E+1000000000", "1/1" + "0" * 5000):
+        assert dispatch(["shearer-check", "--graph", files["k3"], "--p", f"{text},1/4,1/4"]) == 2
+        assert "input error: cannot parse rational" in capsys.readouterr().err
+    assert time.monotonic() - started < 5
 
 
 def _dispatch_with_memory_limit(argv, limit=1 << 30):
@@ -1075,6 +1119,16 @@ def test_beyond_and_lattice_gap_leave_mpmath_unloaded(files):
         ["lattice-gap", "--lattice", "square", "--pa", "0.1193"],
     ]
     assert _loaded_by_importing_cli(["mpmath"], argvs) == []
+
+
+def test_selftest_writes_its_lines_to_out(tmp_path, capsys, monkeypatch):
+    from lll_workbench import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", lambda: [acceptance.CheckResult("1", True, "ok", 0.5)])
+    out = tmp_path / "selftest.txt"
+    assert dispatch(["selftest", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "[PASS] criterion 1 (0.5s): ok\nselftest: all passed\n"
 
 
 def test_selftest_reports_the_acceptance_results(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -22,9 +23,7 @@ from lll_workbench.shearer import (
     expected_resample_bound,
     gap,
     in_shearer_bound,
-    independent_sets,
     q_empty,
-    q_polynomial,
     resample_bound,
     shearer_membership,
 )
@@ -40,6 +39,43 @@ C4 = cycle(4)
 P4 = DependencyGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
 E2 = DependencyGraph(2, frozenset())
 P4_EXAMPLE = ProbabilityVector((Fraction(2, 5), Fraction(3, 10), Fraction(3, 5), Fraction(1, 10)))
+
+
+def independent_sets(g):
+    """The witness walk's reference, the level walk the oracle ran before
+    its depth-first walk: all independent sets including (), by size and
+    then lexicographically. Extending each set of a lex-ordered level by
+    larger vertices, in increasing order, keeps the next level in lex
+    order."""
+    nbr = g.closed_masks
+    level = [((), 0)]
+    while level:
+        yield from (vs for vs, _ in level)
+        level = [
+            (vs + (v,), mask | nbr[v - 1])
+            for vs, mask in level
+            for v in range(vs[-1] + 1 if vs else 1, g.m + 1)
+            if not mask >> (v - 1) & 1
+        ]
+
+
+def q_set(g, p, iset):
+    """q_I through the oracle: (prod_{i in I} p_i) * q_0 of the graph minus
+    N[I], relabelled 1..k."""
+    rest = [v for v in g.vertices if v not in iset and not any(g.has_edge(u, v) for u in iset)]
+    coeff = prod(p[u] for u in iset)
+    if not rest:
+        return Fraction(coeff)
+    label = {v: k + 1 for k, v in enumerate(rest)}
+    sub = DependencyGraph.from_edges(len(rest), [(label[u], label[v]) for u, v in g.edges if u in label and v in label])
+    return coeff * q_empty(sub, ProbabilityVector(tuple(p[v] for v in rest)))
+
+
+def five_cycles(copies):
+    """Disjoint 5-cycles on 1-5, 6-10, ..."""
+    return DependencyGraph.from_edges(
+        5 * copies, [(5 * c + k, 5 * c + k % 5 + 1) for c in range(copies) for k in range(1, 6)]
+    )
 
 
 def brute_q(g, p, iset):
@@ -75,36 +111,19 @@ class TestIndependentSets:
         sizes = [len(s) for s in got]
         assert sizes == sorted(sizes)
 
-    def test_enumeration_cap(self):
-        with pytest.raises(CapExceeded):
-            list(independent_sets(DependencyGraph(31, frozenset())))
-
-    def test_a_level_and_the_next_share_the_budget(self, monkeypatch):
-        # 4 isolated vertices: levels of 1, 4, 6, 4 and 1 sets, charged 1 a
-        # set; levels 1 and 2 together hold 10
-        g = DependencyGraph(4, frozenset())
-        monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 10)
-        assert len(list(independent_sets(g))) == 16
-        monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 9)
-        with pytest.raises(CapExceeded, match="oracle plans capped at 9 steps"):
-            list(independent_sets(g))
 
 
 class TestQValues:
     def test_single_vertex(self):
         p = ProbabilityVector((Fraction(2, 7),))
-        assert q_polynomial(K1, p, ()) == Fraction(5, 7)
-        assert q_polynomial(K1, p, (1,)) == Fraction(2, 7)
+        assert q_empty(K1, p) == Fraction(5, 7)
+        assert in_shearer_bound(K1, p).q_values == {(): Fraction(5, 7), (1,): Fraction(2, 7)}
 
     def test_c4_quarter(self):
         assert q_empty(C4, ProbabilityVector.uniform(4, Fraction(1, 4))) == Fraction(1, 8)
 
     def test_k3_third_is_zero(self):
         assert q_empty(K3, ProbabilityVector.uniform(3, Fraction(1, 3))) == 0
-
-    def test_dependent_set_rejected(self):
-        with pytest.raises(InputError):
-            q_polynomial(K3, ProbabilityVector.uniform(3, Fraction(1, 4)), (1, 2))
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
@@ -114,7 +133,7 @@ class TestQValues:
                 tuple(Fraction(rng.randint(1, 9), 20) for _ in range(g.m))
             )
             for iset in independent_sets(g):
-                assert q_polynomial(g, p, iset) == brute_q(g, p, iset)
+                assert q_set(g, p, iset) == brute_q(g, p, iset)
 
 
 class TestMembership:
@@ -146,6 +165,18 @@ class TestMembership:
         # (1, 0, 0) on the triangle sits outside: the support subsystem fails
         assert not shearer_membership(K3, (Fraction(1), Fraction(0), Fraction(0)))
         assert shearer_membership(K3, (Fraction(1, 2), Fraction(0), Fraction(0)))
+
+    @pytest.mark.parametrize("copies", [2, 4])
+    def test_witness_of_two_vertices(self, copies):
+        # q_0(C5) < 0 at 3/5, so an even number of disjoint copies has
+        # q_0 = q_0(C5)^copies > 0 and every q_{v} > 0 too: the first failing
+        # set is (1, 3), which leaves the first copy empty and the others at
+        # q_0 < 0
+        g, p = five_cycles(copies), ProbabilityVector.uniform(5 * copies, Fraction(3, 5))
+        report = in_shearer_bound(g, p)
+        assert report.q_values[()] == Fraction(1, 25) ** (copies // 2)
+        assert not report.in_bound and report.witness == (1, 3)
+        assert reference_report(g, p)[1] == (1, 3)
 
 
 class TestBoundaryScale:
@@ -268,8 +299,7 @@ def test_down_closedness_property(scale, shrink):
 # ---------------------------------------------------------------------------
 # Reference oracles: membership as q_I > 0 for every independent set I inside
 # the support, walked in `independent_sets` order, which the nested-suffix
-# oracle must agree with. They share no code with shearer.py beyond
-# `independent_sets`.
+# oracle must agree with. They share no code with shearer.py.
 
 
 def _closed_nbr(g):
@@ -368,6 +398,29 @@ def test_report_matches_reference_walk(case):
         report = in_shearer_bound(g, p)
         assert (report.in_bound, report.witness, report.q_values) == reference_report(g, p)
         assert report.in_bound == shearer_membership(g, p.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    part=st.one_of(st.integers(4, 8).map(cycle), small_graphs(max_m=5)),
+    copies=st.integers(2, 4),
+    base=st.integers(1, 39),
+    data=st.data(),
+)
+def test_union_reports_match_the_level_walk(part, copies, base, data):
+    """Reports on disjoint copies of a cycle or a small graph, each at
+    entries near one base value in (0, 1), against the level walk. Copies
+    with q_0 < 0 in an even number make the union's q_0 > 0, and on cycles
+    far past the boundary every q_{v} > 0 too, so that the witness may need
+    two vertices."""
+    m = part.m * copies
+    nudges = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    p = ProbabilityVector(tuple(Fraction(base, 40) + Fraction(k, 400) for k in nudges))
+    edges = [(u + c * part.m, v + c * part.m) for c in range(copies) for u, v in part.edges]
+    g = DependencyGraph.from_edges(m, edges)
+    report = in_shearer_bound(g, p)
+    event("in the bound" if report.in_bound else f"witness of {len(report.witness)} vertices")
+    assert report == recursive_report(g, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,7 +695,7 @@ def test_integer_oracle_matches_fraction_reference(g, data):
     assert report.in_bound == fraction_membership(g, p.values)
     assert report.q_values == {iset: fraction_q(g, p, iset) for iset in report.q_values}
     for iset in independent_sets(g):
-        assert q_polynomial(g, p, iset) == fraction_q(g, p, iset)
+        assert q_set(g, p, iset) == fraction_q(g, p, iset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -770,9 +823,7 @@ def walk_alone(g, p, stop=None):
     """The connected-set walk of `gap` over the whole of g on a plan of its
     own, with no in-bound test, no D* and no split into components before
     it: a second route to d(p, G) of an out-of-region p."""
-    nums, den, room = shearer._checked_integers(g, p.values)
-    order, _, nbr = shearer._plan_order(g)
-    return shearer._walk(shearer._Plan(nbr, [nums[i] for i in order], den, room), stop)
+    return shearer._walk(shearer._Plan.open(g, *shearer._checked_integers(g, p.values)), stop)
 
 
 def brute_gap(g, p):
@@ -899,7 +950,7 @@ def test_input_checks_hold_with_or_without_probes(resolution):
     for search in (
         lambda g, p, _: gap(g, p),
         lambda g, p, _: in_shearer_bound(g, p),
-        lambda g, p, _: q_polynomial(g, p, ()),
+        lambda g, p, _: q_empty(g, p),
     ):
         with pytest.raises(InputError, match="^vector length mismatch"):
             search(C4, ProbabilityVector.uniform(3, Fraction(1, 4)), resolution)
@@ -982,7 +1033,7 @@ def _q_of_set(nums, den, nbr, iset, memo):
 def recursive_report(g, p):
     """in_shearer_bound from the per-set recursion: q_0 and every singleton
     q-value on one memo, then the first independent set with Q <= 0."""
-    nums, den = shearer._integers(p.values)
+    nums, den = shearer._checked_integers(g, p.values)
     nbr, memo = g.closed_masks, {}
     q_values = {iset: _q_of_set(nums, den, nbr, iset, memo) for iset in [()] + [(v,) for v in g.vertices]}
     witness = None
@@ -1018,14 +1069,14 @@ def scaled_numerators(draw, m):
 @given(g=shuffled_graphs(), data=st.data())
 def test_plan_replays_the_unrolled_recursion(g, data):
     nums, den = data.draw(scaled_numerators(g.m))
-    nbr, support = g.closed_masks, shearer._support(nums)
+    nbr = g.closed_masks
     plan = shearer._Plan(nbr, nums, den, shearer.MAX_PLAN_STEPS)
-    memo = {}
+    support, memo = plan.support, {}
     assert plan.inside(support) == _member(nums, den, nbr, memo)
     # the recursion's values, mask by mask, and its unrolled steps, which
     # reproduce the verdict at the building vector
     assert plan.values == {0: 1, **memo}
-    replay = plan.replay(support, range(g.m))
+    replay = plan.replay()
     assert replay == _compile(nbr, support)
     assert shearer._probe(replay, nums, den) == plan.inside(support)
     # asking for another mask extends the plan by the masks it reaches
@@ -1038,10 +1089,15 @@ def test_plan_replays_the_unrolled_recursion(g, data):
 @settings(max_examples=200, deadline=None)
 @given(g=shuffled_graphs(), data=st.data())
 def test_compiled_probe_matches_recursive_member(g, data):
-    member = shearer._searcher(g, 97 << 12)  # the largest den drawn
+    # a plan charged at the largest den drawn, replayed at vectors of its support
+    nums, den = data.draw(scaled_numerators(g.m))
+    plan = shearer._Plan.open(g, nums, den, 0, (97 << 12).bit_length())
+    assert plan.inside(plan.support) == _member(nums, den, g.closed_masks)
+    replay = plan.replay()
     for _ in range(8):
-        nums, den = data.draw(scaled_numerators(g.m))
-        assert member(nums, den) == _member(nums, den, g.closed_masks)
+        other, den = data.draw(scaled_numerators(g.m))
+        other = [max(1, n) if kept else 0 for n, kept in zip(other, nums)]
+        assert shearer._probe(replay, other, den) == _member(other, den, g.closed_masks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1054,37 +1110,40 @@ def test_one_plan_gives_the_per_set_q_values_and_witness(g, data):
     assert shearer_membership(g, values) == _member(nums, den, g.closed_masks)
 
 
-def _probes_of(search, args, make_member):
-    """The search's outcome and every probe it made, as (nums, den, verdict),
-    with members built by make_member(g, den) for denominators up to den."""
+def _probes_of(search, args):
+    """The search's outcome and every probe it made, as (nums, den, verdict)
+    in the caller's labels: the first on its plan, the later ones replayed."""
     log = []
+    probe = shearer._probe
 
-    def searcher(g, den):
-        member = make_member(g, den)
+    class LoggedPlan(shearer._Plan):
+        __slots__ = ()
 
-        def logged(nums, den):
-            out = member(nums, den)
-            log.append((tuple(nums), den, out))
+        def inside(self, support):
+            out = super().inside(support)
+            log.append((tuple(self.nums[k] for k in self.rank), self.den, out))
             return out
 
-        return logged
+    def logged_probe(replay, nums, den):
+        out = probe(replay, nums, den)
+        log.append((tuple(nums), den, out))
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shearer, "_searcher", searcher)
+        patch.setattr(shearer, "_Plan", LoggedPlan)
+        patch.setattr(shearer, "_probe", logged_probe)
         return _outcome(search, *args), log
-
-
-def recursive_searcher(g, den):
-    """The searches' reference: every probe runs the memoised recursion."""
-    return lambda nums, den: _member(nums, den, g.closed_masks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(g=shuffled_graphs(max_m=10), data=st.data())
 def test_searches_make_the_recursive_reference_probes(g, data):
+    # every probe's verdict is the memoised recursion's, so a search running
+    # the recursion would make the same probes
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
-    args = (g, p, Fraction(1, 256))
-    assert _probes_of(boundary_scale, args, shearer._searcher) == _probes_of(boundary_scale, args, recursive_searcher)
+    _, log = _probes_of(boundary_scale, (g, p, Fraction(1, 256)))
+    assert log
+    assert [out for _, _, out in log] == [_member(list(nums), den, g.closed_masks) for nums, den, _ in log]
 
 
 # The plans' vertex order. Graphs of `_ORDER_MIN_VERTICES` or more vertices
@@ -1117,7 +1176,7 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
         return (
             shearer_membership(g, values),
             (report.in_bound, report.q_values, report.witness),
-            [q_polynomial(g, p, iset) for iset in isets],
+            [q_set(g, p, iset) for iset in isets],
             gap(g, p),
         )
 
@@ -1130,7 +1189,7 @@ def test_breadth_first_plans_answer_as_the_identity_order(g, data):
 def test_breadth_first_searches_make_the_identity_order_probes(g, data):
     p = ProbabilityVector(tuple(data.draw(mixed_vectors(g.m, zeros=False))))
     args = (g, p, Fraction(1, 256))
-    identity, ordered = _in_both_orders(lambda: _probes_of(boundary_scale, args, shearer._searcher))
+    identity, ordered = _in_both_orders(lambda: _probes_of(boundary_scale, args))
     assert ordered == identity
 
 
@@ -1180,6 +1239,11 @@ def _full_plan_steps(nbr):
     return len(_compile(nbr, (1 << len(nbr)) - 1)[1])
 
 
+def _oracle_masks(g):
+    """The closed masks, in the oracle's vertex order, of the plans it opens on g."""
+    return shearer._Plan.open(g, [1] * g.m, 1).nbr
+
+
 def test_breadth_first_order_keeps_plans_small():
     # a 5x5 grid window, labelled row by row, then under a seeded shuffle
     unit, _ = grid_unit((5, 5))
@@ -1187,11 +1251,11 @@ def test_breadth_first_order_keeps_plans_small():
     shuffled = DependencyGraph.from_edges(25, [(label[u], label[v]) for u, v in unit.edges])
     assert _full_plan_steps(unit.closed_masks) == 121
     assert _full_plan_steps(shuffled.closed_masks) == 1_370
-    assert _full_plan_steps(shearer._plan_order(shuffled)[2]) <= 121  # 103
+    assert _full_plan_steps(_oracle_masks(shuffled)) <= 121  # 103
     # a cycle's own labels already split it two vertices wide
     for n in range(16, 25):
         g = cycle(n)
-        assert _full_plan_steps(shearer._plan_order(g)[2]) <= _full_plan_steps(g.closed_masks)
+        assert _full_plan_steps(_oracle_masks(g)) <= _full_plan_steps(g.closed_masks)
 
 
 @pytest.fixture
@@ -1208,9 +1272,9 @@ def work(monkeypatch):
             counts["plans"] += 1
             super().__init__(*args)
 
-        def replay(self, support, labels):
-            counts["kept"].append(support)
-            return super().replay(support, labels)
+        def replay(self):
+            counts["kept"].append(self.support)
+            return super().replay()
 
     def counted_probe(replay, nums, den):
         counts["probes"] += 1
@@ -1243,7 +1307,7 @@ def test_one_off_calls_build_one_plan_and_replay_nothing(work):
     p = ProbabilityVector.uniform(4, Fraction(1, 2))
     shearer_membership(C4, p.values)
     in_shearer_bound(C4, p)
-    q_polynomial(C4, p, (1,))
+    q_empty(C4, p)
     assert work == {"plans": 3, "kept": [], "probes": 0}
 
 
@@ -1306,7 +1370,7 @@ def test_gap_builds_one_plan_on_a_connected_graph(kept_plans, g, p, stop):
     # relabelled copy, no second plan of the same vector
     gap(g, p, stop)
     (plan,) = kept_plans
-    assert plan.nbr is shearer._plan_order(g)[2]
+    assert plan.nbr is _oracle_masks(g)
 
 
 def test_gap_builds_one_plan_per_component(kept_plans):
@@ -1413,9 +1477,7 @@ def test_connected_gap_walks_deeper_than_the_recursion_limit():
         "g = DependencyGraph.from_edges(100, [(k, k + 1) for k in range(1, 100)])\n"
         "p = P.uniform(100, boundary_scale(g, P.uniform(100, 1), Fraction(1, 2**20)).hi)\n"
         "exact = gap(g, p)\n"
-        "nums, den, room = shearer._checked_integers(g, p.values)\n"
-        "order, _, nbr = shearer._plan_order(g)\n"
-        "plan = shearer._Plan(nbr, [nums[i] for i in order], den, room)\n"
+        "plan = shearer._Plan.open(g, *shearer._checked_integers(g, p.values))\n"
         "sys.setrecursionlimit(25)\n"
         "print(exact is not None and shearer._walk(plan, None) == exact)\n"
     )
@@ -1492,6 +1554,24 @@ def test_one_off_calls_count_their_steps_against_the_plan_cap(monkeypatch):
         in_shearer_bound(g, q)
     monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", 7)
     assert not shearer_membership(g, q.values)
+
+
+def test_witness_walk_is_charged_only_its_plan_masks(kept_plans, monkeypatch):
+    # the walk holds one partial set per depth and no level of sets: on two
+    # disjoint 5-cycles at 3/5 it passes the ten sets of one vertex to reach
+    # (1, 3), and the 45 masks it adds to the 14 of membership's plan,
+    # beside the 11 q-values, are all it is charged
+    g, p = five_cycles(2), ProbabilityVector.uniform(10, Fraction(3, 5))
+    expected = in_shearer_bound(g, p)
+    shearer_membership(g, p.values)
+    walked, member = (len(plan.values) - 1 for plan in kept_plans)
+    assert (member, walked) == (14, 59)
+    held = walked + g.m + 1
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held)
+    assert in_shearer_bound(g, p) == expected
+    monkeypatch.setattr(shearer, "MAX_PLAN_STEPS", held - 1)
+    with pytest.raises(CapExceeded, match=f"oracle plans capped at {held - 1} steps"):
+        in_shearer_bound(g, p)
 
 
 def test_minimal_gap_counts_its_steps_against_the_plan_cap(kept_plans, monkeypatch):

@@ -112,12 +112,17 @@ def order_us(g: DependencyGraph) -> float:
 
 
 def fits(g: DependencyGraph) -> str:
-    """Whether the oracle's full-support plan fits its budget at DEN_BITS."""
+    """Whether the oracle's full-support plan fits its budget at DEN_BITS:
+    the plan is opened as the oracle opens it, in the order it picks."""
     try:
-        room = shearer._room(g.m, DEN_BITS)
+        plan = shearer._Plan.open(g, [0] * g.m, 1, 0, DEN_BITS)
     except shearer.CapExceeded:
         return "refused"
-    return "no" if plan_steps(shearer._plan_order(g)[2], room) == "capped" else "yes"
+    try:
+        plan.q(plan.full)
+    except shearer.CapExceeded:
+        return "no"
+    return "yes"
 
 
 def main() -> int:
