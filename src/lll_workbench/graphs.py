@@ -11,13 +11,13 @@ Vertices are indexed 1..m throughout, matching the JSON wire format.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import prod
 from operator import mul
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -57,24 +57,13 @@ class DependencyGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges if u != v else False
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self._neighbor_sets[v]
-
     def max_degree(self) -> int:
         # counted off the edges: it is asked of fresh graphs, whose
-        # neighbour sets would be built for it alone
+        # closed masks would be built for it alone
         return max(Counter(chain.from_iterable(self.edges)).values(), default=0)
 
     # Derived structure, computed on first use and kept in the instance's
     # __dict__: it is freed with the graph and plays no part in ==, hash or repr.
-
-    @cached_property
-    def _neighbor_sets(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
 
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
@@ -164,7 +153,7 @@ class BipartiteEventVariableGraph:
     def max_event_degree(self) -> int:
         return max(len(self.event_vars(i)) for i in self.events)
 
-    # Derived maps, cached per instance like DependencyGraph's adjacency.
+    # Derived maps, cached per instance like DependencyGraph's closed masks.
 
     @cached_property
     def _event_vars(self) -> dict[int, frozenset[int]]:
@@ -233,30 +222,50 @@ def base_graph(b: BipartiteEventVariableGraph) -> DependencyGraph:
     return DependencyGraph(b.event_count, frozenset(edges))
 
 
-def _shortest_chordless_cycle(g: DependencyGraph, alive: set[int]) -> tuple[int, ...] | None:
-    """Shortest induced cycle of length >= 4 inside the alive vertex set.
+def _shortest_chordless_cycle(masks: Sequence[int], alive: int) -> tuple[int, ...] | None:
+    """Shortest induced cycle of length >= 4 inside the alive mask, least
+    in canonical form among the shortest.
 
-    For a center v with neighbors u, w that are themselves non-adjacent, any
-    shortest u-w path avoiding N[v]\\{u,w} closes an induced cycle through v:
-    shortest paths are induced, and no internal vertex can see v.
-    Deterministic: scans (v, u, w) in sorted order, shortest_path breaks ties
-    by vertex number, then the cycle is canonicalized by rotation/reflection.
+    For a center v with neighbors u < w that are themselves non-adjacent,
+    any shortest u-w path inside W = alive - N[v] + u closes an induced
+    cycle through v: shortest paths are induced, and no internal vertex can
+    see v. The layers around u inside W serve every such w, and are built
+    only to the depth at which a cycle as short as the best so far can
+    still close, so ties with the best are found and compared.
+
+    The path from w takes, at each step, the least neighbour one layer
+    nearer u. Every shortest path from w to u meets the layers in descending
+    order, one step a layer, so this greedy choice gives the
+    lexicographically least shortest path read from w. That is the path a
+    breadth-first search from w returns when it visits neighbours in
+    increasing order and makes the first vertex to reach a node its parent:
+    by induction on the depth, its queue holds each layer in the
+    lexicographic order of its vertices' paths, so the first vertex to reach
+    a node ends the least shortest path into it. It is also why the least
+    canonical cycle (a, b, c, ...) among the shortest is found: from centre
+    b with u = a and w = c, the least path from c reads no later than it.
     """
     best: tuple[int, ...] | None = None
-    for v in sorted(alive):
-        nbrs = sorted(n for n in g.neighbors(v) if n in alive)
-        for u, w in combinations(nbrs, 2):
-            if g.has_edge(u, w):
+    for v in _vertices(alive):
+        nbrs = alive & masks[v - 1] & ~(1 << (v - 1))
+        for u in _vertices(nbrs):
+            # the alive neighbours w > u of v that do not see u
+            far = (nbrs & ~masks[u - 1]) >> u << u
+            if not far:
                 continue
-            # w to u outside the closed neighbourhood of v
-            path = shortest_path(g, w, u, (alive - g.neighbors(v) - {v}) | {u})
-            if path is None:
-                continue
-            cycle = (v, *reversed(path))  # v,u,...,w
-            if best is None or len(cycle) < len(best) or (
-                len(cycle) == len(best) and _canon_cycle(cycle) < _canon_cycle(best)
-            ):
-                best = cycle
+            within = alive & ~masks[v - 1] | 1 << (u - 1)
+            # a w that first sees layer k closes a cycle of length k + 3
+            depth = None if best is None else len(best) - 2
+            layers = list(islice(_layers(masks, 1 << (u - 1), within), depth))
+            for w in _vertices(far):
+                k = next((k for k, layer in enumerate(layers) if masks[w - 1] & layer), None)
+                if k is None:
+                    continue
+                cycle = (v, *reversed(_least_path(masks, layers[: k + 1], w)))  # v,u,...,w
+                if best is None or len(cycle) < len(best) or (
+                    len(cycle) == len(best) and _canon_cycle(cycle) < _canon_cycle(best)
+                ):
+                    best = cycle
     return _canon_cycle(best) if best is not None else None
 
 
@@ -274,14 +283,11 @@ def find_disjoint_chordless_cycles(g: DependencyGraph) -> ChordlessCycleSet:
 
     Empty iff the graph is chordal.
     """
-    alive = set(g.vertices)
+    alive = (1 << g.m) - 1
     cycles: list[tuple[int, ...]] = []
-    while True:
-        c = _shortest_chordless_cycle(g, alive)
-        if c is None:
-            break
+    while (c := _shortest_chordless_cycle(g.closed_masks, alive)) is not None:
         cycles.append(c)
-        alive -= set(c)
+        alive &= ~sum(1 << (v - 1) for v in c)
     return ChordlessCycleSet(tuple(cycles))
 
 
@@ -372,33 +378,19 @@ def expand_translational_unit(
 # ---------------------------------------------------------------------------
 # shared graph utilities
 
-def shortest_path(
-    g: DependencyGraph, source: int, target: int, allowed: Collection[int] | None = None
-) -> tuple[int, ...] | None:
-    """A shortest source-target vertex sequence, None if there is none. BFS
-    visits neighbours in increasing order, so ties go to smaller vertices;
-    with allowed given, it enters no vertex outside allowed."""
-    parent: dict[int, int | None] = {source: None}
-    dq = deque([source])
-    while dq:
-        x = dq.popleft()
-        if x == target:
-            path = [x]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return tuple(reversed(path))
-        for y in sorted(g.neighbors(x)):
-            if y not in parent and (allowed is None or y in allowed):
-                parent[y] = x
-                dq.append(y)
-    return None
+def _vertices(mask: int) -> Iterator[int]:
+    """The vertices of a mask (bit v-1 for v), ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
-def _layers(g: DependencyGraph, source: int) -> Iterator[int]:
-    """The breadth-first layers around source as bit masks (bit v-1 for v):
-    the source alone, then each set of vertices one step further out."""
-    masks = g.closed_masks
-    seen = layer = 1 << (source - 1)
+def _layers(masks: Sequence[int], start: int, within: int = -1) -> Iterator[int]:
+    """The breadth-first layers around the start mask over the closed masks
+    (bit v-1 for v): start, then each set of vertices one step further out,
+    entering no vertex outside within."""
+    seen = layer = start
     while layer:
         yield layer
         grown = 0
@@ -406,13 +398,35 @@ def _layers(g: DependencyGraph, source: int) -> Iterator[int]:
             low = layer & -layer
             grown |= masks[low.bit_length() - 1]
             layer ^= low
-        layer = grown & ~seen
+        layer = grown & within & ~seen
         seen |= layer
+
+
+def _least_path(masks: Sequence[int], layers: Sequence[int], x: int) -> list[int]:
+    """From x, a neighbour of the last layer, the vertex sequence that steps
+    to the least neighbour in each layer, last to first."""
+    path = [x]
+    for layer in reversed(layers):
+        step = masks[path[-1] - 1] & layer
+        path.append((step & -step).bit_length())
+    return path
+
+
+def shortest_path(g: DependencyGraph, source: int, target: int) -> tuple[int, ...] | None:
+    """The lexicographically least shortest source-target vertex sequence,
+    None if there is none: read off the layers around target as in
+    _shortest_chordless_cycle."""
+    layers: list[int] = []
+    for layer in _layers(g.closed_masks, 1 << (target - 1)):
+        if layer >> (source - 1) & 1:
+            return tuple(_least_path(g.closed_masks, layers, source))
+        layers.append(layer)
+    return None
 
 
 def is_connected(g: DependencyGraph) -> bool:
     # the layers are disjoint, so their sum is their union
-    return sum(_layers(g, 1)) == (1 << g.m) - 1
+    return sum(_layers(g.closed_masks, 1)) == (1 << g.m) - 1
 
 
 def connected_components(g: DependencyGraph) -> list[tuple[tuple[int, ...], DependencyGraph]]:
@@ -423,15 +437,11 @@ def connected_components(g: DependencyGraph) -> list[tuple[tuple[int, ...], Depe
     part_of, label = [0] * (g.m + 1), [0] * (g.m + 1)
     unseen = (1 << g.m) - 1
     while unseen:
-        part = sum(_layers(g, (unseen & -unseen).bit_length()))
+        part = sum(_layers(g.closed_masks, unseen & -unseen))
         if part == (1 << g.m) - 1:
             return [(tuple(g.vertices), g)]
         unseen ^= part
-        members = []
-        while part:
-            low = part & -part
-            members.append(low.bit_length())
-            part ^= low
+        members = list(_vertices(part))
         for k, v in enumerate(members, 1):
             part_of[v], label[v] = len(parts), k
         parts.append(members)
@@ -450,7 +460,7 @@ def graph_diameter(g: DependencyGraph) -> int:
     diam = 0
     for v in g.vertices:
         reached = depth = 0
-        for depth, layer in enumerate(_layers(g, v)):
+        for depth, layer in enumerate(_layers(g.closed_masks, 1 << (v - 1))):
             reached |= layer
         if reached != full:
             raise InputError("graph is disconnected")
@@ -460,7 +470,7 @@ def graph_diameter(g: DependencyGraph) -> int:
 
 def graph_distance(g: DependencyGraph, u: int, v: int) -> int:
     if 1 <= v <= g.m:
-        for depth, layer in enumerate(_layers(g, u)):
+        for depth, layer in enumerate(_layers(g.closed_masks, 1 << (u - 1))):
             if layer >> (v - 1) & 1:
                 return depth
     raise InputError(f"no path from {u} to {v}")

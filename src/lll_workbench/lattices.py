@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from .graphs import (
-    DependencyGraph,
-    InputError,
-    expand_translational_unit,
-    _normalize_edge,
-)
+from .graphs import DependencyGraph, InputError, expand_translational_unit
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ def grid_unit(dims: tuple[int, ...]) -> tuple[DependencyGraph, dict[int, tuple[i
             q[axis] += 1
             qt = tuple(q)
             if qt in ids:
-                edges.add(_normalize_edge(ids[p], ids[qt]))
+                edges.add((ids[p], ids[qt]))
     return DependencyGraph(len(points), frozenset(edges)), {v: p for p, v in ids.items()}
 
 
@@ -80,7 +75,7 @@ def hexagon_flake_unit() -> tuple[DependencyGraph, dict[int, tuple[int, ...]]]:
             (x + 2, y + 1), (x + 1, y + 1), (x, y + 1),
         ]
         for a, b in zip(ring, ring[1:] + ring[:1]):
-            edges.add(_normalize_edge(ids[a], ids[b]))
+            edges.add((ids[a], ids[b]))
     graph = DependencyGraph(len(ids), frozenset(edges))
     return graph, {v: p for p, v in ids.items()}
 

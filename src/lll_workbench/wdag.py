@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -374,17 +374,9 @@ def _m_reversible_arcs(d: WDag, m: Matching) -> list[tuple[int, int]]:
     return [(u, v) for u, v in matched if is_reversible(d, u, v)]
 
 
-def m_reversible_nodes(
-    d: WDag, m: Matching
-) -> tuple[frozenset[int], dict[int, frozenset[int]]]:
-    """Nodes participating in matched reversible arcs, total and per label."""
-    nodes: set[int] = set()
-    for u, v in _m_reversible_arcs(d, m):
-        nodes.update((u, v))
-    per_label: dict[int, set[int]] = {}
-    for v in nodes:
-        per_label.setdefault(d.label(v), set()).add(v)
-    return frozenset(nodes), {k: frozenset(s) for k, s in per_label.items()}
+def m_reversible_nodes(d: WDag, m: Matching) -> frozenset[int]:
+    """Nodes participating in matched reversible arcs."""
+    return frozenset(chain.from_iterable(_m_reversible_arcs(d, m)))
 
 
 def lambda_order(d: WDag, v: int, pair: tuple[int, int]) -> int:
@@ -568,7 +560,7 @@ def partitions_psi(d: WDag, m: Matching) -> Iterator[Partition4]:
     product(blocks, repeat=|free|) over the free nodes ascending. Each block
     is one of the 2^|free| subsets of the free nodes (with the reversible
     nodes, in the first block), built once per call."""
-    reversible, _ = m_reversible_nodes(d, m)
+    reversible = m_reversible_nodes(d, m)
     free = sorted(matched_nodes(d, m) - reversible)
     blocks = [frozenset(v for k, v in enumerate(free) if sub >> k & 1) for sub in range(1 << len(free))]
     firsts = [reversible | block for block in blocks]
@@ -670,9 +662,13 @@ def weight_sums(g: DependencyGraph, p: ProbabilityVector, node_cap: int) -> Weig
         raise CapExceeded(f"weight sums capped at {MAX_SUM_NODES} nodes")
     # each distinct closed neighbourhood is a state of node_cap entries and a
     # mask of ceil(m/64) words, so this many states are refused before their
-    # masks, about m^2/16 bytes, exist
+    # masks, about m^2/16 bytes, exist: they are counted as vertex sets
     words = (g.m + 63) // 64
-    if len({g.neighbors(v) | {v} for v in g.vertices}) * (node_cap + words) > MAX_DP_STATES:
+    closed_sets = {v: {v} for v in g.vertices}
+    for u, v in g.edges:
+        closed_sets[u].add(v)
+        closed_sets[v].add(u)
+    if len({frozenset(s) for s in closed_sets.values()}) * (node_cap + words) > MAX_DP_STATES:
         raise CapExceeded(f"weight-sum DP capped at {MAX_DP_STATES} states")
     num, den = _integers(p.values)
     closed = g.closed_masks
@@ -711,7 +707,7 @@ def tighter_weight(
 ) -> Fraction:
     """Weight with matched-reversible nodes priced at p' instead of p, on
     the integer numerators of both over their common denominator."""
-    reversible, _ = m_reversible_nodes(d, m)
+    reversible = m_reversible_nodes(d, m)
     num, den = _integers(p.values + p_prime.values)  # p' at offset len(p)
     picked = (num[d.label(v) - 1 + (len(p) if v in reversible else 0)] for v in d.nodes)
     return Fraction(prod(picked), den**d.n)

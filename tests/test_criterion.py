@@ -44,7 +44,7 @@ from lll_workbench.shearer import (
     in_shearer_bound,
     shearer_membership,
 )
-from test_graphs import greedy_max_intersection_matching, is_linear, simplify
+from test_graphs import greedy_max_intersection_matching, is_linear, neighbors, simplify
 
 
 def cycle(n):
@@ -861,7 +861,7 @@ class TestLatticeOverlapFloorOnCopies:
         }
         closed = set(copy_vertices)
         for v in copy_vertices:
-            closed |= expanded.neighbors(v)
+            closed |= neighbors(expanded, v)
         t_k = {
             pair for pair in matching.pairs
             if pair[0] in closed and pair[1] in closed

@@ -21,8 +21,16 @@ from lll_workbench.graphs import (
     graph_distance,
     is_connected,
     shortest_path,
+    _canon_cycle,
+    _layers,
 )
 from lll_workbench.lattices import builtin_lattice, grid_unit, hexagon_flake_unit
+
+
+def neighbors(g, v):
+    """The neighbours of v, read off its closed mask."""
+    mask = g.closed_masks[v - 1] & ~(1 << (v - 1))
+    return frozenset(u for u in range(1, mask.bit_length() + 1) if mask >> (u - 1) & 1)
 
 
 def is_chordal(g):
@@ -92,14 +100,14 @@ def brute_force_has_long_induced_cycle(g):
     for size in range(4, g.m + 1):
         for sub in combinations(g.vertices, size):
             keep = set(sub)
-            degs = [len(g.neighbors(v) & keep) for v in sub]
+            degs = [len(neighbors(g, v) & keep) for v in sub]
             if any(d != 2 for d in degs):
                 continue
             seen = {sub[0]}
             stack = [sub[0]]
             while stack:
                 u = stack.pop()
-                for w in g.neighbors(u) & keep:
+                for w in neighbors(g, u) & keep:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -119,11 +127,11 @@ def reference_is_chordal(g):
         v = max(remaining, key=lambda x: (labels[x], -x))
         remaining.discard(v)
         order.append(v)
-        for w in g.neighbors(v) & remaining:
+        for w in neighbors(g, v) & remaining:
             labels[w].append(g.m - len(order) + 1)
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        earlier = [w for w in g.neighbors(v) if pos[w] < pos[v]]
+        earlier = [w for w in neighbors(g, v) if pos[w] < pos[v]]
         if earlier:
             last = max(earlier, key=pos.__getitem__)
             if any(u != last and not g.has_edge(u, last) for u in earlier):
@@ -149,15 +157,75 @@ def edge_lists(draw, max_m=12):
 
 
 # ---------------------------------------------------------------------------
-# test-only references: the dict/deque breadth-first search and the
-# tuple-position expansion the mask search and the integer codes replaced
+# test-only references: the dict/deque breadth-first searches and the
+# tuple-position expansion the mask searches and the integer codes replaced
+
+def reference_shortest_path(g, source, target, allowed=None):
+    """A shortest source-target vertex sequence, None if there is none. BFS
+    visits neighbours in increasing order, so ties go to smaller vertices;
+    with allowed given, it enters no vertex outside allowed."""
+    parent = {source: None}
+    dq = deque([source])
+    while dq:
+        x = dq.popleft()
+        if x == target:
+            path = [x]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for y in sorted(neighbors(g, x)):
+            if y not in parent and (allowed is None or y in allowed):
+                parent[y] = x
+                dq.append(y)
+    return None
+
+
+def reference_shortest_chordless_cycle(g, alive):
+    """One breadth-first search per centre v and non-adjacent alive
+    neighbours u < w, from w to u outside N[v]; the shortest cycle, least in
+    canonical form among the shortest."""
+    best = None
+    for v in sorted(alive):
+        nbrs = sorted(n for n in neighbors(g, v) if n in alive)
+        for u, w in combinations(nbrs, 2):
+            if g.has_edge(u, w):
+                continue
+            path = reference_shortest_path(g, w, u, (alive - neighbors(g, v) - {v}) | {u})
+            if path is None:
+                continue
+            cycle = (v, *reversed(path))  # v,u,...,w
+            if best is None or len(cycle) < len(best) or (
+                len(cycle) == len(best) and _canon_cycle(cycle) < _canon_cycle(best)
+            ):
+                best = cycle
+    return _canon_cycle(best) if best is not None else None
+
+
+def reference_chordless_cycles(g):
+    alive, cycles = set(g.vertices), []
+    while (c := reference_shortest_chordless_cycle(g, alive)) is not None:
+        cycles.append(c)
+        alive -= set(c)
+    return tuple(cycles)
+
+
+def cylinder(width, length):
+    """The square grid of length rows wrapped around width columns,
+    labelled row by row."""
+    edges = []
+    for v in range(1, width * length + 1):
+        edges.append((v, v - (v - 1) % width + v % width))
+        if v + width <= width * length:
+            edges.append((v, v + width))
+    return DependencyGraph.from_edges(width * length, edges)
+
 
 def bfs_distances(g, source):
     dist = {source: 0}
     dq = deque([source])
     while dq:
         u = dq.popleft()
-        for v in sorted(g.neighbors(u)):
+        for v in sorted(neighbors(g, u)):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 dq.append(v)
@@ -232,7 +300,7 @@ class TestBaseGraph:
             for g in all_graphs(n):
                 if not g.edges:
                     continue
-                if not all(g.neighbors(v) for v in g.vertices):
+                if not all(neighbors(g, v) for v in g.vertices):
                     continue
                 assert base_graph(edge_variable_graph(g)) == g
 
@@ -242,7 +310,7 @@ class TestBaseGraph:
         for _ in range(300):
             edges = frozenset(p for p in pairs if rng.random() < 0.5)
             g = DependencyGraph(6, edges)
-            if not all(g.neighbors(v) for v in g.vertices):
+            if not all(neighbors(g, v) for v in g.vertices):
                 continue
             assert base_graph(edge_variable_graph(g)) == g
 
@@ -320,6 +388,50 @@ class TestChordlessCycles:
                         assert not g.has_edge(c[a], c[b])
             assert bool(cycles) == brute_force_has_long_induced_cycle(g)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_breadth_first_reference(self, data):
+        kind = data.draw(st.sampled_from(["random", "grid", "cylinder"]))
+        if kind == "random":
+            g = DependencyGraph.from_edges(*data.draw(edge_lists(max_m=14)))
+        elif kind == "grid":
+            g, _ = grid_unit((data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))))
+        else:
+            g = cylinder(data.draw(st.integers(3, 7)), data.draw(st.integers(1, 5)))
+        if kind != "random" and data.draw(st.booleans()):
+            label = [0] + data.draw(st.permutations(range(1, g.m + 1)))
+            g = DependencyGraph.from_edges(g.m, [(label[u], label[v]) for u, v in g.edges])
+        assert find_disjoint_chordless_cycles(g).cycles == reference_chordless_cycles(g)
+
+    def test_square_cylinder_packs_its_squares(self):
+        # rows 2r and 2r+1, columns 2c and 2c+1: the 4-cycles tile the
+        # 8-wide, 40-long cylinder; the 8-cycles around it are never shortest
+        want = tuple((a, a + 1, a + 9, a + 8) for row in range(0, 320, 16) for a in range(row + 1, row + 8, 2))
+        assert len(want) == 80
+        assert find_disjoint_chordless_cycles(cylinder(8, 40)).cycles == want
+
+    def test_a_later_centre_finds_a_tie_with_a_smaller_canonical_form(self):
+        # two 5-cycles through the path 5-1-2: read from 5, the path 5-4-8-2
+        # is the least, so centre 1 finds (1, 2, 8, 4, 5) first; centre 2
+        # then finds the canonically smaller (1, 2, 3, 9, 5), whose path
+        # from 3 to 1 reaches the last layer a 5-cycle can use
+        g = DependencyGraph.from_edges(
+            9, [(1, 2), (2, 3), (3, 9), (9, 5), (5, 1), (2, 8), (8, 4), (4, 5)]
+        )
+        assert find_disjoint_chordless_cycles(g).cycles == ((1, 2, 3, 9, 5),)
+        assert reference_chordless_cycles(g) == ((1, 2, 3, 9, 5),)
+
+    def test_each_path_steps_to_the_least_vertex(self):
+        # 1 and 3 share the neighbours 2, 5, 6, and 2 and 5 share 1, 3, 4: every
+        # (v, u, w) that can close the least 4-cycle (1, 2, 3, 5) also has a
+        # path through a larger vertex, so paths that stepped to the largest
+        # vertex of a layer would pack (1, 2, 3, 6) instead
+        g = DependencyGraph.from_edges(
+            6, [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6), (4, 5)]
+        )
+        assert find_disjoint_chordless_cycles(g).cycles == ((1, 2, 3, 5),)
+        assert reference_chordless_cycles(g) == ((1, 2, 3, 5),)
+
 
 class TestShortestPath:
     def test_ties_go_to_smaller_vertices(self):
@@ -328,8 +440,9 @@ class TestShortestPath:
         assert shortest_path(C4, 2, 2) == (2,)
 
     def test_allowed_restricts_the_entered_vertices(self):
-        assert shortest_path(C4, 1, 3, allowed={3, 4}) == (1, 4, 3)
-        assert shortest_path(C4, 1, 3, allowed={3}) is None
+        # the cycle search's layers, kept inside a within mask
+        assert list(_layers(C4.closed_masks, 0b0001, 0b1100)) == [0b0001, 0b1000, 0b0100]
+        assert list(_layers(C4.closed_masks, 0b0001, 0b0100)) == [0b0001]
         assert shortest_path(DependencyGraph(2, frozenset()), 1, 2) is None
 
     @settings(max_examples=100, deadline=None)
@@ -339,6 +452,7 @@ class TestShortestPath:
         g = DependencyGraph(m, frozenset(e for k, e in enumerate(pairs) if bits >> k & 1))
         u, v = data.draw(st.integers(1, m)), data.draw(st.integers(1, m))
         path = shortest_path(g, u, v)
+        assert path == reference_shortest_path(g, u, v)
         dist = bfs_distances(g, u)
         if v not in dist:
             assert path is None
@@ -572,7 +686,7 @@ class TestLattices:
         assert g.m - len(g.edges) + 20 == 2
         assert graph_diameter(g) == 11
         assert g.max_degree() == 3
-        assert sorted(len(g.neighbors(v)) for v in g.vertices).count(2) == 18
+        assert sorted(len(neighbors(g, v)) for v in g.vertices).count(2) == 18
 
     def test_cubic_unit(self):
         spec = builtin_lattice("cubic")
@@ -688,13 +802,9 @@ class TestDerivedAdjacency:
             sum(1 << (u - 1) for u in ref[v] | {v}) for v in range(1, m + 1)
         )
         for v in range(1, m + 1):
-            assert g.neighbors(v) == ref[v]
             for u in range(1, m + 1):
                 assert g.has_edge(u, v) == (u in ref[v])
         assert g.max_degree() == max(len(s) for s in ref.values())
-        for outside in (0, m + 1):
-            with pytest.raises(KeyError):
-                g.neighbors(outside)
 
     @settings(max_examples=40, deadline=None)
     @given(spec=edge_lists())
@@ -716,7 +826,7 @@ class TestDerivedAdjacency:
         g = DependencyGraph.from_edges(m, edges)
         text = repr(g)
         # reference: roots and neighbours taken by (degree, label), 1-based
-        key = lambda v: (len(g.neighbors(v)), v)  # noqa: E731
+        key = lambda v: (len(neighbors(g, v)), v)  # noqa: E731
         seen: list[int] = []
         for root in sorted(g.vertices, key=key):
             if root in seen:
@@ -724,7 +834,7 @@ class TestDerivedAdjacency:
             queue = deque([root])
             seen.append(root)
             while queue:
-                for w in sorted(g.neighbors(queue.popleft()), key=key):
+                for w in sorted(neighbors(g, queue.popleft()), key=key):
                     if w not in seen:
                         seen.append(w)
                         queue.append(w)
@@ -732,7 +842,7 @@ class TestDerivedAdjacency:
         assert order == tuple(v - 1 for v in seen)
         assert [rank[i] for i in order] == list(range(m))
         for k, i in enumerate(order):
-            assert masks[k] == sum(1 << rank[u - 1] for u in g.neighbors(i + 1) | {i + 1})
+            assert masks[k] == sum(1 << rank[u - 1] for u in neighbors(g, i + 1) | {i + 1})
         assert_same_value(g, DependencyGraph.from_edges(m, edges), text)
 
     def test_breadth_first_order_pinned(self):

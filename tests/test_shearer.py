@@ -27,6 +27,7 @@ from lll_workbench.shearer import (
     resample_bound,
     shearer_membership,
 )
+from test_graphs import neighbors
 
 
 def cycle(n):
@@ -302,12 +303,6 @@ def test_down_closedness_property(scale, shrink):
 # oracle must agree with. They share no code with shearer.py.
 
 
-def _closed_nbr(g):
-    return [
-        (1 << (v - 1)) | sum(1 << (w - 1) for w in g.neighbors(v)) for v in g.vertices
-    ]
-
-
 def _ref_q_empty(nbr, vals, mask, memo):
     """q_0 of the subgraph induced by `mask`, split on its highest vertex."""
     if mask == 0:
@@ -332,7 +327,7 @@ def _ref_q(nbr, vals, support, iset, memo):
 def reference_membership(g, values):
     vals = [Fraction(v) for v in values]
     support = sum(1 << k for k, v in enumerate(vals) if v > 0)
-    nbr, memo = _closed_nbr(g), {}
+    nbr, memo = g.closed_masks, {}
     for iset in independent_sets(g):
         if any(not support >> (u - 1) & 1 for u in iset):
             continue
@@ -342,7 +337,7 @@ def reference_membership(g, values):
 
 
 def reference_report(g, p):
-    nbr, memo, full = _closed_nbr(g), {}, (1 << g.m) - 1
+    nbr, memo, full = g.closed_masks, {}, (1 << g.m) - 1
     q_values = {(): _ref_q(nbr, p.values, full, (), memo)}
     for v in g.vertices:
         q_values[(v,)] = _ref_q(nbr, p.values, full, (v,), memo)
@@ -565,7 +560,7 @@ def test_boundary_bracket_holds_first_root(g, data, resolution):
 
 def fraction_membership(g, values):
     vals = [Fraction(v) for v in values]
-    nbr, memo = _closed_nbr(g), {}
+    nbr, memo = g.closed_masks, {}
     mask = sum(1 << k for k, v in enumerate(vals) if v > 0)
     while mask:
         if _ref_q_empty(nbr, vals, mask, memo) <= 0:
@@ -575,7 +570,7 @@ def fraction_membership(g, values):
 
 
 def fraction_q(g, p, iset):
-    return _ref_q(_closed_nbr(g), p.values, (1 << g.m) - 1, iset, {})
+    return _ref_q(g.closed_masks, p.values, (1 << g.m) - 1, iset, {})
 
 
 def fraction_boundary_scale(g, direction, resolution):
@@ -812,11 +807,11 @@ def _on(p, vertices):
 
 def _q0(g, vals):
     """q_0 at vals of the subgraph induced by their support."""
-    return _ref_q_empty(_closed_nbr(g), vals, (1 << g.m) - 1, {})
+    return _ref_q_empty(g.closed_masks, vals, (1 << g.m) - 1, {})
 
 
 def _closed(g, w):
-    return {w} | {u - 1 for u in g.neighbors(w + 1)}
+    return {w} | {u - 1 for u in neighbors(g, w + 1)}
 
 
 def walk_alone(g, p, stop=None):
@@ -1052,7 +1047,7 @@ def recursive_report(g, p):
 def shuffled_graphs(draw, max_m=10):
     g = draw(small_graphs(max_m))
     label = [0] + draw(st.permutations(range(1, g.m + 1)))
-    edges = [(label[u], label[v]) for u in g.vertices for v in g.neighbors(u) if u < v]
+    edges = [(label[u], label[v]) for u, v in g.edges]
     return DependencyGraph.from_edges(g.m, edges)
 
 
@@ -1390,7 +1385,7 @@ def connected_set_count(g):
             while frontier:
                 v = frontier.pop()
                 reached.add(v)
-                frontier += (g.neighbors(v) & s) - reached
+                frontier += (neighbors(g, v) & s) - reached
             count += reached == s
     return count
 
