@@ -51,7 +51,7 @@ from .shearer import (
     q_empty,
     shearer_membership,
 )
-from .tables import FixedAuxiliaryTable, FixedResamplingTable, ResamplingTable
+from .tables import FixedTable, ResamplingTable
 from .wdag import (
     canonical_key,
     consistent_with_table,
@@ -445,12 +445,12 @@ def check_8_consistency_equality() -> CheckResult:
         count_x = 0
         count_xy = 0
         for bits in product((0, 1), repeat=len(x_cells)):
-            table = FixedResamplingTable(dict(zip(x_cells, bits)))
+            table = FixedTable(dict(zip(x_cells, bits)))
             x_hit = any(consistent_with_table(d, system, table) for d in members)
             if x_hit:
                 count_x += 1
             for ybits in product((1, 2), repeat=len(y_cells)):
-                aux = FixedAuxiliaryTable(
+                aux = FixedTable(
                     {((1, 2), k): v for k, v in zip(y_cells, ybits)}
                 )
                 xy_hit = any(

@@ -1,12 +1,13 @@
 """Derived quantities and convergence verdicts.
 
 Reduced probability vectors for matched intersecting event pairs, the
-intersection-aware convergence verdict, the overlap functional on linear
-bipartite graphs, cycle slack terms, the beyond-region verdict, single-step
-probability transfer along shortest paths, and lattice gap bounds. The
-paper's statements these serve that no command evaluates (the reduction
-identity, the matching floor, the transfer-scheme conditions) are checked
-by reference functions in the tests.
+intersection-aware convergence verdict, the overlap functional over all the
+events of a bipartite graph, the cycle slack with its bracket clamped at
+zero, the beyond-region verdict, single-step probability transfer along
+shortest paths, and lattice gap bounds. The paper's statements these serve
+that no command evaluates (the reduction identity, the matching floor with
+the overlap functional on a left set, the unclamped cycle slack, the
+transfer-scheme conditions) are checked by reference functions in the tests.
 
 The overlap functional and the cycle slack need roots of rationals (p^(1/deg),
 sqrt(p), sqrt(|L|)). Each root is enclosed at 2^-200 in integer
@@ -193,62 +194,36 @@ def intersection_lll_verdict(
 # ---------------------------------------------------------------------------
 # overlap functional
 
-def _induced_bipartite(
-    b: BipartiteEventVariableGraph, left: Sequence[int]
-) -> tuple[BipartiteEventVariableGraph, list[int]]:
-    """Induced subgraph on the left set and all its variables; returns the
-    sub-bipartite graph plus the original indices of its events in order."""
-    levents = sorted(set(left))
-    for i in levents:
-        if not 1 <= i <= b.event_count:
-            raise InputError(f"event {i} out of range")
-    variables = sorted({j for i in levents for j in b.event_vars(i)})
-    emap = {i: k + 1 for k, i in enumerate(levents)}
-    vmap = {j: k + 1 for k, j in enumerate(variables)}
-    edges = frozenset(
-        (emap[i], vmap[j]) for i, j in b.edges if i in emap and j in vmap
-    )
-    return (
-        BipartiteEventVariableGraph(len(levents), len(variables), edges),
-        levents,
-    )
+def digamma(b: BipartiteEventVariableGraph, p: ProbabilityVector) -> tuple[Bounds, Bounds]:
+    """Certified bounds on the overlap functional over all of b's events and
+    its positive part.
 
-
-def digamma(
-    b: BipartiteEventVariableGraph,
-    p: ProbabilityVector,
-    left: Sequence[int] | None = None,
-) -> tuple[Bounds, Bounds]:
-    """Certified bounds on the overlap functional and its positive part.
-
-    The functional scales the AM-GM surplus of per-event root weights by the
-    squared minimum probability against sqrt(|L|) * Delta_D * Delta_B^2.
-    Probabilities index the original events; the left restriction takes the
-    induced subgraph on the chosen events and all their variables.
+    The functional scales the AM-GM surplus of per-event root weights,
+    sum deg(i) p_i^(1/deg(i)) minus the number of variables some event
+    reads, by the squared minimum probability against
+    sqrt(|L|) * Delta_D * Delta_B^2. The functional on a left set of events
+    is the tests' reference, on the induced subgraph.
     """
-    if left is None:
-        left = list(b.events)
-    sub, original = _induced_bipartite(b, left)
-    probs = [p[i] for i in original]
-    delta_d = base_graph(sub).max_degree()
+    delta_d = base_graph(b).max_degree()
     if delta_d == 0:
-        raise InputError("left set induces no dependencies; functional undefined")
+        raise InputError("no two events share a variable; functional undefined")
     # events of one probability and degree share a root: group them, keyed
     # by integers, and enclose each root once
     groups: dict[tuple[int, int, int], int] = {}
-    for i, pi in zip(sub.events, probs):
-        key = (pi.numerator, pi.denominator, len(sub.event_vars(i)))
+    for i in b.events:
+        pi = p[i]
+        key = (pi.numerator, pi.denominator, len(b.event_vars(i)))
         groups[key] = groups.get(key, 0) + 1
-    lo = hi = Fraction(-sub.variable_count)
-    for (a, b, deg), count in groups.items():
-        r, exact = _root_floor(a, b, deg)
-        scale = b << ROOT_BITS
+    lo = hi = Fraction(-len({j for _, j in b.edges}))
+    for (num, den, deg), count in groups.items():
+        r, exact = _root_floor(num, den, deg)
+        scale = den << ROOT_BITS
         lo += Fraction(count * deg * r, scale)
         hi += Fraction(count * deg * (r if exact else r + 1), scale)
-    scale = min(probs) ** 2 / (delta_d * sub.max_event_degree() ** 2)
+    scale = min(p[i] for i in b.events) ** 2 / (delta_d * b.max_event_degree() ** 2)
     # each end is divided by the end of the root of |L| that rounds it
     # outward: a nonnegative one by the upper end, a negative one by the lower
-    sqrt_l = _root(Fraction(sub.event_count), 2)
+    sqrt_l = _root(Fraction(b.event_count), 2)
     value = Bounds(
         scale * lo / (sqrt_l.hi if lo >= 0 else sqrt_l.lo),
         scale * hi / (sqrt_l.lo if hi >= 0 else sqrt_l.hi),
@@ -279,27 +254,17 @@ def _validate_induced_cycle(g: DependencyGraph, cycle: Sequence[int]) -> None:
                 )
 
 
-def r_cycle(
-    g: DependencyGraph, p: ProbabilityVector, cycle: Sequence[int]
-) -> tuple[Bounds, Bounds]:
-    """Cycle slack |C| (min p)^4 (2 sum sqrt(p)/|C| - 1)^2 and its variant
-    with the bracket clamped at zero before squaring."""
+def r_cycle(g: DependencyGraph, p: ProbabilityVector, cycle: Sequence[int]) -> Bounds:
+    """Cycle slack |C| (min p)^4 max(2 sum sqrt(p)/|C| - 1, 0)^2, the bracket
+    clamped at zero before squaring; the verdict reads its lower end. The
+    unclamped square is the tests' reference."""
     _validate_induced_cycle(g, cycle)
     k = len(cycle)
     roots = [_root(p[v], 2) for v in cycle]
-    lo = 2 * sum(r.lo for r in roots) / k - 1
-    hi = 2 * sum(r.hi for r in roots) / k - 1
+    lo = max(2 * sum(r.lo for r in roots) / k - 1, Fraction(0))
+    hi = max(2 * sum(r.hi for r in roots) / k - 1, Fraction(0))
     scale = k * min(p[v] for v in cycle) ** 4
-    if lo >= 0:
-        plain = plus = Bounds(scale * lo * lo, scale * hi * hi)
-    elif hi <= 0:
-        plain = Bounds(scale * hi * hi, scale * lo * lo)
-        plus = Bounds(Fraction(0), Fraction(0))
-    else:
-        # the bracket straddles 0, so its square starts there
-        plain = Bounds(Fraction(0), scale * max(lo * lo, hi * hi))
-        plus = Bounds(Fraction(0), plain.hi)
-    return plain, plus
+    return Bounds(scale * lo * lo, scale * hi * hi)
 
 
 def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fraction) -> Verdict:
@@ -321,8 +286,7 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
         return Verdict(False, None, "scaled-entry-above-one", details)
     slack_lo = Fraction(0)
     for c in cycles.cycles:
-        _, plus = r_cycle(g, p, c)
-        slack_lo += plus.lo
+        slack_lo += r_cycle(g, p, c).lo
     slack_lo = _grid_floor(slack_lo)
     thr544 = slack_lo / 544
     thr545 = slack_lo / 545

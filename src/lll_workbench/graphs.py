@@ -378,6 +378,16 @@ def expand_translational_unit(
 # ---------------------------------------------------------------------------
 # shared graph utilities
 
+def _members(mask: int) -> list[int]:
+    """0-based vertices of a bit mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _vertices(mask: int) -> Iterator[int]:
     """The vertices of a mask (bit v-1 for v), ascending."""
     while mask:

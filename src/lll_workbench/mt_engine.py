@@ -3,10 +3,11 @@
 A system is a list of independent variables (uniform on [0,1) with exact
 dyadic samples, or finite with rational masses) plus events that are
 deterministic functions of their variables. Elementary events are boxes:
-one allowed set per variable, conjunctively. The engine runs the resampling
-algorithm against a seeded lazy table, so identical (system, rule, seed)
-always reproduce the identical run, and batches can be farmed out to
-workers without changing results.
+one allowed set per variable, conjunctively. Exact probabilities
+(pair_intersection) are for elementary events; predicate events run in the
+engine only. The engine runs the resampling algorithm against a seeded lazy
+table, so identical (system, rule, seed) always reproduce the identical
+run, and batches can be farmed out to workers without changing results.
 
 The engine works on the table's integer draws k (the sample is k / 2^64),
 which each variable alone decodes, bounds and measures. Each system's
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate
 from math import ceil, prod, sqrt
 from typing import Callable, Iterable, Mapping
 
@@ -187,10 +188,6 @@ class Event:
         return self.predicate(assignment)
 
 
-#: outcome tuples an exhaustive joint probability may sum over
-MAX_OUTCOMES = 1_000_000
-
-
 @dataclass(frozen=True)
 class EventSystem:
     variables: tuple[object, ...]
@@ -246,30 +243,6 @@ class EventSystem:
 
     def event_probability(self, i: int) -> Fraction:
         return pair_intersection(self, i, i)
-
-    def _exhaustive_probability(self, which: tuple[int, ...]) -> Fraction:
-        """Joint probability of the given events by summing over all finite
-        outcome tuples; every involved variable must be finite."""
-        vbls = sorted({j for i in which for j in self.events[i - 1].vbl})
-        domains = []
-        size = 1
-        for j in vbls:
-            var = self.variables[j - 1]
-            if isinstance(var, Uniform01):
-                raise InputError("exhaustive probability needs finite variables")
-            domains.append(range(len(var.masses)))
-            size *= len(var.masses)
-            if size > MAX_OUTCOMES:
-                raise CapExceeded(f"outcome space beyond {MAX_OUTCOMES}")
-        total = Fraction(0)
-        for combo in product(*domains):
-            assignment = dict(zip(vbls, combo))
-            if all(self.holds(i, assignment) for i in which):
-                weight = Fraction(1)
-                for j, v in assignment.items():
-                    weight *= self.variables[j - 1].masses[v]
-                total += weight
-        return total
 
 
 @dataclass(frozen=True)
@@ -361,17 +334,16 @@ class IntegerForm:
 
 
 def pair_intersection(system: EventSystem, i: int, i2: int) -> Fraction:
-    """Exact Pr(A_i and A_i2); box product for elementary events (a variable
-    of both events allows the intersection of their sets), exhaustive
-    summation otherwise."""
+    """Exact Pr(A_i and A_i2) of two elementary events, their box product: a
+    variable of both events allows the intersection of their sets."""
     a, b = system.events[i - 1], system.events[i2 - 1]
-    if a.is_elementary and b.is_elementary:
-        boxes = dict(a.allowed)
-        for j, s in b.allowed:
-            boxes[j] = boxes[j].intersect(s) if j in boxes else s
-        measures = (system.variables[j - 1].measure(s) for j, s in boxes.items())
-        return prod(measures, start=Fraction(1))
-    return system._exhaustive_probability((i, i2))
+    if not (a.is_elementary and b.is_elementary):
+        raise InputError("exact probabilities need elementary events")
+    boxes = dict(a.allowed)
+    for j, s in b.allowed:
+        boxes[j] = boxes[j].intersect(s) if j in boxes else s
+    measures = (system.variables[j - 1].measure(s) for j, s in boxes.items())
+    return prod(measures, start=Fraction(1))
 
 
 def measure_pair_intersections(system: EventSystem) -> dict[tuple[int, int], Fraction]:

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .graphs import DependencyGraph, InputError, connected_components
+from .graphs import DependencyGraph, InputError, _members, connected_components
 
 
 class CapExceeded(RuntimeError):
@@ -437,13 +437,6 @@ def gap(g: DependencyGraph, p: ProbabilityVector, stop: Fraction | None = None) 
     return best
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The vertices of mask, lowest first."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _walk(plan: _Plan, stop: Fraction | None) -> Fraction:
     """d(p, G) of the plan's out-of-region vector p = nums/den, in the
     plan's labels, with `gap`'s early `stop`.
@@ -477,7 +470,7 @@ def _walk(plan: _Plan, stop: Fraction | None) -> Fraction:
         q = plan.q(mask)
         if q <= 0:
             # the largest D_w has the least den^|K & N[w]| * Q(K - N[w]) > 0
-            scale = min(den ** (mask & nbr[w]).bit_count() * plan.q(mask & ~nbr[w]) for w in _bits(admissible))
+            scale = min(den ** (mask & nbr[w]).bit_count() * plan.q(mask & ~nbr[w]) for w in _members(admissible))
             best = min(best, Fraction(total, den) + Fraction(q, scale))
         stack.append([mask, total, admissible, q > 0 and admissible == mask, ext, seen])
 
@@ -502,7 +495,7 @@ def _walk(plan: _Plan, stop: Fraction | None) -> Fraction:
                     kept = child
                 else:
                     kept = u_bit if inside else 0
-                    kept |= sum(1 << w for w in _bits(admissible) if plan.q(child ^ 1 << w) > 0)
+                    kept |= sum(1 << w for w in _members(admissible) if plan.q(child ^ 1 << w) > 0)
                 if kept:
                     visit(child, grown, kept, (ext | nbr[u]) & ~(child | seen), seen)
     return norm - best

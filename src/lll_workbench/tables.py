@@ -11,7 +11,6 @@ same bits as hashing the whole key afresh.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 
 from .graphs import InputError
 
@@ -24,13 +23,9 @@ def _key(seed: int | str, *position) -> bytes:
 
 
 def unit_bits(seed: int | str, *position) -> int:
-    """The 64 uniform bits behind unit_fraction(seed, *position)."""
+    """64 uniform bits for a (seed, position) key: the sample is their value
+    over SCALE."""
     return int.from_bytes(hashlib.blake2b(_key(seed, *position), digest_size=8).digest(), "big")
-
-
-def unit_fraction(seed: int | str, *position) -> Fraction:
-    """Deterministic dyadic sample in [0, 1) for a (seed, position) key."""
-    return Fraction(unit_bits(seed, *position), SCALE)
 
 
 def row_states(n: int):
@@ -85,28 +80,16 @@ class ResamplingTable:
         return self.variables[j - 1].value(self.draw(j, k))
 
 
-class FixedResamplingTable:
-    """Finite table given explicitly; used to enumerate small sample spaces."""
+class FixedTable:
+    """Finite table given explicitly, keyed as its entry() reads are: (j, k)
+    for a resampling table, ((i, i2), k) with i < i2 for an auxiliary one.
+    Used to enumerate small sample spaces."""
 
-    def __init__(self, entries: dict[tuple[int, int], object]):
+    def __init__(self, entries: dict):
         self.entries = dict(entries)
 
-    def entry(self, j: int, k: int):
-        try:
-            return self.entries[(j, k)]
-        except KeyError:
-            raise InputError(f"fixed table has no entry ({j},{k})") from None
-
-
-class FixedAuxiliaryTable:
-    """Explicit finite auxiliary table for exhaustive enumeration."""
-
-    def __init__(self, entries: dict[tuple[tuple[int, int], int], int]):
-        self.entries = {((min(p), max(p)), k): v for (p, k), v in entries.items()}
-
-    def entry(self, pair: tuple[int, int], k: int) -> int:
-        key = ((min(pair), max(pair)), k)
+    def entry(self, *key):
         try:
             return self.entries[key]
         except KeyError:
-            raise InputError(f"fixed auxiliary table has no entry {key}") from None
+            raise InputError(f"fixed table has no entry {key}") from None

@@ -37,7 +37,7 @@ from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import DependencyGraph, InputError, Matching
+from .graphs import DependencyGraph, InputError, Matching, _members
 from .shearer import CapExceeded, ProbabilityVector, _integers
 
 
@@ -116,16 +116,6 @@ class WDag:
 def topological_order(d: WDag) -> tuple[int, ...]:
     """Lexicographic-minimal topological order (deterministic pi_D)."""
     return d._topological_order
-
-
-def _members(mask: int) -> list[int]:
-    """0-based vertices of a bit mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _label_masks(labels: Sequence[int]) -> dict[int, int]:

@@ -67,7 +67,8 @@ def quarter_setting(delta=Fraction(1, 8)):
 
 
 # The paper's statements that no command evaluates, checked exactly: the
-# reduction identity, the matching floor and the transfer-scheme conditions.
+# reduction identity, the matching floor over left sets and the
+# transfer-scheme conditions.
 
 
 def reduction_identity_holds(setting):
@@ -82,6 +83,20 @@ def reduction_identity_holds(setting):
     )
 
 
+def _induced_bipartite(b, left):
+    """Induced subgraph on the left set and all its variables; returns the
+    sub-bipartite graph plus the original indices of its events in order."""
+    levents = sorted(set(left))
+    for i in levents:
+        if not 1 <= i <= b.event_count:
+            raise InputError(f"event {i} out of range")
+    variables = sorted({j for i in levents for j in b.event_vars(i)})
+    emap = {i: k + 1 for k, i in enumerate(levents)}
+    vmap = {j: k + 1 for k, j in enumerate(variables)}
+    edges = frozenset((emap[i], vmap[j]) for i, j in b.edges if i in emap and j in vmap)
+    return BipartiteEventVariableGraph(len(levents), len(variables), edges), levents
+
+
 def matching_intersection_lower_bound(b, p, left_sets):
     """Per disjoint left set, the guaranteed floor on the sum of squared
     pairwise intersections some matching must achieve: the squared positive
@@ -94,10 +109,10 @@ def matching_intersection_lower_bound(b, p, left_sets):
         seen |= set(ls)
     bounds = []
     for ls in left_sets:
-        sub, _ = criterion._induced_bipartite(b, ls)
+        sub, _ = _induced_bipartite(b, ls)
         if not is_linear(sub) and not is_linear(simplify(sub)):
             raise InputError(f"left set {sorted(set(ls))} induces a non-linear subgraph")
-        _, plus = digamma(b, p, ls)
+        _, plus = per_event_digamma(b, p, ls)
         bounds.append(plus.lo * plus.lo)
     return bounds
 
@@ -256,10 +271,16 @@ class TestDigamma:
     def test_left_restriction(self):
         b = edge_variable_graph(C4)
         full, _ = digamma(b, ProbabilityVector.uniform(4, Fraction(9, 25)))
-        restricted, _ = digamma(
+        restricted, _ = per_event_digamma(
             b, ProbabilityVector.uniform(4, Fraction(9, 25)), left=[1, 2, 3, 4]
         )
         assert (full.lo, full.hi) == (restricted.lo, restricted.hi)
+
+    def test_variables_no_event_reads_do_not_count(self):
+        b = edge_variable_graph(C4)
+        wider = BipartiteEventVariableGraph(b.event_count, b.variable_count + 3, b.edges)
+        p = ProbabilityVector.uniform(4, Fraction(9, 25))
+        assert digamma(wider, p) == digamma(b, p)
 
 
 class TestMatchingLowerBound:
@@ -332,29 +353,33 @@ class TestMatchingLowerBound:
 
 class TestCycleSlack:
     def test_bracket_vanishes_at_quarter(self):
-        plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), (1, 2, 3, 4))
-        assert plain.lo == plain.hi == 0
-        assert plus.lo == plus.hi == 0
+        p = ProbabilityVector.uniform(4, Fraction(1, 4))
+        slack = r_cycle(C4, p, (1, 2, 3, 4))
+        assert slack.lo == slack.hi == 0
+        assert reference_r_cycle(C4, p)[0] == (0, 0)
 
     def test_exact_at_perfect_square(self):
-        plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(9, 25)), (1, 2, 3, 4))
+        p = ProbabilityVector.uniform(4, Fraction(9, 25))
+        slack = r_cycle(C4, p, (1, 2, 3, 4))
         exact = Fraction(26873856, 10**10)
-        assert plain.lo <= exact <= plain.hi
-        assert (plain.hi - plain.lo) < Fraction(1, 10**25)
-        assert plus.lo == plain.lo
+        assert slack.lo <= exact <= slack.hi
+        assert (slack.hi - slack.lo) < Fraction(1, 10**25)
+        assert encloses(slack, reference_r_cycle(C4, p)[0])
 
     def test_clamped_variant_differs_below_quarter(self):
-        plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(1, 9)), (1, 2, 3, 4))
-        assert plain.lo > 0
-        assert plus.lo == plus.hi == 0
+        p = ProbabilityVector.uniform(4, Fraction(1, 9))
+        slack = r_cycle(C4, p, (1, 2, 3, 4))
+        (plain_lo, _), _ = reference_r_cycle(C4, p)
+        assert plain_lo > 0
+        assert slack.lo == slack.hi == 0
 
     def test_perturbed_vector_exceeds_floor(self):
         for length in range(4, 8):
             g = cycle(length)
             vals = [Fraction(1, 4)] * length
             vals[-1] += Fraction(1, 4 * (length - 1))
-            _, plus = r_cycle(g, ProbabilityVector(tuple(vals)), tuple(range(1, length + 1)))
-            assert plus.lo > Fraction(1, 2**10 * length**3)
+            slack = r_cycle(g, ProbabilityVector(tuple(vals)), tuple(range(1, length + 1)))
+            assert slack.lo > Fraction(1, 2**10 * length**3)
 
     def test_chord_rejected(self):
         g = DependencyGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
@@ -449,10 +474,13 @@ def edge_variable_graphs(draw):
 
 def per_event_digamma(b: BipartiteEventVariableGraph, p: ProbabilityVector, left=None):
     """digamma as it was before its roots were grouped: one enclosure and
-    one Fraction sum per event, the test-only reference for equal Bounds."""
-    sub, original = criterion._induced_bipartite(b, list(b.events) if left is None else left)
+    one Fraction sum per event, the test-only reference for equal Bounds;
+    with a left set, the overlap functional on the induced subgraph."""
+    sub, original = _induced_bipartite(b, list(b.events) if left is None else left)
     probs = [p[i] for i in original]
     delta_d = base_graph(sub).max_degree()
+    if delta_d == 0:
+        raise InputError("left set induces no dependencies; functional undefined")
     lo = hi = Fraction(-sub.variable_count)
     for i, pi in zip(sub.events, probs):
         deg = len(sub.event_vars(i))
@@ -489,7 +517,11 @@ class TestGroupedRoots:
     @given(case=grouped_cases())
     def test_digamma_equals_the_per_event_reference(self, case):
         b, p, left = case
-        assert digamma(b, p, left) == per_event_digamma(b, p, left)
+        if left is None:
+            assert digamma(b, p) == per_event_digamma(b, p)
+        else:
+            sub, original = _induced_bipartite(b, left)
+            assert digamma(sub, ProbabilityVector(tuple(p[i] for i in original))) == per_event_digamma(b, p, left)
 
     @pytest.mark.parametrize("name,pa", [("square", "0.1193"), ("hexagonal", "0.1547"), ("cubic", "0.1")])
     def test_lattice_units_equal_the_per_event_reference(self, name, pa):
@@ -559,23 +591,23 @@ class TestCertifiedRoots:
     def test_r_cycle_encloses_the_reference(self, data, length):
         g = cycle(length)
         p = ProbabilityVector(tuple(data.draw(_probabilities) for _ in g.vertices))
-        plain, plus = r_cycle(g, p, tuple(g.vertices))
+        slack = r_cycle(g, p, tuple(g.vertices))
         ref_plain, (br_lo, br_hi) = reference_r_cycle(g, p)
         ref_plus = ref_plain if br_lo >= 0 else (0, 0) if br_hi <= 0 else (0, ref_plain[1])
-        assert encloses(plain, ref_plain)
-        assert encloses(plus, ref_plus)
-        assert (plain.hi - plain.lo) <= Fraction(1, 2**190)
+        assert encloses(slack, ref_plus)
+        assert (slack.hi - slack.lo) <= Fraction(1, 2**190)
 
     def test_a_bracket_straddling_zero_squares_from_zero(self, monkeypatch):
         # exact roots give a point and irrational ones a bracket off 0 by far
-        # more than 2^-200, so a straddling bracket needs wider roots
+        # more than 2^-200, so a straddling bracket needs wider roots: here
+        # [-4/100, 2/100], whose clamped square is [0, (2/100)^2]
         def wide(x, k):
-            return Bounds(Fraction(49, 100), Fraction(51, 100))
+            return Bounds(Fraction(48, 100), Fraction(51, 100))
 
         monkeypatch.setattr(criterion, "_root", wide)
-        plain, plus = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), (1, 2, 3, 4))
+        slack = r_cycle(C4, ProbabilityVector.uniform(4, Fraction(1, 4)), (1, 2, 3, 4))
         top = 4 * Fraction(1, 4) ** 4 * Fraction(2, 100) ** 2
-        assert plain == plus == Bounds(Fraction(0), top)
+        assert slack == Bounds(Fraction(0), top)
 
     def test_digamma_divides_each_end_by_the_root_end_that_rounds_outward(self):
         # degrees 1, 2, 1 and sqrt(1/4) = 1/2 make the root sum exact, 23/15,

@@ -31,7 +31,7 @@ from lll_workbench.mt_engine import (
     witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, q_empty
-from lll_workbench.tables import SCALE, ResamplingTable, row_states, unit_bits, unit_fraction
+from lll_workbench.tables import SCALE, ResamplingTable, row_states, unit_bits
 from lll_workbench.wdag import (
     canonical_key,
     consistent_with_table,
@@ -102,6 +102,11 @@ def reference_rule(name, system):
         return violated[0]
 
     return rule
+
+
+def unit_fraction(seed, *position):
+    """Deterministic dyadic sample in [0, 1) for a (seed, position) key."""
+    return Fraction(unit_bits(seed, *position), SCALE)
 
 
 def reference_run_mt(system, rule, seed, step_cap=DEFAULT_STEP_CAP):
@@ -196,13 +201,23 @@ class TestSystems:
         sys1 = single_event_system()
         assert sys1.event_probability(1) == Fraction(1, 2)
 
-    def test_predicate_probability_exhaustive(self):
+    def test_exact_probabilities_need_elementary_events(self):
         fair = FiniteVariable((Fraction(1, 2), Fraction(1, 2)))
         system = EventSystem(
             (fair, fair),
-            (Event(vbl=(1, 2), predicate=lambda a: a[1] == a[2]),),
+            (
+                Event(vbl=(1, 2), predicate=lambda a: a[1] == a[2]),
+                Event(vbl=(2,), allowed=((2, ValueSet(frozenset({0}))),)),
+            ),
         )
-        assert system.event_probability(1) == Fraction(1, 2)
+        assert system.event_probability(2) == Fraction(1, 2)
+        for compute in (
+            lambda: system.event_probability(1),
+            lambda: pair_intersection(system, 2, 1),
+            lambda: measure_pair_intersections(system),
+        ):
+            with pytest.raises(InputError, match="exact probabilities need elementary events"):
+                compute()
 
     def test_extremal_probabilities(self):
         system = extremal_cycle_instance(4)

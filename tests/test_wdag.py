@@ -19,7 +19,7 @@ from lll_workbench.mt_engine import (
     witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, expected_resample_bound
-from lll_workbench.tables import FixedAuxiliaryTable, FixedResamplingTable
+from lll_workbench.tables import FixedTable
 from lll_workbench.wdag import (
     MAX_SUM_NODES,
     Partition4,
@@ -648,8 +648,8 @@ class TestTableConsistency:
     def test_single_node_reads_column_one(self):
         system = single_edge_system()
         d = WDag((1,), arcs=frozenset())
-        good = FixedResamplingTable({(1, 1): 0, (2, 1): 0})
-        bad = FixedResamplingTable({(1, 1): 1, (2, 1): 0})
+        good = FixedTable({(1, 1): 0, (2, 1): 0})
+        bad = FixedTable({(1, 1): 1, (2, 1): 0})
         assert consistent_with_table(d, system, good)
         assert not consistent_with_table(d, system, bad)
 
@@ -658,7 +658,7 @@ class TestTableConsistency:
         d = chain((2, 2))
         vbl = {1: (1,), 2: (1, 2)}
         assert sample_indices(d, 2, vbl) == {1: 2, 2: 2}
-        table = FixedResamplingTable(
+        table = FixedTable(
             {(1, 1): 0, (2, 1): 0, (1, 2): 0, (2, 2): 1}
         )
         assert not consistent_with_table(d, system, table)
@@ -666,10 +666,10 @@ class TestTableConsistency:
     def test_y_favoring_tail_keeps_arc_consistent(self):
         system = single_edge_system()
         d = chain((1, 2))
-        table = FixedResamplingTable(
+        table = FixedTable(
             {(1, 1): 0, (1, 2): 0, (2, 1): 0}
         )
-        aux = FixedAuxiliaryTable({((1, 2), 1): 1})
+        aux = FixedTable({((1, 2), 1): 1})
         assert consistent_with_tables(d, system, table, aux, M12)
 
     def test_two_node_family_decided_by_coin(self):
@@ -678,11 +678,11 @@ class TestTableConsistency:
         system = single_edge_system()
         d12 = chain((1, 2))
         d21 = chain((2, 1))
-        table = FixedResamplingTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
+        table = FixedTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
         assert consistent_with_table(d12, system, table)
         assert consistent_with_table(d21, system, table)
         for coin in (1, 2):
-            aux = FixedAuxiliaryTable({((1, 2), 1): coin, ((1, 2), 2): coin})
+            aux = FixedTable({((1, 2), 1): coin, ((1, 2), 2): coin})
             hits = [
                 d
                 for d in (d12, d21)
@@ -696,8 +696,8 @@ class TestTableConsistency:
     def test_no_matched_arcs_reduces_to_x(self):
         system = single_edge_system()
         d = chain((1, 1))
-        table = FixedResamplingTable({(1, 1): 0, (1, 2): 0, (2, 1): 1})
-        aux = FixedAuxiliaryTable({})
+        table = FixedTable({(1, 1): 0, (1, 2): 0, (2, 1): 1})
+        aux = FixedTable({})
         assert consistent_with_tables(d, system, table, aux, M12)
 
 
@@ -705,15 +705,15 @@ class TestRepair:
     def test_already_consistent_is_returned(self):
         system = single_edge_system()
         d = chain((1, 2))
-        table = FixedResamplingTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
-        aux = FixedAuxiliaryTable({((1, 2), 1): 1, ((1, 2), 2): 1})
+        table = FixedTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
+        aux = FixedTable({((1, 2), 1): 1, ((1, 2), 2): 1})
         assert repair_to_consistent(d, system, table, aux, M12) == d
 
     def test_single_step_repair(self):
         system = single_edge_system()
         d = chain((1, 2))
-        table = FixedResamplingTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
-        aux = FixedAuxiliaryTable({((1, 2), 1): 2, ((1, 2), 2): 2})
+        table = FixedTable({(1, 1): 0, (1, 2): 0, (2, 1): 0})
+        aux = FixedTable({((1, 2), 1): 2, ((1, 2), 2): 2})
         out = repair_to_consistent(d, system, table, aux, M12)
         assert consistent_with_tables(out, system, table, aux, M12)
         assert out.label(out.sinks()[0]) == 2
@@ -729,8 +729,8 @@ class TestRepair:
             for ybits in product((1, 2), repeat=3)
         ]
         for bits, ybits in rng.sample(combos, 120):
-            table = FixedResamplingTable(dict(zip(cells, bits)))
-            aux = FixedAuxiliaryTable({((1, 2), k): v for k, v in enumerate(ybits, 1)})
+            table = FixedTable(dict(zip(cells, bits)))
+            aux = FixedTable({((1, 2), k): v for k, v in enumerate(ybits, 1)})
             for (i, r), members in groups.items():
                 for d in members:
                     if not consistent_with_table(d, system, table):

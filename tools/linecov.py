@@ -1,4 +1,4 @@
-"""Line coverage of src/lll_workbench by the test suite, standard library only.
+"""Line coverage of src/lll_workbench by the test suite or by the program, standard library only.
 
 Runs pytest in this process under `sys.settrace` (and `threading.settrace`),
 recording the lines executed in the modules under src/lll_workbench, and
@@ -9,9 +9,18 @@ there. Lines that only child processes run (an `mt_engine` process pool,
 the tests that start a fresh interpreter) are not seen, and the tracer slows
 the suite about threefold.
 
+With --program it traces what the program runs instead of the tests: every
+README command but selftest through `cli.dispatch` (tools/cli_wall.py's
+commands and inputs, in a temporary directory, LLL_WORKBENCH_THREADS=1),
+`acceptance.run_all()`, and one round of each benchmark workload built by
+perfbench/workloads.py at seed 1, each distinct operation run once and
+checked, then the workload's round checks. The lines it prints are the src
+code that no command, criterion or benchmark operation reaches.
+
     python3 tools/linecov.py                     # the whole suite
     python3 tools/linecov.py -- -q -k "not test_acceptance_criterion"
     python3 tools/linecov.py -- tests/test_shearer.py
+    python3 tools/linecov.py --program
 
 Arguments after `--` go to pytest unchanged.
 """
@@ -20,8 +29,13 @@ from __future__ import annotations
 
 import argparse
 import dis
+import io
+import json
+import os
 import sys
+import tempfile
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import CodeType
 
@@ -55,8 +69,8 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def trace_pytest(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and the lines run per file under the package."""
+def trace(call) -> tuple[object, dict[str, set[int]]]:
+    """What call() returns and the lines run per file under the package."""
     prefix = str(PACKAGE) + "/"
     hits: dict[str, set[int]] = {}
 
@@ -73,24 +87,74 @@ def trace_pytest(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         seen.add(frame.f_code.co_firstlineno if event == "call" else frame.f_lineno)
         return local
 
-    import pytest  # imported before tracing: only the package is traced
-
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(pytest_args)
+        out = call()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), hits
+    return out, hits
+
+
+def run_program() -> str:
+    """Run the README commands, the acceptance criteria and one checked
+    round of each workload; a summary of what failed."""
+    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+    import cli_wall
+    import workloads
+    from lll_workbench import acceptance, cli
+
+    os.environ["LLL_WORKBENCH_THREADS"] = "1"
+    here = os.getcwd()
+    codes = []
+    failed_ops = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in cli_wall.INPUTS.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        os.chdir(tmp)
+        try:
+            for argv in cli_wall.readme_commands():
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    codes.append(cli.dispatch(argv))
+        finally:
+            os.chdir(here)
+        failed_criteria = [r.criterion for r in acceptance.run_all() if not r.passed]
+        for name in workloads.WORKLOADS:
+            workload = workloads.build(name, 1, tmp)
+            done = set()
+            for op in workload.ops:
+                if id(op) in done:
+                    continue
+                done.add(id(op))
+                try:
+                    op.check(op.call())
+                except Exception as exc:  # a failed operation or check is reported, not fatal
+                    failed_ops.append(f"{name}: {op.name}: {type(exc).__name__}")
+            for finish in workload.round_checks:
+                try:
+                    finish()
+                except Exception as exc:
+                    failed_ops.append(f"{name}: round check: {type(exc).__name__}")
+    return (
+        f"README command exit codes {codes}; failed criteria {failed_criteria}; "
+        f"failed workload checks {failed_ops}"
+    )
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--program", action="store_true", help="trace the commands, criteria and workloads, not the tests")
     parser.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
     args = parser.parse_args(argv)
-    code, hits = trace_pytest(args.pytest_args or ["-q", "-p", "no:cacheprovider"])
+    if args.program:
+        status, hits = trace(run_program)
+    else:
+        import pytest  # imported before tracing: only the package is traced
+
+        code, hits = trace(lambda: pytest.main(args.pytest_args or ["-q", "-p", "no:cacheprovider"]))
+        status = f"pytest exit {int(code)}"
     modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
@@ -98,7 +162,7 @@ def main(argv: list[str]) -> int:
         modules[path.name] = {"executable": len(lines), "unreached": len(missed), "lines": ranges(missed)}
     total = sum(m["executable"] for m in modules.values())
     unreached = sum(m["unreached"] for m in modules.values())
-    print(f"\npytest exit {code}; {unreached} of {total} executable lines unreached")
+    print(f"\n{status}; {unreached} of {total} executable lines unreached")
     for name, m in modules.items():
         print(f"{name}: {m['unreached']} of {m['executable']} unreached" + (f": {m['lines']}" if m["lines"] else ""))
     return 0
