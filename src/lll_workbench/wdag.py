@@ -18,11 +18,14 @@ is the label of node k. A wdag is stored as one parent mask per node: bit u-1
 of `parents[v-1]` is set when (u, v) is an arc. Every reader (sinks, the
 topological order, closures, validity, reversibility, the canonical key)
 works on these masks; `arcs`, the same arcs as (u, v) pairs, is built on
-first read, for readers that take pairs. Arc rule (`ordered_parents`):
-exactly the nodes with equal or adjacent labels are joined, from the earlier
-to the later node, so a set of such pairwise-conflicting nodes is totally
-ordered, and a node's position in it is 1 plus the number of its parents in
-the set.
+first read, for readers that take pairs. Arc rule: exactly the nodes with
+equal or adjacent labels are joined, from the earlier to the later node, so
+a set of such pairwise-conflicting nodes is totally ordered, and a node's
+position in it is 1 plus the number of its parents in the set.
+`ordered_parents` applies it to runs (time order) and split images (the
+original wdag's topological order). A stable-set sequence's pwdag reads its
+parents off its layers instead: the earlier of two conflicting nodes is the
+deeper one.
 The canonical key renames node v to its pair (label, rank-within-label), the
 rank being 1 plus v's same-label parents, and sorts. Two valid wdags are
 structurally equal iff their canonical keys coincide.
@@ -270,26 +273,95 @@ def _next_layers(
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _sequence_wdag(layers: Sequence[int], closed: Sequence[int]) -> tuple[tuple, WDag]:
-    """The pwdag of a stable-set sequence (layer 0 holds the sink), in
-    canonical form, with its sort key.
+def _pwdags(g: DependencyGraph, node_cap: int) -> list[tuple[int, WDag]]:
+    """(sink label, pwdag) of every stable-set sequence with at most
+    node_cap nodes, in enumerate_pwdags' order.
 
-    Nodes are numbered by (label, rank), and rank 1 within a label goes to the
-    deepest layer. The order is -depth; a layer is independent, so no two
-    conflicting nodes share a depth.
+    A pwdag numbers its nodes by label, and deepest first within a label;
+    the walk keeps the layers' members, a node count per label and the
+    label set. The layers are read from the deepest up, so a node's parents
+    are the nodes already numbered whose labels conflict with its own: arcs
+    run from deeper to shallower, and a layer holds no conflicting pair.
 
-    The key (n, labels, parent masks as bytes with their bits reversed) orders
-    pwdags as (n, labels, sorted arc tuple) does. Two pwdags with the same
-    labels join the same node pairs, each by one arc. Their sorted arc tuples
-    first differ at the lowest pair a < b (lowest a, then b) that they orient
-    differently, and the one with the arc (a, b) comes first. Their reversed
-    masks first differ at node a, bit b, which the one with the arc (b, a)
-    has set. A mask fits a byte while n <= 8, the enumeration cap.
+    The sort key is one bytes object: n, each label big-endian in a fixed
+    width, and the parent masks as bytes with their bits reversed. It
+    orders pwdags as (n, labels, sorted arc tuple) does. Two pwdags with the
+    same labels join the same node pairs, each by one arc. Their sorted arc
+    tuples first differ at the lowest pair a < b (lowest a, then b) that
+    they orient differently, and the one with the arc (a, b) comes first.
+    Their reversed masks first differ at node a, bit b, which the one with
+    the arc (b, a) has set. A mask fits a byte while n <= MAX_ENUM_NODES.
     """
-    nodes = sorted((v + 1, -depth) for depth, layer in enumerate(layers) for v in _members(layer))
-    labels, rank = zip(*nodes)
-    parents = ordered_parents(labels, rank, closed)
-    return (len(labels), labels, bytes(parents).translate(_REV8)), WDag(labels, parents)
+    if node_cap < 1:
+        raise InputError("node_cap must be positive")
+    if node_cap > MAX_ENUM_NODES:
+        raise CapExceeded(f"pwdag enumeration capped at {MAX_ENUM_NODES} nodes")
+    closed, m = g.closed_masks, g.m
+    names = [v.to_bytes((m.bit_length() + 7) // 8, "big") for v in range(m + 1)]  # key bytes per label
+    nexts: dict[int, list[tuple[int, int, tuple[int, ...], int]]] = {}
+    # per label set met: its members ascending, and for each member the
+    # members that conflict with it
+    label_sets: dict[int, tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = {}
+    count, first, numbered = [0] * m, [0] * m, [0] * m  # per label; a pwdag resets its own
+    layers: list[tuple[int, ...]] = []
+    keys: list[bytes] = []
+    found: list[tuple[int, WDag]] = []
+
+    def build(present: int) -> None:
+        entry = label_sets.get(present)
+        if entry is None:
+            members = tuple(_members(present))
+            entry = label_sets[present] = (
+                members,
+                {v: tuple(u for u in members if closed[v] >> u & 1) for v in members},
+            )
+        members, conflicts = entry
+        labels: list[int] = []
+        for v in members:
+            first[v] = len(labels)
+            numbered[v] = 0
+            labels += [v + 1] * count[v]
+        parents = [0] * len(labels)
+        for layer in reversed(layers):
+            for v in layer:
+                k = first[v]
+                first[v] = k + 1
+                mask = 0
+                for u in conflicts[v]:
+                    mask |= numbered[u]
+                parents[k] = mask
+                numbered[v] |= 1 << k
+        label_bytes = b"".join(map(names.__getitem__, labels))
+        keys.append(bytes((len(labels),)) + label_bytes + bytes(parents).translate(_REV8))
+        found.append((layers[0][0] + 1, WDag(tuple(labels), parents)))
+
+    def walk(present: int, reach: int, left: int) -> None:
+        build(present)
+        if not left:
+            return
+        if reach not in nexts:
+            nexts[reach] = [
+                (size, layer, tuple(_members(layer)), below)
+                for size, layer, below in _next_layers(reach, closed, node_cap - 1)
+            ]
+        for size, layer, members, below in nexts[reach]:
+            if size <= left:
+                layers.append(members)
+                for v in members:
+                    count[v] += 1
+                walk(present | layer, below, left - size)
+                for v in members:
+                    count[v] -= 1
+                layers.pop()
+
+    for v in range(m):
+        layers.append((v,))
+        count[v] = 1
+        walk(1 << v, closed[v], node_cap - 1)
+        count[v] = 0
+        layers.pop()
+    # bytes keys are not tracked by the garbage collector, as tuple keys are
+    return [found[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
 
 
 def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
@@ -300,30 +372,7 @@ def enumerate_pwdags(g: DependencyGraph, node_cap: int) -> Iterator[WDag]:
     Walks the stable-set sequences depth first and builds each pwdag once
     from its sequence.
     """
-    if node_cap < 1:
-        raise InputError("node_cap must be positive")
-    if node_cap > 8:
-        raise CapExceeded("pwdag enumeration capped at 8 nodes")
-    closed = g.closed_masks
-    nexts: dict[int, list[tuple[int, int, int]]] = {}
-    found = []
-
-    def walk(layers: list[int], reach: int, left: int) -> None:
-        found.append(_sequence_wdag(layers, closed))
-        if not left:
-            return
-        if reach not in nexts:
-            nexts[reach] = _next_layers(reach, closed, node_cap - 1)
-        for size, layer, below in nexts[reach]:
-            if size <= left:
-                layers.append(layer)
-                walk(layers, below, left - size)
-                layers.pop()
-
-    for v in range(g.m):
-        walk([1 << v], closed[v], node_cap - 1)
-    found.sort(key=lambda item: item[0])
-    for _, d in found:
+    for _, d in _pwdags(g, node_cap):
         yield d
 
 
@@ -332,9 +381,7 @@ def group_pwdags(
 ) -> dict[tuple[int, int], list[WDag]]:
     """Group enumerated pwdags by (sink label i, count of nodes labelled i)."""
     groups: dict[tuple[int, int], list[WDag]] = {}
-    for d in enumerate_pwdags(g, node_cap):
-        (w,) = d.sinks()
-        i = d.label(w)
+    for i, d in _pwdags(g, node_cap):
         groups.setdefault((i, d.labels.count(i)), []).append(d)
     return groups
 
@@ -621,6 +668,11 @@ def wdag_weight(d: WDag, p: ProbabilityVector) -> Fraction:
     num, den = _integers(p.values)
     return Fraction(prod(num[label - 1] for label in d.labels), den**d.n)
 
+
+#: pwdag node counts above this are refused by enumerate_pwdags and
+#: group_pwdags. Their sort key holds each parent mask in one byte, so with
+#: a higher cap bytes(parents) would raise ValueError rather than misorder
+MAX_ENUM_NODES = 8
 
 #: pwdag node counts above this are refused by weight_sums: the exact size-n
 #: sum has a numerator and denominator of about n times the bits of the

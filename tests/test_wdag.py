@@ -2,9 +2,7 @@ import dataclasses
 import heapq
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, islice, product
-from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,8 +22,8 @@ from lll_workbench.wdag import (
     MAX_SUM_NODES,
     Partition4,
     WDag,
+    _REV8,
     _next_layers,
-    _sequence_wdag,
     canonical_key,
     closure,
     consistent_with_table,
@@ -305,8 +303,8 @@ def reference_closure(d, nodes):
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the arc-building loops that ordered_parents replaced,
-# each testing conflicts its own way
+# reference oracles: the arc-building loops that ordered_parents and the
+# pwdag walk replaced, each testing conflicts its own way
 
 def reference_ordered_arcs(labels, rank, closed):
     """The sorted arcs (a, b) between nodes whose labels conflict, each from
@@ -343,6 +341,51 @@ def reference_sequence_wdag(layers, closed):
                 arcs.append((a, b))
     labels = tuple(v + 1 for v, _ in nodes)
     return (len(labels), labels, tuple(arcs)), WDag(labels, arcs=frozenset(arcs))
+
+
+def sequence_wdag(layers, closed):
+    """The pwdag of a stable-set sequence (layer 0 holds the sink), in
+    canonical form, with its sort key (n, labels, parent masks as bytes with
+    their bits reversed). Nodes are numbered by (label, -depth), and the
+    arcs follow ordered_parents in the order -depth."""
+    nodes = sorted((v + 1, -depth) for depth, layer in enumerate(layers) for v in range(len(closed)) if layer >> v & 1)
+    labels, rank = zip(*nodes)
+    parents = ordered_parents(labels, rank, closed)
+    return (len(labels), labels, bytes(parents).translate(_REV8)), WDag(labels, parents)
+
+
+def reference_walk_pwdags(g, node_cap, build=sequence_wdag):
+    """The stable-set sequences walked depth first, each built into its
+    pwdag by build, and sorted on the keys build gives."""
+    closed = g.closed_masks
+    nexts = {}
+    found = []
+
+    def walk(layers, reach, left):
+        found.append(build(layers, closed))
+        if not left:
+            return
+        if reach not in nexts:
+            nexts[reach] = _next_layers(reach, closed, node_cap - 1)
+        for size, layer, below in nexts[reach]:
+            if size <= left:
+                layers.append(layer)
+                walk(layers, below, left - size)
+                layers.pop()
+
+    for v in range(g.m):
+        walk([1 << v], closed[v], node_cap - 1)
+    found.sort(key=lambda item: item[0])
+    return [d for _, d in found]
+
+
+def reference_groups(ds):
+    """(sink label, count of that label) -> pwdags, in order of appearance."""
+    groups = {}
+    for d in ds:
+        (w,) = d.sinks()
+        groups.setdefault((d.label(w), d.labels.count(d.label(w))), []).append(d)
+    return list(groups.items())
 
 
 def reference_partitions_psi(d, m, reversible):
@@ -996,6 +1039,18 @@ class TestStableSetSequences:
 
     @settings(max_examples=40, deadline=None)
     @given(g=small_graphs(max_m=6), cap=st.integers(1, 6))
+    @example(g=DependencyGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), cap=7)
+    @example(g=DependencyGraph.from_edges(300, [(k, k + 1) for k in range(1, 300)]), cap=3)
+    @example(g=DependencyGraph.from_edges(12, list(combinations(range(1, 13), 2))), cap=3)
+    def test_walk_equals_reference_walk(self, g, cap):
+        # the examples: the benchmark's largest enumeration, labels wider
+        # than one byte, and degrees above the node count
+        want = reference_walk_pwdags(g, cap)
+        assert list(enumerate_pwdags(g, cap)) == want
+        assert list(group_pwdags(g, cap).items()) == reference_groups(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs(max_m=6), cap=st.integers(1, 6))
     @example(g=DependencyGraph.from_edges(6, list(combinations(range(1, 7), 2))), cap=6)
     def test_order_is_the_sorted_arc_order(self, g, cap):
         ds = list(enumerate_pwdags(g, cap))
@@ -1225,8 +1280,8 @@ def random_partitions(draw, d, m):
 
 
 class TestOrderedArcs:
-    """The builders on ordered_parents against the loops they replaced, on
-    random graphs with m <= 6."""
+    """The wdag builders against the loops they replaced, on random graphs
+    with m <= 6."""
 
     def test_arcs_come_out_sorted_from_lower_rank(self):
         labels, rank, closed = (2, 1, 3, 2), (3, 0, 2, 1), P3.closed_masks
@@ -1262,25 +1317,13 @@ class TestOrderedArcs:
         stats = RunStats(seq, False, {}, {})
         assert witness_dag_of_run(system, stats) == reference_run_wdag(seq, g)
 
-    @settings(max_examples=200, deadline=None)
-    @given(g=small_graphs(max_m=6), data=st.data())
-    def test_sequence_wdags_equal_reference(self, g, data):
-        # the same wdags, and their sort keys order them as the reference's
-        # (n, labels, sorted arcs) keys do, up to the enumeration cap of 8 nodes
-        closed = g.closed_masks
-        got, want = [], []
-        for _ in range(data.draw(st.integers(1, 6))):
-            layers, left = [1 << data.draw(st.integers(0, g.m - 1))], 7
-            for _ in range(data.draw(st.integers(0, 4))):
-                if not left:
-                    break
-                reach = reduce(or_, (closed[v] for v in range(g.m) if layers[-1] >> v & 1))
-                layers.append(data.draw(st.sampled_from(_next_layers(reach, closed, min(3, left))))[1])
-                left -= layers[-1].bit_count()
-            got.append(_sequence_wdag(layers, closed))
-            want.append(reference_sequence_wdag(layers, closed))
-        assert [d for _, d in got] == [d for _, d in want]
-        assert [d for _, d in sorted(got, key=lambda item: item[0])] == [d for _, d in sorted(want, key=lambda item: item[0])]
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(max_m=6), cap=st.integers(1, 6))
+    @example(g=K2, cap=8)
+    def test_sequence_wdags_equal_reference(self, g, cap):
+        # the same wdags as the pair scan builds, and in the order of its
+        # (n, labels, sorted arcs) keys, up to the enumeration cap of 8 nodes
+        assert list(enumerate_pwdags(g, cap)) == reference_walk_pwdags(g, cap, reference_sequence_wdag)
 
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs(max_m=6).filter(lambda g: g.edges), data=st.data())
