@@ -17,6 +17,7 @@ from typing import Callable
 
 from .criterion import (
     IntersectionSetting,
+    beyond_shearer_verdict,
     digamma,
     intersection_lll_verdict,
     lattice_gap_q,
@@ -41,7 +42,6 @@ from .mt_engine import (
     measure_pair_intersections,
     pair_intersection,
     run_mt,
-    witness_dag_of_run,
 )
 from .shearer import (
     ProbabilityVector,
@@ -70,6 +70,7 @@ from .wdag import (
     validate_wdag,
     wdag_weight,
     weight_sums,
+    witness_dag_of_run,
 )
 
 
@@ -618,6 +619,53 @@ def check_11_gap_sanity() -> CheckResult:
 
 
 # --------------------------------------------------------------------------
+# 12. beyond Shearer's bound iff not chordal
+
+#: the relative steps past the boundary bracket's upper end, in units of 10^-9
+_C12_STEPS = (1, 10)
+
+
+def check_12_beyond_iff_not_chordal() -> CheckResult:
+    """At uniform p = hi (1 + k 10^-9) / (1 + eps), hi the upper end of the
+    boundary bracket at 10^-12, the scaled vector (1 + eps) p lies just past
+    the boundary, and so does p. The verdict accepts p on the cycles C4-C8,
+    with a gap equal to D* = -q_0 / min_v q_0(G - N[v]) at the scaled
+    vector, and rejects it with zero slack on the chordal graphs."""
+    started = time.monotonic()
+    eps = Fraction(1, 10**9)
+    # each vertex joins a clique of earlier ones, so it is simplicial when added
+    joins = ((), (1,), (1, 2), (2, 3), (3, 4), (1,))
+    chordal = {
+        "K4": DependencyGraph.from_edges(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]),
+        "P5": DependencyGraph.from_edges(5, [(v, v + 1) for v in range(1, 5)]),
+        "simplicial": DependencyGraph.from_edges(6, [(u, v) for v, clique in enumerate(joins, 1) for u in clique]),
+    }
+    cases = [(f"C{n}", _cycle(n), "gap-below-cycle-slack") for n in range(4, 9)]
+    cases += [(name, g, "out-of-region-with-zero-slack") for name, g in chordal.items()]
+    failures = []
+    for name, g, want in cases:
+        hi = boundary_scale(g, ProbabilityVector.uniform(g.m, 1), Fraction(1, 10**12)).hi
+        for k in _C12_STEPS:
+            p = ProbabilityVector.uniform(g.m, hi * (1 + k * eps) / (1 + eps))
+            verdict = beyond_shearer_verdict(g, p, eps)
+            if shearer_membership(g, p.values):
+                failures.append(f"{name} k={k}: p lies inside the region")
+            elif verdict.evidence != want:
+                failures.append(f"{name} k={k}: {verdict.evidence}")
+            elif verdict.accepted:
+                # q_{v} = x q_0(G - N[v]) at the scaled vector's one value x
+                x = hi * (1 + k * eps)
+                q = in_shearer_bound(g, ProbabilityVector.uniform(g.m, x)).q_values
+                d_star = -q[()] / (min(q[(v,)] for v in g.vertices) / x)
+                if verdict.details["gap"] != (d_star, d_star):
+                    failures.append(f"{name} k={k}: gap {verdict.details['gap'][0]} != D* {d_star}")
+    detail = "; ".join(failures) or (
+        "C4-C8 accepted past the bound with gap D*; K4, P5 and a simplicial extension rejected with zero slack"
+    )
+    return _result("12", started, not failures, detail)
+
+
+# --------------------------------------------------------------------------
 
 CHECKS: tuple[tuple[str, str, Callable[[], CheckResult]], ...] = (
     ("1", "extremal cycle q-values", check_1_extremal_cycle_values),
@@ -631,6 +679,7 @@ CHECKS: tuple[tuple[str, str, Callable[[], CheckResult]], ...] = (
     ("9", "overlap functional floor on elementary systems", check_9_overlap_floor),
     ("10", "out-of-region transfer stability", check_10_transfer),
     ("11", "gap sanity", check_11_gap_sanity),
+    ("12", "beyond the bound iff not chordal", check_12_beyond_iff_not_chordal),
 )
 
 

@@ -3,6 +3,12 @@
 Subcommands: shearer-check, boundary, gap, mt-run, mt-estimate, wdag-sum,
 criterion, beyond, lattice-gap, selftest. Exit codes: 0 success, 1 verdict
 rejected (output still valid), 2 input error, 3 cap exceeded.
+
+At module level the front end imports the Shearer side only (graphs,
+shearer, criterion, lattices, jsonio). The engine, the wdag calculus and
+the acceptance suite are imported inside the commands that run them, so the
+Shearer-side commands load neither. The engine checks rule names and owns
+the default step cap.
 """
 
 from __future__ import annotations
@@ -21,24 +27,10 @@ from .criterion import (
     intersection_lll_verdict,
     lattice_gap_q,
 )
-from .graphs import InputError, base_graph
+from .graphs import CapExceeded, InputError, base_graph
 from .jsonio import parse_fraction
 from .lattices import BUILTIN_LATTICES, builtin_lattice
-from .mt_engine import (
-    DEFAULT_STEP_CAP,
-    SELECTION_RULES,
-    estimate_expected_steps,
-    measure_pair_intersections,
-    run_mt,
-)
-from .shearer import (
-    CapExceeded,
-    boundary_scale,
-    in_shearer_bound,
-    gap,
-    resample_bound,
-)
-from .wdag import weight_sums
+from .shearer import boundary_scale, gap, in_shearer_bound, resample_bound
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -136,17 +128,21 @@ def cmd_gap(args) -> int:
 
 
 def cmd_mt_run(args) -> int:
+    from .mt_engine import DEFAULT_STEP_CAP, run_mt
+
     system = jsonio.load_event_system(_read_json(args.system))
-    stats = run_mt(system, args.rule, args.seed, args.step_cap)
+    cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+    stats = run_mt(system, args.rule, args.seed, cap)
     _emit(args, {**jsonio.jsonable(stats), "T": stats.t})
     return EXIT_OK
 
 
 def cmd_mt_estimate(args) -> int:
+    from .mt_engine import DEFAULT_STEP_CAP, estimate_expected_steps
+
     system = jsonio.load_event_system(_read_json(args.system))
-    est = estimate_expected_steps(
-        system, args.rule, args.trials, args.seed, args.step_cap
-    )
+    cap = DEFAULT_STEP_CAP if args.step_cap is None else args.step_cap
+    est = estimate_expected_steps(system, args.rule, args.trials, args.seed, cap)
     if args.format == "csv":
         _write(args, jsonio.dumps_estimate_csv(est, args.seed))
     else:
@@ -163,6 +159,8 @@ def cmd_mt_estimate(args) -> int:
 
 
 def cmd_wdag_sum(args) -> int:
+    from .wdag import weight_sums
+
     g = _graph(args)
     sums = weight_sums(g, _pvec(args), args.node_cap)
     if args.format == "csv":
@@ -191,6 +189,8 @@ def cmd_criterion(args) -> int:
         delta = dict(zip(pairs, values))
         source = "user"
     elif args.system is not None:
+        from .mt_engine import measure_pair_intersections
+
         system = jsonio.load_event_system(_read_json(args.system))
         inter = measure_pair_intersections(system)
         if not matching.pairs <= inter.keys():
@@ -231,7 +231,6 @@ def cmd_lattice_gap(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # imported here, so that the other commands do not load the suite
     from . import acceptance
 
     results = acceptance.run_all()
@@ -280,18 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mt-run", help="one seeded resampling run")
     common(p, system=True)
-    p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
+    p.add_argument("--rule", default="lowest-index")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
+    p.add_argument("--step-cap", type=int)
     p.set_defaults(fn=cmd_mt_run)
 
     p = sub.add_parser("mt-estimate", help="mean resample count over seeded runs")
     common(p, system=True)
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    p.add_argument("--rule", default="lowest-index", choices=SELECTION_RULES)
+    p.add_argument("--rule", default="lowest-index")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
+    p.add_argument("--step-cap", type=int)
     p.set_defaults(fn=cmd_mt_estimate)
 
     p = sub.add_parser("wdag-sum", help="exact pwdag weight sums by size")

@@ -130,7 +130,6 @@ class IntersectionSetting:
 class ReducedVectors:
     p_minus: ProbabilityVector
     p_prime: ProbabilityVector
-    c: dict[int, Fraction]
 
 
 def reduced_vectors(setting: IntersectionSetting) -> ReducedVectors:
@@ -139,17 +138,12 @@ def reduced_vectors(setting: IntersectionSetting) -> ReducedVectors:
     p = setting.p
     minus = list(p.values)
     prime = list(p.values)
-    c: dict[int, Fraction] = {}
     for i, j in sorted(setting.matching.pairs):
         d = setting.delta[(i, j)]
         for a, b in ((i, j), (j, i)):
-            ca = d * d / (8 * p[a] * p[b])
-            c[a] = ca
             minus[a - 1] = p[a] - d * d / 17
-            prime[a - 1] = p[a] * (1 - ca)
-    return ReducedVectors(
-        ProbabilityVector(tuple(minus)), ProbabilityVector(tuple(prime)), c
-    )
+            prime[a - 1] = p[a] * (1 - d * d / (8 * p[a] * p[b]))
+    return ReducedVectors(ProbabilityVector(tuple(minus)), ProbabilityVector(tuple(prime)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +274,12 @@ def beyond_shearer_verdict(g: DependencyGraph, p: ProbabilityVector, eps: Fracti
         raise InputError("eps must be positive")
     cycles = find_disjoint_chordless_cycles(g)
     scaled_vals = [(1 + eps) * x for x in p.values]
-    details: dict = {"eps": eps, "cycles": cycles.cycles, "rounding": "slack terms rounded down"}
+    details: dict = {"eps": eps, "cycles": cycles, "rounding": "slack terms rounded down"}
     if any(x > 1 for x in scaled_vals):
         details["clamp"] = "scaled vector leaves (0,1]"
         return Verdict(False, None, "scaled-entry-above-one", details)
     slack_lo = Fraction(0)
-    for c in cycles.cycles:
+    for c in cycles:
         slack_lo += r_cycle(g, p, c).lo
     slack_lo = _grid_floor(slack_lo)
     thr544 = slack_lo / 544

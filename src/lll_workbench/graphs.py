@@ -2,7 +2,9 @@
 
 Dependency graphs over event indices, event-variable bipartite graphs,
 base-graph construction, chordless cycles (a graph is chordal iff it has
-none), connected components, and translational-unit expansion.
+none), connected components, and translational-unit expansion. The package's
+two error types live here, below every layer that raises them: InputError
+(the CLI exits 2) and CapExceeded (it exits 3).
 
 All graph values are immutable after construction; every operation here is a
 pure function, so values can be shared freely across concurrent tasks.
@@ -22,6 +24,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 class InputError(ValueError):
     """Malformed input (bad indices, inconsistent structures)."""
+
+
+class CapExceeded(RuntimeError):
+    """A configured enumeration or search cap was hit."""
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -204,13 +210,6 @@ class Matching:
                 raise InputError(f"matching pair ({u},{v}) is not an edge")
 
 
-@dataclass(frozen=True)
-class ChordlessCycleSet:
-    """Vertex sequences of induced cycles (length >= 4), pairwise disjoint."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -278,8 +277,9 @@ def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
-def find_disjoint_chordless_cycles(g: DependencyGraph) -> ChordlessCycleSet:
-    """Greedy-maximal family of vertex-disjoint induced cycles, shortest first.
+def find_disjoint_chordless_cycles(g: DependencyGraph) -> tuple[tuple[int, ...], ...]:
+    """Greedy-maximal family of vertex-disjoint induced cycles (length >= 4),
+    shortest first, each as its vertex sequence.
 
     Empty iff the graph is chordal.
     """
@@ -288,7 +288,7 @@ def find_disjoint_chordless_cycles(g: DependencyGraph) -> ChordlessCycleSet:
     while (c := _shortest_chordless_cycle(g.closed_masks, alive)) is not None:
         cycles.append(c)
         alive &= ~sum(1 << (v - 1) for v in c)
-    return ChordlessCycleSet(tuple(cycles))
+    return tuple(cycles)
 
 
 def edge_variable_graph(g: DependencyGraph) -> BipartiteEventVariableGraph:

@@ -15,6 +15,10 @@ own: gap writes its exact value as lower and upper beside the resolution
 it was given, mt-estimate's JSON drops the per-trial rows, which its CSV
 form lists, and lattice-gap flattens its interval bounds and adds float
 summaries.
+
+The module imports graphs and shearer only. The event-system loader (with
+its allowed sets) and the estimate's csv writer import the engine in their
+bodies, so a command that reads no event system does not load it.
 """
 
 from __future__ import annotations
@@ -31,16 +35,6 @@ from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
 from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, Matching
-from .mt_engine import (
-    Event,
-    EventSystem,
-    FiniteVariable,
-    IntervalUnion,
-    StepEstimate,
-    Uniform01,
-    ValueSet,
-    trial_seed,
-)
 from .shearer import ProbabilityVector
 
 
@@ -181,6 +175,8 @@ def load_matching(text: str) -> Matching:
 
 def _load_allowed(spec: Mapping):
     """An allowed set; EventSystem checks it against its variable."""
+    from .mt_engine import IntervalUnion, ValueSet
+
     if "intervals" in spec:
         return IntervalUnion(
             tuple((parse_fraction(a), parse_fraction(b)) for a, b in spec["intervals"])
@@ -191,7 +187,10 @@ def _load_allowed(spec: Mapping):
     raise InputError("allowed set needs 'intervals' or 'values'")
 
 
-def load_event_system(data: Mapping) -> EventSystem:
+def load_event_system(data: Mapping):
+    """An mt_engine.EventSystem from its wire object."""
+    from .mt_engine import Event, EventSystem, FiniteVariable, Uniform01
+
     with _wire_object("event system"):
         variables = []
         for spec in data.get("variables", []):
@@ -224,9 +223,12 @@ def load_event_system(data: Mapping) -> EventSystem:
         return EventSystem(tuple(variables), tuple(events))
 
 
-def dumps_estimate_csv(est: StepEstimate, seed) -> str:
-    """An estimate's per-trial rows as csv in one pass: each trial's seed,
-    its resample count T and whether it was truncated, under a header."""
+def dumps_estimate_csv(est, seed) -> str:
+    """An mt_engine.StepEstimate's per-trial rows as csv in one pass: each
+    trial's seed, its resample count T and whether it was truncated, under a
+    header."""
+    from .mt_engine import trial_seed
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("seed", "T", "truncated"))

@@ -23,7 +23,12 @@ The named rules pick from the violated mask. A draw copies the table's
 blake2b state for its row, in the loop itself. A run and every trial of a
 batch go through that one loop, which sets up the rule, the compiled
 system and the rows' key suffixes once per call, the row states per seed,
-and a generator only for a trial that picks."""
+and a generator only for a trial that picks.
+
+The engine imports only graphs and tables: the wdag of a run is
+wdag.witness_dag_of_run, and both error types live in graphs. It is the one
+place that checks a rule name (SELECTION_RULES), for the CLI as for every
+other caller."""
 
 from __future__ import annotations
 
@@ -37,10 +42,8 @@ from itertools import accumulate
 from math import ceil, prod, sqrt
 from typing import Callable, Iterable, Mapping
 
-from .graphs import BipartiteEventVariableGraph, DependencyGraph, InputError, base_graph
-from .shearer import CapExceeded
+from .graphs import BipartiteEventVariableGraph, CapExceeded, DependencyGraph, InputError, base_graph
 from .tables import SCALE, row_states, unit_bits
-from .wdag import WDag, ordered_parents
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +540,6 @@ def run_mt(
     return RunStats(tuple(sequence), truncated, final, counts)
 
 
-def witness_dag_of_run(system: EventSystem, stats: RunStats) -> WDag:
-    """The wdag of a resample sequence: node k is the k-th resampling, and
-    the arc rule (`ordered_parents`) runs in time order."""
-    seq, closed = stats.sequence, system.dependency_graph.closed_masks
-    return WDag(tuple(seq), ordered_parents(seq, range(len(seq)), closed))
-
-
 def extremal_cycle_instance(length: int, threshold: Fraction = Fraction(1, 2)) -> EventSystem:
     """Cyclic system on uniform variables where event i wants variable i
     below the threshold and variable i+1 at or above it. Adjacent events are
@@ -603,12 +599,14 @@ def estimate_expected_steps(
     Per-trial seeds derive from (seed, index), so results do not depend on
     the worker count. The workers (LLL_WORKBENCH_THREADS by default) are at
     most the CPU count and the trials; fewer than two run in this process.
-    Raises CapExceeded for more than MAX_TRIALS trials.
+    Raises CapExceeded for more than MAX_TRIALS trials, and InputError for a
+    rule not in SELECTION_RULES, before any run starts.
     """
     if trials < 1:
         raise InputError("trials must be positive")
     if trials > MAX_TRIALS:
         raise CapExceeded(f"estimates capped at {MAX_TRIALS} trials")
+    _mask_rule(rule, system)  # an unknown rule is refused before any run or pool
     if workers is None:
         threads = os.environ.get("LLL_WORKBENCH_THREADS", "1")
         try:

@@ -47,11 +47,7 @@ from itertools import count, islice
 from math import lcm
 from typing import Sequence
 
-from .graphs import DependencyGraph, InputError, _members, connected_components
-
-
-class CapExceeded(RuntimeError):
-    """A configured enumeration or search cap was hit."""
+from .graphs import CapExceeded, DependencyGraph, InputError, _members, connected_components
 
 
 #: the oracle's only cap, in steps of 1,600 bits (200 bytes): over all the

