@@ -126,9 +126,7 @@ def check_2_lattice_gaps() -> CheckResult:
     ok = True
     for name, p_a, target, tol in _LATTICE_TARGETS:
         t0 = time.monotonic()
-        spec = builtin_lattice(name)
-        expanded, _ = spec.expanded()
-        report = lattice_gap_q(expanded, spec.unit, p_a)
+        report = lattice_gap_q(builtin_lattice(name), p_a)
         q_mid = (report.q.lo + report.q.hi) / 2
         rel = abs(q_mid - target) / target
         dt = time.monotonic() - t0

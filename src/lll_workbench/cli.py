@@ -210,9 +210,7 @@ def cmd_beyond(args) -> int:
 
 
 def cmd_lattice_gap(args) -> int:
-    spec = builtin_lattice(args.lattice)
-    expanded, _ = spec.expanded()
-    report = lattice_gap_q(expanded, spec.unit, parse_fraction(args.pa))
+    report = lattice_gap_q(builtin_lattice(args.lattice), parse_fraction(args.pa))
     _emit(
         args,
         {

@@ -36,7 +36,6 @@ from .graphs import (
     find_disjoint_chordless_cycles,
     graph_diameter,
     graph_distance,
-    is_connected,
 )
 from .shearer import ProbabilityVector, gap, in_shearer_bound, shearer_membership
 
@@ -353,23 +352,22 @@ class LatticeGapReport:
     note: str
 
 
-def lattice_gap_q(
-    expanded: DependencyGraph,
-    unit: DependencyGraph,
-    p_a: Fraction,
-) -> LatticeGapReport:
+def lattice_gap_q(unit: DependencyGraph, p_a: Fraction) -> LatticeGapReport:
     """Gap bound below which symmetric probabilities stay tractable:
     p^(D+2) F+^2 / (17 (Delta+1) |V_U|^2 (1-p)^(D+1)) with D the unit's graph
-    diameter, Delta the expanded lattice's maximum degree, F+ the positive
-    part of the unit's edge-variable overlap functional at p_a.
+    diameter, Delta the lattice's maximum degree, F+ the positive part of the
+    unit's edge-variable overlap functional at p_a.
+
+    Delta is read off the unit: every built-in unit holds a vertex with its
+    whole lattice neighbourhood (the centre of the 5x5 and 3x3x3 grids, the
+    flake's inner degree-3 vertices), so the two maxima agree. A disconnected
+    unit has no diameter and is an input error.
     """
     p_a = Fraction(p_a)
     if not 0 < p_a < 1:
         raise InputError("p_a must lie in (0,1)")
-    if not is_connected(unit):
-        raise InputError("translational unit must be connected")
     diameter = graph_diameter(unit)
-    delta = expanded.max_degree()
+    delta = unit.max_degree()
     b = edge_variable_graph(unit)
     p_vec = ProbabilityVector.uniform(unit.m, p_a)
     _, plus = digamma(b, p_vec)

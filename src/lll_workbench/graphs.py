@@ -2,7 +2,7 @@
 
 Dependency graphs over event indices, event-variable bipartite graphs,
 base-graph construction, chordless cycles (a graph is chordal iff it has
-none), connected components, and translational-unit expansion. The package's
+none), connected components, distances and diameters. The package's
 two error types live here, below every layer that raises them: InputError
 (the CLI exits 2) and CapExceeded (it exits 3).
 
@@ -16,10 +16,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice, product
-from math import prod
-from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -302,79 +300,6 @@ def edge_variable_graph(g: DependencyGraph) -> BipartiteEventVariableGraph:
     return BipartiteEventVariableGraph(g.m, len(edge_ids), inc)
 
 
-def expand_translational_unit(
-    unit: DependencyGraph,
-    embedding: Mapping[int, tuple[int, ...]],
-    shift_vectors: Sequence[tuple[int, ...]],
-    repetitions: Sequence[int],
-) -> tuple[DependencyGraph, dict[int, tuple[int, ...]]]:
-    """Union of shifted copies of the unit; coincident positions merge.
-
-    Copies are placed at every offset sum(a_k * shift_k) for a_k in
-    range(repetitions[k]), in product order, and each copy gives the
-    positions it adds the next vertex ids in lexicographic order. Edges are
-    the union of copy edges, so overlapping shifts (e.g. primitive lattice
-    vectors) reproduce the full periodic graph on the covered window, while
-    disjoint shifts give detached blocks. Returns the expanded graph and the
-    vertex -> position map.
-
-    Positions are coded as single integers, in a mixed radix over the
-    window's bounding box with the last axis varying fastest, so that codes
-    sort as the position tuples do. A copy's codes are the unit's codes plus
-    its offset's code: the unit's sorted order serves every copy, and
-    distinct unit positions stay distinct in each. The codes are decoded to
-    tuples once, at the end.
-    """
-    if len(shift_vectors) != len(repetitions):
-        raise InputError("one repetition extent per shift vector required")
-    dims = {len(pos) for pos in embedding.values()}
-    if len(dims) != 1:
-        raise InputError("embedding positions must share one dimension")
-    (dim,) = dims
-    if any(len(s) != dim for s in shift_vectors):
-        raise InputError("shift vectors must match embedding dimension")
-    if len(set(embedding.values())) != len(embedding):
-        raise InputError("unit embedding maps two vertices to one position")
-    if set(embedding) != set(unit.vertices):
-        raise InputError("embedding must cover exactly the unit vertices")
-    if any(r < 1 for r in repetitions):
-        raise InputError("repetitions must be positive")
-
-    # the window's bounding box: from lo[d], span[d] values along axis d
-    lo, span = [], []
-    for d in range(dim):
-        axis = [pos[d] for pos in embedding.values()]
-        reach = [(r - 1) * s[d] for s, r in zip(shift_vectors, repetitions)]
-        lo.append(min(axis) + sum(min(x, 0) for x in reach))
-        span.append(max(axis) + sum(max(x, 0) for x in reach) - lo[d] + 1)
-    weight = [prod(span[d + 1 :]) for d in range(dim)]
-
-    def encode(vector) -> int:
-        return sum(x * w for x, w in zip(vector, weight))
-
-    base = encode(lo)
-    code = {v: encode(pos) - base for v, pos in embedding.items()}
-    order = sorted(code.values())
-    shift_codes = [encode(s) for s in shift_vectors]
-    offsets = [sum(map(mul, combo, shift_codes)) for combo in product(*[range(r) for r in repetitions])]
-    # ids in order of first appearance, copy after copy
-    ids = {c: vid for vid, c in enumerate(dict.fromkeys(c + o for o in offsets for c in order), 1)}
-    # an edge is its lower end's code and the difference up to the other
-    # end's, so that shifted copies of one edge coincide as codes
-    lower_ends: dict[int, list[int]] = {}
-    for u, v in unit.edges:
-        cu, cv = sorted((code[u], code[v]))
-        lower_ends.setdefault(cv - cu, []).append(cu)
-    edges = frozenset(
-        (ids[c], ids[c + d])
-        for d, ends in lower_ends.items()
-        for c in {e + o for o in offsets for e in ends}
-    )
-    # decoded axis by axis; a 0-dimensional unit has one vertex, at ()
-    axes = [[c // w % s + x for c in ids] for w, s, x in zip(weight, span, lo)]
-    return DependencyGraph(len(ids), edges), dict(enumerate(zip(*axes) if dim else [()], 1))
-
-
 # ---------------------------------------------------------------------------
 # shared graph utilities
 
@@ -432,11 +357,6 @@ def shortest_path(g: DependencyGraph, source: int, target: int) -> tuple[int, ..
             return tuple(_least_path(g.closed_masks, layers, source))
         layers.append(layer)
     return None
-
-
-def is_connected(g: DependencyGraph) -> bool:
-    # the layers are disjoint, so their sum is their union
-    return sum(_layers(g.closed_masks, 1)) == (1 << g.m) - 1
 
 
 def connected_components(g: DependencyGraph) -> list[tuple[tuple[int, ...], DependencyGraph]]:

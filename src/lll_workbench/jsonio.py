@@ -65,6 +65,14 @@ def _integer(value, what: str) -> int:
     raise InputError(f"{what} must be integers, got {value!r}")
 
 
+def _list(value, what: str) -> list:
+    """A JSON list as it is. A string or an object is an input error:
+    iterating it would read it one character or one key at a time."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise InputError(f"{what} must be a list, got {type(value).__name__}")
+
+
 def _digits(text: str) -> bool:
     """ASCII decimal digits only: int() would also read "1_0", " +2 " and
     non-ASCII digits."""
@@ -178,12 +186,13 @@ def _load_allowed(spec: Mapping):
     from .mt_engine import IntervalUnion, ValueSet
 
     if "intervals" in spec:
-        return IntervalUnion(
-            tuple((parse_fraction(a), parse_fraction(b)) for a, b in spec["intervals"])
-        )
+        intervals = _list(spec["intervals"], "intervals")
+        if not all(isinstance(ends, (list, tuple)) and len(ends) == 2 for ends in intervals):
+            raise InputError("each interval must be a list of two ends")
+        return IntervalUnion(tuple((parse_fraction(a), parse_fraction(b)) for a, b in intervals))
     if "values" in spec:
         what = "bad event system object: values"
-        return ValueSet(frozenset(_integer(v, what) for v in spec["values"]))
+        return ValueSet(frozenset(_integer(v, what) for v in _list(spec["values"], "values")))
     raise InputError("allowed set needs 'intervals' or 'values'")
 
 
@@ -199,7 +208,7 @@ def load_event_system(data: Mapping):
                 variables.append(Uniform01())
             elif kind == "finite":
                 variables.append(
-                    FiniteVariable(tuple(parse_fraction(x) for x in spec["masses"]))
+                    FiniteVariable(tuple(parse_fraction(x) for x in _list(spec["masses"], "masses")))
                 )
             else:
                 raise InputError(f"unknown variable kind {kind!r}")

@@ -1,7 +1,9 @@
-"""Built-in translational units and finite lattice windows.
+"""Built-in translational units of the square, hexagonal and cubic lattices.
 
-Units ship with integer-lattice embeddings so distances and diameters are
-graph distances computed on the actual graphs, never Euclidean distances.
+Each unit is a finite piece of its lattice, shipped with an integer-lattice
+embedding; distances and diameters are graph distances computed on the
+actual graphs, never Euclidean distances. Every unit holds a vertex with its
+whole lattice neighbourhood, so the unit's maximum degree is the lattice's.
 
 The hexagonal unit uses the brick-wall model of the honeycomb: vertices are
 integer points (x, y), horizontal edges (x,y)-(x+1,y) always exist, vertical
@@ -13,25 +15,8 @@ which drawn column-wise has 3,4,5,4,3 hexagons in its five columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from .graphs import DependencyGraph, InputError, expand_translational_unit
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """A translational unit plus the shift data that tiles the full lattice."""
-
-    name: str
-    unit: DependencyGraph
-    embedding: dict[int, tuple[int, ...]]
-    shift_vectors: tuple[tuple[int, ...], ...]
-    default_repetitions: tuple[int, ...]
-
-    def expanded(self):
-        return expand_translational_unit(
-            self.unit, self.embedding, self.shift_vectors, self.default_repetitions
-        )
+from .graphs import DependencyGraph, InputError
 
 
 def grid_unit(dims: tuple[int, ...]) -> tuple[DependencyGraph, dict[int, tuple[int, ...]]]:
@@ -60,8 +45,6 @@ def hexagon_flake_unit() -> tuple[DependencyGraph, dict[int, tuple[int, ...]]]:
         for b in range(-2, 3):
             if (abs(a) + abs(b) + abs(a + b)) // 2 <= 2:
                 labels.append((2 * a + b, b))
-    if len(labels) != 19:
-        raise InputError("hexagon unit construction produced wrong cell count")
     corners: set[tuple[int, int]] = set()
     for x, y in labels:
         for i in range(3):
@@ -80,33 +63,16 @@ def hexagon_flake_unit() -> tuple[DependencyGraph, dict[int, tuple[int, ...]]]:
     return graph, {v: p for p, v in ids.items()}
 
 
-def _square_spec() -> LatticeSpec:
-    unit, emb = grid_unit((5, 5))
-    return LatticeSpec("square", unit, emb, ((1, 0), (0, 1)), (6, 6))
-
-
-def _hexagonal_spec() -> LatticeSpec:
-    unit, emb = hexagon_flake_unit()
-    # (2,0) and (1,1) generate the brick-wall translation group
-    return LatticeSpec("hexagonal", unit, emb, ((2, 0), (1, 1)), (3, 3))
-
-
-def _cubic_spec() -> LatticeSpec:
-    unit, emb = grid_unit((3, 3, 3))
-    return LatticeSpec(
-        "cubic", unit, emb, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (4, 4, 4)
-    )
-
-
-#: the names builtin_lattice accepts, each with the builder of its spec
+#: the names builtin_lattice accepts, each with the builder of its unit
 BUILTIN_LATTICES = {
-    "square": _square_spec,
-    "hexagonal": _hexagonal_spec,
-    "cubic": _cubic_spec,
+    "square": lambda: grid_unit((5, 5)),
+    "hexagonal": hexagon_flake_unit,
+    "cubic": lambda: grid_unit((3, 3, 3)),
 }
 
 
-def builtin_lattice(name: str) -> LatticeSpec:
+def builtin_lattice(name: str) -> DependencyGraph:
+    """The named lattice's translational unit."""
     if name not in BUILTIN_LATTICES:
         raise InputError(f"unknown lattice {name!r}; choose from {sorted(BUILTIN_LATTICES)}")
-    return BUILTIN_LATTICES[name]()
+    return BUILTIN_LATTICES[name]()[0]

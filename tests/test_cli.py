@@ -152,6 +152,36 @@ def test_shearer_check_accepts_interior(files, capsys):
             "outside 0..1",
         ),
         (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "finite", "masses": "1"}], "events": [{"allowed": {"1": {"values": [0]}}}]}',
+            "masses must be a list, got str",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "finite", "masses": {"1": 0}}], "events": [{"allowed": {"1": {"values": [0]}}}]}',
+            "masses must be a list, got dict",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "finite", "masses": ["1"]}], "events": [{"allowed": {"1": {"values": ""}}}]}',
+            "values must be a list, got str",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"1": {"intervals": ["01"]}}}]}',
+            "each interval must be a list of two ends",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"1": {"intervals": [["0", "1/4", "1/2"]]}}}]}',
+            "each interval must be a list of two ends",
+        ),
+        (
+            "mt-run --system {bad}",
+            '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"1": {"intervals": {"01": 5}}}}]}',
+            "intervals must be a list, got dict",
+        ),
+        (
             "shearer-check --bipartite {bad} --p 1/3",
             '{"events": %d, "vars": 1, "edges": [[1, 1]]}' % HUGE,
             "events without variables",
@@ -219,6 +249,12 @@ def test_shearer_check_accepts_interior(files, capsys):
         "bool-incidence",
         "float-value",
         "value-range",
+        "masses-string",
+        "masses-object",
+        "values-string",
+        "interval-string",
+        "interval-three-ends",
+        "intervals-object",
         "huge-events",
         "float-huge-events",
         "float-huge-vars",
@@ -248,12 +284,12 @@ def test_malformed_json_exits_two(files, capsys, command, content, message):
     ).split()
     started = time.monotonic()
     if isinstance(content, str) and str(HUGE) in content:
-        code, _, err = _dispatch_with_memory_limit(argv)
+        code, out, err = _dispatch_with_memory_limit(argv)
     else:
         code = dispatch(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
     assert time.monotonic() - started < 5
-    assert code == 2
+    assert code == 2 and out == ""
     assert "input error" in err and message in err
 
 

@@ -29,7 +29,7 @@ from lll_workbench.graphs import (
     edge_variable_graph,
     graph_distance,
 )
-from lll_workbench.lattices import builtin_lattice
+from lll_workbench.lattices import builtin_lattice, grid_unit
 from lll_workbench.mt_engine import (
     Event,
     EventSystem,
@@ -266,7 +266,7 @@ class TestDigamma:
         assert (value.hi - value.lo) < Fraction(1, 10**30)
 
     def test_five_by_five_grid(self):
-        unit = builtin_lattice("square").unit
+        unit = builtin_lattice("square")
         b = edge_variable_graph(unit)
         value, _ = digamma(b, ProbabilityVector.uniform(25, Fraction(1193, 10000)))
         assert abs(float(value.lo) - 7.3063e-5) < 1e-8
@@ -528,7 +528,7 @@ class TestGroupedRoots:
 
     @pytest.mark.parametrize("name,pa", [("square", "0.1193"), ("hexagonal", "0.1547"), ("cubic", "0.1")])
     def test_lattice_units_equal_the_per_event_reference(self, name, pa):
-        b = edge_variable_graph(builtin_lattice(name).unit)
+        b = edge_variable_graph(builtin_lattice(name))
         p = ProbabilityVector.uniform(b.event_count, Fraction(pa))
         assert digamma(b, p) == per_event_digamma(b, p)
 
@@ -541,7 +541,7 @@ class TestGroupedRoots:
             return floor(a, b, k)
 
         monkeypatch.setattr(criterion, "_root_floor", spy)
-        b = edge_variable_graph(builtin_lattice("square").unit)  # degrees 2, 3 and 4
+        b = edge_variable_graph(builtin_lattice("square"))  # degrees 2, 3 and 4
         digamma(b, ProbabilityVector.uniform(25, Fraction(1193, 10000)))
         # the three event roots, and sqrt(|L|) = sqrt(25)
         assert sorted(calls) == [(25, 1, 2)] + [(1193, 10000, k) for k in (2, 3, 4)]
@@ -576,8 +576,7 @@ class TestCertifiedRoots:
         p = ProbabilityVector((Fraction(27, 100),) * 3 + (Fraction(36, 100),))
         details = beyond_shearer_verdict(C4, p, Fraction(1, 10**9)).details
         assert (details["threshold_545"] * 545 * grid).denominator == 1
-        spec = builtin_lattice("square")
-        q = lattice_gap_q(spec.expanded()[0], spec.unit, Fraction(1193, 10000)).q
+        q = lattice_gap_q(builtin_lattice("square"), Fraction(1193, 10000)).q
         assert (q.lo * grid).denominator == (q.hi * grid).denominator == 1
 
     @settings(max_examples=100, deadline=None)
@@ -808,9 +807,7 @@ class TestTransferConditions:
 
 class TestLatticeGap:
     def test_square_values(self):
-        spec = builtin_lattice("square")
-        expanded, _ = spec.expanded()
-        report = lattice_gap_q(expanded, spec.unit, Fraction(1193, 10000))
+        report = lattice_gap_q(builtin_lattice("square"), Fraction(1193, 10000))
         assert report.unit_diameter == 8
         assert report.lattice_max_degree == 4
         assert report.unit_vertices == 25
@@ -818,18 +815,14 @@ class TestLatticeGap:
         assert abs(mid - 1.8410e-22) < 2e-25
 
     def test_hexagonal_regression(self):
-        spec = builtin_lattice("hexagonal")
-        expanded, _ = spec.expanded()
-        report = lattice_gap_q(expanded, spec.unit, Fraction(1547, 10000))
+        report = lattice_gap_q(builtin_lattice("hexagonal"), Fraction(1547, 10000))
         assert report.unit_diameter == 11
         assert report.lattice_max_degree == 3
         mid = float((report.q.lo + report.q.hi) / 2)
         assert abs(mid - 2.9744e-25) < 2e-28
 
     def test_cubic_regression(self):
-        spec = builtin_lattice("cubic")
-        expanded, _ = spec.expanded()
-        report = lattice_gap_q(expanded, spec.unit, Fraction(744, 10000))
+        report = lattice_gap_q(builtin_lattice("cubic"), Fraction(744, 10000))
         assert report.unit_diameter == 6
         assert report.lattice_max_degree == 6
         mid = float((report.q.lo + report.q.hi) / 2)
@@ -837,9 +830,8 @@ class TestLatticeGap:
 
     def test_disconnected_unit_rejected(self):
         g = DependencyGraph.from_edges(4, [(1, 2), (3, 4)])
-        expanded = g
-        with pytest.raises(InputError):
-            lattice_gap_q(expanded, g, Fraction(1, 8))
+        with pytest.raises(InputError, match="graph is disconnected"):
+            lattice_gap_q(g, Fraction(1, 8))
 
 
 class TestLatticeOverlapFloorOnCopies:
@@ -847,20 +839,19 @@ class TestLatticeOverlapFloorOnCopies:
         # random elementary system with every event probability exactly 1/8 on
         # a 10x10 window; the summed squared overlaps of matched pairs near
         # any translated unit copy dominate the unit functional's square
-        spec = builtin_lattice("square")
-        expanded, positions = spec.expanded()
+        window, positions = grid_unit((10, 10))
         target = Fraction(1, 8)
         rng = random.Random(2024)
 
         # exact-probability boxes: degree-many thresholds multiplying to 1/8
-        incident = {v: [] for v in expanded.vertices}
+        incident = {v: [] for v in window.vertices}
         edge_ids = {}
-        for k, e in enumerate(sorted(expanded.edges), 1):
+        for k, e in enumerate(sorted(window.edges), 1):
             edge_ids[e] = k
             incident[e[0]].append(k)
             incident[e[1]].append(k)
         events = []
-        for v in expanded.vertices:
+        for v in window.vertices:
             vars_v = sorted(incident[v])
             deg = len(vars_v)
             # over-approximations of target^(1/deg) from above, exact tail
@@ -887,7 +878,7 @@ class TestLatticeOverlapFloorOnCopies:
             assert system.event_probability(v) == target
 
         inter = measure_pair_intersections(system)
-        matching = greedy_max_intersection_matching(expanded, inter)
+        matching = greedy_max_intersection_matching(window, inter)
 
         # one translated copy of the unit: offset (2,2)
         pos_to_vertex = {pos: v for v, pos in positions.items()}
@@ -896,14 +887,14 @@ class TestLatticeOverlapFloorOnCopies:
         }
         closed = set(copy_vertices)
         for v in copy_vertices:
-            closed |= neighbors(expanded, v)
+            closed |= neighbors(window, v)
         t_k = {
             pair for pair in matching.pairs
             if pair[0] in closed and pair[1] in closed
         }
         achieved = sum((inter[pair] ** 2 for pair in t_k), Fraction(0))
 
-        b_unit = edge_variable_graph(spec.unit)
+        b_unit = edge_variable_graph(builtin_lattice("square"))
         _, plus = digamma(b_unit, ProbabilityVector.uniform(25, target))
         assert plus.hi > 0
         assert achieved >= plus.hi * plus.hi

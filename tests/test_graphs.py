@@ -2,7 +2,7 @@ import pickle
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +15,9 @@ from lll_workbench.graphs import (
     base_graph,
     connected_components,
     edge_variable_graph,
-    expand_translational_unit,
     find_disjoint_chordless_cycles,
     graph_diameter,
     graph_distance,
-    is_connected,
     shortest_path,
     _canon_cycle,
     _layers,
@@ -157,8 +155,8 @@ def edge_lists(draw, max_m=12):
 
 
 # ---------------------------------------------------------------------------
-# test-only references: the dict/deque breadth-first searches and the
-# tuple-position expansion the mask searches and the integer codes replaced
+# test-only references: the dict/deque breadth-first searches the mask
+# searches replaced
 
 def reference_shortest_path(g, source, target, allowed=None):
     """A shortest source-target vertex sequence, None if there is none. BFS
@@ -232,10 +230,6 @@ def bfs_distances(g, source):
     return dist
 
 
-def reference_is_connected(g):
-    return len(bfs_distances(g, 1)) == g.m
-
-
 def reference_graph_diameter(g):
     diam = 0
     for v in g.vertices:
@@ -251,27 +245,6 @@ def reference_graph_distance(g, u, v):
     if v not in dist:
         raise InputError(f"no path from {u} to {v}")
     return dist[v]
-
-
-def reference_expansion(unit, embedding, shift_vectors, repetitions):
-    """Each copy's positions as tuples, sorted per copy, ids by first
-    appearance."""
-    dim = len(next(iter(embedding.values())))
-    positions = {}
-    edges = set()
-    for combo in product(*[range(r) for r in repetitions]):
-        offset = tuple(sum(a * s[d] for a, s in zip(combo, shift_vectors)) for d in range(dim))
-        placed = {v: tuple(p + o for p, o in zip(embedding[v], offset)) for v in unit.vertices}
-        if len(set(placed.values())) != len(placed):
-            raise InputError("a shifted copy collapses two unit vertices")
-        for pos in sorted(placed.values()):
-            if pos not in positions:
-                positions[pos] = len(positions) + 1
-        for u, v in unit.edges:
-            a, b = positions[placed[u]], positions[placed[v]]
-            edges.add((min(a, b), max(a, b)))
-    graph = DependencyGraph(len(positions), frozenset(edges))
-    return graph, {vid: pos for pos, vid in positions.items()}
 
 
 def outcome(fn, *args):
@@ -614,69 +587,12 @@ class TestEdgeVariableGraph:
             edge_variable_graph(DependencyGraph(3, frozenset()))
 
 
-class TestExpansion:
-    def test_block_shifts_cover_ten_by_ten_positions(self):
-        unit, emb = grid_unit((5, 5))
-        g, pos = expand_translational_unit(unit, emb, ((5, 0), (0, 5)), (2, 2))
-        assert g.m == 100
-        assert set(pos.values()) == {(x, y) for x in range(10) for y in range(10)}
-
-    def test_one_repetition_is_the_unit(self):
-        unit, emb = grid_unit((5, 5))
-        g, pos = expand_translational_unit(unit, emb, ((5, 0),), (1,))
-        assert g == unit
-
-    def test_cube_two_by_one_by_one(self):
-        unit, emb = grid_unit((3, 3, 3))
-        g, pos = expand_translational_unit(unit, emb, ((3, 0, 0),), (2,))
-        assert g.m == 54
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 3), shifts=st.integers(0, 3))
-    def test_matches_the_tuple_reference(self, data, dim, shifts):
-        # random units with distinct positions, negative coordinates among
-        # them; shifts of any sign, zero vectors included
-        m, edges = data.draw(edge_lists(max_m=7))
-        coords = st.integers(-4, 4)
-        places = data.draw(
-            st.lists(st.tuples(*[coords] * dim), min_size=m, max_size=m, unique=True)
-        )
-        embedding = dict(zip(range(1, m + 1), places))
-        shift_vectors = data.draw(st.lists(st.tuples(*[coords] * dim), min_size=shifts, max_size=shifts))
-        repetitions = data.draw(st.lists(st.integers(1, 3), min_size=shifts, max_size=shifts))
-        unit = DependencyGraph.from_edges(m, edges)
-        graph, pos = expand_translational_unit(unit, embedding, shift_vectors, repetitions)
-        want_graph, want_pos = reference_expansion(unit, embedding, shift_vectors, repetitions)
-        assert graph == want_graph
-        assert list(pos.items()) == list(want_pos.items())
-
-    def test_builtin_windows_match_the_tuple_reference(self):
-        for name in ("square", "hexagonal", "cubic"):
-            spec = builtin_lattice(name)
-            args = (spec.unit, spec.embedding, spec.shift_vectors, spec.default_repetitions)
-            graph, pos = expand_translational_unit(*args)
-            want_graph, want_pos = reference_expansion(*args)
-            assert graph == want_graph
-            assert list(pos.items()) == list(want_pos.items())
-
-    def test_a_point_unit_in_no_dimensions(self):
-        unit = DependencyGraph(1, frozenset())
-        assert expand_translational_unit(unit, {1: ()}, ((), ()), (2, 3)) == (unit, {1: ()})
-
-    def test_primitive_shifts_rebuild_full_grid(self):
-        unit, emb = grid_unit((5, 5))
-        g, pos = expand_translational_unit(unit, emb, ((1, 0), (0, 1)), (6, 6))
-        assert g.m == 100
-        assert len(g.edges) == 180  # the full 10x10 grid graph
-        assert g.max_degree() == 4
-
-
 class TestLattices:
     def test_square_unit(self):
-        spec = builtin_lattice("square")
-        assert spec.unit.m == 25
-        assert len(spec.unit.edges) == 40
-        assert graph_diameter(spec.unit) == 8
+        unit = builtin_lattice("square")
+        assert unit.m == 25
+        assert len(unit.edges) == 40
+        assert graph_diameter(unit) == 8
 
     def test_hexagonal_unit(self):
         g, emb = hexagon_flake_unit()
@@ -689,15 +605,14 @@ class TestLattices:
         assert sorted(len(neighbors(g, v)) for v in g.vertices).count(2) == 18
 
     def test_cubic_unit(self):
-        spec = builtin_lattice("cubic")
-        assert spec.unit.m == 27
-        assert len(spec.unit.edges) == 54
-        assert graph_diameter(spec.unit) == 6
+        unit = builtin_lattice("cubic")
+        assert unit.m == 27
+        assert len(unit.edges) == 54
+        assert graph_diameter(unit) == 6
 
-    def test_expanded_degrees(self):
+    def test_unit_degree_is_the_lattice_degree(self):
         for name, want in (("square", 4), ("hexagonal", 3), ("cubic", 6)):
-            expanded, _ = builtin_lattice(name).expanded()
-            assert expanded.max_degree() == want
+            assert builtin_lattice(name).max_degree() == want
 
     def test_unknown_lattice(self):
         with pytest.raises(InputError):
@@ -741,7 +656,6 @@ class TestMaskSearches:
     def test_match_the_breadth_first_references(self, spec):
         m, edges = spec
         g = DependencyGraph.from_edges(m, edges)
-        assert is_connected(g) == reference_is_connected(g)
         assert outcome(graph_diameter, g) == outcome(reference_graph_diameter, g)
         for u in g.vertices:
             for v in range(0, m + 2):
@@ -749,7 +663,6 @@ class TestMaskSearches:
 
     def test_disconnected_graphs_keep_their_errors(self):
         g = DependencyGraph.from_edges(4, [(1, 2), (3, 4)])
-        assert not is_connected(g)
         with pytest.raises(InputError, match="graph is disconnected"):
             graph_diameter(g)
         with pytest.raises(InputError, match="no path from 1 to 3"):

@@ -10,8 +10,8 @@ than MAX_PLAN_STEPS masks prints as `capped`. The graphs are the README's,
 the cycles C16-C24, region-large's sixteen random graphs at seed 7 (drawn as
 perfbench/workloads.py draws them), the lattice-gap units, each also under a
 seeded label shuffle, and the larger graphs a vertex order is tuned on: the
-4x30 grid, the 6x12 grid under a seeded shuffle, the lattice-gap windows and
-the path P_1200. Standard library only.
+4x30 grid, the 6x12 grid under a seeded shuffle, the 10x10 and 6x6x6 grids
+(row-major labels) and the path P_1200. Standard library only.
 
     python3 tools/plan_steps.py
 """
@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lll_workbench import shearer  # noqa: E402
 from lll_workbench.graphs import DependencyGraph  # noqa: E402
-from lll_workbench.lattices import BUILTIN_LATTICES, grid_unit  # noqa: E402
+from lll_workbench.lattices import BUILTIN_LATTICES, builtin_lattice, grid_unit  # noqa: E402
 
 #: region-large's seed for its random graphs, and the seed of the shuffles
 SEED = 7
@@ -78,14 +78,15 @@ def graphs() -> list[tuple[str, DependencyGraph]]:
     out += [(f"C{n}", cycle(n)) for n in range(16, 25)]
     out += region_large_graphs()
     rng = random.Random(SEED)
-    for name, spec in BUILTIN_LATTICES.items():
-        unit = spec().unit
+    for name in BUILTIN_LATTICES:
+        unit = builtin_lattice(name)
         out += [(f"{name} unit", unit), (f"{name} unit shuffled", shuffled(unit, rng))]
     out += [
         ("4x30 grid", grid_unit((4, 30))[0]),
         ("6x12 grid shuffled", shuffled(grid_unit((6, 12))[0], rng)),
+        ("10x10 grid", grid_unit((10, 10))[0]),
+        ("6x6x6 grid", grid_unit((6, 6, 6))[0]),
     ]
-    out += [(f"{name} window", spec().expanded()[0]) for name, spec in BUILTIN_LATTICES.items()]
     out.append(("P1200", path(1200)))
     return out
 
