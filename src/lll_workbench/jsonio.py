@@ -139,7 +139,7 @@ def _wire_object(kind: str):
 def load_graph(data: Mapping) -> DependencyGraph:
     what = "bad graph object: m and edge endpoints"
     with _wire_object("graph"):
-        edges = [tuple(_integer(x, what) for x in e) for e in data.get("edges", [])]
+        edges = [tuple(_integer(x, what) for x in e) for e in _list(data.get("edges", []), "edges")]
         return DependencyGraph.from_edges(_integer(data["m"], what), edges)
 
 
@@ -149,7 +149,7 @@ def load_bipartite(data: Mapping) -> BipartiteEventVariableGraph:
         return BipartiteEventVariableGraph(
             _integer(data["events"], what),
             _integer(data["vars"], what),
-            frozenset((_integer(i, what), _integer(j, what)) for i, j in data.get("edges", [])),
+            frozenset((_integer(i, what), _integer(j, what)) for i, j in _list(data.get("edges", []), "edges")),
         )
 
 

@@ -22,10 +22,12 @@ first read, for readers that take pairs. Arc rule: exactly the nodes with
 equal or adjacent labels are joined, from the earlier to the later node, so
 a set of such pairwise-conflicting nodes is totally ordered, and a node's
 position in it is 1 plus the number of its parents in the set.
-`ordered_parents` applies it to runs (time order) and split images (the
-original wdag's topological order). A stable-set sequence's pwdag reads its
-parents off its layers instead: the earlier of two conflicting nodes is the
-deeper one.
+`ordered_parents` applies it to runs, in time order. A split image
+(`map_h`) keeps the original wdag's parent masks for the copies of its
+nodes, since two copies conflict iff their original labels do, and places
+only the companions, in the original's topological order. A stable-set
+sequence's pwdag reads its parents off its layers: the earlier of two
+conflicting nodes is the deeper one.
 The canonical key renames node v to its pair (label, rank-within-label), the
 rank being 1 plus v's same-label parents, and sorts. Two valid wdags are
 structurally equal iff their canonical keys coincide.
@@ -601,65 +603,101 @@ def matched_nodes(d: WDag, m: Matching) -> frozenset[int]:
     return frozenset(v for v in d.nodes if m.covers(d.label(v)))
 
 
+def _block_masks(count: int, shift: int) -> Iterator[list[int]]:
+    """The four block masks of each assignment of count nodes to the four
+    blocks, in the order of product(range(4), repeat=count); the k-th node
+    is bit shift + k."""
+    for assign in product(range(4), repeat=count):
+        subs = [0, 0, 0, 0]
+        for k, b in enumerate(assign, shift):
+            subs[b] |= 1 << k
+        yield subs
+
+
 def partitions_psi(d: WDag, m: Matching) -> Iterator[Partition4]:
     """All 4^|free| ordered partitions, where free nodes are the matched
     nodes not participating in any matched reversible arc, in the order of
     product(blocks, repeat=|free|) over the free nodes ascending. Each block
     is one of the 2^|free| subsets of the free nodes (with the reversible
-    nodes, in the first block), built once per call."""
+    nodes, in the first block), built once per call. The block masks of the
+    last |free| // 2 free nodes, which vary fastest, are tabled once, in no
+    more entries than there are blocks; those of the other free nodes are
+    built once per assignment of them, and a partition ORs the two."""
     reversible = m_reversible_nodes(d, m)
     free = sorted(matched_nodes(d, m) - reversible)
-    blocks = [frozenset(v for k, v in enumerate(free) if sub >> k & 1) for sub in range(1 << len(free))]
+    blocks = [frozenset()]
+    for v in free:  # bit k of a block's index stands for free[k]
+        blocks += [block | {v} for block in blocks]
     firsts = [reversible | block for block in blocks]
-    for assign in product(range(4), repeat=len(free)):
-        subs = [0, 0, 0, 0]
-        for k, b in enumerate(assign):
-            subs[b] |= 1 << k
-        yield Partition4(firsts[subs[0]], blocks[subs[1]], blocks[subs[2]], blocks[subs[3]])
+    h = len(free) // 2
+    inner = list(_block_masks(h, len(free) - h))
+    for a1, a2, a3, a4 in _block_masks(len(free) - h, 0):
+        for b1, b2, b3, b4 in inner:
+            yield Partition4(firsts[a1 | b1], blocks[a2 | b2], blocks[a3 | b3], blocks[a4 | b4])
 
 
 def map_h(d: WDag, s: Partition4, m: Matching, hom: HomomorphicGraph) -> WDag:
-    """Image wdag over the split graph: every original node keeps a copy with
-    an up/down label, and each node of the third/fourth blocks additionally
-    spawns a partner-labelled companion after the copies. The order is
+    """Image wdag over the split graph. Node v of d keeps its id and is
+    labelled with the copy hom.copies[label-1][0 if v is in the first block
+    else -1]: the up copy, or the down copy of a matched label in another
+    block, or the plain copy of an unmatched label. Each node of the
+    third/fourth blocks additionally spawns a companion labelled with its
+    partner's up/down copy; the companions take ids n+1, n+2, ... in the
+    order of their nodes' ids. Arcs follow the arc rule in the order
     2 * (position in topological_order(d)), plus 1 for a copy, so a
     companion comes just before its copy; a matched pair is an edge, so each
-    companion is arced into its copy."""
-    pos = {v: k for k, v in enumerate(topological_order(d))}
-    labels, rank = [], []
-    for v, lab in enumerate(d.labels, 1):
-        if v in s.s1:
-            labels.append(hom.up(lab))
-        elif v in s.s2 or v in s.s3 or v in s.s4:
-            labels.append(hom.down(lab))
-        else:
-            labels.append(hom.plain(lab))
-        rank.append(2 * pos[v] + 1)
-    for v in sorted(s.s3 | s.s4):
-        partner = m.partner(d.labels[v - 1])
-        labels.append(hom.up(partner) if v in s.s3 else hom.down(partner))
-        rank.append(2 * pos[v])
-    return WDag(tuple(labels), ordered_parents(labels, rank, hom.graph.closed_masks))
+    companion is arced into its copy.
+
+    Copies of two labels conflict iff the original labels do, so the copies
+    keep d's parent masks (d being valid), and only the companions are
+    placed, walking the topological order: a companion's parents are the
+    conflicting copies and companions placed before it, and the conflicting
+    copies after it, its own node's copy included, gain its bit."""
+    copies, up = hom.copies, s.s1
+    labels = [copies[lab - 1][0 if v in up else -1] for v, lab in enumerate(d.labels, 1)]
+    extra = s.s3 | s.s4
+    if not extra:
+        return WDag(tuple(labels), d.parents)
+    closed, third, partner = hom.graph.closed_masks, s.s3, m.partner
+    copy_labels = tuple(labels)
+    parents = list(d.parents) + [0] * len(extra)
+    companion = {}  # node -> (id - 1, label) of its companion
+    for k, v in enumerate(sorted(extra), len(labels)):
+        pair = copies[partner(d.labels[v - 1]) - 1]
+        lab = pair[0] if v in third else pair[1]
+        companion[v] = (k, lab)
+        labels.append(lab)
+    placed = 0  # the copies placed so far
+    before = []  # (bit, label) of the companions placed so far
+    for v in topological_order(d):
+        if v in companion:
+            k, lab = companion[v]
+            reach, bit, conflicting = closed[lab - 1], 1 << k, 0
+            for w, other in enumerate(copy_labels):
+                if reach >> (other - 1) & 1:
+                    conflicting |= 1 << w
+            mask = conflicting & placed
+            for other_bit, other in before:
+                if reach >> (other - 1) & 1:
+                    mask |= other_bit
+            parents[k] = mask
+            for w in _members(conflicting & ~placed):
+                parents[w] |= bit
+            before.append((bit, lab))
+        placed |= 1 << (v - 1)
+    return WDag(tuple(labels), parents)
 
 
 def split_labels(d: WDag, bits: Sequence[int], m: Matching, hom: HomomorphicGraph) -> WDag:
-    """Rewrite matched labels to up (bit 0) or down (bit 1) copies, keeping
-    nodes and arcs; ranges over all bit strings, this bijects onto the split
-    graph's pwdags."""
-    matched = sorted(matched_nodes(d, m))
-    if len(bits) != len(matched):
+    """Rewrite matched labels to up (bit 0) or down (bit 1) copies, the
+    bits consumed in node order, keeping nodes and arcs; ranges over all bit
+    strings, this bijects onto the split graph's pwdags."""
+    covers, copies = m.covers, hom.copies
+    if len(bits) != sum(map(covers, d.labels)):
         raise InputError("one bit per matched node required")
-    labels = []
-    bit_of = dict(zip(matched, bits))
-    for v in d.nodes:
-        lab = d.label(v)
-        if v in bit_of:
-            labels.append(hom.down(lab) if bit_of[v] else hom.up(lab))
-        elif m.covers(lab):
-            raise AssertionError("matched node missed")
-        else:
-            labels.append(hom.plain(lab))
-    return WDag(tuple(labels), d.parents)
+    next_bit = iter(bits).__next__
+    labels = tuple(copies[lab - 1][1 if covers(lab) and next_bit() else 0] for lab in d.labels)
+    return WDag(labels, d.parents)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_shearer_check_accepts_interior(files, capsys):
             '{"variables": [{"kind": "uniform01"}], "events": [{"allowed": {"1": {"intervals": {"01": 5}}}}]}',
             "intervals must be a list, got dict",
         ),
+        ("shearer-check --graph {bad} --p 1/3,1/3,1/3", '{"m": 3, "edges": ""}', "edges must be a list, got str"),
+        ("shearer-check --graph {bad} --p 1/3,1/3,1/3", '{"m": 3, "edges": {}}', "edges must be a list, got dict"),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": 1, "vars": 1, "edges": ""}',
+            "edges must be a list, got str",
+        ),
+        (
+            "shearer-check --bipartite {bad} --p 1/3",
+            '{"events": 1, "vars": 1, "edges": {"1": 1}}',
+            "edges must be a list, got dict",
+        ),
         (
             "shearer-check --bipartite {bad} --p 1/3",
             '{"events": %d, "vars": 1, "edges": [[1, 1]]}' % HUGE,
@@ -255,6 +267,10 @@ def test_shearer_check_accepts_interior(files, capsys):
         "interval-string",
         "interval-three-ends",
         "intervals-object",
+        "edges-string",
+        "edges-object",
+        "incidences-string",
+        "incidences-object",
         "huge-events",
         "float-huge-events",
         "float-huge-vars",

@@ -433,6 +433,25 @@ def reference_map_h(d, s, m, hom):
     return WDag(tuple(labels), arcs=frozenset(arcs))
 
 
+def reference_split_labels(d, bits, m, hom):
+    """One bit per matched node in ascending node order, looked up in a
+    dict."""
+    matched = sorted(matched_nodes(d, m))
+    if len(bits) != len(matched):
+        raise InputError("one bit per matched node required")
+    labels = []
+    bit_of = dict(zip(matched, bits))
+    for v in d.nodes:
+        lab = d.label(v)
+        if v in bit_of:
+            labels.append(hom.down(lab) if bit_of[v] else hom.up(lab))
+        elif m.covers(lab):
+            raise AssertionError("matched node missed")
+        else:
+            labels.append(hom.plain(lab))
+    return WDag(tuple(labels), d.parents)
+
+
 @st.composite
 def small_graphs(draw, max_m=5):
     m = draw(st.integers(1, max_m))
@@ -451,9 +470,9 @@ def edge_variables(g):
     }
 
 
-def shuffled(d, data):
+def shuffled(d, draw):
     """d with its node ids permuted, so ids need not be a topological order."""
-    perm = data.draw(st.permutations(range(1, d.n + 1)))
+    perm = draw(st.permutations(range(1, d.n + 1)))
     labels = [0] * d.n
     for v in d.nodes:
         labels[perm[v - 1] - 1] = d.label(v)
@@ -494,6 +513,14 @@ def reversed_pwdags(draw):
     if arcs:
         d = reverse_arc(d, *draw(st.sampled_from(arcs)))
     return d, g, vbl
+
+
+@st.composite
+def matched_wdags(draw):
+    """(d, g, m): a pwdag or a reverse_arc output of a graph g with m <= 4,
+    and a random matching of g."""
+    d, g, _ = draw(st.one_of(pwdags(), reversed_pwdags()))
+    return d, g, draw(random_matchings(g))
 
 
 @st.composite
@@ -907,10 +934,13 @@ class TestPartitionsAndMaps:
         assert down.labels == (self.hom.down(1),)
 
     @settings(max_examples=100, deadline=None)
-    @given(case=st.one_of(pwdags(), reversed_pwdags()), data=st.data())
-    def test_partitions_and_reversible_nodes_equal_reference(self, case, data):
-        d, g, _ = case
-        m = data.draw(random_matchings(g))
+    @given(case=matched_wdags())
+    # C4's 5-node chain has five free nodes (odd); the other pwdag has two
+    # free nodes (even) beside two reversible ones and an unmatched one
+    @example(case=(WDag((1, 1, 1, 1, 1), (0, 1, 3, 7, 15)), C4, M12))
+    @example(case=(WDag((1, 1, 1, 2, 3), (8, 9, 11, 16, 0)), C4, M12))
+    def test_partitions_and_reversible_nodes_equal_reference(self, case):
+        d, _, m = case
         arcs = [
             (u, v) for u, v in sorted(d.arcs)
             if (min(d.label(u), d.label(v)), max(d.label(u), d.label(v))) in m.pairs
@@ -919,6 +949,19 @@ class TestPartitionsAndMaps:
         reversible = frozenset(v for arc in arcs for v in arc)
         assert m_reversible_nodes(d, m) == reversible
         assert list(partitions_psi(d, m)) == list(reference_partitions_psi(d, m, reversible))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=matched_wdags(), data=st.data())
+    def test_split_labels_equal_reference(self, case, data):
+        d, g, m = case
+        p = ProbabilityVector.uniform(g.m, Fraction(1, 4))
+        hom = homomorphic_graph(g, m, p, p, ProbabilityVector.uniform(g.m, Fraction(1, 5)))
+        size = len(matched_nodes(d, m))
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+        assert split_labels(d, bits, m, hom) == reference_split_labels(d, bits, m, hom)
+        wrong = data.draw(st.lists(st.integers(0, 1), max_size=size + 2).filter(lambda b: len(b) != size))
+        with pytest.raises(InputError, match="one bit per matched node"):
+            split_labels(d, tuple(wrong), m, hom)
 
     def test_split_bijection_small(self):
         seen = set()
@@ -1133,7 +1176,7 @@ class TestReachability:
     @given(case=labelled_digraphs(), data=st.data())
     def test_is_reversible_counts_one_path(self, case, data):
         _, d0 = case
-        d = shuffled(WDag(d0.labels, arcs=frozenset((u, v) for u, v in d0.arcs if u < v)), data)
+        d = shuffled(WDag(d0.labels, arcs=frozenset((u, v) for u, v in d0.arcs if u < v)), data.draw)
         for u, v in d.arcs:
             assert is_reversible(d, u, v) == (reference_path_count(d, u, v) == 1)
 
@@ -1233,7 +1276,7 @@ class TestParentCountRanks:
     @given(case=valid_wdags, data=st.data())
     def test_agrees_with_ancestor_references(self, case, data):
         d0, g, vbl = case
-        d = shuffled(d0, data)
+        d = shuffled(d0, data.draw)
         assert validate_wdag(d, g)
         assert canonical_key(d) == reference_canonical_key(d) == canonical_key(d0)
         nodes = data.draw(st.lists(st.sampled_from(list(d.nodes)), max_size=3))
@@ -1266,6 +1309,21 @@ def random_matchings(draw, g):
         if not any(set(e) & set(f) for f in pairs) and draw(st.booleans()):
             pairs.append(e)
     return Matching(frozenset(pairs))
+
+
+@st.composite
+def map_h_cases(draw):
+    """(d, g, m, s): a valid wdag of a graph g with m <= 6 (a pwdag, or a
+    run's wdag with its ids shuffled), a random matching of g and a random
+    partition of d's matched nodes."""
+    g = draw(small_graphs(max_m=6).filter(lambda g: g.edges))
+    m = draw(random_matchings(g))
+    if draw(st.booleans()):
+        seq = draw(st.lists(st.integers(1, g.m), min_size=1, max_size=8))
+        d = shuffled(reference_run_wdag(seq, g), draw)
+    else:
+        d = draw(st.sampled_from(list(enumerate_pwdags(g, draw(st.integers(1, 4))))))
+    return d, g, m, draw(random_partitions(d, m))
 
 
 @st.composite
@@ -1326,17 +1384,14 @@ class TestOrderedArcs:
         assert list(enumerate_pwdags(g, cap)) == reference_walk_pwdags(g, cap, reference_sequence_wdag)
 
     @settings(max_examples=200, deadline=None)
-    @given(g=small_graphs(max_m=6).filter(lambda g: g.edges), data=st.data())
-    def test_map_h_images_equal_reference(self, g, data):
-        m = data.draw(random_matchings(g))
+    @given(case=map_h_cases())
+    # node 2 precedes node 1, so the companions of nodes 1 and 2 (ids 3
+    # and 4, labelled 2+ and 2-, which conflict) are placed as 4 before 3
+    @example(case=(WDag((1, 1), (2, 0)), K2, M12, Partition4(*map(frozenset, ((), (), {1}, {2})))))
+    def test_map_h_images_equal_reference(self, case):
+        d, g, m, s = case
         p = ProbabilityVector.uniform(g.m, Fraction(1, 4))
         hom = homomorphic_graph(g, m, p, p, ProbabilityVector.uniform(g.m, Fraction(1, 5)))
-        if data.draw(st.booleans()):
-            seq = data.draw(st.lists(st.integers(1, g.m), min_size=1, max_size=8))
-            d = shuffled(reference_run_wdag(seq, g), data)
-        else:
-            d = data.draw(st.sampled_from(list(enumerate_pwdags(g, data.draw(st.integers(1, 4))))))
-        s = data.draw(random_partitions(d, m))
         img = map_h(d, s, m, hom)
         assert img == reference_map_h(d, s, m, hom)
         assert validate_wdag(img, hom.graph)

@@ -7,7 +7,9 @@ perfbench/results/<workload>-seed<N>-trace0.json (written by
 the run's operations with `workloads.build(workload, seed, tmpdir)` for
 their names. A kind is the first word of an operation's name (`map_h`,
 `cli`); its share is the sum of its scaled latencies over every round,
-over the sum of all of them (`--by name` groups by whole names instead).
+over the sum of all of them (`--by name` groups by whole names instead),
+and its us/op the mean of its scaled latencies, one per completed call, so
+that runs of two checkouts compare each kind's cost per call.
 The p50 and tail operations are found as perfbench/run.py finds them: an
 operation's latency is the median of its repetitions, and the tail is the
 eleventh slowest. Writes nothing under perfbench/. Standard library only.
@@ -56,7 +58,7 @@ def main(argv: list[str]) -> int:
         sys.exit(f"{path} has {len(rounds[0])} operations a round, the workload builds {len(ops)}")
 
     group = (lambda name: name.split()[0]) if args.by == "kind" else (lambda name: name)
-    total, shares, per_round = 0.0, {}, {}
+    total, shares, per_round, calls = 0.0, {}, {}, {}
     names: dict[int, str] = dict(ops)
     reps: dict[int, list[float]] = {}  # the repetitions of each distinct operation
     for row in rounds:
@@ -65,13 +67,14 @@ def main(argv: list[str]) -> int:
             reps.setdefault(op, []).append(float("inf") if t is None else t)
             if t is not None:
                 shares[group(name)] = shares.get(group(name), 0.0) + t
+                calls[group(name)] = calls.get(group(name), 0) + 1
                 total += t
     for _, name in ops:
         per_round[group(name)] = per_round.get(group(name), 0) + 1
     print(f"{path.name}: {len(rounds)} rounds of {len(ops)} operations, {len(reps)} distinct")
-    print(f"{args.by:32s} {'ops/round':>9s} {'share':>7s}")
+    print(f"{args.by:32s} {'ops/round':>9s} {'share':>7s} {'us/op':>9s}")
     for key, t in sorted(shares.items(), key=lambda item: -item[1])[: args.top]:
-        print(f"{key:32s} {per_round[key]:9d} {100 * t / total:6.1f}%")
+        print(f"{key:32s} {per_round[key]:9d} {100 * t / total:6.1f}% {1e6 * t / calls[key]:9.2f}")
 
     per_op = sorted((statistics.median(ts), op) for op, ts in reps.items())
     n = len(per_op)
