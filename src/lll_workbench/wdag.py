@@ -27,7 +27,10 @@ position in it is 1 plus the number of its parents in the set.
 nodes, since two copies conflict iff their original labels do, and places
 only the companions, in the original's topological order. A stable-set
 sequence's pwdag reads its parents off its layers: the earlier of two
-conflicting nodes is the deeper one.
+conflicting nodes is the deeper one. For one call, the enumeration keeps a
+table from each count of each label met to the layout of the nodes and
+each label's conflict mask (the nodes of the labels conflicting with it),
+so a node's parent mask is one AND of that mask with the deeper nodes.
 The canonical key renames node v to its pair (label, rank-within-label), the
 rank being 1 plus v's same-label parents, and sorts. Two valid wdags are
 structurally equal iff their canonical keys coincide.
@@ -279,11 +282,18 @@ def _pwdags(g: DependencyGraph, node_cap: int) -> list[tuple[int, WDag]]:
     """(sink label, pwdag) of every stable-set sequence with at most
     node_cap nodes, in enumerate_pwdags' order.
 
-    A pwdag numbers its nodes by label, and deepest first within a label;
-    the walk keeps the layers' members, a node count per label and the
-    label set. The layers are read from the deepest up, so a node's parents
-    are the nodes already numbered whose labels conflict with its own: arcs
-    run from deeper to shallower, and a layer holds no conflicting pair.
+    A pwdag numbers its nodes by label, and deepest first within a label,
+    so its layout (labels, and where each label's nodes sit) depends only
+    on the count of each label. The walk carries these counts as one int
+    code, 4 bits a label, and a table that lives for the call maps each
+    code met to its layout: the labels, the key prefix, each present
+    label's last node index and its conflict mask, the nodes of the present
+    labels that conflict with it. The walk also keeps its nodes in one
+    list, shallowest layer first, each as (label, occurrences of the label
+    in shallower layers) = (v, s), so the node is number last[v] - s. Arcs
+    run from deeper to shallower, and a layer holds no conflicting pair, so
+    passing the list from the shallowest layer, a node's parents are the
+    nodes not yet passed AND its label's conflict mask.
 
     The sort key is one bytes object: n, each label big-endian in a fixed
     width, and the parent masks as bytes with their bits reversed. It
@@ -300,68 +310,62 @@ def _pwdags(g: DependencyGraph, node_cap: int) -> list[tuple[int, WDag]]:
         raise CapExceeded(f"pwdag enumeration capped at {MAX_ENUM_NODES} nodes")
     closed, m = g.closed_masks, g.m
     names = [v.to_bytes((m.bit_length() + 7) // 8, "big") for v in range(m + 1)]  # key bytes per label
-    nexts: dict[int, list[tuple[int, int, tuple[int, ...], int]]] = {}
-    # per label set met: its members ascending, and for each member the
-    # members that conflict with it
-    label_sets: dict[int, tuple[tuple[int, ...], dict[int, tuple[int, ...]]]] = {}
-    count, first, numbered = [0] * m, [0] * m, [0] * m  # per label; a pwdag resets its own
-    layers: list[tuple[int, ...]] = []
+    nexts: dict[int, list[tuple[int, int, tuple[int, ...], int, int]]] = {}
+    # per count code met: labels, key prefix, and per present label its
+    # last node index and conflict mask
+    layouts: dict[int, tuple[tuple[int, ...], bytes, dict[int, int], dict[int, int]]] = {}
+    nodes: list[tuple[int, int]] = []  # (label - 1, occurrences in shallower layers)
     keys: list[bytes] = []
     found: list[tuple[int, WDag]] = []
 
-    def build(present: int) -> None:
-        entry = label_sets.get(present)
-        if entry is None:
-            members = tuple(_members(present))
-            entry = label_sets[present] = (
-                members,
-                {v: tuple(u for u in members if closed[v] >> u & 1) for v in members},
-            )
-        members, conflicts = entry
+    def layout(present: int, code: int) -> tuple[tuple[int, ...], bytes, dict[int, int], dict[int, int]]:
         labels: list[int] = []
-        for v in members:
-            first[v] = len(labels)
-            numbered[v] = 0
-            labels += [v + 1] * count[v]
-        parents = [0] * len(labels)
-        for layer in reversed(layers):
-            for v in layer:
-                k = first[v]
-                first[v] = k + 1
-                mask = 0
-                for u in conflicts[v]:
-                    mask |= numbered[u]
-                parents[k] = mask
-                numbered[v] |= 1 << k
-        label_bytes = b"".join(map(names.__getitem__, labels))
-        keys.append(bytes((len(labels),)) + label_bytes + bytes(parents).translate(_REV8))
-        found.append((layers[0][0] + 1, WDag(tuple(labels), parents)))
+        last, blocks, conf = {}, [], {}
+        for v in _members(present):
+            start = len(labels)
+            labels += [v + 1] * (code >> 4 * v & 15)
+            last[v] = len(labels) - 1
+            blocks.append((v, (1 << len(labels)) - (1 << start)))
+        for v, _ in blocks:
+            reach, mask = closed[v], 0
+            for u, block in blocks:
+                if reach >> u & 1:
+                    mask |= block
+            conf[v] = mask
+        prefix = bytes((len(labels),)) + b"".join(map(names.__getitem__, labels))
+        return tuple(labels), prefix, last, conf
 
-    def walk(present: int, reach: int, left: int) -> None:
-        build(present)
+    def walk(present: int, code: int, reach: int, left: int) -> None:
+        entry = layouts.get(code)
+        if entry is None:
+            entry = layouts[code] = layout(present, code)
+        labels, prefix, last, conf = entry
+        rest = (1 << len(labels)) - 1  # the nodes not yet passed
+        parents = [0] * len(labels)
+        for v, s in nodes:
+            k = last[v] - s
+            rest ^= 1 << k
+            parents[k] = rest & conf[v]
+        keys.append(prefix + bytes(parents).translate(_REV8))
+        found.append((nodes[0][0] + 1, WDag(labels, parents)))
         if not left:
             return
         if reach not in nexts:
-            nexts[reach] = [
-                (size, layer, tuple(_members(layer)), below)
-                for size, layer, below in _next_layers(reach, closed, node_cap - 1)
-            ]
-        for size, layer, members, below in nexts[reach]:
+            nexts[reach] = []
+            for size, layer, below in _next_layers(reach, closed, node_cap - 1):
+                members = tuple(_members(layer))
+                nexts[reach].append((size, layer, members, sum(1 << 4 * v for v in members), below))
+        for size, layer, members, step, below in nexts[reach]:
             if size <= left:
-                layers.append(members)
                 for v in members:
-                    count[v] += 1
-                walk(present | layer, below, left - size)
-                for v in members:
-                    count[v] -= 1
-                layers.pop()
+                    nodes.append((v, code >> 4 * v & 15))
+                walk(present | layer, code + step, below, left - size)
+                del nodes[-size:]
 
     for v in range(m):
-        layers.append((v,))
-        count[v] = 1
-        walk(1 << v, closed[v], node_cap - 1)
-        count[v] = 0
-        layers.pop()
+        nodes.append((v, 0))
+        walk(1 << v, 1 << 4 * v, closed[v], node_cap - 1)
+        nodes.pop()
     # bytes keys are not tracked by the garbage collector, as tuple keys are
     return [found[k] for k in sorted(range(len(keys)), key=keys.__getitem__)]
 
@@ -402,15 +406,24 @@ def is_reversible(d: WDag, u: int, v: int) -> bool:
 
 
 def _m_reversible_arcs(d: WDag, m: Matching) -> list[tuple[int, int]]:
-    """The reversible arcs between matched labels, sorted."""
-    labels = d.labels
-    matched = sorted(
-        (u + 1, v)
-        for v, mask in enumerate(d.parents, 1)
-        for u in _members(mask)
-        if (min(labels[u], labels[v - 1]), max(labels[u], labels[v - 1])) in m.pairs
-    )
-    return [(u, v) for u, v in matched if is_reversible(d, u, v)]
+    """The reversible arcs between matched labels, sorted. A matched arc
+    into v comes from a parent labelled with the partner of v's label, and
+    it is reversible iff that parent is not among the ancestors of v's
+    other parents (is_reversible)."""
+    parents, partner = d.parents, m.partner
+    nodes_of = _label_masks(d.labels)
+    arcs = []
+    for v, lab in enumerate(d.labels):
+        other = partner(lab)
+        if other is None:
+            continue
+        up = parents[v]
+        for u in _members(up & nodes_of.get(other, 0)):
+            bit = 1 << u
+            if not _ancestors(parents, up & ~bit) & bit:
+                arcs.append((u + 1, v + 1))
+    arcs.sort()
+    return arcs
 
 
 def m_reversible_nodes(d: WDag, m: Matching) -> frozenset[int]:
@@ -719,7 +732,9 @@ def wdag_weight(d: WDag, p: ProbabilityVector) -> Fraction:
 
 #: pwdag node counts above this are refused by enumerate_pwdags and
 #: group_pwdags. Their sort key holds each parent mask in one byte, so with
-#: a higher cap bytes(parents) would raise ValueError rather than misorder
+#: a higher cap bytes(parents) would raise ValueError rather than misorder,
+#: and the walk holds each label's count in a 4-bit field of one int: a cap
+#: above 15 would need a wider field as well as wider key bytes
 MAX_ENUM_NODES = 8
 
 #: pwdag node counts above this are refused by weight_sums: the exact size-n

@@ -22,6 +22,7 @@ from lll_workbench.wdag import (
     Partition4,
     WDag,
     _REV8,
+    _m_reversible_arcs,
     _next_layers,
     canonical_key,
     closure,
@@ -654,6 +655,16 @@ class TestReversibility:
             for (u, v) in d.arcs:
                 assert is_reversible(d, u, v) == (count_paths(d, u, v) == 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=matched_wdags())
+    def test_m_reversible_arcs_equal_brute_force(self, case):
+        d, _, m = case
+        want = [
+            (u, v) for u, v in sorted(d.arcs)
+            if (min(d.label(u), d.label(v)), max(d.label(u), d.label(v))) in m.pairs and is_reversible(d, u, v)
+        ]
+        assert _m_reversible_arcs(d, m) == want
+
     def test_greedy_skip_by_two(self):
         d = chain((1, 2, 1, 2))
         assert disjoint_reversible_pairs(d, M12) == frozenset({(1, 2), (3, 4)})
@@ -1085,9 +1096,14 @@ class TestStableSetSequences:
     @example(g=DependencyGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]), cap=7)
     @example(g=DependencyGraph.from_edges(300, [(k, k + 1) for k in range(1, 300)]), cap=3)
     @example(g=DependencyGraph.from_edges(12, list(combinations(range(1, 13), 2))), cap=3)
+    @example(g=K1, cap=8)
+    @example(g=DependencyGraph(3, frozenset()), cap=8)
+    @example(g=DependencyGraph.from_edges(3, [(1, 2), (2, 3), (1, 3)]), cap=8)
     def test_walk_equals_reference_walk(self, g, cap):
         # the examples: the benchmark's largest enumeration, labels wider
-        # than one byte, and degrees above the node count
+        # than one byte, degrees above the node count, one label 8 times
+        # (the top of its 4-bit count field), each of three labels up to 8
+        # times, and one layout per count vector of three labels
         want = reference_walk_pwdags(g, cap)
         assert list(enumerate_pwdags(g, cap)) == want
         assert list(group_pwdags(g, cap).items()) == reference_groups(want)
